@@ -10,7 +10,8 @@ Identical configuration produces byte-identical jsonl regardless of
 parallelism; elapsed_ns serializes as 0 unless --timings is given.
 
 Exit codes: 0 all good, 1 at least one failed check or errored record,
-2 usage error, 3 I/O error.
+2 usage error, 3 I/O error, 4 malformed record in an input file (``report``,
+or the last complete line of a ``scan --resume`` output).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from . import __version__
 from .bernoulli import bernoulli_exact, bernoulli_mod
 from .binomial import central_binomial_mod, exact_binomial
 from .checks import CheckOutcome, all_check_ids, lookup, run_suite
-from .errors import WolstenholmeError
+from .errors import MalformedRecord, WolstenholmeError
 from .scan import Criterion, ScanRecord, SieveConfig, sieve_primes, wolstenholme_scan
 
 FLUSH_EVERY = 1000
@@ -163,6 +164,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
             cfg.limit = ns.limit
         else:
             cfg.prime_range = _parse_range(ns.primes, parser)
+        if ns.resume and ns.format != "jsonl":
+            parser.error("--resume needs --format jsonl")
         cfg.criterion = Criterion(ns.criterion)
         cfg.segment_size = ns.segment_size
         cfg.resume = ns.resume
@@ -270,16 +273,37 @@ def _write_pretty(records: Iterable[dict], sink: TextIO) -> None:
 _WRITERS = {"jsonl": _write_jsonl, "csv": _write_csv, "pretty": _write_pretty}
 
 
+def _parse_record(line: bytes, path: str, lineno: int) -> dict:
+    """One jsonl line as a record of the documented schema."""
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        rec = None
+    if not (isinstance(rec, dict) and rec.keys() == set(_FIELDS)
+            and isinstance(rec["check"], str) and isinstance(rec["p"], int)
+            and isinstance(rec["pass"], bool) and isinstance(rec["skipped"], bool)):
+        raise MalformedRecord(f"{path}, line {lineno}: not a record")
+    return rec
+
+
 def _resume_floor(path: str) -> Optional[int]:
+    """Last prime in a jsonl scan output, after cutting a torn last line.
+
+    A crash can leave the last line without its newline; that tail is
+    truncated, so the scan recomputes its prime and appends cleanly.
+    """
     if not os.path.exists(path):
         return None
-    last = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                last = json.loads(line)["p"]
-    return last
+    last, last_lineno, kept = None, 0, 0
+    with open(path, "rb+") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if not line.endswith(b"\n"):
+                break
+            kept += len(line)
+            if line.strip():
+                last, last_lineno = line, lineno
+        handle.truncate(kept)
+    return None if last is None else _parse_record(last, path, last_lineno)["p"]
 
 
 def _candidate_primes(cfg: RunConfig) -> Iterable[int]:
@@ -348,14 +372,18 @@ def execute(cfg: RunConfig) -> int:
                 print(exact_binomial(cfg.n, cfg.r))
             return 0
         if cfg.command == "report":
-            with open(cfg.input_path, "r", encoding="utf-8") as handle:
-                records = [json.loads(line) for line in handle if line.strip()]
+            with open(cfg.input_path, "rb") as handle:
+                records = [_parse_record(line, cfg.input_path, lineno)
+                           for lineno, line in enumerate(handle, 1) if line.strip()]
             writer = _WRITERS["pretty" if cfg.format == "pretty" else "csv"]
             writer(records, sys.stdout)
             bad = any(not r["pass"] and not r["skipped"]
                       and not r["check"].startswith("scan:") for r in records)
             return 1 if bad else 0
         raise AssertionError(f"unhandled command {cfg.command}")
+    except MalformedRecord as exc:
+        print(f"malformed input: {exc}", file=sys.stderr)
+        return 4
     except WolstenholmeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

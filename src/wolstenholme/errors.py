@@ -9,6 +9,10 @@ class NotPrime(WolstenholmeError, ValueError):
     """A value that must be prime is composite (or < 2)."""
 
 
+class PrimalityUndecided(WolstenholmeError, ValueError):
+    """A probable prime above the deterministic Miller-Rabin bound (3.317e24)."""
+
+
 class ExponentOutOfRange(WolstenholmeError, ValueError):
     """Modulus exponent outside the supported range 1..10."""
 
@@ -74,3 +78,7 @@ class RangeTooLarge(WolstenholmeError, ValueError):
 
 class UnknownCheck(WolstenholmeError, KeyError):
     """Congruence-check id not present in the registry."""
+
+
+class MalformedRecord(WolstenholmeError, ValueError):
+    """A line of a jsonl input file is not a record of the documented schema."""

@@ -19,7 +19,9 @@ which is how H is computed and how both families are cross-checked.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from math import isqrt
 from typing import Mapping
 
 from .errors import DivisionNotExact, NMaxTooLarge
@@ -136,19 +138,39 @@ def power_sum(p: int, n: int, K: int) -> Residue:
     if n < 1:
         raise ValueError("n must be positive")
     modulus = make_modulus(p, K)
-    m = mpz(modulus.m)
-    total = 0
-    for k in range(1, p):
-        total += powmod(k, n, m)
-    return modulus.residue(total % m)
+    return modulus.residue(power_sum_raw(p, n, modulus.m))
+
+
+def _least_prime_factors(n: int) -> array:
+    """lpf[k] for 0 <= k < n: the least prime factor of composite k, else 0."""
+    lpf = array("I", [0]) * n
+    small = [q for q in range(2, isqrt(n - 1) + 1)
+             if all(q % d for d in range(2, isqrt(q) + 1))]
+    # Descending, so the least prime factor of k is the last one written.
+    for q in reversed(small):
+        lpf[q * q::q] = array("I", [q]) * len(range(q * q, n, q))
+    return lpf
 
 
 def power_sum_raw(p: int, n: int, m) -> int:
-    """P_n(p) mod m without Residue wrapping (kernel for Bernoulli work)."""
+    """P_n(p) = sum of k^n over 1..p-1, mod m, for any n >= 0 and m >= 1.
+
+    k -> k^n mod m is completely multiplicative, so only primes pay a
+    powmod: a composite k is pw[q] * pw[k // q] with q its least prime
+    factor.  Both factors are at most (p-1)/2, so pw is kept only up to
+    there; the upper half is summed unreduced and reduced once.
+    """
+    if p < 3:
+        raise ValueError("p must be at least 3")
     m = mpz(m)
-    total = 0
-    for k in range(1, p):
-        total += powmod(k, n, m)
+    half = (p - 1) // 2
+    lpf = _least_prime_factors(p)
+    pw = [0, 1 % m]
+    for k, q in zip(range(2, half + 1), lpf[2:half + 1]):
+        pw.append(pw[q] * pw[k // q] % m if q else powmod(k, n, m))
+    total = sum(pw) + sum(
+        pw[q] * pw[k // q] if q else powmod(k, n, m)
+        for k, q in zip(range(half + 1, p), lpf[half + 1:]))
     return int(total % m)
 
 

@@ -18,6 +18,7 @@ from .errors import (
     ModulusMismatch,
     NotInvertible,
     NotPrime,
+    PrimalityUndecided,
     WidthExceeded,
 )
 
@@ -35,12 +36,20 @@ Rationalish = Union[int, Fraction]
 WIDTH_BITS = 200
 MAX_EXPONENT = 10
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: Miller-Rabin witnesses: the first 13 primes.  Together they are
+#: deterministic below psi_13 = 3317044064679887385961981 (about 3.317e24);
+#: the first 12 alone fail at psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test (valid below 3.3e24)."""
+    """Deterministic Miller-Rabin test, exact for every n below 3.317e24.
+
+    Above that bound a failed witness still proves n composite, but an n
+    that passes every witness is only a probable prime, so it raises
+    PrimalityUndecided instead of being reported prime.
+    """
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -63,6 +72,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= MR_DETERMINISTIC_BOUND:
+        raise PrimalityUndecided(
+            f"{n} passes all {len(_MR_WITNESSES)} Miller-Rabin witnesses but lies"
+            f" above their deterministic bound {MR_DETERMINISTIC_BOUND}")
     return True
 
 

@@ -109,6 +109,28 @@ def test_scan_writes_and_resumes(tmp_path):
     assert full.read_bytes() == out.read_bytes()
 
 
+def test_scan_resume_cuts_torn_last_line(tmp_path):
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", "--primes", "7..100", "--criterion", "r1p3",
+                 "--output", str(out)]) == 0
+    with out.open("a") as handle:
+        handle.write('{"check":"scan:r1p3","p":101,"modulus_ex')
+    assert main(["scan", "--primes", "7..200", "--criterion", "r1p3",
+                 "--output", str(out), "--resume"]) == 0
+    full = tmp_path / "full.jsonl"
+    assert main(["scan", "--primes", "7..200", "--criterion", "r1p3",
+                 "--output", str(full)]) == 0
+    assert full.read_bytes() == out.read_bytes()
+
+
+def test_scan_resume_needs_jsonl():
+    for fmt in ("csv", "pretty"):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["scan", "--primes", "7..100", "--format", fmt,
+                        "--output", "scan.out", "--resume"])
+        assert exc.value.code == 2
+
+
 def test_scan_record_schema(tmp_path):
     out = tmp_path / "scan.jsonl"
     main(["scan", "--primes", "11..40", "--criterion", "cor1second",
@@ -148,6 +170,18 @@ def test_report_roundtrip(tmp_path, capsys):
     assert main(["report", str(out)]) == 0
     shown = capsys.readouterr().out
     assert "glaisher_p4" in shown
+
+
+def test_report_malformed_record_exit_code(tmp_path, capsys):
+    good = tmp_path / "good.jsonl"
+    main(["verify", "--checks", "wolstenholme_thm", "--primes", "5..20",
+          "--output", str(good)])
+    for bad_line in ('{"p": 3}', '{"check": "x", "p": 3', "[1, 2]"):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(good.read_text() + bad_line + "\n")
+        assert main(["report", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert "line 7" in err and "Traceback" not in err  # six good records
 
 
 def test_report_missing_file_is_io_error():

@@ -4,6 +4,8 @@ from itertools import combinations
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wolstenholme import errors
 from wolstenholme.harmonic import (
@@ -11,12 +13,28 @@ from wolstenholme.harmonic import (
     euler_index_check,
     power_sum,
     power_sum_inverses,
+    power_sum_raw,
     wolstenholme_quotient,
 )
-from wolstenholme.modring import embed_rational, make_modulus, valuation
+from wolstenholme.modring import embed_rational, is_prime, make_modulus, valuation
 
 PRIMES_100 = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
               71, 73, 79, 83, 89, 97]
+
+
+PRIMES_600 = [p for p in range(3, 600) if is_prime(p)]
+
+
+def reference_power_sum(p: int, n: int, m: int) -> int:
+    """P_n(p) mod m, one powmod per k: the oracle for the sieve kernel."""
+    return sum(pow(k, n, m) for k in range(1, p)) % m
+
+
+def registry_indices(p: int) -> set[int]:
+    """Every index shape the check registry feeds to P_n."""
+    shapes = {0, 1, 2, p - 3, p - 1, p * (p - 1) + 4, p ** 4 - p ** 3 - 2}
+    shapes |= {j * (p - 1) + t for j in range(5) for t in range(-6, 7)}
+    return {n for n in shapes if n >= 0}
 
 
 def exact_r(p: int, n: int) -> Fr:
@@ -88,6 +106,26 @@ def test_power_sum_examples():
     assert power_sum(7, 6, 1).value == 6  # (p-1) | n forces -1 mod p
     assert power_sum(7, 4, 1).value == 0
     assert power_sum(11, 3, 5).value == sum(k ** 3 for k in range(1, 11)) % 11 ** 5
+
+
+def test_power_sum_kernel_matches_powmod_loop():
+    for p in PRIMES_600:
+        for n in registry_indices(p):
+            expected = reference_power_sum(p, n, p ** 5)
+            for c in range(1, 6):
+                assert power_sum_raw(p, n, p ** c) == expected % p ** c, (p, n, c)
+
+
+def test_power_sum_kernel_at_16843():
+    p = 16843
+    assert power_sum_raw(p, p - 5, p ** 5) == reference_power_sum(p, p - 5, p ** 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([p for p in PRIMES_600 if p < 400]),
+       st.integers(0, 10 ** 12 - 1), st.integers(1, 5))
+def test_power_sum_kernel_property(p, n, c):
+    assert power_sum_raw(p, n, p ** c) == reference_power_sum(p, n, p ** c)
 
 
 def test_wolstenholme_quotient_examples():

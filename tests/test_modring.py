@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wolstenholme import errors
 from wolstenholme.modring import (
+    MR_DETERMINISTIC_BOUND,
     Residue,
     batch_inverses,
     embed_rational,
@@ -66,6 +67,30 @@ def test_is_prime_deterministic_witnesses():
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert is_prime(2124679)
     assert not is_prime(16843 * 2124679)
+
+
+def test_is_prime_rejects_psi12():
+    # the least strong pseudoprime to the first 12 primes; witness 41 catches it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    with pytest.raises(errors.NotPrime):
+        make_modulus(psi12, 1)
+
+
+def test_is_prime_refuses_above_deterministic_bound():
+    # psi13 passes all 13 witnesses; so does the Mersenne prime 2^89 - 1
+    psi13 = 3317044064679887385961981
+    assert psi13 == MR_DETERMINISTIC_BOUND
+    with pytest.raises(errors.PrimalityUndecided):
+        is_prime(psi13)
+    with pytest.raises(errors.PrimalityUndecided):
+        make_modulus(2 ** 89 - 1, 2)
+    # a failing witness still proves compositeness above the bound
+    assert not is_prime(psi13 + 2)
+    assert not is_prime((2 ** 89 - 1) * 3)
+    # the largest prime below the bound is still decided
+    assert is_prime(3317044064679887385961813)
 
 
 def test_inverse_examples():
