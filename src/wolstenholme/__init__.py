@@ -22,9 +22,7 @@ from .binomial import (
     BinomialResidue,
     central_binomial_mod,
     exact_binomial,
-    granville_check,
     is_wolstenholme_prime,
-    sun_wan_check,
     zhao_quotient_check,
 )
 from .checks import (

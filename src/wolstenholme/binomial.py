@@ -6,16 +6,15 @@ The central object is C(2p-1, p-1), computed through the product expansion
                  = 1 + sum(p^j H_j(p) for j in 1..p-1),
 
 evaluated with one modular inversion.  ``exact_binomial`` is the exact
-big-integer oracle for desk-scale arguments, and the remaining operations
-evaluate three classical congruences: the quotient law
-C(np, rp)/C(n, r) = 1 + w_p n r (n-r) p^3 (mod p^5), the Granville
-quotient congruence mod p^5, and the Sun-Wan congruence
-C(4p-1, 2p-1) = C(4p, p) - 1 (mod p^5).
+big-integer oracle for desk-scale arguments, and ``zhao_quotient_check``
+evaluates the quotient law C(np, rp)/C(n, r) = 1 + w_p n r (n-r) p^3
+(mod p^5) for every shape 1 <= r <= n <= 6.  The Granville and Sun-Wan
+congruences live in the check registry (``granville_p5``, ``sun_wan_p5``),
+which builds on ``_shifted_product_raw`` and ``exact_binomial`` here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -23,8 +22,7 @@ from .errors import NotPrime, RangeError
 from .harmonic import wolstenholme_quotient
 from .modring import (
     Residue,
-    embed_rational,
-    int_valuation,
+    capped_valuation,
     is_prime,
     make_modulus,
     max_exponent,
@@ -83,12 +81,6 @@ def _central_raw(p: int, m) -> int:
     return _shifted_product_raw(p, 1, m)
 
 
-def _capped_valuation(x: int, p: int, cap: int) -> int:
-    if x == 0:
-        return cap
-    return min(int_valuation(x, p), cap)
-
-
 def central_binomial_mod(p: int, k: int) -> BinomialResidue:
     """C(2p-1, p-1) mod p^k plus the valuation of C - 1."""
     if p < 5 or not is_prime(p):
@@ -102,7 +94,7 @@ def central_binomial_mod(p: int, k: int) -> BinomialResidue:
         p=p,
         k=k,
         value=modulus.residue(wide),
-        wolstenholme_valuation=_capped_valuation(wide - 1, p, eval_exp),
+        wolstenholme_valuation=capped_valuation(wide - 1, p, eval_exp),
     )
 
 
@@ -131,38 +123,4 @@ def zhao_quotient_check(n: int, r: int, p: int) -> int:
     ).inverse()
     w = wolstenholme_quotient(p).w
     rhs = modulus.residue(1 + w * n * r * (n - r) * p ** 3)
-    return (lhs - rhs).valuation()
-
-
-def granville_check(p: int) -> int:
-    """Valuation of C(3p,2p)/C(2p,p)^3 - C(3,2)/C(2,1)^3 in Z/p^5 Z.
-
-    Both binomials come from one-inversion products: C(2p,p) equals
-    2 C(2p-1,p-1) and C(3p,2p) equals 3 prod((2p+i)/i).  Evaluated with
-    two exponents of margin, so the returned valuation is capped at 7;
-    the congruence asserts >= 5 for p >= 5.
-    """
-    if p < 5 or not is_prime(p):
-        raise NotPrime(f"p must be a prime >= 5, got {p}")
-    eval_exp = 5 + VALUATION_MARGIN
-    modulus = make_modulus(p, eval_exp)
-    central = modulus.residue(_central_raw(p, modulus.m))
-    big = 3 * modulus.residue(_shifted_product_raw(p, 2, modulus.m))
-    lhs = big * ((2 * central) ** 3).inverse()
-    rhs = embed_rational(
-        Fraction(exact_binomial(3, 2), exact_binomial(2, 1) ** 3), modulus
-    )
-    return (lhs - rhs).valuation()
-
-
-def sun_wan_check(p: int) -> int:
-    """Valuation of C(4p-1, 2p-1) - C(4p, p) + 1 in Z/p^5 Z (capped at 7)."""
-    if p < 7 or not is_prime(p):
-        raise NotPrime(f"p must be a prime >= 7, got {p}")
-    if p > SUN_WAN_PRIME_CAP:
-        raise RangeError(f"p = {p} beyond the exact oracle bound {SUN_WAN_PRIME_CAP}")
-    eval_exp = 5 + VALUATION_MARGIN
-    modulus = make_modulus(p, eval_exp)
-    lhs = modulus.residue(exact_binomial(4 * p - 1, 2 * p - 1))
-    rhs = modulus.residue(exact_binomial(4 * p, p) - 1)
     return (lhs - rhs).valuation()

@@ -17,14 +17,20 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import binomial
-from .bernoulli import bernoulli_mod, bernoulli_ratio, high_index_bernoulli
+from .bernoulli import (
+    bernoulli_mod,
+    bernoulli_ratio,
+    high_index_bernoulli,
+    high_index_ratio,
+)
 from .errors import UnknownCheck
-from .harmonic import _inverse_power_sums_raw, wolstenholme_quotient
+from .harmonic import _inverse_power_sums_raw, _newton_h_raw, wolstenholme_quotient
 from .modring import Residue, is_prime, make_modulus, max_exponent
+from .parallel import ordered_map
 
 Fr = Fraction
 
@@ -83,21 +89,7 @@ def _r_values(p: int, K: int) -> tuple[int, ...]:
 def _h_values(p: int, K: int) -> tuple[int, ...]:
     """(unused, H_1, .., H_n) mod p^K via the Newton recurrence on _r_values."""
     R = _r_values(p, K)
-    m = p ** K
-    n_max = min(8, p - 2, len(R) - 1)
-    H = [0] * (n_max + 1)
-    H[1] = R[1]
-    for n in range(2, n_max + 1):
-        acc = R[n]
-        sign = -1
-        for i in range(1, n):
-            acc += sign * H[i] * R[n - i]
-            sign = -sign
-        acc = acc % m * pow(n, -1, m) % m
-        if n % 2 == 0:
-            acc = -acc % m
-        H[n] = acc
-    return tuple(H)
+    return tuple(_newton_h_raw(R, min(8, p - 2, len(R) - 1), p ** K))
 
 
 @lru_cache(maxsize=64)
@@ -308,14 +300,8 @@ def _ev_kummer_eq11(p):
 
 def _make_ev_eq26(n: int, s: int):
     def evaluator(p, _n=n, _s=s):
-        M = make_modulus(p, _n)
         big = p ** _n - p ** (_n - 1) - _s
-        lhs = bernoulli_ratio(big, p, _n)
-        rhs = M.residue(0)
-        for k in range(1, _n + 1):
-            coeff = (-1) ** (k + 1) * binomial.exact_binomial(_n, k)
-            rhs = rhs + coeff * bernoulli_ratio(k * (p - 1) - _s, p, _n)
-        return lhs, rhs
+        return bernoulli_ratio(big, p, _n), high_index_ratio(_n, _s, p)
 
     return evaluator
 
@@ -613,8 +599,7 @@ def run_check(check_id: str, p: int) -> CheckOutcome:
         elapsed_ns=time.perf_counter_ns() - start)
 
 
-def _suite_worker(args: tuple[int, tuple[str, ...]]) -> list[CheckOutcome]:
-    p, ids = args
+def _suite_worker(p: int, ids: tuple[str, ...]) -> list[CheckOutcome]:
     return [run_check(check_id, p) for check_id in ids]
 
 
@@ -631,16 +616,9 @@ def run_suite(
     ids = tuple(sorted(ids))
     for check_id in ids:
         lookup(check_id)
-    jobs = ((p, ids) for p in primes)
-    if parallelism <= 1:
-        for job in jobs:
-            yield from _suite_worker(job)
-        return
-    import multiprocessing
-
-    with multiprocessing.get_context("fork").Pool(parallelism) as pool:
-        for outcomes in pool.imap(_suite_worker, jobs, chunksize=4):
-            yield from outcomes
+    for outcomes in ordered_map(partial(_suite_worker, ids=ids), primes,
+                                parallelism, chunk=4):
+        yield from outcomes
 
 
 def all_check_ids() -> list[str]:

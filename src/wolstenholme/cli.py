@@ -9,9 +9,10 @@ Record schema (one JSON object per line, all residues as decimal strings):
 Identical configuration produces byte-identical jsonl regardless of
 parallelism; elapsed_ns serializes as 0 unless --timings is given.
 
-Exit codes: 0 all good, 1 at least one failed check or errored record,
-2 usage error, 3 I/O error, 4 malformed record in an input file (``report``,
-or the last complete line of a ``scan --resume`` output).
+Exit codes: 0 all good, 1 at least one failed check, errored record or
+dead worker process, 2 usage error, 3 I/O error, 4 malformed record in an
+input file (``report``, or the last complete line of a ``scan --resume``
+output).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import __version__
@@ -59,7 +60,6 @@ class RunConfig:
     r: Optional[int] = None
     central: Optional[int] = None
     input_path: Optional[str] = None
-    extra: dict = field(default_factory=dict)
 
 
 def _parse_range(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
@@ -166,6 +166,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
             cfg.prime_range = _parse_range(ns.primes, parser)
         if ns.resume and ns.format != "jsonl":
             parser.error("--resume needs --format jsonl")
+        if ns.resume and ns.output is None:
+            parser.error("--resume needs --output")
         cfg.criterion = Criterion(ns.criterion)
         cfg.segment_size = ns.segment_size
         cfg.resume = ns.resume
@@ -333,7 +335,7 @@ def execute(cfg: RunConfig) -> int:
         if cfg.command == "scan":
             lo, hi = cfg.prime_range
             mode = "w"
-            if cfg.resume and cfg.output_path:
+            if cfg.resume:
                 floor = _resume_floor(cfg.output_path)
                 if floor is not None:
                     lo = max(lo, floor + 1)

@@ -82,3 +82,7 @@ class UnknownCheck(WolstenholmeError, KeyError):
 
 class MalformedRecord(WolstenholmeError, ValueError):
     """A line of a jsonl input file is not a record of the documented schema."""
+
+
+class WorkerDied(WolstenholmeError, RuntimeError):
+    """A worker process of a parallel run died before returning its results."""

@@ -22,10 +22,10 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from math import isqrt
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import DivisionNotExact, NMaxTooLarge
-from .modring import Residue, make_modulus, mpz, powmod
+from .modring import Residue, _batch_invert_raw, make_modulus, mpz, powmod
 
 #: Largest sum order this package ever needs (R_8/H_8).
 N_MAX_CAP = 8
@@ -52,22 +52,10 @@ class WolstenholmeQuotient:
     w: int
 
 
-def _inverse_chunks(p: int, m):
+def _inverse_chunks(p: int, m) -> Iterator[list]:
     """Inverses of 1..p-1 mod m in blocks, one modular inversion per block."""
     for lo in range(1, p, _CHUNK):
-        hi = min(lo + _CHUNK, p)
-        prefix = []
-        acc = mpz(1)
-        for k in range(lo, hi):
-            acc = acc * k % m
-            prefix.append(acc)
-        inv = powmod(acc, -1, m)
-        out = [0] * (hi - lo)
-        for i in range(hi - lo - 1, 0, -1):
-            out[i] = inv * prefix[i - 1] % m
-            inv = inv * (lo + i) % m
-        out[0] = inv
-        yield out
+        yield _batch_invert_raw(range(lo, min(lo + _CHUNK, p)), m)
 
 
 def _inverse_power_sums_raw(p: int, n_max: int, m) -> list:
@@ -99,10 +87,7 @@ def power_sum_inverses(p: int, n: int, K: int) -> Residue:
 
 
 def elementary_symmetric(p: int, n_max: int, K: int) -> SumProfile:
-    """H_1..H_n_max via the Newton recurrence, together with the R values.
-
-    H_n = ((-1)^(n-1)/n) * (R_n + sum((-1)^i H_i R_{n-i} for i in 1..n-1)).
-    """
+    """H_1..H_n_max via the Newton recurrence, together with the R values."""
     if n_max > p - 2:
         raise NMaxTooLarge(f"n_max {n_max} exceeds p-2 = {p - 2}")
     if not 1 <= n_max <= N_MAX_CAP:
@@ -110,6 +95,21 @@ def elementary_symmetric(p: int, n_max: int, K: int) -> SumProfile:
     modulus = make_modulus(p, K)
     m = mpz(modulus.m)
     R = _inverse_power_sums_raw(p, n_max, m)
+    H = _newton_h_raw(R, n_max, m)
+    return SumProfile(
+        p=p,
+        modulus_exponent=K,
+        n_max=n_max,
+        R={n: modulus.residue(R[n]) for n in range(1, n_max + 1)},
+        H={n: modulus.residue(H[n]) for n in range(1, n_max + 1)},
+    )
+
+
+def _newton_h_raw(R, n_max: int, m) -> list:
+    """[_, H_1, .., H_n_max] mod m from [_, R_1, .., R_n_max] (needs n_max < p).
+
+    H_n = ((-1)^(n-1)/n) * (R_n + sum((-1)^i H_i R_{n-i} for i in 1..n-1)).
+    """
     H = [0] * (n_max + 1)
     H[1] = R[1]
     for n in range(2, n_max + 1):
@@ -122,13 +122,7 @@ def elementary_symmetric(p: int, n_max: int, K: int) -> SumProfile:
         if n % 2 == 0:
             acc = -acc % m
         H[n] = acc
-    return SumProfile(
-        p=p,
-        modulus_exponent=K,
-        n_max=n_max,
-        R={n: modulus.residue(R[n]) for n in range(1, n_max + 1)},
-        H={n: modulus.residue(H[n]) for n in range(1, n_max + 1)},
-    )
+    return H
 
 
 def power_sum(p: int, n: int, K: int) -> Residue:

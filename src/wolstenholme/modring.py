@@ -91,6 +91,13 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+def capped_valuation(n: int, p: int, cap: int) -> int:
+    """min(v_p(n), cap), with 0 mapping to the cap (a residue mod p^cap)."""
+    if n == 0:
+        return cap
+    return min(int_valuation(n, p), cap)
+
+
 def valuation(q: Rationalish, p: int) -> Union[int, float]:
     """p-adic valuation of a rational, v_p(num) - v_p(den); +inf for 0."""
     if not is_prime(p):
@@ -232,9 +239,7 @@ class Residue:
 
     def valuation(self) -> int:
         """v_p of the value, capped at the exponent k (0 maps to the cap)."""
-        if self.value == 0:
-            return self.modulus.k
-        return min(int_valuation(self.value, self.modulus.p), self.modulus.k)
+        return capped_valuation(self.value, self.modulus.p, self.modulus.k)
 
 
 def inverse(a: Residue) -> Residue:
@@ -279,16 +284,20 @@ def batch_inverses(values: Sequence[Residue]) -> list[Residue]:
     return [Residue(x, modulus) for x in _batch_invert_raw(raw, modulus.m)]
 
 
-def _batch_invert_raw(raw: Sequence[int], m: int) -> list[int]:
-    prefix = []
+def _batch_invert_raw(raw: Sequence[int], m) -> list:
+    """Inverses of the units raw[i] mod m: prefix products, one inversion.
+
+    The package's one prefix-product loop (``harmonic._inverse_chunks``
+    feeds it); the inverses overwrite the prefixes in place, one list.
+    """
+    out = []
     acc = 1
     for x in raw:
         acc = acc * x % m
-        prefix.append(acc)
+        out.append(acc)
     inv = pow(int(acc), -1, int(m))
-    out = [0] * len(raw)
-    for i in range(len(raw) - 1, 0, -1):
-        out[i] = inv * prefix[i - 1] % m
+    for i in range(len(out) - 1, 0, -1):
+        out[i] = inv * out[i - 1] % m
         inv = inv * raw[i] % m
-    out[0] = inv % m
+    out[0] = inv
     return out

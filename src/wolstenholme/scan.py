@@ -14,13 +14,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import isqrt
 from typing import Iterator, Optional
 
 from .bernoulli import bernoulli_mod
 from .binomial import central_binomial_mod
 from .errors import RangeTooLarge
-from .modring import mpz, powmod
+from .harmonic import _inverse_chunks, _inverse_power_sums_raw
+from .modring import capped_valuation, mpz, powmod
+from .parallel import ordered_map
 
 SIEVE_LIMIT = 10 ** 8
 REMARK1_LIMIT = 10 ** 6
@@ -92,34 +95,9 @@ def sieve_primes(cfg: SieveConfig) -> Iterator[int]:
                 yield seg_lo + i
 
 
-def _capped_val(x: int, p: int, cap: int) -> int:
-    if x == 0:
-        return cap
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return min(v, cap)
-
-
 def _r1_valuation(p: int) -> int:
     """v_p of R_1(p), computed mod p^3 and capped there."""
-    m = mpz(p) ** 3
-    total = 0
-    chunk = 1 << 14
-    for lo in range(1, p, chunk):
-        hi = min(lo + chunk, p)
-        prefix = []
-        acc = mpz(1)
-        for k in range(lo, hi):
-            acc = acc * k % m
-            prefix.append(acc)
-        inv = powmod(acc, -1, m)
-        for i in range(hi - lo - 1, 0, -1):
-            total += inv * prefix[i - 1] % m
-            inv = inv * (lo + i) % m
-        total += inv
-    return _capped_val(int(total % m), p, 3)
+    return capped_valuation(int(_inverse_power_sums_raw(p, 1, p ** 3)[1]), p, 3)
 
 
 def _cor1second_valuation(p: int) -> int:
@@ -134,26 +112,16 @@ def _cor1second_valuation(p: int) -> int:
     s1 = 0
     s3 = 0
     prod = mpz(1)
-    chunk = 1 << 14
-    for lo in range(1, p, chunk):
-        hi = min(lo + chunk, p)
-        prefix = []
-        acc = mpz(1)
-        for k in range(lo, hi):
-            acc = acc * k % m
-            prefix.append(acc)
-        inv = powmod(acc, -1, m)
-        for i in range(hi - lo - 1, -1, -1):
-            iv = inv * prefix[i - 1] % m if i else inv
-            inv = inv * (lo + i) % m if i else inv
-            s1 += iv
+    for chunk in _inverse_chunks(p, m):
+        s1 += sum(chunk)
+        for iv in chunk:
             iv4 = iv % m4
             s3 += iv4 * iv4 % m4 * iv4
             prod = prod * (1 + p * iv) % m
     r1 = s1 % m
     r3 = s3 % m4
     rhs = (1 + 2 * p * r1 + 2 * powmod(3, -1, m) * p ** 3 % m * r3) % m
-    return _capped_val(int((prod - rhs) % m), p, 7)
+    return capped_valuation(int((prod - rhs) % m), p, 7)
 
 
 def _evaluate(p: int, criterion: Criterion) -> int:
@@ -186,40 +154,14 @@ def _scan_one(p: int, criterion: Criterion) -> ScanRecord:
         elapsed_ns=time.perf_counter_ns() - start)
 
 
-def _scan_worker(args: tuple[tuple[int, ...], str]) -> list[ScanRecord]:
-    chunk, criterion_value = args
-    criterion = Criterion(criterion_value)
-    return [_scan_one(p, criterion) for p in chunk]
-
-
-def _chunked(iterable, size):
-    block = []
-    for item in iterable:
-        block.append(item)
-        if len(block) == size:
-            yield tuple(block)
-            block = []
-    if block:
-        yield tuple(block)
-
-
 def wolstenholme_scan(
     cfg: SieveConfig,
     criterion: Criterion = Criterion.HARMONIC_R1_P3,
     parallelism: int = 1,
 ) -> Iterator[ScanRecord]:
     """One record per prime in the range, in ascending order."""
-    primes = sieve_primes(cfg)
-    if parallelism <= 1:
-        for p in primes:
-            yield _scan_one(p, criterion)
-        return
-    import multiprocessing
-
-    jobs = ((chunk, criterion.value) for chunk in _chunked(primes, 32))
-    with multiprocessing.get_context("fork").Pool(parallelism) as pool:
-        for records in pool.imap(_scan_worker, jobs):
-            yield from records
+    return ordered_map(partial(_scan_one, criterion=criterion),
+                       sieve_primes(cfg), parallelism, chunk=32)
 
 
 def remark1_experiment(limit: int, parallelism: int = 1) -> list[int]:

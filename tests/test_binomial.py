@@ -3,13 +3,11 @@ from math import comb
 
 import pytest
 
-from wolstenholme import errors
+from wolstenholme import checks, errors
 from wolstenholme.binomial import (
     central_binomial_mod,
     exact_binomial,
-    granville_check,
     is_wolstenholme_prime,
-    sun_wan_check,
     zhao_quotient_check,
 )
 from wolstenholme.harmonic import elementary_symmetric, wolstenholme_quotient
@@ -97,11 +95,17 @@ def test_zhao_quotient_sweep():
                 assert zhao_quotient_check(n, r, p) >= 5, (n, r, p)
 
 
+def _residual(check_id, p):
+    return checks.run_check(check_id, p).residual_valuation
+
+
 def test_granville_examples():
-    assert granville_check(7) >= 5
-    assert granville_check(11) >= 5
-    # p = 5 runs and reports the observed valuation (4, not a pass at 5)
-    assert granville_check(5) == 4
+    assert _residual("granville_p5", 7) >= 5
+    assert _residual("granville_p5", 11) >= 5
+    # p = 5 is below the registry's minimum prime; the evaluator still runs
+    # there and reports the observed valuation (4, not a pass at 5)
+    lhs, rhs = checks._ev_granville(5)
+    assert (lhs - rhs).valuation() == 4
 
 
 def test_granville_against_exact_oracle():
@@ -116,15 +120,15 @@ def test_granville_against_exact_oracle():
             while diff % p == 0:
                 diff //= p
                 v += 1
-        assert granville_check(p) == v, p
+        assert _residual("granville_p5", p) == v, p
         assert v >= 5
 
 
 def test_sun_wan_examples():
-    assert sun_wan_check(7) >= 5
-    assert sun_wan_check(11) >= 5
-    assert sun_wan_check(13) >= 5
-    with pytest.raises(errors.RangeError):
-        sun_wan_check(401)
-    with pytest.raises(errors.NotPrime):
-        sun_wan_check(15)
+    assert _residual("sun_wan_p5", 7) >= 5
+    assert _residual("sun_wan_p5", 11) >= 5
+    assert _residual("sun_wan_p5", 13) >= 5
+    outcome = checks.run_check("sun_wan_p5", 401)
+    assert outcome.skipped and outcome.reason == "beyond exact-oracle bound 400"
+    outcome = checks.run_check("sun_wan_p5", 15)
+    assert outcome.skipped and outcome.reason == "not prime"

@@ -1,7 +1,12 @@
 """Registry contracts, gating, suite determinism, and the iff criterion."""
-import pytest
+from fractions import Fraction
+from math import comb, factorial, lcm
 
-from wolstenholme import errors
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wolstenholme import checks, errors
 from wolstenholme.checks import (
     Scope,
     all_check_ids,
@@ -11,7 +16,8 @@ from wolstenholme.checks import (
     run_check,
     run_suite,
 )
-from wolstenholme.modring import is_prime
+from wolstenholme.harmonic import elementary_symmetric
+from wolstenholme.modring import is_prime, valuation
 
 PRIMES_300 = [p for p in range(2, 300) if is_prime(p)]
 
@@ -146,3 +152,63 @@ def test_check_ids_cover_picked_names():
         "eq26_n4_s2", "zhao_eq4_p5",
     ):
         assert required in ids, required
+
+
+def test_h_values_match_elementary_symmetric():
+    for p, K in ((7, 3), (11, 5), (101, 8), (397, 10)):
+        n_max = min(8, p - 2)
+        profile = elementary_symmetric(p, n_max, K)
+        assert checks._h_values(p, K)[1:] == tuple(
+            profile.H[n].value for n in range(1, n_max + 1)), (p, K)
+
+
+def _exact_sums(p):
+    """Exact R_1..R_6 and H_1..H_6 at p, index 0 unused.
+
+    H_n = e_n(1/1, .., 1/(p-1)) is the x^n coefficient of prod(x + k)
+    over (p-1)!, a path that shares nothing with the Newton recurrence.
+    """
+    den = lcm(*range(1, p))
+    R = [None] + [Fraction(sum((den // k) ** n for k in range(1, p)), den ** n)
+                  for n in range(1, 7)]
+    coeffs = [1]
+    for k in range(1, p):
+        shifted = [0] + coeffs
+        coeffs = [a + k * b for a, b in zip(shifted, coeffs + [0])][:7]
+    H = [None] + [Fraction(c, factorial(p - 1)) for c in coeffs[1:7]]
+    return R, H
+
+
+def _valuations_hold(p, values):
+    return all(valuation(values[n], p) >= (2 if n % 2 else 1)
+               for n in range(1, min(6, p - 3) + 1))
+
+
+#: check id -> exact (lhs, rhs) from (p, R, H, C) with C = C(2p-1, p-1).
+_EXACT_SIDES = {
+    "lemma1_p4": lambda p, R, H, C: (2 * R[1], -p * R[2]),
+    "lemma2a_p5": lambda p, R, H, C: (C, 1 + 2 * p * R[1]),
+    "lemma2b_p5": lambda p, R, H, C: (C, 1 - p * p * R[2]),
+    "eq19_p8": lambda p, R, H, C: (
+        2 * R[1], -sum(p ** (i - 1) * R[i] for i in range(2, 7))),
+    "lemma4_valuations": lambda p, R, H, C: (_valuations_hold(p, R), True),
+    "lemma6_valuations": lambda p, R, H, C: (_valuations_hold(p, H), True),
+}
+for _r in range(1, 6):
+    _EXACT_SIDES[f"lemma13_r{_r}"] = lambda p, R, H, C, r=_r: (
+        2 * R[1], -sum(p ** i * R[i + 1] for i in range(1, r + 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([p for p in range(11, 400) if is_prime(p)]))
+def test_all_primes_sum_checks_against_exact_rationals(p):
+    R, H = _exact_sums(p)
+    C = comb(2 * p - 1, p - 1)
+    for check_id, sides in sorted(_EXACT_SIDES.items()):
+        lhs, rhs = sides(p, R, H, C)
+        if isinstance(lhs, bool):  # indicator checks compare truth values mod p
+            want = 1 if lhs == rhs else 0
+        else:  # evaluated two exponents above the stated one (p^10 fits)
+            cap = min(lookup(check_id).modulus_exponent + 2, 10)
+            want = min(valuation(lhs - rhs, p), cap)
+        assert run_check(check_id, p).residual_valuation == want, (check_id, p)

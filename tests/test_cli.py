@@ -1,8 +1,13 @@
 """CLI parsing, record schema, determinism, and exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wolstenholme
 from wolstenholme.cli import main, parse_args, record_dict
 from wolstenholme.checks import run_check
 from wolstenholme.scan import Criterion
@@ -129,6 +134,10 @@ def test_scan_resume_needs_jsonl():
             parse_args(["scan", "--primes", "7..100", "--format", fmt,
                         "--output", "scan.out", "--resume"])
         assert exc.value.code == 2
+    # without --output there is no file to resume from
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["scan", "--primes", "7..20", "--resume"])
+    assert exc.value.code == 2
 
 
 def test_scan_record_schema(tmp_path):
@@ -215,3 +224,46 @@ def test_record_dict_matches_outcome():
     assert rec["p"] == 7
     assert rec["pass"] is True
     assert rec["elapsed_ns"] > 0
+
+
+# Each script replaces one per-prime function with a copy that kills its
+# worker process at p = 101; forked workers inherit the replacement.
+_DYING_WORKER = {
+    "scan": """
+import os, sys
+from wolstenholme import cli, scan
+real = scan._evaluate
+def dying(p, criterion):
+    if p == 101:
+        os._exit(7)
+    return real(p, criterion)
+scan._evaluate = dying
+sys.exit(cli.main(["scan", "--primes", "7..400", "--parallelism", "2"]))
+""",
+    "verify": """
+import os, sys
+from wolstenholme import checks, cli
+real = checks.run_check
+def dying(check_id, p):
+    if p == 101:
+        os._exit(7)
+    return real(check_id, p)
+checks.run_check = dying
+sys.exit(cli.main(["verify", "--checks", "lemma1_p4", "--primes", "7..400",
+                   "--parallelism", "2"]))
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DYING_WORKER))
+def test_dead_worker_fails_the_run(command):
+    # A child process with a timeout, so a hang fails the test instead of
+    # stalling the suite.
+    src = str(Path(wolstenholme.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _DYING_WORKER[command]],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    err = done.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: a worker process died"), err
+    assert "Traceback" not in done.stderr

@@ -123,11 +123,14 @@ def test_cor1second_valuation_against_exact_rationals():
     from fractions import Fraction as Fr
     from math import comb
 
-    from wolstenholme.modring import valuation
-    from wolstenholme.scan import _cor1second_valuation
+    from wolstenholme.modring import is_prime, valuation
+    from wolstenholme.scan import _cor1second_valuation, _r1_valuation
 
-    for p in (11, 13, 37, 101):
-        exact = (comb(2 * p - 1, p - 1) - 1
-                 - 2 * p * sum(Fr(1, k) for k in range(1, p))
+    for p in filter(is_prime, range(2, 200)):
+        r1 = sum(Fr(1, k) for k in range(1, p))
+        assert _r1_valuation(p) == min(valuation(r1, p), 3), p
+        if p < 5:  # the 2/3 coefficient needs p != 3
+            continue
+        exact = (comb(2 * p - 1, p - 1) - 1 - 2 * p * r1
                  - Fr(2, 3) * p ** 3 * sum(Fr(1, k ** 3) for k in range(1, p)))
         assert _cor1second_valuation(p) == min(valuation(exact, p), 7), p
