@@ -25,11 +25,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import __version__
-from .bernoulli import bernoulli_exact, bernoulli_mod
+from .bernoulli import RESIDUE_EXPONENT_CAP, bernoulli_exact, bernoulli_mod
 from .binomial import central_binomial_mod, exact_binomial
 from .checks import CheckOutcome, all_check_ids, lookup, run_suite
 from .errors import MalformedRecord, WolstenholmeError
-from .scan import Criterion, ScanRecord, SieveConfig, sieve_primes, wolstenholme_scan
+from .scan import (
+    MIN_SEGMENT_SIZE, Criterion, ScanRecord, SieveConfig, sieve_primes,
+    wolstenholme_scan,
+)
 
 FLUSH_EVERY = 1000
 
@@ -70,6 +73,8 @@ def _parse_range(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
         parser.error(f"range must look like A..B, got {text!r}")
     if hi <= lo:
         parser.error(f"empty or inverted range {text!r}")
+    if lo < 2:
+        parser.error(f"range must start at 2 or above, got {text!r}")
     return lo, hi
 
 
@@ -168,10 +173,17 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
             parser.error("--resume needs --format jsonl")
         if ns.resume and ns.output is None:
             parser.error("--resume needs --output")
+        if ns.segment_size < MIN_SEGMENT_SIZE:
+            parser.error(f"--segment-size must be at least {MIN_SEGMENT_SIZE}")
         cfg.criterion = Criterion(ns.criterion)
         cfg.segment_size = ns.segment_size
         cfg.resume = ns.resume
     elif ns.command == "bernoulli":
+        if ns.mod is not None:
+            if ns.index == 1:
+                parser.error("B_1 has no residue path; drop --mod for its exact value")
+            if not 1 <= ns.exp <= RESIDUE_EXPONENT_CAP:
+                parser.error(f"--exp must be in 1..{RESIDUE_EXPONENT_CAP}")
         cfg.index = ns.index
         cfg.mod_prime = ns.mod
         cfg.exponent = ns.exp

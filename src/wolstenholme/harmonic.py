@@ -16,12 +16,29 @@ R and H are linked by Newton's identity
         + (-1)^n n H_n = 0,
 
 which is how H is computed and how both families are cross-checked.
+
+R is not summed over 1..p-1 but over the pairs (k, p-k), k <= (p-1)/2,
+as the paper does for eq19 and lemma13.  With a = k, b = p - k,
+a + b = p and ab = q = k(p-k), the pair inverse v = 1/q gives
+
+    1/k = (p-k) v,   1/(p-k) = k v,   1/k^n + 1/(p-k)^n = s_n v^n,
+
+where s_n = a^n + b^n obeys s_0 = 2, s_1 = p, s_n = p s_{n-1} - q s_{n-2}.
+Writing s_n = sum_j c_{n,j} p^(n-2j) q^j and T_i = sum_k v_k^i,
+
+    R_n = sum_j c_{n,j} p^(n-2j) T_{n-j}      (R_1 = p T_1,
+          R_2 = p^2 T_2 - 2 T_1, R_3 = p^3 T_3 - 3p T_2, ...),
+
+an identity of integers mod any m, so one sweep over half the range,
+one modular inversion per block of pairs, gives every R_n.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
+from operator import mul
 from typing import Iterator, Mapping
 
 from .errors import DivisionNotExact, NMaxTooLarge
@@ -30,7 +47,10 @@ from .modring import Residue, _batch_invert_raw, make_modulus, mpz, powmod
 #: Largest sum order this package ever needs (R_8/H_8).
 N_MAX_CAP = 8
 
-_CHUNK = 1 << 14
+#: Pairs per block, one modular inversion each.  A block keeps about three
+#: lists of this many residues alive, under 1 MB even at p^10, so a sweep's
+#: peak memory does not grow with p.
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -52,28 +72,45 @@ class WolstenholmeQuotient:
     w: int
 
 
-def _inverse_chunks(p: int, m) -> Iterator[list]:
-    """Inverses of 1..p-1 mod m in blocks, one modular inversion per block."""
-    for lo in range(1, p, _CHUNK):
-        yield _batch_invert_raw(range(lo, min(lo + _CHUNK, p)), m)
+def _pair_inverses(p: int, m) -> Iterator[tuple[range, list]]:
+    """(ks, [v_k for k in ks]) in blocks, v_k = 1/(k(p-k)) mod m.
+
+    The ks run over 1..(p-1)/2, one block of at most _CHUNK pairs at a time.
+    """
+    end = (p - 1) // 2 + 1
+    for lo in range(1, end, _CHUNK):
+        ks = range(lo, min(lo + _CHUNK, end))
+        yield ks, _batch_invert_raw([k * (p - k) for k in ks], m)
+
+
+def _pair_power_sums_raw(p: int, n_max: int, m) -> list:
+    """[_, T_1, .., T_n_max] mod m, T_i = sum of v_k^i over the pairs."""
+    m = mpz(m)
+    sums = [0] * (n_max + 1)
+    for _, vs in _pair_inverses(p, m):
+        sums[1] += sum(vs)
+        x = vs
+        for i in range(2, n_max):
+            x = [a * v % m for a, v in zip(x, vs)]
+            sums[i] += sum(x)
+        if n_max > 1:  # the top power feeds nothing, so it is summed unreduced
+            sums[n_max] += sum(map(mul, x, vs))
+    return [s % m for s in sums]
 
 
 def _inverse_power_sums_raw(p: int, n_max: int, m) -> list:
-    """[R_1, .., R_n_max] mod m as raw integers (index 0 unused)."""
+    """[_, R_1, .., R_n_max] mod m, read off the pair sums T_i (module doc)."""
     m = mpz(m)
-    sums = [0] * (n_max + 1)
-    if n_max == 1:
-        for chunk in _inverse_chunks(p, m):
-            sums[1] += sum(chunk)
-    else:
-        for chunk in _inverse_chunks(p, m):
-            for iv in chunk:
-                x = iv
-                sums[1] += x
-                for n in range(2, n_max + 1):
-                    x = x * iv % m
-                    sums[n] += x
-    return [s % m for s in sums]
+    if p == 2:  # no pair: k = p - k = 1, and R_n(2) = 1
+        return [0] + [1 % m] * n_max
+    T = _pair_power_sums_raw(p, n_max, m)
+    # c[n][j], the coefficient of p^(n-2j) q^j in s_n
+    c = [[2], [1]]
+    for n in range(2, n_max + 1):
+        c.append([a - b for a, b in zip(c[n - 1] + [0], [0] + c[n - 2])])
+    return [0] + [
+        sum(cj * p ** (n - 2 * j) * T[n - j] for j, cj in enumerate(c[n])) % m
+        for n in range(1, n_max + 1)]
 
 
 def power_sum_inverses(p: int, n: int, K: int) -> Residue:
@@ -135,8 +172,15 @@ def power_sum(p: int, n: int, K: int) -> Residue:
     return modulus.residue(power_sum_raw(p, n, modulus.m))
 
 
+# One sieve per prime, not per power-sum pass: a registry run at p makes
+# dozens of passes.  ROADMAP item 2's per-prime plan object takes it over.
+@lru_cache(maxsize=1)
 def _least_prime_factors(n: int) -> array:
-    """lpf[k] for 0 <= k < n: the least prime factor of composite k, else 0."""
+    """lpf[k] for 0 <= k < n: the least prime factor of composite k, else 0.
+
+    The array is shared by every caller with the same n (memoised for the
+    last n only), so callers read or slice it and never write to it.
+    """
     lpf = array("I", [0]) * n
     small = [q for q in range(2, isqrt(n - 1) + 1)
              if all(q % d for d in range(2, isqrt(q) + 1))]
@@ -195,10 +239,10 @@ def euler_index_check(p: int, n: int, e: int) -> bool:
 
 
 def _power_sum_inverse_single(p: int, n: int, m) -> int:
-    """R_n mod m for a single possibly-large n via powmod of inverses."""
+    """R_n mod m for a single possibly-large n: powmods of (p-k) v and k v."""
     m = mpz(m)
     total = 0
-    for chunk in _inverse_chunks(p, m):
-        for iv in chunk:
-            total += powmod(iv, n, m)
+    for ks, vs in _pair_inverses(p, m):
+        for k, v in zip(ks, vs):
+            total += powmod((p - k) * v % m, n, m) + powmod(k * v % m, n, m)
     return int(total % m)

@@ -8,6 +8,13 @@ Four criteria, equivalent for p >= 7 where stated:
 * ``BERNOULLI_BP3`` — p divides B_{p-3} (through P_{p-3}(p) mod p^2),
 * ``COR1_SECOND_P7`` — C(2p-1,p-1) = 1 + 2p R_1 + (2/3) p^3 R_3 (mod p^7),
   the two-sum characterization; below 1e5 only 16843 satisfies it.
+
+The two-sum criterion never forms C or R_3.  Over the pairs (k, p-k) with
+v = 1/(k(p-k)) and T_i = sum v^i (see ``harmonic``), its residual is
+
+    2p^4 T_1^2 + (4/3) p^6 T_1^3 - 4p^6 T_1 T_2 + 2p^6 T_3   (mod p^7),
+
+so one sweep over (p-1)/2 pairs mod p^3 decides it.
 """
 from __future__ import annotations
 
@@ -21,11 +28,12 @@ from typing import Iterator, Optional
 from .bernoulli import bernoulli_mod
 from .binomial import central_binomial_mod
 from .errors import RangeTooLarge
-from .harmonic import _inverse_chunks, _inverse_power_sums_raw
-from .modring import capped_valuation, mpz, powmod
+from .harmonic import _inverse_power_sums_raw, _pair_power_sums_raw
+from .modring import capped_valuation
 from .parallel import ordered_map
 
 SIEVE_LIMIT = 10 ** 8
+MIN_SEGMENT_SIZE = 8
 REMARK1_LIMIT = 10 ** 6
 
 _SCAN_MIN_PRIME = 7
@@ -58,7 +66,7 @@ class SieveConfig:
             raise ValueError(f"bad range [{self.lo}, {self.hi})")
         if self.hi > SIEVE_LIMIT:
             raise RangeTooLarge(f"hi = {self.hi} beyond {SIEVE_LIMIT}")
-        if self.segment_size < 8:
+        if self.segment_size < MIN_SEGMENT_SIZE:
             raise ValueError("segment_size too small")
 
 
@@ -100,28 +108,31 @@ def _r1_valuation(p: int) -> int:
     return capped_valuation(int(_inverse_power_sums_raw(p, 1, p ** 3)[1]), p, 3)
 
 
-def _cor1second_valuation(p: int) -> int:
-    """v_p of C(2p-1,p-1) - 1 - 2p R_1 - (2/3) p^3 R_3, mod p^7 (capped).
+def _cor1second_residual(p: int) -> int:
+    """C(2p-1,p-1) - 1 - 2p R_1 - (2/3) p^3 R_3 mod p^7, for p >= 5.
 
-    One chunked batch inversion of 1..p-1 mod p^7 feeds all three pieces:
-    R_1, R_3 (mod p^4 suffices under the p^3 coefficient), and the product
-    expansion of the binomial coefficient.
+    Pairing k with p-k (see ``harmonic``), v = 1/(k(p-k)) and T_i = sum v^i:
+
+        C(2p-1,p-1) = prod (1 + p/k)(1 + p/(p-k)) = prod (1 + 2p^2 v)
+                    = 1 + 2p^2 e_1 + 4p^4 e_2 + 8p^6 e_3    (mod p^7),
+
+    with e_1 = T_1, e_2 = (T_1^2 - T_2)/2, e_3 = (T_1^3 - 3T_1T_2 + 2T_3)/6
+    by Newton's identities, and R_1 = p T_1, R_3 = p(p^2 T_3 - 3T_2).  So
+
+        lhs - rhs = 2p^4 T_1^2 + p^6 ((4/3) T_1^3 - 4 T_1 T_2 + 2 T_3)
+                                                             (mod p^7),
+
+    which needs T_1 mod p^3 and T_2, T_3 mod p: one pair sweep mod p^3.
+    Every term is kept, so the residual is exact by algebra alone.
     """
-    m = mpz(p) ** 7
-    m4 = mpz(p) ** 4
-    s1 = 0
-    s3 = 0
-    prod = mpz(1)
-    for chunk in _inverse_chunks(p, m):
-        s1 += sum(chunk)
-        for iv in chunk:
-            iv4 = iv % m4
-            s3 += iv4 * iv4 % m4 * iv4
-            prod = prod * (1 + p * iv) % m
-    r1 = s1 % m
-    r3 = s3 % m4
-    rhs = (1 + 2 * p * r1 + 2 * powmod(3, -1, m) * p ** 3 % m * r3) % m
-    return capped_valuation(int((prod - rhs) % m), p, 7)
+    _, t1, t2, t3 = _pair_power_sums_raw(p, 3, p ** 3)
+    tail = (4 * pow(3, -1, p) * t1 ** 3 - 4 * t1 * t2 + 2 * t3) % p
+    return int((2 * p ** 4 * t1 * t1 + p ** 6 * tail) % p ** 7)
+
+
+def _cor1second_valuation(p: int) -> int:
+    """v_p of the two-sum residual mod p^7, capped at 7."""
+    return capped_valuation(_cor1second_residual(p), p, 7)
 
 
 def _evaluate(p: int, criterion: Criterion) -> int:

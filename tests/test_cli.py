@@ -38,6 +38,23 @@ def test_parse_rejects_inverted_range():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--primes", "1..20"],
+    ["verify", "--primes", "1..20"],
+    ["scan", "--primes", "7..20", "--segment-size", "4"],
+    ["bernoulli", "12", "--mod", "11", "--exp", "9"],
+    ["bernoulli", "1", "--mod", "11"],
+])
+def test_bad_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == \
+        [err.splitlines()[-1]]
+
+
 def test_parse_rejects_unknown_check():
     with pytest.raises(SystemExit) as exc:
         parse_args(["verify", "--checks", "wolstenholme_thm,bogus",

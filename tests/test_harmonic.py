@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from wolstenholme import errors
 from wolstenholme.harmonic import (
+    _inverse_power_sums_raw,
+    _pair_power_sums_raw,
     elementary_symmetric,
     euler_index_check,
     power_sum,
@@ -28,6 +30,19 @@ PRIMES_600 = [p for p in range(3, 600) if is_prime(p)]
 def reference_power_sum(p: int, n: int, m: int) -> int:
     """P_n(p) mod m, one powmod per k: the oracle for the sieve kernel."""
     return sum(pow(k, n, m) for k in range(1, p)) % m
+
+
+def reference_inverse_power_sums(p: int, n_max: int, m: int) -> list[int]:
+    """[_, R_1, .., R_n_max] mod m, one inversion per k: the oracle for the
+    pair kernel."""
+    sums = [0] * (n_max + 1)
+    for k in range(1, p):
+        iv = pow(k, -1, m)
+        x = 1
+        for n in range(1, n_max + 1):
+            x = x * iv % m
+            sums[n] += x
+    return [s % m for s in sums]
 
 
 def registry_indices(p: int) -> set[int]:
@@ -60,6 +75,25 @@ def test_power_sum_inverses_matches_exact_rationals():
                 modulus = make_modulus(p, K)
                 assert power_sum_inverses(p, n, K) == embed_rational(
                     exact_r(p, n), modulus), (p, n, K)
+
+
+def test_inverse_power_sums_match_per_k_sweep():
+    for p in [2] + PRIMES_600:
+        expected = reference_inverse_power_sums(p, 8, p ** 10)
+        for K in range(1, 11):
+            m = p ** K
+            assert _inverse_power_sums_raw(p, 8, m) == [x % m for x in expected], (p, K)
+
+
+def test_pair_power_sums_match_exact_rationals():
+    for p in [3, 5] + PRIMES_100:
+        exact = [sum(Fr(1, (k * (p - k)) ** i) for k in range(1, (p + 1) // 2))
+                 for i in range(9)]
+        for K in (1, 3, 7):
+            modulus = make_modulus(p, K)
+            T = _pair_power_sums_raw(p, 8, modulus.m)
+            for i in range(1, 9):
+                assert T[i] == embed_rational(exact[i], modulus).value, (p, K, i)
 
 
 def test_elementary_symmetric_small_cases():

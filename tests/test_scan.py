@@ -2,9 +2,12 @@
 import pytest
 
 from wolstenholme import errors
+from wolstenholme.modring import capped_valuation, is_prime
 from wolstenholme.scan import (
     Criterion,
     SieveConfig,
+    _cor1second_residual,
+    _r1_valuation,
     remark1_experiment,
     sieve_primes,
     wolstenholme_scan,
@@ -22,6 +25,40 @@ def trial_division_primes(lo, hi):
         else:
             out.append(n)
     return out
+
+
+def reference_two_sum(p: int) -> tuple[int, int]:
+    """(min(v_p(R_1), 3), the cor1second residual) by the per-k fused kernel.
+
+    One inverse of each k in 1..p-1 mod p^7 feeds R_1, R_3 (mod p^4, under
+    the p^3 coefficient) and the product C(2p-1,p-1) = prod(1 + p/k): the
+    oracle for the pair kernel.
+    """
+    m, m4 = p ** 7, p ** 4
+    s1 = s3 = 0
+    prod = 1
+    for k in range(1, p):
+        iv = pow(k, -1, m)
+        s1 += iv
+        s3 += pow(iv, 3, m4)
+        prod = prod * (1 + p * iv) % m
+    rhs = (1 + 2 * p * s1 + 2 * pow(3, -1, m) * p ** 3 * s3) % m
+    return capped_valuation(s1 % p ** 3, p, 3), (prod - rhs) % m
+
+
+def assert_pair_kernel_agrees(lo: int, hi: int) -> None:
+    for p in filter(is_prime, range(lo, hi)):
+        assert (_r1_valuation(p), _cor1second_residual(p)) == \
+            reference_two_sum(p), p
+
+
+def test_pair_kernel_agrees_below_3000():
+    assert_pair_kernel_agrees(7, 3000)
+
+
+@pytest.mark.slow
+def test_pair_kernel_agrees_below_2e4():
+    assert_pair_kernel_agrees(7, 2 * 10 ** 4)
 
 
 def test_sieve_examples():
