@@ -110,7 +110,14 @@ def _falling_binomial(n: int, k: int, m) -> int:
     return int(num * pow(factorial(k), -1, int(m)) % m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
+def _memo(p: int) -> dict:
+    """(n, c) -> p * B_n mod p^c at p, for the last p only (as the moment
+    table of ``harmonic.power_sum_raw``), so a sweep over any number of
+    primes holds one prime's entries."""
+    return {}
+
+
 def _p_times_bernoulli(n: int, p: int, c: int) -> int:
     """p * B_n mod p^c for any n >= 0 (p >= 7, c <= 5).
 
@@ -126,6 +133,9 @@ def _p_times_bernoulli(n: int, p: int, c: int) -> int:
         return -p * pow(2, -1, m) % m
     if n % 2:
         return 0
+    memo = _memo(p)
+    if (n, c) in memo:
+        return memo[n, c]
     mm = mpz(m)
     acc = mpz(power_sum_raw(p, n, mm))
     for s in range(2, min(c, n + 1) + 1):
@@ -143,7 +153,8 @@ def _p_times_bernoulli(n: int, p: int, c: int) -> int:
         coeff = _falling_binomial(n, s - 1, mm)
         term = coeff * pow(s, -1, m) % mm * (p ** (s - 1)) % mm * pb % mm
         acc -= term
-    return int(acc % mm)
+    memo[n, c] = int(acc % mm)
+    return memo[n, c]
 
 
 def _check_residue_args(n: int, p: int, r: int) -> None:

@@ -35,6 +35,9 @@ ORACLE_CAP = 5000
 #: Sun-Wan needs C(4p-1, 2p-1) exactly, so p is capped separately.
 SUN_WAN_PRIME_CAP = 400
 
+#: Largest k served by ``central_binomial_mod``.
+CENTRAL_EXPONENT_CAP = 9
+
 #: Extra exponent margin so "exactly k" and ">= k+1" stay distinguishable.
 VALUATION_MARGIN = 2
 
@@ -85,8 +88,8 @@ def central_binomial_mod(p: int, k: int) -> BinomialResidue:
     """C(2p-1, p-1) mod p^k plus the valuation of C - 1."""
     if p < 5 or not is_prime(p):
         raise NotPrime(f"p must be a prime >= 5, got {p}")
-    if not 1 <= k <= 9:
-        raise RangeError(f"exponent k must be in 1..9, got {k}")
+    if not 1 <= k <= CENTRAL_EXPONENT_CAP:
+        raise RangeError(f"exponent k must be in 1..{CENTRAL_EXPONENT_CAP}, got {k}")
     modulus = make_modulus(p, k)
     eval_exp = max(k, min(k + VALUATION_MARGIN, max_exponent(p)))
     wide = _central_raw(p, p ** eval_exp)

@@ -26,12 +26,14 @@ from typing import Iterable, Optional, Sequence, TextIO
 
 from . import __version__
 from .bernoulli import RESIDUE_EXPONENT_CAP, bernoulli_exact, bernoulli_mod
-from .binomial import central_binomial_mod, exact_binomial
+from .binomial import (
+    CENTRAL_EXPONENT_CAP, ORACLE_CAP, central_binomial_mod, exact_binomial,
+)
 from .checks import CheckOutcome, all_check_ids, lookup, run_suite
 from .errors import MalformedRecord, WolstenholmeError
 from .scan import (
-    MIN_SEGMENT_SIZE, Criterion, ScanRecord, SieveConfig, sieve_primes,
-    wolstenholme_scan,
+    MIN_SEGMENT_SIZE, SIEVE_LIMIT, Criterion, ScanRecord, SieveConfig,
+    sieve_primes, wolstenholme_scan,
 )
 
 FLUSH_EVERY = 1000
@@ -75,6 +77,8 @@ def _parse_range(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
         parser.error(f"empty or inverted range {text!r}")
     if lo < 2:
         parser.error(f"range must start at 2 or above, got {text!r}")
+    if hi > SIEVE_LIMIT:
+        parser.error(f"range must end at {SIEVE_LIMIT} or below, got {text!r}")
     return lo, hi
 
 
@@ -124,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bernoulli", help="Bernoulli number, exact or mod p^r")
     sp.add_argument("index", type=int)
     sp.add_argument("--mod", type=int, default=None, metavar="P")
-    sp.add_argument("--exp", type=int, default=1, metavar="R")
+    sp.add_argument("--exp", type=int, default=None, metavar="R",
+                    help="residue exponent, with --mod (default 1)")
 
     sp = sub.add_parser("binom", help="binomial coefficients, exact or central")
     sp.add_argument("n", type=int, nargs="?")
@@ -154,6 +159,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         if ns.at is not None and ns.primes is not None:
             parser.error("--at and --primes are mutually exclusive")
         if ns.at is not None:
+            if ns.at < 2:
+                parser.error(f"--at must be 2 or above, got {ns.at}")
             cfg.at = ns.at
         elif ns.primes is not None:
             cfg.prime_range = _parse_range(ns.primes, parser)
@@ -163,8 +170,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         if (ns.limit is None) == (ns.primes is None):
             parser.error("scan needs exactly one of --limit or --primes")
         if ns.limit is not None:
-            if ns.limit <= 2:
-                parser.error("--limit must exceed 2")
+            if not 2 < ns.limit <= SIEVE_LIMIT:
+                parser.error(f"--limit must be in 3..{SIEVE_LIMIT}")
             cfg.prime_range = (2, ns.limit)
             cfg.limit = ns.limit
         else:
@@ -179,21 +186,27 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         cfg.segment_size = ns.segment_size
         cfg.resume = ns.resume
     elif ns.command == "bernoulli":
+        if ns.mod is None and ns.exp is not None:
+            parser.error("--exp needs --mod")
+        cfg.exponent = 1 if ns.exp is None else ns.exp
         if ns.mod is not None:
             if ns.index == 1:
                 parser.error("B_1 has no residue path; drop --mod for its exact value")
-            if not 1 <= ns.exp <= RESIDUE_EXPONENT_CAP:
+            if not 1 <= cfg.exponent <= RESIDUE_EXPONENT_CAP:
                 parser.error(f"--exp must be in 1..{RESIDUE_EXPONENT_CAP}")
         cfg.index = ns.index
         cfg.mod_prime = ns.mod
-        cfg.exponent = ns.exp
     elif ns.command == "binom":
         cfg.central = ns.central
         cfg.exponent = ns.exp
         if ns.central is None:
             if ns.n is None or ns.r is None:
                 parser.error("binom needs N R or --central P")
+            if not 0 <= ns.r <= ns.n <= ORACLE_CAP:
+                parser.error(f"binom needs 0 <= R <= N <= {ORACLE_CAP}")
             cfg.n, cfg.r = ns.n, ns.r
+        elif not 1 <= ns.exp <= CENTRAL_EXPONENT_CAP:
+            parser.error(f"--exp must be in 1..{CENTRAL_EXPONENT_CAP}")
     elif ns.command == "report":
         cfg.input_path = ns.input
         cfg.format = ns.format

@@ -31,13 +31,31 @@ Writing s_n = sum_j c_{n,j} p^(n-2j) q^j and T_i = sum_k v_k^i,
 
 an identity of integers mod any m, so one sweep over half the range,
 one modular inversion per block of pairs, gives every R_n.
+
+P is read off Fermat-quotient moments.  With the integer
+u_k = (k^(p-1) - 1)/p, k^(j(p-1)+t) = k^t (1 + p u_k)^j, so for every p,
+j >= 0 and t (k^t an inverse mod p^c when t < 0)
+
+    P_(j(p-1)+t) = sum(C(j, i) p^i S_it, i < c)  (mod p^c),  S_it = sum_k u_k^i k^t.
+
+Terms i >= c vanish; C(j, i) is an integer, so nothing is divided and a
+huge j costs nothing.  Term i carries p^i, so S_it is needed only mod
+p^(c-i), and k^(p-1) only mod p^c.  The Bernoulli side asks for P_n at
+c <= 5 at the Kummer-reduced indices k(p-1) - s, s in {2, 4}, and at
+4 + k(p-1) (t = -2, -4, 4 at c = 5); its recursion descends from even n
+to n + 1 - s, s in {3, 5}, at c - s + 1 (t - 2 at c - 2, t - 4 at c - 4).
+Closing that with the largest c per t gives the window
+{4: 5, 2: 3, 0: 1, -2: 5, -4: 5, -6: 3, -8: 1}: 23 sums S_it, one sweep.
+A registry run at p makes 47 such requests; a caller making a few
+(``bernoulli_mod``, a Bernoulli scan) gets a direct pass each instead, as
+the sweep costs about eight passes.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import comb, isqrt
 from operator import mul
 from typing import Iterator, Mapping
 
@@ -51,6 +69,18 @@ N_MAX_CAP = 8
 #: lists of this many residues alive, under 1 MB even at p^10, so a sweep's
 #: peak memory does not grow with p.
 _CHUNK = 1 << 12
+
+#: k's per block of a power-sum pass or the moment sweep.  A block keeps
+#: about ten lists of residues alive; 2^10 keeps that under 1 MB at p^5.
+_MOMENT_CHUNK = 1 << 10
+
+#: t -> c: the classes n = t (mod p-1) and precisions p^c of every P_n the
+#: Bernoulli side asks for (derivation in the module doc).
+MOMENT_WINDOW = {4: 5, 2: 3, 0: 1, -2: 5, -4: 5, -6: 3, -8: 1}
+
+#: Window requests at a prime served by direct passes before the sweep:
+#: ``bernoulli_mod`` makes at most three, a Bernoulli scan one per prime.
+DIRECT_PASSES = 3
 
 
 @dataclass(frozen=True)
@@ -172,8 +202,7 @@ def power_sum(p: int, n: int, K: int) -> Residue:
     return modulus.residue(power_sum_raw(p, n, modulus.m))
 
 
-# One sieve per prime, not per power-sum pass: a registry run at p makes
-# dozens of passes.  ROADMAP item 2's per-prime plan object takes it over.
+# One sieve per prime: every pass and the window sweep at p share it.
 @lru_cache(maxsize=1)
 def _least_prime_factors(n: int) -> array:
     """lpf[k] for 0 <= k < n: the least prime factor of composite k, else 0.
@@ -190,26 +219,100 @@ def _least_prime_factors(n: int) -> array:
     return lpf
 
 
-def power_sum_raw(p: int, n: int, m) -> int:
-    """P_n(p) = sum of k^n over 1..p-1, mod m, for any n >= 0 and m >= 1.
+def _powers(p: int, e: int, m) -> Iterator[tuple[range, list]]:
+    """(ks, [k^e mod m for k in ks]) in blocks of _MOMENT_CHUNK over 1..p-1.
 
-    k -> k^n mod m is completely multiplicative, so only primes pay a
-    powmod: a composite k is pw[q] * pw[k // q] with q its least prime
-    factor.  Both factors are at most (p-1)/2, so pw is kept only up to
-    there; the upper half is summed unreduced and reduced once.
+    The package's one loop over k^e.  k -> k^e is completely multiplicative,
+    so only primes pay a powmod: a composite k is pw[q] * pw[k // q] with q
+    its least prime factor.  Both factors are at most (p-1)/2, so pw is kept
+    only up to there, and the upper half is left unreduced (below m^2).
     """
-    if p < 3:
-        raise ValueError("p must be at least 3")
-    m = mpz(m)
     half = (p - 1) // 2
     lpf = _least_prime_factors(p)
     pw = [0, 1 % m]
     for k, q in zip(range(2, half + 1), lpf[2:half + 1]):
-        pw.append(pw[q] * pw[k // q] % m if q else powmod(k, n, m))
-    total = sum(pw) + sum(
-        pw[q] * pw[k // q] if q else powmod(k, n, m)
-        for k, q in zip(range(half + 1, p), lpf[half + 1:]))
-    return int(total % m)
+        pw.append(pw[q] * pw[k // q] % m if q else powmod(k, e, m))
+    for lo in range(1, half + 1, _MOMENT_CHUNK):
+        ks = range(lo, min(lo + _MOMENT_CHUNK, half + 1))
+        yield ks, pw[lo:ks.stop]
+    for lo in range(half + 1, p, _MOMENT_CHUNK):
+        ks = range(lo, min(lo + _MOMENT_CHUNK, p))
+        yield ks, [pw[q] * pw[k // q] if q else powmod(k, e, m)
+                   for k, q in zip(ks, lpf[lo:ks.stop])]
+
+
+def _block_powers(ks: range, low: int, m) -> Iterator[tuple[int, list]]:
+    """(t, [k^t mod m for k in ks]) for t = 4, 2, 0, -2, .., low (even, < 0).
+
+    k^2 and k^4 are exact; k^-2 comes from one block inversion of the k^2
+    (``modring._batch_invert_raw``) and each lower power multiplies it on,
+    so only the last power and k^-2 are alive at a time.
+    """
+    x2 = [k * k for k in ks]
+    yield 4, [x * x for x in x2]
+    yield 2, x2
+    yield 0, [1] * len(ks)
+    x = step = _batch_invert_raw(x2, m)
+    for t in range(-2, low - 1, -2):
+        if t < -2:
+            x = [a * b % m for a, b in zip(x, step)]
+        yield t, x
+
+
+def _moment_sums_raw(p: int) -> dict:
+    """{t: [S_0t, .., S_(c-1)t]} over MOMENT_WINDOW {t: c}, S_it mod p^(c-i)."""
+    top = max(MOMENT_WINDOW.values())
+    m = mpz(p) ** top
+    sums = {t: [0] * c for t, c in MOMENT_WINDOW.items()}
+    for ks, fermat in _powers(p, p - 1, m):
+        mu = p ** (top - 1)
+        u = [(x - 1) // p % mu for x in fermat]  # the Fermat quotients
+        us = [None, u]
+        for i in range(2, top):
+            mi = p ** (top - i)
+            us.append([x * y % mi for x, y in zip(us[-1], u)])
+        for t, x in _block_powers(ks, min(MOMENT_WINDOW), m):
+            s = sums[t]
+            s[0] += sum(x)
+            for i in range(1, len(s)):  # summed unreduced, reduced once at the end
+                s[i] += sum(map(mul, us[i], x))
+    return {t: [x % p ** (c - i) for i, x in enumerate(sums[t])]
+            for t, c in MOMENT_WINDOW.items()}
+
+
+@lru_cache(maxsize=1)
+def _held(p: int) -> dict:
+    """Direct passes made at p and p's window moments, for the last p only."""
+    return {"passes": 0, "moments": None}
+
+
+def power_sum_raw(p: int, n: int, m) -> int:
+    """P_n(p) = sum of k^n over 1..p-1, mod m = p^c, for any n >= 0.
+
+    Inside the window (the class t = n (mod p-1), t <= n, held to p^c) the
+    first DIRECT_PASSES requests at p are direct passes; later ones read
+    P_(j(p-1)+t) = sum(C(j, i) p^i S_it, i < c) (mod p^c) off one sweep of
+    the window's moment sums (module doc).  Outside it, a direct pass.
+    """
+    if p < 3:
+        raise ValueError("p must be at least 3")
+    c, q = 0, 1
+    while q < m:
+        c, q = c + 1, q * p
+    if q != m:
+        raise ValueError(f"modulus {m} is not a power of {p}")
+    t = next((t for t, top in MOMENT_WINDOW.items()
+              if top >= c and t <= n and (n - t) % (p - 1) == 0), None)
+    if t is not None:
+        held = _held(p)
+        if held["moments"] is None and held["passes"] == DIRECT_PASSES:
+            held["moments"] = _moment_sums_raw(p)
+        if held["moments"] is not None:
+            j = (n - t) // (p - 1)
+            return int(sum(comb(j, i) * p ** i * held["moments"][t][i]
+                           for i in range(c)) % m)
+        held["passes"] += 1
+    return int(sum(sum(x) for _, x in _powers(p, n, mpz(m))) % m)
 
 
 def wolstenholme_quotient(p: int) -> WolstenholmeQuotient:

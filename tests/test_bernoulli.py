@@ -7,7 +7,9 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from wolstenholme import errors
+from wolstenholme import bernoulli, errors
+from wolstenholme.checks import all_check_ids, run_check
+from wolstenholme.harmonic import _held
 from wolstenholme.bernoulli import (
     bernoulli_exact,
     bernoulli_mod,
@@ -267,3 +269,20 @@ def test_high_index_expansion_grid():
                 big = p ** n - p ** (n - 1) - s
                 direct = bernoulli_mod(big, p, n).value
                 assert direct == high_index_bernoulli(n, s, p), (p, n, s)
+
+
+def test_memo_holds_one_prime_whatever_the_sweep_length():
+    # The p*B_n memo and the moment table are kept for the last prime only,
+    # so a sweep over many primes holds what a run at its last prime holds.
+    primes = [p for p in range(11, 300) if is_prime(p)]
+    held = []
+    for sweep in (primes[-1:], primes):
+        bernoulli._memo.cache_clear()
+        for p in sweep:
+            for check_id in all_check_ids():
+                run_check(check_id, p)
+        held.append((bernoulli._memo.cache_info().currsize,
+                     len(bernoulli._memo(primes[-1])),
+                     _held.cache_info().currsize))
+    assert held[0] == held[1]
+    assert held[0][0] == held[0][2] == 1 and held[0][1] > 0

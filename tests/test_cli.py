@@ -44,6 +44,12 @@ def test_parse_rejects_inverted_range():
     ["scan", "--primes", "7..20", "--segment-size", "4"],
     ["bernoulli", "12", "--mod", "11", "--exp", "9"],
     ["bernoulli", "1", "--mod", "11"],
+    ["binom", "-3", "2"],
+    ["binom", "5", "-1"],
+    ["binom", "--central", "11", "--exp", "0"],
+    ["scan", "--limit", "200000000"],
+    ["bernoulli", "12", "--exp", "9"],
+    ["verify", "--at", "-5"],
 ])
 def test_bad_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

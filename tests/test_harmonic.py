@@ -1,15 +1,20 @@
 """Harmonic-sum engines against exact-rational and brute-force oracles."""
 from fractions import Fraction as Fr
 from itertools import combinations
-from math import prod
+from math import log, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wolstenholme import errors
+from wolstenholme import bernoulli, checks, errors
+from wolstenholme.bernoulli import bernoulli_mod, bernoulli_ratio
 from wolstenholme.harmonic import (
+    DIRECT_PASSES,
+    MOMENT_WINDOW,
+    _held,
     _inverse_power_sums_raw,
+    _least_prime_factors,
     _pair_power_sums_raw,
     elementary_symmetric,
     euler_index_check,
@@ -18,7 +23,9 @@ from wolstenholme.harmonic import (
     power_sum_raw,
     wolstenholme_quotient,
 )
-from wolstenholme.modring import embed_rational, is_prime, make_modulus, valuation
+from wolstenholme.modring import (
+    embed_rational, is_prime, make_modulus, max_exponent, valuation,
+)
 
 PRIMES_100 = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
               71, 73, 79, 83, 89, 97]
@@ -30,6 +37,21 @@ PRIMES_600 = [p for p in range(3, 600) if is_prime(p)]
 def reference_power_sum(p: int, n: int, m: int) -> int:
     """P_n(p) mod m, one powmod per k: the oracle for the sieve kernel."""
     return sum(pow(k, n, m) for k in range(1, p)) % m
+
+
+def multiplicative_power_sum(p: int, n: int, m: int) -> int:
+    """P_n(p) mod m, one pass per index: a powmod per prime k and
+    pw[q] * pw[k // q] per composite k, q its least prime factor (the
+    kernel the moment sweep replaced; the oracle for the window)."""
+    half = (p - 1) // 2
+    lpf = _least_prime_factors(p)
+    pw = [0, 1 % m]
+    for k, q in zip(range(2, half + 1), lpf[2:half + 1]):
+        pw.append(pw[q] * pw[k // q] % m if q else pow(k, n, m))
+    total = sum(pw) + sum(
+        pw[q] * pw[k // q] if q else pow(k, n, m)
+        for k, q in zip(range(half + 1, p), lpf[half + 1:]))
+    return total % m
 
 
 def reference_inverse_power_sums(p: int, n_max: int, m: int) -> list[int]:
@@ -48,7 +70,7 @@ def reference_inverse_power_sums(p: int, n_max: int, m: int) -> list[int]:
 def registry_indices(p: int) -> set[int]:
     """Every index shape the check registry feeds to P_n."""
     shapes = {0, 1, 2, p - 3, p - 1, p * (p - 1) + 4, p ** 4 - p ** 3 - 2}
-    shapes |= {j * (p - 1) + t for j in range(5) for t in range(-6, 7)}
+    shapes |= {j * (p - 1) + t for j in range(5) for t in range(-8, 7)}
     return {n for n in shapes if n >= 0}
 
 
@@ -160,6 +182,133 @@ def test_power_sum_kernel_at_16843():
        st.integers(0, 10 ** 12 - 1), st.integers(1, 5))
 def test_power_sum_kernel_property(p, n, c):
     assert power_sum_raw(p, n, p ** c) == reference_power_sum(p, n, p ** c)
+
+
+def test_moment_path_matches_powmod_loop():
+    # Every window class t, at j = 0..5, p and p^3 (the j of p^4 - p^3 - 2),
+    # read off the window sweep at every c it holds (c <= 5; the other
+    # c <= 5 are in test_power_sum_kernel_matches_powmod_loop).  Through
+    # power_sum, the first K the window does not hold, and K =
+    # max_exponent(p) at j = 1 and p^3, take the direct pass.
+    for p in PRIMES_600:
+        top = max_exponent(p)
+        for _ in range(DIRECT_PASSES):  # from here on p's window is swept
+            power_sum_raw(p, 4, p)
+        for t, c_held in MOMENT_WINDOW.items():
+            for j in [*range(6), p, p ** 3]:
+                n = j * (p - 1) + t
+                if n < 1:
+                    continue
+                expected = reference_power_sum(p, n, p ** (c_held + 1))
+                for c in range(1, c_held + 1):
+                    assert power_sum_raw(p, n, p ** c) == expected % p ** c, (p, t, j, c)
+                assert power_sum(p, n, c_held + 1).value == \
+                    expected % p ** (c_held + 1), (p, t, j)
+                if j in (1, p ** 3):
+                    assert power_sum(p, n, top).value == \
+                        reference_power_sum(p, n, p ** top), (p, t, j)
+        assert _held(p)["moments"] is not None, p
+
+
+def test_power_sum_rejects_other_moduli():
+    with pytest.raises(ValueError):
+        power_sum_raw(11, 4, 2 * 11 ** 2)
+
+
+def registry_bernoulli_calls(p: int) -> set:
+    """(function, index, exponent) of every bernoulli_mod / bernoulli_ratio
+    call the check registry makes at a Wolstenholme prime p; at any other
+    prime it makes a subset of them."""
+    mod = {(p - 3, 1), (p - 3, 3), (p - 3, 4), (p - 5, 1), (p - 5, 2),
+           (2 * p - 4, 4), (2 * p - 6, 2), (3 * p - 5, 4), (4 * p - 6, 4)}
+    ratio = {(4 + k * (p - 1), 4) for k in range(3)}
+    ratio |= {(p * (p - 1) + 4, 4), (p ** 2 - p - 4, 2), (p ** 4 - p ** 3 - 2, 4)}
+    ratio |= {(k * (p - 1) - 2, 3) for k in (1, 2, 3)}
+    ratio |= {(k * (p - 1) - s, 4) for k in (1, 2, 3, 4) for s in (2, 4)}
+    ratio |= {(k * (p - 1) - 4, 2) for k in (1, 2)}
+    return ({(bernoulli_mod, n, r) for n, r in mod}
+            | {(bernoulli_ratio, n, r) for n, r in ratio})
+
+
+def recorded_bernoulli_calls(p: int, monkeypatch) -> set:
+    calls = set()
+
+    def recording(fn):
+        def wrapper(n, q, r):
+            calls.add((fn, n, r))
+            return fn(n, q, r)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for module, name in ((checks, "bernoulli_mod"), (checks, "bernoulli_ratio"),
+                             (bernoulli, "bernoulli_ratio")):
+            patch.setattr(module, name, recording(getattr(module, name)))
+        for check_id in checks.all_check_ids():
+            checks.run_check(check_id, p)
+    return calls
+
+
+def test_registry_bernoulli_calls_are_listed(monkeypatch):
+    assert recorded_bernoulli_calls(16843, monkeypatch) == registry_bernoulli_calls(16843)
+    for p in (11, 13, 101):
+        assert recorded_bernoulli_calls(p, monkeypatch) <= registry_bernoulli_calls(p), p
+
+
+def test_registry_power_sums_fill_the_window(monkeypatch):
+    # At 16843 the registry's P_n requests, by class t and largest c, are
+    # the window exactly: nothing outside it, nothing in it unused.
+    p, needed = 16843, {}
+    original = bernoulli.power_sum_raw
+
+    def recording(q, n, m):
+        t = (n + 8) % (p - 1) - 8
+        c = round(log(m, p))
+        needed[t] = max(needed.get(t, 0), c)
+        return original(q, n, m)
+
+    monkeypatch.setattr(bernoulli, "power_sum_raw", recording)
+    bernoulli._memo.cache_clear()
+    for check_id in checks.all_check_ids():
+        checks.run_check(check_id, p)
+    bernoulli._memo.cache_clear()
+    assert needed == MOMENT_WINDOW
+
+
+def bernoulli_values(p: int) -> dict:
+    """Every registry Bernoulli call at p, from a cold memo: int or error type."""
+    bernoulli._memo.cache_clear()
+    out = {}
+    for fn, n, r in registry_bernoulli_calls(p):
+        try:
+            value = fn(n, p, r)
+        except errors.WolstenholmeError as exc:
+            out[fn.__name__, n, r] = type(exc)
+        else:
+            out[fn.__name__, n, r] = int(value.value if fn is bernoulli_mod else value)
+    return out
+
+
+@pytest.mark.slow
+def test_window_agrees_with_multiplicative_loop_below_2e4(monkeypatch):
+    for p in range(11, 20000):
+        if not is_prime(p):
+            continue
+        _held.cache_clear()
+        for _ in range(DIRECT_PASSES):  # so every registry request reads the window
+            power_sum_raw(p, 4, p)
+        fast = bernoulli_values(p)
+        passes = {}
+
+        def oracle(q, n, m, _p=p):
+            assert q == _p and m <= _p ** 5
+            if n not in passes:
+                passes[n] = multiplicative_power_sum(_p, n, _p ** 5)
+            return passes[n] % m
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bernoulli, "power_sum_raw", oracle)
+            assert bernoulli_values(p) == fast, p
+    bernoulli._memo.cache_clear()
 
 
 def test_wolstenholme_quotient_examples():
