@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .errors import (
@@ -40,8 +39,8 @@ from .errors import (
     OddIndex,
     RangeError,
 )
-from .harmonic import power_sum_raw
 from .modring import Residue, embed_rational, is_prime, make_modulus, mpz
+from .plan import EvaluationPlan
 
 #: Exact rationals stop here; everything larger goes through residues.
 EXACT_INDEX_CAP = 400
@@ -110,22 +109,15 @@ def _falling_binomial(n: int, k: int, m) -> int:
     return int(num * pow(factorial(k), -1, int(m)) % m)
 
 
-@lru_cache(maxsize=1)
-def _memo(p: int) -> dict:
-    """(n, c) -> p * B_n mod p^c at p, for the last p only (as the moment
-    table of ``harmonic.power_sum_raw``), so a sweep over any number of
-    primes holds one prime's entries."""
-    return {}
-
-
-def _p_times_bernoulli(n: int, p: int, c: int) -> int:
-    """p * B_n mod p^c for any n >= 0 (p >= 7, c <= 5).
+def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
+    """p * B_n mod p^c for any n >= 0 (p >= 7, c <= 5), memoised in the plan.
 
     Works at irregular positions too: the s = 1 term of the power-sum
     expansion is p*B_n itself, and every inner index n+1-s with s >= 2 is
     either odd (B = 0) or regular, so the recursion never needs an
     irregular value at more precision than it has.
     """
+    p = plan.p
     m = p ** c
     if n == 0:
         return p % m
@@ -133,11 +125,10 @@ def _p_times_bernoulli(n: int, p: int, c: int) -> int:
         return -p * pow(2, -1, m) % m
     if n % 2:
         return 0
-    memo = _memo(p)
-    if (n, c) in memo:
-        return memo[n, c]
+    if (n, c) in plan.pb:
+        return plan.pb[n, c]
     mm = mpz(m)
-    acc = mpz(power_sum_raw(p, n, mm))
+    acc = mpz(plan.power_sum(n, c))
     for s in range(2, min(c, n + 1) + 1):
         idx = n + 1 - s
         if idx == 0:
@@ -147,33 +138,39 @@ def _p_times_bernoulli(n: int, p: int, c: int) -> int:
         elif idx % 2:
             continue
         else:
-            pb = _p_times_bernoulli(idx, p, c - s + 1)
+            pb = _p_times_bernoulli(idx, plan, c - s + 1)
             if pb == 0:
                 continue
         coeff = _falling_binomial(n, s - 1, mm)
         term = coeff * pow(s, -1, m) % mm * (p ** (s - 1)) % mm * pb % mm
         acc -= term
-    memo[n, c] = int(acc % mm)
-    return memo[n, c]
+    plan.pb[n, c] = int(acc % mm)
+    return plan.pb[n, c]
 
 
-def _check_residue_args(n: int, p: int, r: int) -> None:
-    if p < 7 or not is_prime(p):
+def _residue_plan(n: int, p: int, r: int, plan) -> EvaluationPlan:
+    """Check the arguments; the caller's plan for p (p known prime) or a
+    new one that takes a direct pass per power sum."""
+    if p < 7 or plan is None and not is_prime(p):
         raise NotPrime(f"p must be a prime >= 7, got {p}")
+    if plan is not None and plan.p != p:
+        raise ValueError(f"a plan for {plan.p} cannot serve p = {p}")
     if not 1 <= r <= RESIDUE_EXPONENT_CAP:
         raise ValueError(f"exponent r must be in 1..{RESIDUE_EXPONENT_CAP}")
     if n < 0 or n >= p ** 6:
         raise IndexTooLarge(f"index {n} outside 0..p^6")
+    return plan or EvaluationPlan(p, window=False)
 
 
-def bernoulli_mod(n: int, p: int, r: int) -> BernoulliResidue:
+def bernoulli_mod(n: int, p: int, r: int, plan=None) -> BernoulliResidue:
     """B_n mod p^r through P_n(p) mod p^(r+1) and exact division by p.
 
     Odd n >= 3 returns 0; positions with p-1 | n are rejected because
-    B_n there has p in its denominator.
+    B_n there has p in its denominator.  ``plan`` is p's evaluation plan,
+    whose power sums and p B_n memo the call then shares.
     """
-    _check_residue_args(n, p, r)
-    modulus = make_modulus(p, r)
+    plan = _residue_plan(n, p, r, plan)
+    modulus = plan.modulus(r)
     if n == 0:
         return BernoulliResidue(n, p, r, modulus.residue(1), True)
     if n % 2:
@@ -182,7 +179,7 @@ def bernoulli_mod(n: int, p: int, r: int) -> BernoulliResidue:
         return BernoulliResidue(n, p, r, modulus.residue(0), True)
     if not is_regular_position(n, p):
         raise IrregularPosition(f"p-1 = {p - 1} divides index {n}")
-    lifted = _p_times_bernoulli(n, p, r + 1)
+    lifted = _p_times_bernoulli(n, plan, r + 1)
     if lifted % p:
         raise ExactDivisionFailed(
             f"p*B_{n} mod {p}^{r + 1} is not divisible by {p}"
@@ -190,9 +187,9 @@ def bernoulli_mod(n: int, p: int, r: int) -> BernoulliResidue:
     return BernoulliResidue(n, p, r, modulus.residue(lifted // p), True)
 
 
-def bernoulli_ratio(n: int, p: int, r: int) -> Residue:
+def bernoulli_ratio(n: int, p: int, r: int, plan=None) -> Residue:
     """B_n/n mod p^r for even regular n (p | n allowed; the ratio is integral)."""
-    _check_residue_args(n, p, r)
+    plan = _residue_plan(n, p, r, plan)
     if n < 2 or n % 2:
         raise ValueError("ratio defined for even n >= 2")
     if not is_regular_position(n, p):
@@ -206,8 +203,8 @@ def bernoulli_ratio(n: int, p: int, r: int) -> Residue:
         raise IndexTooLarge(
             f"B_{n}/{n} mod p^{r} needs exponent {r + v} > {RESIDUE_EXPONENT_CAP}"
         )
-    modulus = make_modulus(p, r)
-    b = bernoulli_mod(n, p, r + v).value.value
+    modulus = plan.modulus(r)
+    b = bernoulli_mod(n, p, r + v, plan).value.value
     if b % p ** v:
         raise ExactDivisionFailed(f"B_{n} not divisible by {p}^{v}")
     return modulus.residue(b // p ** v) * embed_rational(
@@ -270,11 +267,11 @@ def kummer_alternating_check(m: int, p: int, r: int) -> int:
         raise ValueError(f"need 1 <= r <= min({RESIDUE_EXPONENT_CAP}, m-1)")
     if not is_regular_position(m, p):
         raise IrregularPosition(f"p-1 = {p - 1} divides index {m}")
-    modulus = make_modulus(p, r)
-    acc = modulus.residue(0)
+    acc = make_modulus(p, r).residue(0)
+    plan = EvaluationPlan(p, window=False)
     for k in range(r + 1):
         coeff = (-1) ** k * comb(r, k)
-        acc = acc + coeff * bernoulli_ratio(m + k * (p - 1), p, r)
+        acc = acc + coeff * bernoulli_ratio(m + k * (p - 1), p, r, plan)
     return acc.valuation()
 
 
@@ -307,18 +304,18 @@ def reduce_high_index(n: int, s: int, p: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def high_index_ratio(n: int, s: int, p: int) -> Residue:
+def high_index_ratio(n: int, s: int, p: int, plan=None) -> Residue:
     """B_M/M mod p^n for M = p^n - p^(n-1) - s, via the low-index expansion."""
     if not 1 <= n <= RESIDUE_EXPONENT_CAP:
         raise ValueError(f"exponent n must be in 1..{RESIDUE_EXPONENT_CAP}")
-    modulus = make_modulus(p, n)
-    acc = modulus.residue(0)
+    acc = (make_modulus(p, n) if plan is None else plan.modulus(n)).residue(0)
+    plan = plan or EvaluationPlan(p, window=False)
     for coeff, idx in reduce_high_index(n, s, p):
-        acc = acc + coeff * bernoulli_ratio(idx, p, n)
+        acc = acc + coeff * bernoulli_ratio(idx, p, n, plan)
     return acc
 
 
-def high_index_bernoulli(n: int, s: int, p: int) -> Residue:
+def high_index_bernoulli(n: int, s: int, p: int, plan=None) -> Residue:
     """B_M mod p^n for M = p^n - p^(n-1) - s (M is coprime to p)."""
     big = p ** n - p ** (n - 1) - s
-    return high_index_ratio(n, s, p) * big
+    return high_index_ratio(n, s, p, plan) * big

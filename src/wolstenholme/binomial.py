@@ -10,12 +10,13 @@ big-integer oracle for desk-scale arguments, and ``zhao_quotient_check``
 evaluates the quotient law C(np, rp)/C(n, r) = 1 + w_p n r (n-r) p^3
 (mod p^5) for every shape 1 <= r <= n <= 6.  The Granville and Sun-Wan
 congruences live in the check registry (``granville_p5``, ``sun_wan_p5``),
-which builds on ``_shifted_product_raw`` and ``exact_binomial`` here.
+which reads both products off the pair sums (``plan``) and takes the
+exact binomials here; ``_shifted_product_raw`` stays their independent
+check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .errors import NotPrime, RangeError
@@ -101,7 +102,6 @@ def central_binomial_mod(p: int, k: int) -> BinomialResidue:
     )
 
 
-@lru_cache(maxsize=4096)
 def is_wolstenholme_prime(p: int) -> bool:
     """C(2p-1, p-1) = 1 (mod p^4), the defining congruence."""
     if p < 5 or not is_prime(p):

@@ -1,10 +1,11 @@
 """Registry of named congruence checks with applicability gates.
 
-Each entry binds an id to a pure evaluator ``p -> (lhs, rhs)`` over one
+Each entry binds an id to a pure evaluator ``plan -> (lhs, rhs)`` over one
 prime-power modulus, the congruence's stated exponent, a minimum prime,
-and a scope (all primes, or Wolstenholme primes only).  Evaluators work a
-couple of exponents above the stated one where the arithmetic allows, so
-an outcome reports how much slack a congruence has, not just pass/fail.
+and a scope (all primes, or Wolstenholme primes only).  Evaluators read
+every sum off the prime's evaluation plan (``plan``) and work a couple of
+exponents above the stated one where the arithmetic allows, so an
+outcome reports how much slack a congruence has, not just pass/fail.
 
 A check passes when v_p(lhs - rhs) reaches the stated exponent.  Skipped
 is not failed: gates (below minimum prime, not prime, not a Wolstenholme
@@ -27,10 +28,10 @@ from .bernoulli import (
     high_index_bernoulli,
     high_index_ratio,
 )
-from .errors import UnknownCheck
-from .harmonic import _inverse_power_sums_raw, _newton_h_raw, wolstenholme_quotient
-from .modring import Residue, is_prime, make_modulus, max_exponent
+from .errors import NotPrime, UnknownCheck
+from .modring import Residue, is_prime
 from .parallel import ordered_map
+from .plan import EvaluationPlan
 
 Fr = Fraction
 
@@ -50,7 +51,7 @@ class CongruenceCheck:
     min_prime: int
     scope: Scope
     modulus_exponent: int
-    evaluator: Callable[[int], tuple[Residue, Residue]]
+    evaluator: Callable[[EvaluationPlan], tuple[Residue, Residue]]
     max_prime: Optional[int] = None
 
 
@@ -70,297 +71,219 @@ class CheckOutcome:
     elapsed_ns: int
 
 
-def _eval_exponent(p: int, stated: int, margin: int = 2, cap: int = 10) -> int:
-    return max(stated, min(stated + margin, cap, max_exponent(p)))
+def _eval_exponent(plan, stated: int, margin: int = 2, cap: int = 10) -> int:
+    return max(stated, min(stated + margin, cap, plan.top))
 
 
-@lru_cache(maxsize=64)
-def _r_values(p: int, K: int) -> tuple[int, ...]:
-    """(unused, R_1, .., R_8) mod p^K, reduced from one wide computation."""
-    top = min(10, max_exponent(p))
-    if K == top:
-        return tuple(int(x) for x in _inverse_power_sums_raw(p, 8, p ** top))
-    wide = _r_values(p, top)
-    m = p ** K
-    return tuple(x % m for x in wide)
-
-
-@lru_cache(maxsize=64)
-def _h_values(p: int, K: int) -> tuple[int, ...]:
-    """(unused, H_1, .., H_n) mod p^K via the Newton recurrence on _r_values."""
-    R = _r_values(p, K)
-    return tuple(_newton_h_raw(R, min(8, p - 2, len(R) - 1), p ** K))
-
-
-@lru_cache(maxsize=64)
-def _central_value(p: int, K: int) -> int:
-    top = min(10, max_exponent(p))
-    if K == top:
-        return binomial._central_raw(p, p ** top)
-    return _central_value(p, top) % p ** K
-
-
-def _pair(p, W, lhs, rhs):
-    modulus = make_modulus(p, W)
-    if not isinstance(lhs, Residue):
-        lhs = modulus.residue(lhs)
-    if not isinstance(rhs, Residue):
-        rhs = modulus.residue(rhs)
-    return lhs, rhs
-
-
-def _indicator_pair(p: int, lhs_holds: bool, rhs_holds: bool):
-    modulus = make_modulus(p, 1)
-    return modulus.residue(1 if lhs_holds else 0), modulus.residue(1 if rhs_holds else 0)
+def _indicator_pair(plan, lhs_holds: bool, rhs_holds: bool):
+    return tuple(plan.modulus(1).residue(int(x)) for x in (lhs_holds, rhs_holds))
 
 
 # --- binomial-side evaluators -------------------------------------------------
 
-def _ev_wolstenholme_thm(p):
-    W = _eval_exponent(p, 3)
-    return _pair(p, W, _central_value(p, W), 1)
+def _ev_wolstenholme_thm(plan):
+    central = plan.central(_eval_exponent(plan, 3))
+    return central, central.modulus.residue(1)
 
 
-def _ev_glaisher(p):
-    W = _eval_exponent(p, 4)
-    M = make_modulus(p, W)
-    b = M.residue(bernoulli_mod(p - 3, p, W - 3).value.value)
-    return M.residue(_central_value(p, W)), 1 - Fr(2, 3) * p ** 3 * b
+def _ev_glaisher(plan):
+    p, W = plan.p, _eval_exponent(plan, 4)
+    b = plan.modulus(W).residue(bernoulli_mod(p - 3, p, W - 3, plan).value.value)
+    return plan.central(W), 1 - Fr(2, 3) * p ** 3 * b
 
 
-def _ev_lehmer(p):
-    W = _eval_exponent(p, 3)
-    M = make_modulus(p, W)
-    b = M.residue(bernoulli_mod(p - 3, p, W - 2).value.value)
-    return M.residue(_r_values(p, W)[1]), -Fr(1, 3) * p ** 2 * b
+def _ev_lehmer(plan):
+    p, W = plan.p, _eval_exponent(plan, 3)
+    b = plan.modulus(W).residue(bernoulli_mod(p - 3, p, W - 2, plan).value.value)
+    return plan.R(W)[1], -Fr(1, 3) * p ** 2 * b
 
 
-def _ev_helou_terjanian(p):
-    W = 6
-    M = make_modulus(p, W)
-    b_big = M.residue(high_index_bernoulli(3, 2, p).value)
-    b3 = bernoulli_mod(p - 3, p, 1).value.value
-    b5 = bernoulli_mod(p - 5, p, 1).value.value
+def _ev_helou_terjanian(plan):
+    p, M = plan.p, plan.modulus(6)
+    b_big = M.residue(high_index_bernoulli(3, 2, p, plan).value)
+    b3 = bernoulli_mod(p - 3, p, 1, plan).value.value
+    b5 = bernoulli_mod(p - 5, p, 1, plan).value.value
     rhs = 1 - p ** 3 * b_big + Fr(1, 3) * p ** 5 * M.residue(b3) \
         - Fr(6, 5) * p ** 5 * M.residue(b5)
-    return M.residue(_central_value(p, W)), rhs
+    return plan.central(6), rhs
 
 
-def _ev_granville(p):
-    W = _eval_exponent(p, 5)
-    M = make_modulus(p, W)
-    central = M.residue(_central_value(p, W))
-    big = 3 * M.residue(binomial._shifted_product_raw(p, 2, M.m))
-    lhs = big * ((2 * central) ** 3).inverse()
-    return lhs, M.embed(Fr(3, 8))
+def _ev_granville(plan):
+    W = _eval_exponent(plan, 5)
+    lhs = 3 * plan.granville(W) * ((2 * plan.central(W)) ** 3).inverse()
+    return lhs, plan.modulus(W).embed(Fr(3, 8))
 
 
-def _ev_sun_wan(p):
-    W = _eval_exponent(p, 5)
-    M = make_modulus(p, W)
+def _ev_sun_wan(plan):
+    p, M = plan.p, plan.modulus(_eval_exponent(plan, 5))
     lhs = M.residue(binomial.exact_binomial(4 * p - 1, 2 * p - 1))
     rhs = M.residue(binomial.exact_binomial(4 * p, p) - 1)
     return lhs, rhs
 
 
-def _ev_zhao_eq4(p):
-    W = 5
-    M = make_modulus(p, W)
+def _ev_zhao_eq4(plan):
+    p, M = plan.p, plan.modulus(5)
     lhs = M.residue(binomial.exact_binomial(3 * p, p)) * M.residue(3).inverse()
-    rhs = M.residue(1 + 6 * wolstenholme_quotient(p).w * p ** 3)
-    return lhs, rhs
+    w = plan.R(4)[1].value // p ** 2  # w_p = R_1/p^2 (mod p^2)
+    return lhs, M.residue(1 + 6 * w * p ** 3)
 
 
 # --- harmonic-sum evaluators --------------------------------------------------
 
-def _ev_lemma1(p):
-    W = _eval_exponent(p, 4)
-    R = _r_values(p, W)
-    return _pair(p, W, 2 * R[1], -p * R[2])
+def _ev_lemma1(plan):
+    R = plan.R(_eval_exponent(plan, 4))
+    return 2 * R[1], -plan.p * R[2]
 
 
-def _ev_lemma2a(p):
-    W = _eval_exponent(p, 5)
-    R = _r_values(p, W)
-    return _pair(p, W, _central_value(p, W), 1 + 2 * p * R[1])
+def _ev_lemma2a(plan):
+    W = _eval_exponent(plan, 5)
+    return plan.central(W), 1 + 2 * plan.p * plan.R(W)[1]
 
 
-def _ev_lemma2b(p):
-    W = _eval_exponent(p, 5)
-    R = _r_values(p, W)
-    return _pair(p, W, _central_value(p, W), -(p * p) * R[2] + 1)
+def _ev_lemma2b(plan):
+    W = _eval_exponent(plan, 5)
+    return plan.central(W), 1 - plan.p ** 2 * plan.R(W)[2]
 
 
 def _make_ev_lemma13(r: int):
-    def evaluator(p, _r=r):
-        W = _eval_exponent(p, _r + 1)
-        R = _r_values(p, W)
-        rhs = -sum(p ** i * R[i + 1] for i in range(1, _r + 1))
-        return _pair(p, W, 2 * R[1], rhs)
+    def evaluator(plan, _r=r):
+        p, R = plan.p, plan.R(_eval_exponent(plan, _r + 1))
+        return 2 * R[1], -sum(p ** i * R[i + 1] for i in range(1, _r + 1))
 
     return evaluator
 
 
-def _ev_eq19(p):
-    W = _eval_exponent(p, 8)
-    R = _r_values(p, W)
-    rhs = -sum(p ** (i - 1) * R[i] for i in range(2, 7))
-    return _pair(p, W, 2 * R[1], rhs)
+def _ev_eq19(plan):
+    p, R = plan.p, plan.R(_eval_exponent(plan, 8))
+    return 2 * R[1], -sum(p ** (i - 1) * R[i] for i in range(2, 7))
 
 
-def _ev_lemma12_iv(p):
-    W = _eval_exponent(p, 4)
-    M = make_modulus(p, W)
-    R = _r_values(p, W)
-    return M.residue(p * R[6]), -Fr(2, 5) * M.residue(R[5])
+def _ev_lemma12_iv(plan):
+    R = plan.R(_eval_exponent(plan, 4))
+    return plan.p * R[6], -Fr(2, 5) * R[5]
 
 
-def _ev_lemma4_valuations(p):
-    m3 = p ** 3
-    R = _r_values(p, 3)
-    ok = True
-    for n in range(1, min(6, p - 3) + 1):
-        need = 2 if n % 2 else 1
-        value = R[n] % m3
-        ok = ok and (value % p ** need == 0)
-    return _indicator_pair(p, ok, True)
+def _valuation_pattern(plan, values):
+    """Indicator of v_p >= 2 at odd n and >= 1 at even n, n <= min(6, p-3)."""
+    ok = all(values[n].valuation() >= 1 + n % 2
+             for n in range(1, min(6, plan.p - 3) + 1))
+    return _indicator_pair(plan, ok, True)
 
 
-def _ev_lemma6_valuations(p):
+def _ev_lemma4_valuations(plan):
+    return _valuation_pattern(plan, plan.R(3))
+
+
+def _ev_lemma6_valuations(plan):
     # The odd-n bound stops at p-3: H_{p-2} only reaches valuation 1
     # (H_5(7) = 7/240), so the induction from the R_n pattern ends there.
-    H = _h_values(p, 3)
-    ok = True
-    for n in range(1, min(6, p - 3) + 1):
-        need = 2 if n % 2 else 1
-        ok = ok and (H[n] % p ** need == 0)
-    return _indicator_pair(p, ok, True)
+    return _valuation_pattern(plan, plan.H(3))
 
 
 def _make_ev_lemma7(n: int, exponent: int):
     sign = 1 if n % 2 else -1
 
-    def evaluator(p, _n=n, _sign=sign, _e=exponent):
-        W = _eval_exponent(p, _e)
-        M = make_modulus(p, W)
-        R = _r_values(p, W)
-        H = _h_values(p, W)
-        return M.residue(R[_n]), M.residue(_sign * _n * H[_n])
+    def evaluator(plan, _n=n, _sign=sign, _e=exponent):
+        W = _eval_exponent(plan, _e)
+        return plan.R(W)[_n], _sign * _n * plan.H(W)[_n]
 
     return evaluator
 
 
 # --- Bernoulli-side evaluators ------------------------------------------------
 
-def _ev_lemma12_i(p):
-    W = 6
-    M = make_modulus(p, W)
-    b_big4 = M.residue(high_index_bernoulli(4, 2, p).value)
-    b_big2 = M.residue(high_index_bernoulli(2, 4, p).value)
-    b3 = M.residue(bernoulli_mod(p - 3, p, 1).value.value)
-    b5 = M.residue(bernoulli_mod(p - 5, p, 1).value.value)
+def _ev_lemma12_i(plan):
+    p, M = plan.p, plan.modulus(6)
+    b_big4 = M.residue(high_index_bernoulli(4, 2, p, plan).value)
+    b_big2 = M.residue(high_index_bernoulli(2, 4, p, plan).value)
+    b3 = M.residue(bernoulli_mod(p - 3, p, 1, plan).value.value)
+    b5 = M.residue(bernoulli_mod(p - 5, p, 1, plan).value.value)
     rhs = -Fr(1, 2) * p ** 2 * b_big4 - Fr(1, 4) * p ** 4 * b_big2 \
         + Fr(1, 6) * p ** 5 * b3 + Fr(1, 20) * p ** 5 * b5
-    return M.residue(_r_values(p, W)[1]), rhs
+    return plan.R(6)[1], rhs
 
 
-def _ev_lemma12_ii(p):
-    W = _eval_exponent(p, 4, margin=2, cap=6)
-    M = make_modulus(p, W)
-    b = M.residue(high_index_bernoulli(4, 4, p).value)
-    return M.residue(_r_values(p, W)[3]), -Fr(3, 2) * p ** 2 * b
+def _ev_lemma12_ii(plan):
+    p, W = plan.p, _eval_exponent(plan, 4, margin=2, cap=6)
+    b = plan.modulus(W).residue(high_index_bernoulli(4, 4, p, plan).value)
+    return plan.R(W)[3], -Fr(3, 2) * p ** 2 * b
 
 
-def _ev_lemma12_iii(p):
-    W = 5
-    M = make_modulus(p, W)
-    b = M.residue(high_index_bernoulli(4, 4, p).value)
-    return M.residue(_r_values(p, W)[4]), p * b
+def _ev_lemma12_iii(plan):
+    p = plan.p
+    b = plan.modulus(5).residue(high_index_bernoulli(4, 4, p, plan).value)
+    return plan.R(5)[4], p * b
 
 
-def _ev_kummer_eq10(p):
+def _ev_kummer_eq10(plan):
     # source index p(p-1) + 4 reduces to 4 modulo phi(p^2)
-    W = 4
-    M = make_modulus(p, W)
-    m = p * (p - 1) + 4
-    lhs = M.residue(bernoulli_ratio(m, p, W).value)
-    rhs = M.residue(bernoulli_ratio(4, p, W).value)
-    return lhs, rhs
+    p = plan.p
+    return bernoulli_ratio(p * (p - 1) + 4, p, 4, plan), bernoulli_ratio(4, p, 4, plan)
 
 
-def _ev_kummer_eq11(p):
+def _ev_kummer_eq11(plan):
     # second difference of k -> B_{4+k(p-1)}/(4+k(p-1)), evaluated wide
-    W = 4
-    M = make_modulus(p, W)
-    acc = M.residue(0)
-    for k, coeff in ((0, 1), (1, -2), (2, 1)):
-        acc = acc + coeff * M.residue(bernoulli_ratio(4 + k * (p - 1), p, W).value)
-    return acc, M.residue(0)
+    p = plan.p
+    acc = sum(coeff * bernoulli_ratio(4 + k * (p - 1), p, 4, plan)
+              for k, coeff in ((0, 1), (1, -2), (2, 1)))
+    return acc, acc.modulus.residue(0)
 
 
 def _make_ev_eq26(n: int, s: int):
-    def evaluator(p, _n=n, _s=s):
+    def evaluator(plan, _n=n, _s=s):
+        p = plan.p
         big = p ** _n - p ** (_n - 1) - _s
-        return bernoulli_ratio(big, p, _n), high_index_ratio(_n, _s, p)
+        return bernoulli_ratio(big, p, _n, plan), high_index_ratio(_n, _s, p, plan)
 
     return evaluator
 
 
 # --- Wolstenholme-prime expansions --------------------------------------------
 
-def _ev_prop1(p):
-    W = _eval_exponent(p, 8)
-    M = make_modulus(p, W)
-    R = _r_values(p, W)
-    rhs = M.residue(1)
-    for n, sign in ((1, 1), (2, -1), (3, 1), (4, -1), (5, 1), (6, -1)):
-        rhs = rhs + Fr(sign, n) * p ** n * M.residue(R[n])
-    return M.residue(_central_value(p, W)), rhs
+def _ev_prop1(plan):
+    p, W = plan.p, _eval_exponent(plan, 8)
+    R = plan.R(W)
+    rhs = 1 + sum(Fr((-1) ** (n - 1), n) * p ** n * R[n] for n in range(1, 7))
+    return plan.central(W), rhs
 
 
-def _ev_prop2(p):
-    W = _eval_exponent(p, 8)
-    M = make_modulus(p, W)
-    R = _r_values(p, W)
-    rhs = 1 + Fr(3, 2) * p * M.residue(R[1]) - Fr(1, 4) * p ** 2 * M.residue(R[2]) \
-        + Fr(7, 12) * p ** 3 * M.residue(R[3]) + Fr(5, 12) * p ** 5 * M.residue(R[5])
-    return M.residue(_central_value(p, W)), rhs
+def _ev_prop2(plan):
+    p, W = plan.p, _eval_exponent(plan, 8)
+    R = plan.R(W)
+    rhs = 1 + Fr(3, 2) * p * R[1] - Fr(1, 4) * p ** 2 * R[2] \
+        + Fr(7, 12) * p ** 3 * R[3] + Fr(5, 12) * p ** 5 * R[5]
+    return plan.central(W), rhs
 
 
-def _ev_cor1_first(p):
-    W = _eval_exponent(p, 7)
-    R = _r_values(p, W)
-    rhs = 1 - 2 * p * R[1] - 2 * p * p * R[2]
-    return _pair(p, W, _central_value(p, W), rhs)
+def _ev_cor1_first(plan):
+    p, W = plan.p, _eval_exponent(plan, 7)
+    R = plan.R(W)
+    return plan.central(W), 1 - 2 * p * R[1] - 2 * p * p * R[2]
 
 
-def _ev_cor1_second(p):
-    W = _eval_exponent(p, 7)
-    M = make_modulus(p, W)
-    R = _r_values(p, W)
-    rhs = 1 + 2 * p * M.residue(R[1]) + Fr(2, 3) * p ** 3 * M.residue(R[3])
-    return M.residue(_central_value(p, W)), rhs
+def _ev_cor1_second(plan):
+    p, W = plan.p, _eval_exponent(plan, 7)
+    R = plan.R(W)
+    return plan.central(W), 1 + 2 * p * R[1] + Fr(2, 3) * p ** 3 * R[3]
 
 
-def _ev_cor2(p):
-    W = 7
-    M = make_modulus(p, W)
-    b_big4 = M.residue(high_index_bernoulli(4, 2, p).value)
-    b_big2 = M.residue(high_index_bernoulli(2, 4, p).value)
-    b5 = M.residue(bernoulli_mod(p - 5, p, 1).value.value)
+def _ev_cor2(plan):
+    p, M = plan.p, plan.modulus(7)
+    b_big4 = M.residue(high_index_bernoulli(4, 2, p, plan).value)
+    b_big2 = M.residue(high_index_bernoulli(2, 4, p, plan).value)
+    b5 = M.residue(bernoulli_mod(p - 5, p, 1, plan).value.value)
     rhs = 1 - p ** 3 * b_big4 - Fr(3, 2) * p ** 5 * b_big2 + Fr(3, 10) * p ** 6 * b5
-    return M.residue(_central_value(p, W)), rhs
+    return plan.central(7), rhs
 
 
-def _ev_cor3(p):
-    W = 7
-    M = make_modulus(p, W)
-    b3 = M.residue(bernoulli_mod(p - 3, p, 4).value.value)
-    b4 = M.residue(bernoulli_mod(2 * p - 4, p, 4).value.value)
-    b5 = M.residue(bernoulli_mod(3 * p - 5, p, 4).value.value)
-    b6 = M.residue(bernoulli_mod(4 * p - 6, p, 4).value.value)
-    c5 = M.residue(bernoulli_mod(p - 5, p, 2).value.value)
-    c6 = M.residue(bernoulli_mod(2 * p - 6, p, 2).value.value)
+def _ev_cor3(plan):
+    p, M = plan.p, plan.modulus(7)
+    b3 = M.residue(bernoulli_mod(p - 3, p, 4, plan).value.value)
+    b4 = M.residue(bernoulli_mod(2 * p - 4, p, 4, plan).value.value)
+    b5 = M.residue(bernoulli_mod(3 * p - 5, p, 4, plan).value.value)
+    b6 = M.residue(bernoulli_mod(4 * p - 6, p, 4, plan).value.value)
+    c5 = M.residue(bernoulli_mod(p - 5, p, 2, plan).value.value)
+    c6 = M.residue(bernoulli_mod(2 * p - 6, p, 2, plan).value.value)
     rhs = (
         1
         - p ** 3 * (Fr(8, 3) * b3 - 3 * b4 + Fr(8, 5) * b5 - Fr(1, 3) * b6)
@@ -371,20 +294,19 @@ def _ev_cor3(p):
         )
         - p ** 6 * Fr(2, 25) * c5
     )
-    return M.residue(_central_value(p, W)), rhs
+    return plan.central(7), rhs
 
 
-def _ev_remark2(p):
-    W = _eval_exponent(p, 8)
-    M = make_modulus(p, W)
-    R = _r_values(p, W)
-    rhs = 1 + 2 * p * M.residue(R[1]) + Fr(5, 6) * p ** 3 * M.residue(R[3]) \
-        + Fr(1, 4) * p ** 4 * M.residue(R[4]) + Fr(17, 30) * p ** 5 * M.residue(R[5])
-    return M.residue(_central_value(p, W)), rhs
+def _ev_remark2(plan):
+    p, W = plan.p, _eval_exponent(plan, 8)
+    R = plan.R(W)
+    rhs = 1 + 2 * p * R[1] + Fr(5, 6) * p ** 3 * R[3] \
+        + Fr(1, 4) * p ** 4 * R[4] + Fr(17, 30) * p ** 5 * R[5]
+    return plan.central(W), rhs
 
 
-def _cor1_first_holds(p: int) -> bool:
-    lhs, rhs = _ev_cor1_first(p)
+def _cor1_first_holds(plan) -> bool:
+    lhs, rhs = _ev_cor1_first(plan)
     return (lhs - rhs).valuation() >= 7
 
 
@@ -392,13 +314,14 @@ def cor4_equivalence(p: int) -> bool:
     """Wolstenholme-prime status and the mod-p^7 two-sum congruence agree."""
     if p < 11:
         raise ValueError("defined for primes p >= 11")
-    return binomial.is_wolstenholme_prime(p) == _cor1_first_holds(p)
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    return binomial.is_wolstenholme_prime(p) == _cor1_first_holds(EvaluationPlan(p))
 
 
-def _ev_cor4_iff(p):
-    return _indicator_pair(
-        p, binomial.is_wolstenholme_prime(p), _cor1_first_holds(p)
-    )
+def _ev_cor4_iff(plan):
+    holds = _cor1_first_holds(plan)  # first: its pair sweep then serves the gate
+    return _indicator_pair(plan, plan.wolstenholme, holds)
 
 
 def _entries() -> list[CongruenceCheck]:
@@ -571,20 +494,31 @@ def _skipped(check: CongruenceCheck, p: int, reason: str) -> CheckOutcome:
         skipped=True, reason=reason, elapsed_ns=0)
 
 
+#: The plan of the prime ``_suite_worker`` is on, None between primes:
+#: ``run_check`` keeps its (check_id, p) signature and finds the plan here.
+_suite_plan: Optional[EvaluationPlan] = None
+
+
 def run_check(check_id: str, p: int) -> CheckOutcome:
-    """Evaluate one check at one prime, honoring the applicability gates."""
+    """Evaluate one check at one prime, honoring the applicability gates.
+
+    Within ``run_suite`` the prime's plan serves every read and stands for
+    the primality test; a lone call makes a plan of its own.
+    """
     check = lookup(check_id)
-    if not is_prime(p):
+    plan = _suite_plan if _suite_plan is not None and _suite_plan.p == p else None
+    if plan is None and not is_prime(p):
         return _skipped(check, p, "not prime")
     if p < check.min_prime:
         return _skipped(check, p, f"below minimum prime {check.min_prime}")
     if check.max_prime is not None and p > check.max_prime:
         return _skipped(check, p, f"beyond exact-oracle bound {check.max_prime}")
-    if check.scope is Scope.WOLSTENHOLME_ONLY and not binomial.is_wolstenholme_prime(p):
+    plan = plan or EvaluationPlan(p)
+    if check.scope is Scope.WOLSTENHOLME_ONLY and not plan.wolstenholme:
         return _skipped(check, p, "not a Wolstenholme prime")
     start = time.perf_counter_ns()
     try:
-        lhs, rhs = check.evaluator(p)
+        lhs, rhs = check.evaluator(plan)
     except Exception as exc:  # failures are data, not suite aborts
         return CheckOutcome(
             check_id=check.id, p=p, modulus_exponent=check.modulus_exponent,
@@ -600,7 +534,15 @@ def run_check(check_id: str, p: int) -> CheckOutcome:
 
 
 def _suite_worker(p: int, ids: tuple[str, ...]) -> list[CheckOutcome]:
-    return [run_check(check_id, p) for check_id in ids]
+    global _suite_plan
+    _suite_plan = EvaluationPlan(p) if is_prime(p) else None
+    # All-primes checks first: the Wolstenholme-only gates read their sweep.
+    order = sorted(ids, key=lambda i: lookup(i).scope is Scope.WOLSTENHOLME_ONLY)
+    try:
+        outcomes = {check_id: run_check(check_id, p) for check_id in order}
+    finally:
+        _suite_plan = None
+    return [outcomes[check_id] for check_id in ids]
 
 
 def run_suite(
@@ -612,6 +554,8 @@ def run_suite(
 
     The order is deterministic regardless of parallelism, and evaluation
     errors surface as failed outcomes rather than stopping the stream.
+    Each prime gets one evaluation plan, shared by its checks and dropped
+    when they are done, so no sweep runs twice at a prime.
     """
     ids = tuple(sorted(ids))
     for check_id in ids:

@@ -38,6 +38,10 @@ from .scan import (
 
 FLUSH_EVERY = 1000
 
+#: Most worker processes a run may ask for (any machine): a pool forks all
+#: of its workers at once, so an unbounded count stalls the run.
+MAX_PARALLELISM = 64
+
 _FIELDS = (
     "check", "p", "modulus_exponent", "lhs", "rhs", "residual_valuation",
     "pass", "skipped", "reason", "elapsed_ns",
@@ -82,11 +86,13 @@ def _parse_range(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
     return lo, hi
 
 
-def _default_parallelism() -> int:
-    env = os.environ.get("WOLSTENHOLME_PARALLELISM")
-    if env and env.isdigit() and int(env) >= 1:
-        return int(env)
-    return 1
+def _worker_count(text: str) -> int:
+    """A --parallelism value (or its default, WOLSTENHOLME_PARALLELISM)."""
+    if not text.strip().isdecimal() or not 1 <= int(text) <= MAX_PARALLELISM:
+        raise argparse.ArgumentTypeError(
+            f"need an integer in 1..{MAX_PARALLELISM} (the default is"
+            f" WOLSTENHOLME_PARALLELISM, else 1), got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("jsonl", "csv", "pretty"),
                         default="jsonl")
         sp.add_argument("--output", metavar="PATH", default=None)
-        sp.add_argument("--parallelism", type=int, default=_default_parallelism())
+        sp.add_argument("--parallelism", type=_worker_count, metavar="N",
+                        default=os.environ.get("WOLSTENHOLME_PARALLELISM") or "1")
         sp.add_argument("--timings", action="store_true",
                         help="serialize real elapsed_ns (breaks byte determinism)")
 
@@ -214,7 +221,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     if hasattr(ns, "format"):
         cfg.format = ns.format
         cfg.output_path = ns.output
-        cfg.parallelism = max(1, ns.parallelism)
+        cfg.parallelism = ns.parallelism
         cfg.timings = ns.timings
     return cfg
 

@@ -46,16 +46,15 @@ c <= 5 at the Kummer-reduced indices k(p-1) - s, s in {2, 4}, and at
 to n + 1 - s, s in {3, 5}, at c - s + 1 (t - 2 at c - 2, t - 4 at c - 4).
 Closing that with the largest c per t gives the window
 {4: 5, 2: 3, 0: 1, -2: 5, -4: 5, -6: 3, -8: 1}: 23 sums S_it, one sweep.
-A registry run at p makes 47 such requests; a caller making a few
-(``bernoulli_mod``, a Bernoulli scan) gets a direct pass each instead, as
-the sweep costs about eight passes.
+The sweep costs about eight direct passes (``power_sum_raw``), so only an
+evaluation plan (``plan``) serving a registry run's 47 requests makes it; a
+lone ``bernoulli_mod`` or a Bernoulli scan takes a pass per request.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, isqrt
+from math import isqrt
 from operator import mul
 from typing import Iterator, Mapping
 
@@ -77,10 +76,6 @@ _MOMENT_CHUNK = 1 << 10
 #: t -> c: the classes n = t (mod p-1) and precisions p^c of every P_n the
 #: Bernoulli side asks for (derivation in the module doc).
 MOMENT_WINDOW = {4: 5, 2: 3, 0: 1, -2: 5, -4: 5, -6: 3, -8: 1}
-
-#: Window requests at a prime served by direct passes before the sweep:
-#: ``bernoulli_mod`` makes at most three, a Bernoulli scan one per prime.
-DIRECT_PASSES = 3
 
 
 @dataclass(frozen=True)
@@ -133,14 +128,18 @@ def _inverse_power_sums_raw(p: int, n_max: int, m) -> list:
     m = mpz(m)
     if p == 2:  # no pair: k = p - k = 1, and R_n(2) = 1
         return [0] + [1 % m] * n_max
-    T = _pair_power_sums_raw(p, n_max, m)
+    return _inverse_from_pair_sums(p, _pair_power_sums_raw(p, n_max, m), m)
+
+
+def _inverse_from_pair_sums(p: int, T: list, m) -> list:
+    """[_, R_1, .., R_n] mod m from the pair sums [_, T_1, .., T_n], p odd."""
     # c[n][j], the coefficient of p^(n-2j) q^j in s_n
     c = [[2], [1]]
-    for n in range(2, n_max + 1):
+    for n in range(2, len(T)):
         c.append([a - b for a, b in zip(c[n - 1] + [0], [0] + c[n - 2])])
     return [0] + [
         sum(cj * p ** (n - 2 * j) * T[n - j] for j, cj in enumerate(c[n])) % m
-        for n in range(1, n_max + 1)]
+        for n in range(1, len(T))]
 
 
 def power_sum_inverses(p: int, n: int, K: int) -> Residue:
@@ -202,14 +201,8 @@ def power_sum(p: int, n: int, K: int) -> Residue:
     return modulus.residue(power_sum_raw(p, n, modulus.m))
 
 
-# One sieve per prime: every pass and the window sweep at p share it.
-@lru_cache(maxsize=1)
 def _least_prime_factors(n: int) -> array:
-    """lpf[k] for 0 <= k < n: the least prime factor of composite k, else 0.
-
-    The array is shared by every caller with the same n (memoised for the
-    last n only), so callers read or slice it and never write to it.
-    """
+    """lpf[k] for 0 <= k < n: the least prime factor of composite k, else 0."""
     lpf = array("I", [0]) * n
     small = [q for q in range(2, isqrt(n - 1) + 1)
              if all(q % d for d in range(2, isqrt(q) + 1))]
@@ -280,38 +273,15 @@ def _moment_sums_raw(p: int) -> dict:
             for t, c in MOMENT_WINDOW.items()}
 
 
-@lru_cache(maxsize=1)
-def _held(p: int) -> dict:
-    """Direct passes made at p and p's window moments, for the last p only."""
-    return {"passes": 0, "moments": None}
-
-
 def power_sum_raw(p: int, n: int, m) -> int:
-    """P_n(p) = sum of k^n over 1..p-1, mod m = p^c, for any n >= 0.
-
-    Inside the window (the class t = n (mod p-1), t <= n, held to p^c) the
-    first DIRECT_PASSES requests at p are direct passes; later ones read
-    P_(j(p-1)+t) = sum(C(j, i) p^i S_it, i < c) (mod p^c) off one sweep of
-    the window's moment sums (module doc).  Outside it, a direct pass.
-    """
+    """P_n(p) = sum of k^n over 1..p-1, mod m = p^c, by one direct pass."""
     if p < 3:
         raise ValueError("p must be at least 3")
-    c, q = 0, 1
+    q = 1
     while q < m:
-        c, q = c + 1, q * p
+        q *= p
     if q != m:
         raise ValueError(f"modulus {m} is not a power of {p}")
-    t = next((t for t, top in MOMENT_WINDOW.items()
-              if top >= c and t <= n and (n - t) % (p - 1) == 0), None)
-    if t is not None:
-        held = _held(p)
-        if held["moments"] is None and held["passes"] == DIRECT_PASSES:
-            held["moments"] = _moment_sums_raw(p)
-        if held["moments"] is not None:
-            j = (n - t) // (p - 1)
-            return int(sum(comb(j, i) * p ** i * held["moments"][t][i]
-                           for i in range(c)) % m)
-        held["passes"] += 1
     return int(sum(sum(x) for _, x in _powers(p, n, mpz(m))) % m)
 
 
@@ -325,27 +295,3 @@ def wolstenholme_quotient(p: int) -> WolstenholmeQuotient:
             f"R_1({p}) is not divisible by {p}^2; requires p >= 5"
         )
     return WolstenholmeQuotient(p=p, w=(r1 // square) % square)
-
-
-def euler_index_check(p: int, n: int, e: int) -> bool:
-    """Identity R_{phi(p^e)-n} = P_n in Z/p^e Z (Euler's theorem).
-
-    Kept as a consistency probe; direct inverse summation stays the
-    computation path.
-    """
-    phi = p ** (e - 1) * (p - 1)
-    if not 1 <= n < phi:
-        raise ValueError("need 1 <= n < phi(p^e)")
-    modulus = make_modulus(p, e)
-    r = _power_sum_inverse_single(p, phi - n, modulus.m)
-    return r == power_sum_raw(p, n, modulus.m)
-
-
-def _power_sum_inverse_single(p: int, n: int, m) -> int:
-    """R_n mod m for a single possibly-large n: powmods of (p-k) v and k v."""
-    m = mpz(m)
-    total = 0
-    for ks, vs in _pair_inverses(p, m):
-        for k, v in zip(ks, vs):
-            total += powmod((p - k) * v % m, n, m) + powmod(k * v % m, n, m)
-    return int(total % m)

@@ -12,6 +12,7 @@ from wolstenholme.binomial import (
 )
 from wolstenholme.harmonic import elementary_symmetric, wolstenholme_quotient
 from wolstenholme.modring import make_modulus
+from wolstenholme.plan import EvaluationPlan
 
 PRIMES_200 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
               67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131,
@@ -104,7 +105,7 @@ def test_granville_examples():
     assert _residual("granville_p5", 11) >= 5
     # p = 5 is below the registry's minimum prime; the evaluator still runs
     # there and reports the observed valuation (4, not a pass at 5)
-    lhs, rhs = checks._ev_granville(5)
+    lhs, rhs = checks._ev_granville(EvaluationPlan(5))
     assert (lhs - rhs).valuation() == 4
 
 

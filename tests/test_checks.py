@@ -18,6 +18,7 @@ from wolstenholme.checks import (
 )
 from wolstenholme.harmonic import elementary_symmetric
 from wolstenholme.modring import is_prime, valuation
+from wolstenholme.plan import EvaluationPlan
 
 PRIMES_300 = [p for p in range(2, 300) if is_prime(p)]
 
@@ -94,8 +95,9 @@ def test_wolstenholme_prime_suite():
 def test_cor1_displays_agree_at_wolstenholme_prime():
     from wolstenholme.checks import _ev_cor1_first, _ev_cor1_second
 
-    lhs1, rhs1 = _ev_cor1_first(16843)
-    lhs2, rhs2 = _ev_cor1_second(16843)
+    plan = EvaluationPlan(16843)
+    lhs1, rhs1 = _ev_cor1_first(plan)
+    lhs2, rhs2 = _ev_cor1_second(plan)
     assert (rhs1.reduce_to(7) - rhs2.reduce_to(7)).valuation() >= 7
 
 
@@ -155,11 +157,14 @@ def test_check_ids_cover_picked_names():
 
 
 def test_h_values_match_elementary_symmetric():
+    # The plan's R and H, reduced from one wide sweep, against the public
+    # path at each modulus.
     for p, K in ((7, 3), (11, 5), (101, 8), (397, 10)):
-        n_max = min(8, p - 2)
+        n_max = min(6, p - 2)
         profile = elementary_symmetric(p, n_max, K)
-        assert checks._h_values(p, K)[1:] == tuple(
-            profile.H[n].value for n in range(1, n_max + 1)), (p, K)
+        plan = EvaluationPlan(p)
+        assert plan.R(K)[1:n_max + 1] == [profile.R[n] for n in range(1, n_max + 1)]
+        assert plan.H(K)[1:] == [profile.H[n] for n in range(1, n_max + 1)], (p, K)
 
 
 def _exact_sums(p):
@@ -212,3 +217,42 @@ def test_all_primes_sum_checks_against_exact_rationals(p):
             cap = min(lookup(check_id).modulus_exponent + 2, 10)
             want = min(valuation(lhs - rhs, p), cap)
         assert run_check(check_id, p).residual_valuation == want, (check_id, p)
+
+
+#: Wolstenholme-only check id -> exact (lhs, rhs) from (p, R, H, C).
+_EXACT_WOLSTENHOLME_ONLY = {
+    "prop1_p8": lambda p, R, H, C: (
+        C, 1 + sum(Fraction((-1) ** (n - 1), n) * p ** n * R[n] for n in range(1, 7))),
+    "prop2_p8": lambda p, R, H, C: (
+        C, 1 + Fraction(3, 2) * p * R[1] - Fraction(1, 4) * p ** 2 * R[2]
+        + Fraction(7, 12) * p ** 3 * R[3] + Fraction(5, 12) * p ** 5 * R[5]),
+    "cor1_first_p7": lambda p, R, H, C: (C, 1 - 2 * p * R[1] - 2 * p * p * R[2]),
+    "cor1_second_p7": lambda p, R, H, C: (
+        C, 1 + 2 * p * R[1] + Fraction(2, 3) * p ** 3 * R[3]),
+    "remark2_p8": lambda p, R, H, C: (
+        C, 1 + 2 * p * R[1] + Fraction(5, 6) * p ** 3 * R[3]
+        + Fraction(1, 4) * p ** 4 * R[4] + Fraction(17, 30) * p ** 5 * R[5]),
+}
+for _n in range(2, 7):
+    _EXACT_WOLSTENHOLME_ONLY[f"lemma7_n{_n}"] = lambda p, R, H, C, n=_n: (
+        R[n], (1 if n % 2 else -1) * n * H[n])
+
+
+def test_wolstenholme_only_evaluators_against_exact_rationals():
+    # The gate skips these checks at every prime below 16843, so their
+    # arithmetic is tested here by calling the evaluators directly: each
+    # side and the residual valuation, not pass/fail, against exact sides.
+    assert set(_EXACT_WOLSTENHOLME_ONLY) == {
+        c.id for c in registry() if c.scope is Scope.WOLSTENHOLME_ONLY
+        and c.id not in ("cor2_p7", "cor3_p7")}
+    for p in (p for p in range(11, 400) if is_prime(p)):
+        R, H = _exact_sums(p)
+        C = comb(2 * p - 1, p - 1)
+        plan = EvaluationPlan(p)
+        for check_id, sides in sorted(_EXACT_WOLSTENHOLME_ONLY.items()):
+            lhs, rhs = lookup(check_id).evaluator(plan)
+            exact_lhs, exact_rhs = sides(p, R, H, C)
+            assert (lhs, rhs) == (lhs.modulus.embed(exact_lhs),
+                                  lhs.modulus.embed(exact_rhs)), (check_id, p)
+            want = min(valuation(exact_lhs - exact_rhs, p), lhs.modulus.k)
+            assert (lhs - rhs).valuation() == want, (check_id, p)

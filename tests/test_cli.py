@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import wolstenholme
-from wolstenholme.cli import main, parse_args, record_dict
+from wolstenholme.cli import MAX_PARALLELISM, main, parse_args, record_dict
 from wolstenholme.checks import run_check
 from wolstenholme.scan import Criterion
 
@@ -238,6 +238,24 @@ def test_parallelism_env_default(monkeypatch):
     monkeypatch.delenv("WOLSTENHOLME_PARALLELISM")
     cfg = parse_args(["verify", "--checks", "wolstenholme_thm", "--at", "7"])
     assert cfg.parallelism == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-2", str(MAX_PARALLELISM + 1), "two"])
+def test_parallelism_out_of_bounds_is_a_usage_error(value, monkeypatch, capsys):
+    # Parsed only, never run: an unbounded count must not reach a pool.
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["verify", "--checks", "lemma1_p4", "--at", "7",
+                    "--parallelism", value])
+    assert exc.value.code == 2
+    monkeypatch.setenv("WOLSTENHOLME_PARALLELISM", value)
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["scan", "--limit", "100"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "WOLSTENHOLME_PARALLELISM" in err
+    assert parse_args(["binom", "9", "4"]).parallelism == 1  # no pool, not read
+    cfg = parse_args(["scan", "--limit", "100", "--parallelism", str(MAX_PARALLELISM)])
+    assert cfg.parallelism == MAX_PARALLELISM
 
 
 def test_record_dict_matches_outcome():

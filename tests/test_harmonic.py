@@ -1,7 +1,8 @@
 """Harmonic-sum engines against exact-rational and brute-force oracles."""
 from fractions import Fraction as Fr
 from itertools import combinations
-from math import log, prod
+from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -10,22 +11,19 @@ from hypothesis import strategies as st
 from wolstenholme import bernoulli, checks, errors
 from wolstenholme.bernoulli import bernoulli_mod, bernoulli_ratio
 from wolstenholme.harmonic import (
-    DIRECT_PASSES,
     MOMENT_WINDOW,
-    _held,
     _inverse_power_sums_raw,
+    _pair_inverses,
     _least_prime_factors,
     _pair_power_sums_raw,
     elementary_symmetric,
-    euler_index_check,
     power_sum,
     power_sum_inverses,
     power_sum_raw,
     wolstenholme_quotient,
 )
-from wolstenholme.modring import (
-    embed_rational, is_prime, make_modulus, max_exponent, valuation,
-)
+from wolstenholme.modring import embed_rational, is_prime, make_modulus, valuation
+from wolstenholme.plan import EvaluationPlan
 
 PRIMES_100 = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
               71, 73, 79, 83, 89, 97]
@@ -39,19 +37,47 @@ def reference_power_sum(p: int, n: int, m: int) -> int:
     return sum(pow(k, n, m) for k in range(1, p)) % m
 
 
-def multiplicative_power_sum(p: int, n: int, m: int) -> int:
-    """P_n(p) mod m, one pass per index: a powmod per prime k and
-    pw[q] * pw[k // q] per composite k, q its least prime factor (the
-    kernel the moment sweep replaced; the oracle for the window)."""
-    half = (p - 1) // 2
+def multiplicative_powers(p: int, e: int, m: int) -> list[int]:
+    """[1^e, .., (p-1)^e] mod m, a pow per prime k (k -> k^e is completely
+    multiplicative; q is the least prime factor of composite k)."""
     lpf = _least_prime_factors(p)
-    pw = [0, 1 % m]
-    for k, q in zip(range(2, half + 1), lpf[2:half + 1]):
-        pw.append(pw[q] * pw[k // q] % m if q else pow(k, n, m))
-    total = sum(pw) + sum(
-        pw[q] * pw[k // q] if q else pow(k, n, m)
-        for k, q in zip(range(half + 1, p), lpf[half + 1:]))
-    return total % m
+    pw = [0, 1]
+    for k in range(2, p):
+        q = lpf[k]
+        pw.append(pw[q] * pw[k // q] % m if q else pow(k, e, m))
+    return pw[1:]
+
+
+class FermatPowers(EvaluationPlan):
+    """A plan whose P_n mod p^c (c <= 5) come from k^n = k^t (k^(p-1))^j
+    with k^(p-1) and its p-th and p^3-th powers exact mod p^5: independent
+    of the truncated moment identity, so the oracle for the window."""
+
+    def __init__(self, p: int):
+        super().__init__(p, window=False)
+        m = p ** 5
+        f = multiplicative_powers(p, p - 1, m)
+        self.fj = {0: [1] * (p - 1), 1: f}  # j -> [k^(j(p-1))], the registry's j
+        for j in range(2, 6):
+            self.fj[j] = [a * b % m for a, b in zip(self.fj[j - 1], f)]
+        self.fj[p] = multiplicative_powers(p, p * (p - 1), m)
+        self.fj[p ** 3] = multiplicative_powers(p, p ** 3 * (p - 1), m)
+        self.kt = {0: self.fj[0], 2: [k * k for k in range(1, p)]}  # t -> [k^t]
+        self.kt[4] = [x * x for x in self.kt[2]]
+        self.kt[-2] = multiplicative_powers(p, -2, m)
+        for t in (-4, -6, -8):
+            self.kt[t] = [a * b % m for a, b in zip(self.kt[t + 2], self.kt[-2])]
+        self.sums = {}  # (t, j) -> P_(j(p-1)+t), unreduced
+
+    def power_sum(self, n: int, c: int) -> int:
+        p = self.p
+        t = next((t for t in self.kt if t <= n and (n - t) % (p - 1) == 0), None)
+        j = None if t is None else (n - t) // (p - 1)
+        if j not in self.fj or c > 5:
+            return reference_power_sum(p, n, p ** c)
+        if (t, j) not in self.sums:
+            self.sums[t, j] = sum(map(mul, self.kt[t], self.fj[j]))
+        return self.sums[t, j] % p ** c
 
 
 def reference_inverse_power_sums(p: int, n_max: int, m: int) -> list[int]:
@@ -186,28 +212,24 @@ def test_power_sum_kernel_property(p, n, c):
 
 def test_moment_path_matches_powmod_loop():
     # Every window class t, at j = 0..5, p and p^3 (the j of p^4 - p^3 - 2),
-    # read off the window sweep at every c it holds (c <= 5; the other
-    # c <= 5 are in test_power_sum_kernel_matches_powmod_loop).  Through
-    # power_sum, the first K the window does not hold, and K =
-    # max_exponent(p) at j = 1 and p^3, take the direct pass.
+    # read off a plan's window sweep at every c it holds (c <= 5; the other
+    # c <= 5 are in test_power_sum_kernel_matches_powmod_loop).  The first
+    # c the window does not hold, and c = max_exponent(p) at j = 1 and p^3,
+    # take the direct pass.
     for p in PRIMES_600:
-        top = max_exponent(p)
-        for _ in range(DIRECT_PASSES):  # from here on p's window is swept
-            power_sum_raw(p, 4, p)
+        plan = EvaluationPlan(p)
         for t, c_held in MOMENT_WINDOW.items():
             for j in [*range(6), p, p ** 3]:
                 n = j * (p - 1) + t
                 if n < 1:
                     continue
                 expected = reference_power_sum(p, n, p ** (c_held + 1))
-                for c in range(1, c_held + 1):
-                    assert power_sum_raw(p, n, p ** c) == expected % p ** c, (p, t, j, c)
-                assert power_sum(p, n, c_held + 1).value == \
-                    expected % p ** (c_held + 1), (p, t, j)
+                for c in range(1, c_held + 2):
+                    assert plan.power_sum(n, c) == expected % p ** c, (p, t, j, c)
                 if j in (1, p ** 3):
-                    assert power_sum(p, n, top).value == \
-                        reference_power_sum(p, n, p ** top), (p, t, j)
-        assert _held(p)["moments"] is not None, p
+                    assert plan.power_sum(n, plan.top) == \
+                        reference_power_sum(p, n, p ** plan.top), (p, t, j)
+        assert "_moments" in vars(plan), p  # the window was swept
 
 
 def test_power_sum_rejects_other_moduli():
@@ -234,17 +256,16 @@ def recorded_bernoulli_calls(p: int, monkeypatch) -> set:
     calls = set()
 
     def recording(fn):
-        def wrapper(n, q, r):
+        def wrapper(n, q, r, plan=None):
             calls.add((fn, n, r))
-            return fn(n, q, r)
+            return fn(n, q, r, plan)
         return wrapper
 
     with monkeypatch.context() as patch:
         for module, name in ((checks, "bernoulli_mod"), (checks, "bernoulli_ratio"),
                              (bernoulli, "bernoulli_ratio")):
             patch.setattr(module, name, recording(getattr(module, name)))
-        for check_id in checks.all_check_ids():
-            checks.run_check(check_id, p)
+        list(checks.run_suite(checks.all_check_ids(), [p]))
     return calls
 
 
@@ -258,29 +279,24 @@ def test_registry_power_sums_fill_the_window(monkeypatch):
     # At 16843 the registry's P_n requests, by class t and largest c, are
     # the window exactly: nothing outside it, nothing in it unused.
     p, needed = 16843, {}
-    original = bernoulli.power_sum_raw
+    original = EvaluationPlan.power_sum
 
-    def recording(q, n, m):
+    def recording(plan, n, c):
         t = (n + 8) % (p - 1) - 8
-        c = round(log(m, p))
         needed[t] = max(needed.get(t, 0), c)
-        return original(q, n, m)
+        return original(plan, n, c)
 
-    monkeypatch.setattr(bernoulli, "power_sum_raw", recording)
-    bernoulli._memo.cache_clear()
-    for check_id in checks.all_check_ids():
-        checks.run_check(check_id, p)
-    bernoulli._memo.cache_clear()
+    monkeypatch.setattr(EvaluationPlan, "power_sum", recording)
+    list(checks.run_suite(checks.all_check_ids(), [p]))
     assert needed == MOMENT_WINDOW
 
 
-def bernoulli_values(p: int) -> dict:
-    """Every registry Bernoulli call at p, from a cold memo: int or error type."""
-    bernoulli._memo.cache_clear()
+def bernoulli_values(plan: EvaluationPlan) -> dict:
+    """Every registry Bernoulli call at plan.p through plan: int or error type."""
     out = {}
-    for fn, n, r in registry_bernoulli_calls(p):
+    for fn, n, r in registry_bernoulli_calls(plan.p):
         try:
-            value = fn(n, p, r)
+            value = fn(n, plan.p, r, plan)
         except errors.WolstenholmeError as exc:
             out[fn.__name__, n, r] = type(exc)
         else:
@@ -289,26 +305,11 @@ def bernoulli_values(p: int) -> dict:
 
 
 @pytest.mark.slow
-def test_window_agrees_with_multiplicative_loop_below_2e4(monkeypatch):
+def test_window_agrees_with_fermat_powers_below_2e4():
     for p in range(11, 20000):
-        if not is_prime(p):
-            continue
-        _held.cache_clear()
-        for _ in range(DIRECT_PASSES):  # so every registry request reads the window
-            power_sum_raw(p, 4, p)
-        fast = bernoulli_values(p)
-        passes = {}
-
-        def oracle(q, n, m, _p=p):
-            assert q == _p and m <= _p ** 5
-            if n not in passes:
-                passes[n] = multiplicative_power_sum(_p, n, _p ** 5)
-            return passes[n] % m
-
-        with monkeypatch.context() as patch:
-            patch.setattr(bernoulli, "power_sum_raw", oracle)
-            assert bernoulli_values(p) == fast, p
-    bernoulli._memo.cache_clear()
+        if is_prime(p):
+            fast = bernoulli_values(EvaluationPlan(p))
+            assert fast == bernoulli_values(FermatPowers(p)), p
 
 
 def test_wolstenholme_quotient_examples():
@@ -326,6 +327,16 @@ def test_wolstenholme_quotient_vanishes_at_wolstenholme_prime():
 def test_wolstenholme_quotient_rejects_p3():
     with pytest.raises(errors.DivisionNotExact):
         wolstenholme_quotient(3)
+
+
+def euler_index_check(p: int, n: int, e: int) -> bool:
+    """Identity R_{phi(p^e)-n} = P_n in Z/p^e Z (Euler's theorem), with R_N
+    for the one large N summed as powmods of 1/k = (p-k) v and
+    1/(p-k) = k v over the pair inverses v = 1/(k(p-k))."""
+    phi, m = p ** (e - 1) * (p - 1), p ** e
+    r = sum(pow((p - k) * v % m, phi - n, m) + pow(k * v % m, phi - n, m)
+            for ks, vs in _pair_inverses(p, m) for k, v in zip(ks, vs))
+    return r % m == power_sum_raw(p, n, m)
 
 
 def test_euler_index_shortcut():
