@@ -39,6 +39,7 @@ from .errors import (
     OddIndex,
     RangeError,
 )
+from .harmonic import power_sum_raw
 from .modring import Residue, embed_rational, is_prime, make_modulus, mpz
 from .plan import EvaluationPlan
 
@@ -128,29 +129,23 @@ def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
     if (n, c) in plan.pb:
         return plan.pb[n, c]
     mm = mpz(m)
-    acc = mpz(plan.power_sum(n, c))
+    acc = plan.window_sum(n, c)
+    if acc is None:  # the plan does not hold it: one direct pass
+        acc = power_sum_raw(p, n, m)
+    acc = mpz(acc)
     for s in range(2, min(c, n + 1) + 1):
-        idx = n + 1 - s
-        if idx == 0:
-            pb = p % m
-        elif idx == 1:
-            pb = -p * pow(2, -1, m) % m
-        elif idx % 2:
-            continue
-        else:
-            pb = _p_times_bernoulli(idx, plan, c - s + 1)
-            if pb == 0:
-                continue
-        coeff = _falling_binomial(n, s - 1, mm)
-        term = coeff * pow(s, -1, m) % mm * (p ** (s - 1)) % mm * pb % mm
-        acc -= term
+        # p B_(n+1-s) is needed mod p^(c-s+1) only: its term carries p^(s-1).
+        pb = _p_times_bernoulli(n + 1 - s, plan, c - s + 1)
+        if pb:
+            coeff = _falling_binomial(n, s - 1, mm)
+            acc -= coeff * pow(s, -1, m) % mm * (p ** (s - 1)) % mm * pb % mm
     plan.pb[n, c] = int(acc % mm)
     return plan.pb[n, c]
 
 
 def _residue_plan(n: int, p: int, r: int, plan) -> EvaluationPlan:
     """Check the arguments; the caller's plan for p (p known prime) or a
-    new one that takes a direct pass per power sum."""
+    new one, which holds no power sum, so each is a direct pass."""
     if p < 7 or plan is None and not is_prime(p):
         raise NotPrime(f"p must be a prime >= 7, got {p}")
     if plan is not None and plan.p != p:
@@ -159,7 +154,7 @@ def _residue_plan(n: int, p: int, r: int, plan) -> EvaluationPlan:
         raise ValueError(f"exponent r must be in 1..{RESIDUE_EXPONENT_CAP}")
     if n < 0 or n >= p ** 6:
         raise IndexTooLarge(f"index {n} outside 0..p^6")
-    return plan or EvaluationPlan(p, window=False)
+    return plan or EvaluationPlan(p)
 
 
 def bernoulli_mod(n: int, p: int, r: int, plan=None) -> BernoulliResidue:
@@ -268,7 +263,7 @@ def kummer_alternating_check(m: int, p: int, r: int) -> int:
     if not is_regular_position(m, p):
         raise IrregularPosition(f"p-1 = {p - 1} divides index {m}")
     acc = make_modulus(p, r).residue(0)
-    plan = EvaluationPlan(p, window=False)
+    plan = EvaluationPlan(p)
     for k in range(r + 1):
         coeff = (-1) ** k * comb(r, k)
         acc = acc + coeff * bernoulli_ratio(m + k * (p - 1), p, r, plan)
@@ -309,7 +304,7 @@ def high_index_ratio(n: int, s: int, p: int, plan=None) -> Residue:
     if not 1 <= n <= RESIDUE_EXPONENT_CAP:
         raise ValueError(f"exponent n must be in 1..{RESIDUE_EXPONENT_CAP}")
     acc = (make_modulus(p, n) if plan is None else plan.modulus(n)).residue(0)
-    plan = plan or EvaluationPlan(p, window=False)
+    plan = plan or EvaluationPlan(p)
     for coeff, idx in reduce_high_index(n, s, p):
         acc = acc + coeff * bernoulli_ratio(idx, p, n, plan)
     return acc

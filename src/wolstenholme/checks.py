@@ -29,7 +29,9 @@ from .bernoulli import (
     high_index_ratio,
 )
 from .errors import NotPrime, UnknownCheck
-from .modring import Residue, is_prime
+# Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
+from .harmonic import _inverse_power_sums_raw  # noqa: F401
+from .modring import Residue, is_prime, make_modulus  # noqa: F401
 from .parallel import ordered_map
 from .plan import EvaluationPlan
 
@@ -53,6 +55,9 @@ class CongruenceCheck:
     modulus_exponent: int
     evaluator: Callable[[EvaluationPlan], tuple[Residue, Residue]]
     max_prime: Optional[int] = None
+    #: P_n reads the evaluator makes in the moment window at one prime
+    #: (``plan.SWEEP_REQUESTS``), counted on a plan of its own.
+    window: int = 0
 
 
 @dataclass(frozen=True)
@@ -62,13 +67,13 @@ class CheckOutcome:
     check_id: str
     p: int
     modulus_exponent: int
-    lhs: Optional[str]
-    rhs: Optional[str]
-    residual_valuation: Optional[int]
-    passed: bool
-    skipped: bool
-    reason: Optional[str]
-    elapsed_ns: int
+    lhs: Optional[str] = None
+    rhs: Optional[str] = None
+    residual_valuation: Optional[int] = None
+    passed: bool = False
+    skipped: bool = False
+    reason: Optional[str] = None
+    elapsed_ns: int = 0
 
 
 def _eval_exponent(plan, stated: int, margin: int = 2, cap: int = 10) -> int:
@@ -320,12 +325,12 @@ def cor4_equivalence(p: int) -> bool:
 
 
 def _ev_cor4_iff(plan):
-    holds = _cor1_first_holds(plan)  # first: its pair sweep then serves the gate
-    return _indicator_pair(plan, plan.wolstenholme, holds)
+    return _indicator_pair(plan, plan.wolstenholme, _cor1_first_holds(plan))
 
 
 def _entries() -> list[CongruenceCheck]:
     A, W_ONLY = Scope.ALL_PRIMES, Scope.WOLSTENHOLME_ONLY
+    KUMMER = "power-sum expansion with Kummer reduction"
     entries = [
         CongruenceCheck(
             "wolstenholme_thm",
@@ -334,16 +339,16 @@ def _entries() -> list[CongruenceCheck]:
         CongruenceCheck(
             "glaisher_p4",
             "C(2p-1,p-1) = 1 - (2/3) p^3 B_{p-3} (mod p^4)",
-            "Glaisher 1900", 7, A, 4, _ev_glaisher),
+            "Glaisher 1900", 7, A, 4, _ev_glaisher, window=2),
         CongruenceCheck(
             "lehmer_p3",
             "R_1 = -(1/3) p^2 B_{p-3} (mod p^3)",
-            "E. Lehmer 1938", 7, A, 3, _ev_lehmer),
+            "E. Lehmer 1938", 7, A, 3, _ev_lehmer, window=2),
         CongruenceCheck(
             "helou_terjanian_p6",
             "C(2p-1,p-1) = 1 - p^3 B_{p^3-p^2-2} + (1/3) p^5 B_{p-3}"
             " - (6/5) p^5 B_{p-5} (mod p^6)",
-            "Helou-Terjanian 2008", 11, A, 6, _ev_helou_terjanian),
+            "Helou-Terjanian 2008", 11, A, 6, _ev_helou_terjanian, window=7),
         CongruenceCheck(
             "granville_p5",
             "C(3p,2p)/C(2p,p)^3 = C(3,2)/C(2,1)^3 (mod p^5)",
@@ -374,19 +379,19 @@ def _entries() -> list[CongruenceCheck]:
             "lemma12_i_p6",
             "R_1 = -(1/2) p^2 B_{p^4-p^3-2} - (1/4) p^4 B_{p^2-p-4}"
             " + (1/6) p^5 B_{p-3} + (1/20) p^5 B_{p-5} (mod p^6)",
-            "power-sum expansion with Kummer reduction", 11, A, 6, _ev_lemma12_i),
+            KUMMER, 11, A, 6, _ev_lemma12_i, window=14),
         CongruenceCheck(
             "lemma12_ii_p4",
             "R_3 = -(3/2) p^2 B_{p^4-p^3-4} (mod p^4)",
-            "power-sum expansion with Kummer reduction", 11, A, 4, _ev_lemma12_ii),
+            KUMMER, 11, A, 4, _ev_lemma12_ii, window=12),
         CongruenceCheck(
             "lemma12_iii_p3",
             "R_4 = p B_{p^4-p^3-4} (mod p^3)",
-            "power-sum expansion with Kummer reduction", 11, A, 3, _ev_lemma12_iii),
+            KUMMER, 11, A, 3, _ev_lemma12_iii, window=12),
         CongruenceCheck(
             "lemma12_iv_p4",
             "p R_6 = -(2/5) R_5 (mod p^4)",
-            "power-sum expansion with Kummer reduction", 11, A, 4, _ev_lemma12_iv),
+            KUMMER, 11, A, 4, _ev_lemma12_iv),
         CongruenceCheck(
             "eq19_p8",
             "2 R_1 = -(p R_2 + p^2 R_3 + p^3 R_4 + p^4 R_5 + p^5 R_6) (mod p^8)",
@@ -412,12 +417,12 @@ def _entries() -> list[CongruenceCheck]:
             "cor2_p7",
             "C(2p-1,p-1) = 1 - p^3 B_{p^4-p^3-2} - (3/2) p^5 B_{p^2-p-4}"
             " + (3/10) p^6 B_{p-5} (mod p^7)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 7, _ev_cor2),
+            "Wolstenholme-prime expansion", 11, W_ONLY, 7, _ev_cor2, window=13),
         CongruenceCheck(
             "cor3_p7",
             "C(2p-1,p-1) in low-index Bernoulli numbers B_{p-3}, B_{2p-4},"
             " B_{3p-5}, B_{4p-6}, B_{p-5}, B_{2p-6} (mod p^7)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 7, _ev_cor3),
+            "Wolstenholme-prime expansion", 11, W_ONLY, 7, _ev_cor3, window=12),
         CongruenceCheck(
             "cor4_iff",
             "Wolstenholme-prime status iff the mod-p^7 two-sum congruence",
@@ -438,20 +443,20 @@ def _entries() -> list[CongruenceCheck]:
         CongruenceCheck(
             "kummer_eq10",
             "B_m/m = B_n/n (mod p^2) for m = p(p-1)+4, n = 4",
-            "Kummer 1851", 7, A, 2, _ev_kummer_eq10),
+            "Kummer 1851", 7, A, 2, _ev_kummer_eq10, window=5),
         CongruenceCheck(
             "kummer_eq11",
             "sum((-1)^k C(2,k) B_{4+k(p-1)}/(4+k(p-1)), k=0..2) = 0 (mod p^2)",
-            "Kummer 1851", 7, A, 2, _ev_kummer_eq11),
+            "Kummer 1851", 7, A, 2, _ev_kummer_eq11, window=8),
         CongruenceCheck(
             "eq26_n2_s4",
             "B_{p^2-p-4}/(p^2-p-4) = 2 B_{p-5}/(p-5) - B_{2p-6}/(2p-6) (mod p^2)",
-            "Helou-Terjanian 2008", 11, A, 2, _make_ev_eq26(2, 4)),
+            "Helou-Terjanian 2008", 11, A, 2, _make_ev_eq26(2, 4), window=6),
         CongruenceCheck(
             "eq26_n4_s2",
             "B_{p^4-p^3-2}/(p^4-p^3-2) = sum((-1)^(k+1) C(4,k)"
             " B_{k(p-1)-2}/(k(p-1)-2), k=1..4) (mod p^4)",
-            "Helou-Terjanian 2008", 11, A, 4, _make_ev_eq26(4, 2)),
+            "Helou-Terjanian 2008", 11, A, 4, _make_ev_eq26(4, 2), window=15),
     ]
     for r in range(1, 6):
         entries.append(CongruenceCheck(
@@ -488,10 +493,7 @@ def lookup(check_id: str) -> CongruenceCheck:
 
 
 def _skipped(check: CongruenceCheck, p: int, reason: str) -> CheckOutcome:
-    return CheckOutcome(
-        check_id=check.id, p=p, modulus_exponent=check.modulus_exponent,
-        lhs=None, rhs=None, residual_valuation=None, passed=False,
-        skipped=True, reason=reason, elapsed_ns=0)
+    return CheckOutcome(check.id, p, check.modulus_exponent, skipped=True, reason=reason)
 
 
 #: The plan of the prime ``_suite_worker`` is on, None between primes:
@@ -499,11 +501,23 @@ def _skipped(check: CongruenceCheck, p: int, reason: str) -> CheckOutcome:
 _suite_plan: Optional[EvaluationPlan] = None
 
 
+def _plan(p: int, ids: Iterable[str]) -> EvaluationPlan:
+    """p's plan for the checks ``ids``, told their window reads (those of
+    Wolstenholme-only checks apart) and, when all are Wolstenholme-only,
+    to gate on an R_1 sweep of its own."""
+    checks = [lookup(check_id) for check_id in ids]
+    gated = [c for c in checks if c.scope is Scope.WOLSTENHOLME_ONLY]
+    ungated = [c for c in checks if c.scope is not Scope.WOLSTENHOLME_ONLY]
+    return EvaluationPlan(p, sum(c.window for c in ungated),
+                          sum(c.window for c in gated), gate_alone=not ungated)
+
+
 def run_check(check_id: str, p: int) -> CheckOutcome:
     """Evaluate one check at one prime, honoring the applicability gates.
 
     Within ``run_suite`` the prime's plan serves every read and stands for
-    the primality test; a lone call makes a plan of its own.
+    the primality test.  A lone call makes a plan of its own and shares no
+    sum with other calls: ``run_suite(ids, [p])`` shares one plan.
     """
     check = lookup(check_id)
     plan = _suite_plan if _suite_plan is not None and _suite_plan.p == p else None
@@ -513,36 +527,29 @@ def run_check(check_id: str, p: int) -> CheckOutcome:
         return _skipped(check, p, f"below minimum prime {check.min_prime}")
     if check.max_prime is not None and p > check.max_prime:
         return _skipped(check, p, f"beyond exact-oracle bound {check.max_prime}")
-    plan = plan or EvaluationPlan(p)
+    plan = plan or _plan(p, [check_id])
     if check.scope is Scope.WOLSTENHOLME_ONLY and not plan.wolstenholme:
         return _skipped(check, p, "not a Wolstenholme prime")
     start = time.perf_counter_ns()
     try:
         lhs, rhs = check.evaluator(plan)
     except Exception as exc:  # failures are data, not suite aborts
-        return CheckOutcome(
-            check_id=check.id, p=p, modulus_exponent=check.modulus_exponent,
-            lhs=None, rhs=None, residual_valuation=None, passed=False,
-            skipped=False, reason=f"error: {exc}",
-            elapsed_ns=time.perf_counter_ns() - start)
+        return CheckOutcome(check.id, p, check.modulus_exponent, reason=f"error: {exc}",
+                            elapsed_ns=time.perf_counter_ns() - start)
     residual = (lhs - rhs).valuation()
     return CheckOutcome(
-        check_id=check.id, p=p, modulus_exponent=check.modulus_exponent,
-        lhs=str(lhs.value), rhs=str(rhs.value), residual_valuation=residual,
-        passed=residual >= check.modulus_exponent, skipped=False, reason=None,
+        check.id, p, check.modulus_exponent, str(lhs.value), str(rhs.value), residual,
+        passed=residual >= check.modulus_exponent,
         elapsed_ns=time.perf_counter_ns() - start)
 
 
 def _suite_worker(p: int, ids: tuple[str, ...]) -> list[CheckOutcome]:
     global _suite_plan
-    _suite_plan = EvaluationPlan(p) if is_prime(p) else None
-    # All-primes checks first: the Wolstenholme-only gates read their sweep.
-    order = sorted(ids, key=lambda i: lookup(i).scope is Scope.WOLSTENHOLME_ONLY)
+    _suite_plan = _plan(p, ids) if is_prime(p) else None
     try:
-        outcomes = {check_id: run_check(check_id, p) for check_id in order}
+        return [run_check(check_id, p) for check_id in ids]
     finally:
         _suite_plan = None
-    return [outcomes[check_id] for check_id in ids]
 
 
 def run_suite(

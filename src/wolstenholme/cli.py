@@ -227,36 +227,20 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
 
 
 def record_dict(outcome, timings: bool = False) -> dict:
-    """Uniform record mapping for CheckOutcome and ScanRecord."""
+    """Uniform record mapping, keys in _FIELDS order, for CheckOutcome and ScanRecord."""
     if isinstance(outcome, CheckOutcome):
-        return {
-            "check": outcome.check_id,
-            "p": outcome.p,
-            "modulus_exponent": outcome.modulus_exponent,
-            "lhs": outcome.lhs,
-            "rhs": outcome.rhs,
-            "residual_valuation": outcome.residual_valuation,
-            "pass": outcome.passed,
-            "skipped": outcome.skipped,
-            "reason": outcome.reason,
-            "elapsed_ns": outcome.elapsed_ns if timings else 0,
-        }
-    if isinstance(outcome, ScanRecord):
+        head = (outcome.check_id, outcome.p, outcome.modulus_exponent, outcome.lhs,
+                outcome.rhs, outcome.residual_valuation, outcome.passed)
+    elif isinstance(outcome, ScanRecord):
         from .scan import THRESHOLDS
 
-        return {
-            "check": f"scan:{outcome.criterion.value}",
-            "p": outcome.p,
-            "modulus_exponent": THRESHOLDS[outcome.criterion],
-            "lhs": None,
-            "rhs": None,
-            "residual_valuation": outcome.observed_valuation,
-            "pass": outcome.flagged,
-            "skipped": outcome.skipped,
-            "reason": outcome.reason,
-            "elapsed_ns": outcome.elapsed_ns if timings else 0,
-        }
-    raise TypeError(f"cannot serialize {type(outcome).__name__}")
+        head = (f"scan:{outcome.criterion.value}", outcome.p,
+                THRESHOLDS[outcome.criterion], None, None,
+                outcome.observed_valuation, outcome.flagged)
+    else:
+        raise TypeError(f"cannot serialize {type(outcome).__name__}")
+    return dict(zip(_FIELDS, (*head, outcome.skipped, outcome.reason,
+                              outcome.elapsed_ns if timings else 0)))
 
 
 def _write_jsonl(records: Iterable[dict], sink: TextIO) -> None:

@@ -46,9 +46,11 @@ c <= 5 at the Kummer-reduced indices k(p-1) - s, s in {2, 4}, and at
 to n + 1 - s, s in {3, 5}, at c - s + 1 (t - 2 at c - 2, t - 4 at c - 4).
 Closing that with the largest c per t gives the window
 {4: 5, 2: 3, 0: 1, -2: 5, -4: 5, -6: 3, -8: 1}: 23 sums S_it, one sweep.
-The sweep costs about eight direct passes (``power_sum_raw``), so only an
-evaluation plan (``plan``) serving a registry run's 47 requests makes it; a
-lone ``bernoulli_mod`` or a Bernoulli scan takes a pass per request.
+The sweep costs five to seven direct passes (``power_sum_raw``) mod p^5,
+so an evaluation plan (``plan``) makes it only for checks that read
+``plan.SWEEP_REQUESTS`` P_n or more at a prime (a registry run's make 47);
+a lone ``bernoulli_mod``, a Bernoulli scan or a suite of one small
+Bernoulli check takes a pass per request.
 """
 from __future__ import annotations
 
@@ -179,15 +181,8 @@ def _newton_h_raw(R, n_max: int, m) -> list:
     H = [0] * (n_max + 1)
     H[1] = R[1]
     for n in range(2, n_max + 1):
-        acc = R[n]
-        sign = -1
-        for i in range(1, n):
-            acc += sign * H[i] * R[n - i]
-            sign = -sign
-        acc = acc % m * powmod(n, -1, m) % m
-        if n % 2 == 0:
-            acc = -acc % m
-        H[n] = acc
+        acc = R[n] + sum((-1) ** i * H[i] * R[n - i] for i in range(1, n))
+        H[n] = (-1) ** (n - 1) * (acc % m) * powmod(n, -1, m) % m
     return H
 
 

@@ -13,12 +13,18 @@ testing p for primality again, and runs each sweep at most once, on first read:
       C(2p-1, p-1) = sum((2p^2)^j e_j, j <= 4),  C(3p, 2p)/3 = sum((6p^2)^j e_j, j <= 4).
 
   As C - 1 = 2p^2 T_1 (mod p^4), p is a Wolstenholme prime exactly when
-  T_1 = 0 (mod p^2), read off a sweep of T_1 mod p^2 alone if no check
-  has swept the pairs.
-* Moments: every P_n the Bernoulli side asks for, off the Fermat-quotient
-  moments of ``harmonic.MOMENT_WINDOW``.  A plan with ``window=False`` (a
-  lone ``bernoulli_mod``, a Bernoulli scan) takes a direct pass per P_n
-  instead, as every plan does outside the window.
+  T_1 = 0 (mod p^2), that is R_1 = p T_1 = 0 (mod p^3).  When every check
+  a plan serves is Wolstenholme-only (``gate_alone``), nothing reads the
+  pairs before that gate, so it reads R_1 mod p^3 off a sweep of its own
+  and a prime that fails it never pays the full sweep.
+* Moments: the plan's callers say how many P_n reads in the window they
+  make at p (``requests``, and ``wolstenholme_requests`` for the reads
+  made only past the gate, which count only if p passes it).  From
+  SWEEP_REQUESTS on, the first read sweeps the Fermat-quotient moments of
+  ``harmonic.MOMENT_WINDOW`` and every read in the window comes off them.
+  Below it (a lone ``bernoulli_mod``, a Bernoulli scan, a suite of one
+  small Bernoulli check) ``window_sum`` serves nothing and each read is
+  one direct pass by the caller.
 
 ``bernoulli`` memoises p B_n in ``plan.pb``.
 """
@@ -26,16 +32,25 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import comb
+from typing import Optional
 
 from . import harmonic
 from .modring import PrimePowerModulus, Residue, make_modulus, max_exponent
+
+#: Window reads at one prime from which one moment sweep is cheaper than a
+#: direct pass per read: the sweep costs five to seven passes mod p^5, and
+#: passes at lower c cost less.
+SWEEP_REQUESTS = 8
 
 
 class EvaluationPlan:
     """The sums read at one prime p, which must be prime."""
 
-    def __init__(self, p: int, window: bool = True):
-        self.p, self.window, self.pb = p, window, {}
+    def __init__(self, p: int, requests: int = 0, wolstenholme_requests: int = 0,
+                 gate_alone: bool = False):
+        self.p, self.pb = p, {}
+        self.requests, self.wolstenholme_requests = requests, wolstenholme_requests
+        self.gate_alone = gate_alone
         self.top = max_exponent(p)
         self.moduli = [None] + [PrimePowerModulus(p, k, p ** k)
                                 for k in range(1, self.top + 1)]
@@ -81,24 +96,32 @@ class EvaluationPlan:
 
     @cached_property
     def wolstenholme(self) -> bool:
-        """C(2p-1, p-1) = 1 (mod p^4), read as T_1 = 0 (mod p^2)."""
+        """C(2p-1, p-1) = 1 (mod p^4), read as R_1 = 0 (mod p^3)."""
         p = self.p
         if p < 5:
             return False
-        swept = "_T" in vars(self)
-        t1 = self._T[1] if swept else harmonic._pair_power_sums_raw(p, 1, p * p)[1]
-        return t1 % p ** 2 == 0
+        if self.gate_alone:
+            return harmonic._inverse_power_sums_raw(p, 1, p ** 3)[1] == 0
+        return self._R[1] % p ** 3 == 0
+
+    @cached_property
+    def sweeps(self) -> bool:
+        """Whether the window reads at p reach SWEEP_REQUESTS, asked at the
+        first read (the gate runs only for gated reads, which need it anyway)."""
+        w = self.wolstenholme_requests
+        return self.requests + (w if w and self.wolstenholme else 0) >= SWEEP_REQUESTS
 
     @cached_property
     def _moments(self) -> dict:
         return harmonic._moment_sums_raw(self.p)
 
-    def power_sum(self, n: int, c: int) -> int:
-        """P_n mod p^c, off the window's moments when the plan sweeps them."""
+    def window_sum(self, n: int, c: int) -> Optional[int]:
+        """P_n mod p^c off the moment window; None when the plan does not
+        sweep it, or n and c fall outside it."""
         p = self.p
         t = next((t for t, top in harmonic.MOMENT_WINDOW.items()
                   if top >= c and t <= n and (n - t) % (p - 1) == 0), None)
-        if t is None or not self.window:
-            return harmonic.power_sum_raw(p, n, p ** c)
+        if t is None or not self.sweeps:
+            return None
         j, S = (n - t) // (p - 1), self._moments[t]
         return int(sum(comb(j, i) * p ** i * S[i] for i in range(c)) % p ** c)

@@ -74,9 +74,9 @@ class SieveConfig:
 class ScanRecord:
     p: int
     criterion: Criterion
-    observed_valuation: Optional[int]
-    flagged: bool
-    elapsed_ns: int
+    observed_valuation: Optional[int] = None
+    flagged: bool = False
+    elapsed_ns: int = 0
     skipped: bool = False
     reason: Optional[str] = None
 
@@ -147,22 +147,16 @@ def _evaluate(p: int, criterion: Criterion) -> int:
 
 def _scan_one(p: int, criterion: Criterion) -> ScanRecord:
     if p < _SCAN_MIN_PRIME:
-        return ScanRecord(
-            p=p, criterion=criterion, observed_valuation=None, flagged=False,
-            elapsed_ns=0, skipped=True,
-            reason=f"below minimum prime {_SCAN_MIN_PRIME}")
+        return ScanRecord(p, criterion, skipped=True,
+                          reason=f"below minimum prime {_SCAN_MIN_PRIME}")
     start = time.perf_counter_ns()
     try:
         v = _evaluate(p, criterion)
     except Exception as exc:  # per-prime errors are recorded, not raised
-        return ScanRecord(
-            p=p, criterion=criterion, observed_valuation=None, flagged=False,
-            elapsed_ns=time.perf_counter_ns() - start, skipped=False,
-            reason=f"error: {exc}")
-    return ScanRecord(
-        p=p, criterion=criterion, observed_valuation=v,
-        flagged=v >= THRESHOLDS[criterion],
-        elapsed_ns=time.perf_counter_ns() - start)
+        return ScanRecord(p, criterion, elapsed_ns=time.perf_counter_ns() - start,
+                          reason=f"error: {exc}")
+    return ScanRecord(p, criterion, v, v >= THRESHOLDS[criterion],
+                      time.perf_counter_ns() - start)
 
 
 def wolstenholme_scan(
@@ -181,9 +175,6 @@ def remark1_experiment(limit: int, parallelism: int = 1) -> list[int]:
         raise RangeTooLarge(f"limit {limit} beyond {REMARK1_LIMIT}")
     if limit <= 11:
         return []
-    cfg = SieveConfig(11, limit)
-    return [
-        r.p
-        for r in wolstenholme_scan(cfg, Criterion.COR1_SECOND_P7, parallelism)
-        if r.flagged
-    ]
+    records = wolstenholme_scan(SieveConfig(11, limit), Criterion.COR1_SECOND_P7,
+                                parallelism)
+    return [r.p for r in records if r.flagged]

@@ -23,7 +23,7 @@ from wolstenholme.harmonic import (
     wolstenholme_quotient,
 )
 from wolstenholme.modring import embed_rational, is_prime, make_modulus, valuation
-from wolstenholme.plan import EvaluationPlan
+from wolstenholme.plan import SWEEP_REQUESTS, EvaluationPlan
 
 PRIMES_100 = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
               71, 73, 79, 83, 89, 97]
@@ -54,7 +54,7 @@ class FermatPowers(EvaluationPlan):
     of the truncated moment identity, so the oracle for the window."""
 
     def __init__(self, p: int):
-        super().__init__(p, window=False)
+        super().__init__(p)
         m = p ** 5
         f = multiplicative_powers(p, p - 1, m)
         self.fj = {0: [1] * (p - 1), 1: f}  # j -> [k^(j(p-1))], the registry's j
@@ -69,7 +69,7 @@ class FermatPowers(EvaluationPlan):
             self.kt[t] = [a * b % m for a, b in zip(self.kt[t + 2], self.kt[-2])]
         self.sums = {}  # (t, j) -> P_(j(p-1)+t), unreduced
 
-    def power_sum(self, n: int, c: int) -> int:
+    def window_sum(self, n: int, c: int) -> int:
         p = self.p
         t = next((t for t in self.kt if t <= n and (n - t) % (p - 1) == 0), None)
         j = None if t is None else (n - t) // (p - 1)
@@ -212,12 +212,12 @@ def test_power_sum_kernel_property(p, n, c):
 
 def test_moment_path_matches_powmod_loop():
     # Every window class t, at j = 0..5, p and p^3 (the j of p^4 - p^3 - 2),
-    # read off a plan's window sweep at every c it holds (c <= 5; the other
-    # c <= 5 are in test_power_sum_kernel_matches_powmod_loop).  The first
-    # c the window does not hold, and c = max_exponent(p) at j = 1 and p^3,
-    # take the direct pass.
+    # read off a sweeping plan's window at every c it holds (the other
+    # c <= 5 are in test_power_sum_kernel_property).  c = max_exponent(p),
+    # the first c above the class's (unless a class of small p holds it),
+    # and any read of a plan below SWEEP_REQUESTS are left to a direct pass.
     for p in PRIMES_600:
-        plan = EvaluationPlan(p)
+        plan, lone = EvaluationPlan(p, SWEEP_REQUESTS), EvaluationPlan(p)
         for t, c_held in MOMENT_WINDOW.items():
             for j in [*range(6), p, p ** 3]:
                 n = j * (p - 1) + t
@@ -225,11 +225,12 @@ def test_moment_path_matches_powmod_loop():
                     continue
                 expected = reference_power_sum(p, n, p ** (c_held + 1))
                 for c in range(1, c_held + 2):
-                    assert plan.power_sum(n, c) == expected % p ** c, (p, t, j, c)
-                if j in (1, p ** 3):
-                    assert plan.power_sum(n, plan.top) == \
-                        reference_power_sum(p, n, p ** plan.top), (p, t, j)
-        assert "_moments" in vars(plan), p  # the window was swept
+                    got = plan.window_sum(n, c)  # past c_held, another class may hold n
+                    assert got == expected % p ** c or got is None and c > c_held, \
+                        (p, t, j, c)
+                    assert lone.window_sum(n, c) is None
+                assert plan.window_sum(n, plan.top) is None
+        assert "_moments" in vars(plan) and "_moments" not in vars(lone), p
 
 
 def test_power_sum_rejects_other_moduli():
@@ -279,14 +280,14 @@ def test_registry_power_sums_fill_the_window(monkeypatch):
     # At 16843 the registry's P_n requests, by class t and largest c, are
     # the window exactly: nothing outside it, nothing in it unused.
     p, needed = 16843, {}
-    original = EvaluationPlan.power_sum
+    original = EvaluationPlan.window_sum
 
     def recording(plan, n, c):
         t = (n + 8) % (p - 1) - 8
         needed[t] = max(needed.get(t, 0), c)
         return original(plan, n, c)
 
-    monkeypatch.setattr(EvaluationPlan, "power_sum", recording)
+    monkeypatch.setattr(EvaluationPlan, "window_sum", recording)
     list(checks.run_suite(checks.all_check_ids(), [p]))
     assert needed == MOMENT_WINDOW
 
@@ -308,8 +309,9 @@ def bernoulli_values(plan: EvaluationPlan) -> dict:
 def test_window_agrees_with_fermat_powers_below_2e4():
     for p in range(11, 20000):
         if is_prime(p):
-            fast = bernoulli_values(EvaluationPlan(p))
-            assert fast == bernoulli_values(FermatPowers(p)), p
+            plan = EvaluationPlan(p, SWEEP_REQUESTS)
+            assert bernoulli_values(plan) == bernoulli_values(FermatPowers(p)), p
+            assert "_moments" in vars(plan), p
 
 
 def test_wolstenholme_quotient_examples():

@@ -3,28 +3,44 @@ kernel, the sweeps and passes it makes, and what it leaves behind."""
 import gc
 from collections import Counter
 
+import pytest
+
 from wolstenholme import bernoulli, binomial, checks, harmonic, plan, scan
 from wolstenholme.binomial import _shifted_product_raw
 from wolstenholme.modring import is_prime
-from wolstenholme.plan import EvaluationPlan
+from wolstenholme.plan import SWEEP_REQUESTS, EvaluationPlan
 
 PRIMES_5_3000 = [p for p in range(5, 3000) if is_prime(p)]
 
 
+def assert_products_match(plan, exponents):
+    p = plan.p
+    for K in exponents:
+        m = p ** K
+        assert plan.central(K).value == _shifted_product_raw(p, 1, m), (p, K)
+        assert plan.granville(K).value == _shifted_product_raw(p, 2, m), (p, K)
+
+
 def test_pair_products_match_shifted_products():
-    # C(2p-1, p-1) and C(3p, 2p)/3 read off T_1..T_4 equal the product form.
-    for p in PRIMES_5_3000:
-        plan = EvaluationPlan(p)
-        for K in (4, 7, 10):
-            m = p ** K
-            assert plan.central(K).value == _shifted_product_raw(p, 1, m), (p, K)
-            assert plan.granville(K).value == _shifted_product_raw(p, 2, m), (p, K)
+    # C(2p-1, p-1) and C(3p, 2p)/3 read off T_1..T_4 equal the product form,
+    # also at 16843, the one prime whose expansions the suite evaluates.
+    for p in PRIMES_5_3000 + [16843]:
+        assert_products_match(EvaluationPlan(p), (4, 7, 10))
+
+
+@pytest.mark.stretch
+def test_pair_products_match_shifted_products_at_2124679():
+    plan = EvaluationPlan(2124679)
+    assert_products_match(plan, (4, 7, plan.top))
+    assert plan.wolstenholme
 
 
 def test_t1_gate_is_the_defining_congruence():
+    # Read off the full pair sweep and off the gate's own R_1 sweep.
     for p in PRIMES_5_3000 + [16843]:
-        assert EvaluationPlan(p).wolstenholme == \
-            (_shifted_product_raw(p, 1, p ** 4) == 1), p
+        wolstenholme = _shifted_product_raw(p, 1, p ** 4) == 1
+        assert EvaluationPlan(p).wolstenholme == wolstenholme, p
+        assert EvaluationPlan(p, gate_alone=True).wolstenholme == wolstenholme, p
     assert not EvaluationPlan(3).wolstenholme
 
 
@@ -34,6 +50,7 @@ def count_kernels(monkeypatch) -> Counter:
     for module, name in ((harmonic, "_pair_power_sums_raw"),
                          (harmonic, "_moment_sums_raw"),
                          (harmonic, "power_sum_raw"),
+                         (bernoulli, "power_sum_raw"),
                          (binomial, "_shifted_product_raw")):
         def counting(*args, _name=name, _fn=getattr(module, name)):
             counts[_name] += 1
@@ -57,6 +74,39 @@ def test_wolstenholme_only_suite_gates_on_t1_alone(monkeypatch):
     primes = [p for p in range(11, 200) if is_prime(p)]
     assert all(o.skipped for o in checks.run_suite(ids, primes))
     assert counts == {"_pair_power_sums_raw": len(primes)}
+    # At a Wolstenholme prime the full sweeps follow the gate's.
+    counts.clear()
+    assert all(o.passed for o in checks.run_suite(ids, [16843]))
+    assert counts == {"_pair_power_sums_raw": 2, "_moment_sums_raw": 1}
+
+
+def test_few_window_reads_take_direct_passes(monkeypatch):
+    # lehmer_p3 reads P_(p-3) and P_(p-5): two passes beat one sweep.  The
+    # reads of cor2_p7 count only where the gate lets it evaluate.
+    counts = count_kernels(monkeypatch)
+    primes = [p for p in range(11, 200) if is_prime(p)]
+    for ids in (["lehmer_p3"], ["cor2_p7", "lehmer_p3"]):
+        counts.clear()
+        assert all(o.passed or o.check_id == "cor2_p7"
+                   for o in checks.run_suite(ids, primes))
+        assert counts == {"_pair_power_sums_raw": len(primes),
+                          "power_sum_raw": 2 * len(primes)}, ids
+    counts.clear()
+    assert all(o.passed for o in checks.run_suite(["cor2_p7", "lehmer_p3"], [16843]))
+    assert counts == {"_pair_power_sums_raw": 1, "_moment_sums_raw": 1}
+
+
+def test_declared_window_reads_are_made(monkeypatch):
+    # Each check's declared window reads, the plan's sweep-or-pass input,
+    # are the reads its evaluator makes on a plan of its own.
+    counts = count_kernels(monkeypatch)
+    for p in (11, 101, 1009):
+        for check in checks.registry():
+            if check.max_prime is None or p <= check.max_prime:
+                counts.clear()
+                check.evaluator(EvaluationPlan(p))
+                assert counts["power_sum_raw"] == check.window, (check.id, p)
+    assert sum(c.window for c in checks.registry()) >= SWEEP_REQUESTS
 
 
 def test_lone_bernoulli_requests_take_direct_passes(monkeypatch):
