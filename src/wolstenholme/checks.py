@@ -18,18 +18,14 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import binomial
-from .bernoulli import (
-    bernoulli_mod,
-    bernoulli_ratio,
-    high_index_bernoulli,
-    high_index_ratio,
-)
+from .bernoulli import bernoulli_mod, bernoulli_ratio, high_index_ratio
 from .errors import NotPrime, UnknownCheck
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
+from .bernoulli import high_index_bernoulli  # noqa: F401
 from .harmonic import _inverse_power_sums_raw  # noqa: F401
 from .modring import Residue, is_prime, make_modulus  # noqa: F401
 from .parallel import ordered_map
@@ -84,6 +80,12 @@ def _indicator_pair(plan, lhs_holds: bool, rhs_holds: bool):
     return tuple(plan.modulus(1).residue(int(x)) for x in (lhs_holds, rhs_holds))
 
 
+def _b_high(plan, n: int, s: int) -> int:
+    """B_M mod p^n for M = p^n - p^(n-1) - s, read directly like any index."""
+    p = plan.p
+    return bernoulli_mod(p ** n - p ** (n - 1) - s, p, n, plan).value.value
+
+
 # --- binomial-side evaluators -------------------------------------------------
 
 def _ev_wolstenholme_thm(plan):
@@ -105,7 +107,7 @@ def _ev_lehmer(plan):
 
 def _ev_helou_terjanian(plan):
     p, M = plan.p, plan.modulus(6)
-    b_big = M.residue(high_index_bernoulli(3, 2, p, plan).value)
+    b_big = M.residue(_b_high(plan, 3, 2))
     b3 = bernoulli_mod(p - 3, p, 1, plan).value.value
     b5 = bernoulli_mod(p - 5, p, 1, plan).value.value
     rhs = 1 - p ** 3 * b_big + Fr(1, 3) * p ** 5 * M.residue(b3) \
@@ -199,8 +201,8 @@ def _make_ev_lemma7(n: int, exponent: int):
 
 def _ev_lemma12_i(plan):
     p, M = plan.p, plan.modulus(6)
-    b_big4 = M.residue(high_index_bernoulli(4, 2, p, plan).value)
-    b_big2 = M.residue(high_index_bernoulli(2, 4, p, plan).value)
+    b_big4 = M.residue(_b_high(plan, 4, 2))
+    b_big2 = M.residue(_b_high(plan, 2, 4))
     b3 = M.residue(bernoulli_mod(p - 3, p, 1, plan).value.value)
     b5 = M.residue(bernoulli_mod(p - 5, p, 1, plan).value.value)
     rhs = -Fr(1, 2) * p ** 2 * b_big4 - Fr(1, 4) * p ** 4 * b_big2 \
@@ -210,14 +212,12 @@ def _ev_lemma12_i(plan):
 
 def _ev_lemma12_ii(plan):
     p, W = plan.p, _eval_exponent(plan, 4, margin=2, cap=6)
-    b = plan.modulus(W).residue(high_index_bernoulli(4, 4, p, plan).value)
+    b = plan.modulus(W).residue(_b_high(plan, 4, 4))
     return plan.R(W)[3], -Fr(3, 2) * p ** 2 * b
 
 
 def _ev_lemma12_iii(plan):
-    p = plan.p
-    b = plan.modulus(5).residue(high_index_bernoulli(4, 4, p, plan).value)
-    return plan.R(5)[4], p * b
+    return plan.R(5)[4], plan.p * plan.modulus(5).residue(_b_high(plan, 4, 4))
 
 
 def _ev_kummer_eq10(plan):
@@ -274,8 +274,8 @@ def _ev_cor1_second(plan):
 
 def _ev_cor2(plan):
     p, M = plan.p, plan.modulus(7)
-    b_big4 = M.residue(high_index_bernoulli(4, 2, p, plan).value)
-    b_big2 = M.residue(high_index_bernoulli(2, 4, p, plan).value)
+    b_big4 = M.residue(_b_high(plan, 4, 2))
+    b_big2 = M.residue(_b_high(plan, 2, 4))
     b5 = M.residue(bernoulli_mod(p - 5, p, 1, plan).value.value)
     rhs = 1 - p ** 3 * b_big4 - Fr(3, 2) * p ** 5 * b_big2 + Fr(3, 10) * p ** 6 * b5
     return plan.central(7), rhs
@@ -348,7 +348,7 @@ def _entries() -> list[CongruenceCheck]:
             "helou_terjanian_p6",
             "C(2p-1,p-1) = 1 - p^3 B_{p^3-p^2-2} + (1/3) p^5 B_{p-3}"
             " - (6/5) p^5 B_{p-5} (mod p^6)",
-            "Helou-Terjanian 2008", 11, A, 6, _ev_helou_terjanian, window=7),
+            "Helou-Terjanian 2008", 11, A, 6, _ev_helou_terjanian, window=4),
         CongruenceCheck(
             "granville_p5",
             "C(3p,2p)/C(2p,p)^3 = C(3,2)/C(2,1)^3 (mod p^5)",
@@ -379,15 +379,15 @@ def _entries() -> list[CongruenceCheck]:
             "lemma12_i_p6",
             "R_1 = -(1/2) p^2 B_{p^4-p^3-2} - (1/4) p^4 B_{p^2-p-4}"
             " + (1/6) p^5 B_{p-3} + (1/20) p^5 B_{p-5} (mod p^6)",
-            KUMMER, 11, A, 6, _ev_lemma12_i, window=14),
+            KUMMER, 11, A, 6, _ev_lemma12_i, window=5),
         CongruenceCheck(
             "lemma12_ii_p4",
             "R_3 = -(3/2) p^2 B_{p^4-p^3-4} (mod p^4)",
-            KUMMER, 11, A, 4, _ev_lemma12_ii, window=12),
+            KUMMER, 11, A, 4, _ev_lemma12_ii, window=2),
         CongruenceCheck(
             "lemma12_iii_p3",
             "R_4 = p B_{p^4-p^3-4} (mod p^3)",
-            KUMMER, 11, A, 3, _ev_lemma12_iii, window=12),
+            KUMMER, 11, A, 3, _ev_lemma12_iii, window=2),
         CongruenceCheck(
             "lemma12_iv_p4",
             "p R_6 = -(2/5) R_5 (mod p^4)",
@@ -417,12 +417,12 @@ def _entries() -> list[CongruenceCheck]:
             "cor2_p7",
             "C(2p-1,p-1) = 1 - p^3 B_{p^4-p^3-2} - (3/2) p^5 B_{p^2-p-4}"
             " + (3/10) p^6 B_{p-5} (mod p^7)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 7, _ev_cor2, window=13),
+            "Wolstenholme-prime expansion", 11, W_ONLY, 7, _ev_cor2, window=4),
         CongruenceCheck(
             "cor3_p7",
             "C(2p-1,p-1) in low-index Bernoulli numbers B_{p-3}, B_{2p-4},"
             " B_{3p-5}, B_{4p-6}, B_{p-5}, B_{2p-6} (mod p^7)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 7, _ev_cor3, window=12),
+            "Wolstenholme-prime expansion", 11, W_ONLY, 7, _ev_cor3, window=8),
         CongruenceCheck(
             "cor4_iff",
             "Wolstenholme-prime status iff the mod-p^7 two-sum congruence",
@@ -443,20 +443,20 @@ def _entries() -> list[CongruenceCheck]:
         CongruenceCheck(
             "kummer_eq10",
             "B_m/m = B_n/n (mod p^2) for m = p(p-1)+4, n = 4",
-            "Kummer 1851", 7, A, 2, _ev_kummer_eq10, window=5),
+            "Kummer 1851", 7, A, 2, _ev_kummer_eq10, window=4),
         CongruenceCheck(
             "kummer_eq11",
             "sum((-1)^k C(2,k) B_{4+k(p-1)}/(4+k(p-1)), k=0..2) = 0 (mod p^2)",
-            "Kummer 1851", 7, A, 2, _ev_kummer_eq11, window=8),
+            "Kummer 1851", 7, A, 2, _ev_kummer_eq11, window=6),
         CongruenceCheck(
             "eq26_n2_s4",
             "B_{p^2-p-4}/(p^2-p-4) = 2 B_{p-5}/(p-5) - B_{2p-6}/(2p-6) (mod p^2)",
-            "Helou-Terjanian 2008", 11, A, 2, _make_ev_eq26(2, 4), window=6),
+            "Helou-Terjanian 2008", 11, A, 2, _make_ev_eq26(2, 4), window=3),
         CongruenceCheck(
             "eq26_n4_s2",
             "B_{p^4-p^3-2}/(p^4-p^3-2) = sum((-1)^(k+1) C(4,k)"
             " B_{k(p-1)-2}/(k(p-1)-2), k=1..4) (mod p^4)",
-            "Helou-Terjanian 2008", 11, A, 4, _make_ev_eq26(4, 2), window=15),
+            "Helou-Terjanian 2008", 11, A, 4, _make_ev_eq26(4, 2), window=10),
     ]
     for r in range(1, 6):
         entries.append(CongruenceCheck(
@@ -474,20 +474,18 @@ def _entries() -> list[CongruenceCheck]:
     return entries
 
 
-@lru_cache(maxsize=1)
+_REGISTRY = tuple(_entries())
+_BY_ID = {c.id: c for c in _REGISTRY}
+
+
 def registry() -> tuple[CongruenceCheck, ...]:
     """The immutable registry of all named congruence checks."""
-    return tuple(_entries())
-
-
-@lru_cache(maxsize=1)
-def _by_id() -> dict:
-    return {c.id: c for c in registry()}
+    return _REGISTRY
 
 
 def lookup(check_id: str) -> CongruenceCheck:
     try:
-        return _by_id()[check_id]
+        return _BY_ID[check_id]
     except KeyError:
         raise UnknownCheck(check_id) from None
 

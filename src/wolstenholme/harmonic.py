@@ -41,14 +41,16 @@ j >= 0 and t (k^t an inverse mod p^c when t < 0)
 Terms i >= c vanish; C(j, i) is an integer, so nothing is divided and a
 huge j costs nothing.  Term i carries p^i, so S_it is needed only mod
 p^(c-i), and k^(p-1) only mod p^c.  The Bernoulli side asks for P_n at
-c <= 5 at the Kummer-reduced indices k(p-1) - s, s in {2, 4}, and at
-4 + k(p-1) (t = -2, -4, 4 at c = 5); its recursion descends from even n
-to n + 1 - s, s in {3, 5}, at c - s + 1 (t - 2 at c - 2, t - 4 at c - 4).
-Closing that with the largest c per t gives the window
-{4: 5, 2: 3, 0: 1, -2: 5, -4: 5, -6: 3, -8: 1}: 23 sums S_it, one sweep.
+c <= 5 at the indices j(p-1) - s, s in {2, 4} (the low k(p-1) - s and the
+Helou-Terjanian p^n - p^(n-1) - s alike), and at 4 + j(p-1) (t = -2, -4, 4
+at c = 5); its recursion descends from even n to n + 1 - s, s in {3, 5},
+at c - s + 1 (t - 2 at c - 2, t - 4 at c - 4), and ends at c = 3, as at
+c = 1 von Staudt-Clausen gives p B_n with no sum (``bernoulli``).  Closing
+that with the largest c per t gives the window
+{4: 5, 2: 3, -2: 5, -4: 5, -6: 3}: 21 sums S_it in 5 classes, one sweep.
 The sweep costs five to seven direct passes (``power_sum_raw``) mod p^5,
 so an evaluation plan (``plan``) makes it only for checks that read
-``plan.SWEEP_REQUESTS`` P_n or more at a prime (a registry run's make 47);
+``plan.SWEEP_REQUESTS`` P_n or more at a prime (a registry run's make 24);
 a lone ``bernoulli_mod``, a Bernoulli scan or a suite of one small
 Bernoulli check takes a pass per request.
 """
@@ -63,7 +65,7 @@ from typing import Iterator, Mapping
 from .errors import DivisionNotExact, NMaxTooLarge
 from .modring import Residue, _batch_invert_raw, make_modulus, mpz, powmod
 
-#: Largest sum order this package ever needs (R_8/H_8).
+#: Largest sum order ``elementary_symmetric`` serves (the plan stops at R_6).
 N_MAX_CAP = 8
 
 #: Pairs per block, one modular inversion each.  A block keeps about three
@@ -77,7 +79,7 @@ _MOMENT_CHUNK = 1 << 10
 
 #: t -> c: the classes n = t (mod p-1) and precisions p^c of every P_n the
 #: Bernoulli side asks for (derivation in the module doc).
-MOMENT_WINDOW = {4: 5, 2: 3, 0: 1, -2: 5, -4: 5, -6: 3, -8: 1}
+MOMENT_WINDOW = {4: 5, 2: 3, -2: 5, -4: 5, -6: 3}
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,7 @@ def _powers(p: int, e: int, m) -> Iterator[tuple[range, list]]:
 
 
 def _block_powers(ks: range, low: int, m) -> Iterator[tuple[int, list]]:
-    """(t, [k^t mod m for k in ks]) for t = 4, 2, 0, -2, .., low (even, < 0).
+    """(t, [k^t mod m for k in ks]) for t = 4, 2, -2, .., low (even, < 0).
 
     k^2 and k^4 are exact; k^-2 comes from one block inversion of the k^2
     (``modring._batch_invert_raw``) and each lower power multiplies it on,
@@ -239,7 +241,6 @@ def _block_powers(ks: range, low: int, m) -> Iterator[tuple[int, list]]:
     x2 = [k * k for k in ks]
     yield 4, [x * x for x in x2]
     yield 2, x2
-    yield 0, [1] * len(ks)
     x = step = _batch_invert_raw(x2, m)
     for t in range(-2, low - 1, -2):
         if t < -2:
@@ -277,7 +278,9 @@ def power_sum_raw(p: int, n: int, m) -> int:
         q *= p
     if q != m:
         raise ValueError(f"modulus {m} is not a power of {p}")
-    return int(sum(sum(x) for _, x in _powers(p, n, mpz(m))) % m)
+    phi = m // p * (p - 1)  # Euler: k^n = k^e for k prime to p if n = e (mod phi)
+    e = (n + phi // 2) % phi - phi // 2  # the e nearest 0 has the fewest bits
+    return int(sum(sum(x) for _, x in _powers(p, e, mpz(m))) % m)
 
 
 def wolstenholme_quotient(p: int) -> WolstenholmeQuotient:

@@ -23,10 +23,11 @@ testing p for primality again, and runs each sweep at most once, on first read:
   SWEEP_REQUESTS on, the first read sweeps the Fermat-quotient moments of
   ``harmonic.MOMENT_WINDOW`` and every read in the window comes off them.
   Below it (a lone ``bernoulli_mod``, a Bernoulli scan, a suite of one
-  small Bernoulli check) ``window_sum`` serves nothing and each read is
-  one direct pass by the caller.
+  small Bernoulli check) ``window_sum`` serves nothing and ``power_sum``
+  makes one direct pass per read.
 
-``bernoulli`` memoises p B_n in ``plan.pb``.
+``bernoulli`` memoises p B_n in ``plan.pb``, keyed by n: it holds p B_n
+mod p^c at the highest c computed so far, and a read at lower c reduces it.
 """
 from __future__ import annotations
 
@@ -125,3 +126,8 @@ class EvaluationPlan:
             return None
         j, S = (n - t) // (p - 1), self._moments[t]
         return int(sum(comb(j, i) * p ** i * S[i] for i in range(c)) % p ** c)
+
+    def power_sum(self, n: int, c: int) -> int:
+        """P_n mod p^c: a window read when the plan sweeps, else a direct pass."""
+        acc = self.window_sum(n, c)
+        return harmonic.power_sum_raw(self.p, n, self.p ** c) if acc is None else acc

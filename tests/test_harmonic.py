@@ -50,8 +50,9 @@ def multiplicative_powers(p: int, e: int, m: int) -> list[int]:
 
 class FermatPowers(EvaluationPlan):
     """A plan whose P_n mod p^c (c <= 5) come from k^n = k^t (k^(p-1))^j
-    with k^(p-1) and its p-th and p^3-th powers exact mod p^5: independent
-    of the truncated moment identity, so the oracle for the window."""
+    with k^(p-1) and its p-th, p^2-th and p^3-th powers exact mod p^5:
+    independent of the truncated moment identity, so the oracle for the
+    window."""
 
     def __init__(self, p: int):
         super().__init__(p)
@@ -60,8 +61,8 @@ class FermatPowers(EvaluationPlan):
         self.fj = {0: [1] * (p - 1), 1: f}  # j -> [k^(j(p-1))], the registry's j
         for j in range(2, 6):
             self.fj[j] = [a * b % m for a, b in zip(self.fj[j - 1], f)]
-        self.fj[p] = multiplicative_powers(p, p * (p - 1), m)
-        self.fj[p ** 3] = multiplicative_powers(p, p ** 3 * (p - 1), m)
+        for j in (p, p ** 2, p ** 3):
+            self.fj[j] = multiplicative_powers(p, j * (p - 1), m)
         self.kt = {0: self.fj[0], 2: [k * k for k in range(1, p)]}  # t -> [k^t]
         self.kt[4] = [x * x for x in self.kt[2]]
         self.kt[-2] = multiplicative_powers(p, -2, m)
@@ -95,7 +96,8 @@ def reference_inverse_power_sums(p: int, n_max: int, m: int) -> list[int]:
 
 def registry_indices(p: int) -> set[int]:
     """Every index shape the check registry feeds to P_n."""
-    shapes = {0, 1, 2, p - 3, p - 1, p * (p - 1) + 4, p ** 4 - p ** 3 - 2}
+    shapes = {0, 1, 2, p - 3, p - 1, p * (p - 1) + 4, p ** 2 - p - 4,
+              p ** 3 - p ** 2 - 2, p ** 4 - p ** 3 - 2, p ** 4 - p ** 3 - 4}
     shapes |= {j * (p - 1) + t for j in range(5) for t in range(-8, 7)}
     return {n for n in shapes if n >= 0}
 
@@ -198,6 +200,17 @@ def test_power_sum_kernel_matches_powmod_loop():
                 assert power_sum_raw(p, n, p ** c) == expected % p ** c, (p, n, c)
 
 
+def test_c1_level_is_the_power_sum_mod_p():
+    # p B_n mod p is von Staudt-Clausen's -[p-1 | n], read off no sum; it is
+    # the level-1 solution P_n mod p of the power-sum triangle (n >= 2).
+    for p in (p for p in PRIMES_600 if p >= 7):
+        plan = EvaluationPlan(p)
+        for n in registry_indices(p):
+            if n >= 2 and n % 2 == 0:
+                assert bernoulli._p_times_bernoulli(n, plan, 1) == power_sum_raw(p, n, p), (p, n)
+        assert not plan.pb
+
+
 def test_power_sum_kernel_at_16843():
     p = 16843
     assert power_sum_raw(p, p - 5, p ** 5) == reference_power_sum(p, p - 5, p ** 5)
@@ -244,10 +257,11 @@ def registry_bernoulli_calls(p: int) -> set:
     prime it makes a subset of them."""
     mod = {(p - 3, 1), (p - 3, 3), (p - 3, 4), (p - 5, 1), (p - 5, 2),
            (2 * p - 4, 4), (2 * p - 6, 2), (3 * p - 5, 4), (4 * p - 6, 4)}
+    mod |= {(p ** 2 - p - 4, 2), (p ** 3 - p ** 2 - 2, 3),
+            (p ** 4 - p ** 3 - 2, 4), (p ** 4 - p ** 3 - 4, 4)}
     ratio = {(4 + k * (p - 1), 4) for k in range(3)}
     ratio |= {(p * (p - 1) + 4, 4), (p ** 2 - p - 4, 2), (p ** 4 - p ** 3 - 2, 4)}
-    ratio |= {(k * (p - 1) - 2, 3) for k in (1, 2, 3)}
-    ratio |= {(k * (p - 1) - s, 4) for k in (1, 2, 3, 4) for s in (2, 4)}
+    ratio |= {(k * (p - 1) - 2, 4) for k in (1, 2, 3, 4)}
     ratio |= {(k * (p - 1) - 4, 2) for k in (1, 2)}
     return ({(bernoulli_mod, n, r) for n, r in mod}
             | {(bernoulli_ratio, n, r) for n, r in ratio})

@@ -1,11 +1,14 @@
 """The per-prime evaluation plan: its products and gate against the product
 kernel, the sweeps and passes it makes, and what it leaves behind."""
 import gc
+import importlib
+import pkgutil
 from collections import Counter
 
 import pytest
 
-from wolstenholme import bernoulli, binomial, checks, harmonic, plan, scan
+import wolstenholme
+from wolstenholme import bernoulli, binomial, checks, harmonic, scan
 from wolstenholme.binomial import _shifted_product_raw
 from wolstenholme.modring import is_prime
 from wolstenholme.plan import SWEEP_REQUESTS, EvaluationPlan
@@ -82,7 +85,9 @@ def test_wolstenholme_only_suite_gates_on_t1_alone(monkeypatch):
 
 def test_few_window_reads_take_direct_passes(monkeypatch):
     # lehmer_p3 reads P_(p-3) and P_(p-5): two passes beat one sweep.  The
-    # reads of cor2_p7 count only where the gate lets it evaluate.
+    # reads of cor2_p7 count only where the gate lets it evaluate, and with
+    # them the pair declares 6 < SWEEP_REQUESTS reads even at 16843: five
+    # passes, as both checks read p B_(p-5) mod p^2 and the plan holds it.
     counts = count_kernels(monkeypatch)
     primes = [p for p in range(11, 200) if is_prime(p)]
     for ids in (["lehmer_p3"], ["cor2_p7", "lehmer_p3"]):
@@ -93,7 +98,7 @@ def test_few_window_reads_take_direct_passes(monkeypatch):
                           "power_sum_raw": 2 * len(primes)}, ids
     counts.clear()
     assert all(o.passed for o in checks.run_suite(["cor2_p7", "lehmer_p3"], [16843]))
-    assert counts == {"_pair_power_sums_raw": 1, "_moment_sums_raw": 1}
+    assert counts == {"_pair_power_sums_raw": 1, "power_sum_raw": 5}
 
 
 def test_declared_window_reads_are_made(monkeypatch):
@@ -119,15 +124,35 @@ def test_lone_bernoulli_requests_take_direct_passes(monkeypatch):
     assert counts == {"power_sum_raw": 1 + len(records)}
 
 
+def test_bernoulli_memo_is_keyed_by_index(monkeypatch):
+    # p B_n is held at the highest c computed: a later read at lower c
+    # reduces it with no pass, and only a read at higher c makes another.
+    # B_(p-3) mod p^3 reads P_(p-3) mod p^4 and, one level down, P_(p-5);
+    # B_(p-3) mod p reads P_(p-3) mod p^2.
+    counts = count_kernels(monkeypatch)
+    for p in (11, 101, 16843):
+        values = {}
+        for order, passes in (((3, 1), [2, 0]), ((1, 3), [1, 2])):
+            lone, values[order], made = EvaluationPlan(p), [], []
+            for r in order:
+                counts.clear()
+                values[order].append(bernoulli.bernoulli_mod(p - 3, p, r, lone).value.value)
+                made.append(counts["power_sum_raw"])
+            assert made == passes, (p, order)
+        assert values[3, 1] == values[1, 3][::-1], p
+
+
 def test_suite_holds_no_plan_after_its_prime():
-    # No plan, and no memo of any kind, outlives the prime it served.
+    # No plan, and no memo of any kind, outlives the prime it served: the
+    # registry is built once at import, and no function caches.
     primes = [p for p in range(11, 300) if is_prime(p)]
     assert all(o.passed or o.skipped
                for o in checks.run_suite(checks.all_check_ids(), primes))
     assert checks._suite_plan is None
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, EvaluationPlan)]
-    memos = {f"{module.__name__}.{name}"
-             for module in (bernoulli, binomial, checks, harmonic, plan, scan)
+    modules = [importlib.import_module(f"wolstenholme.{m.name}")
+               for m in pkgutil.iter_modules(wolstenholme.__path__)]
+    memos = {f"{module.__name__}.{name}" for module in [wolstenholme, *modules]
              for name, value in vars(module).items() if hasattr(value, "cache_info")}
-    assert memos == {"wolstenholme.checks.registry", "wolstenholme.checks._by_id"}
+    assert not memos
