@@ -32,6 +32,21 @@ Writing s_n = sum_j c_{n,j} p^(n-2j) q^j and T_i = sum_k v_k^i,
 an identity of integers mod any m, so one sweep over half the range,
 one modular inversion per block of pairs, gives every R_n.
 
+Each caller says at which precision it reads T_1 (p^c) and the higher T_i.
+Where those fit in p^h, the digit exponent (the largest h <= c with p^h
+below one CPython int digit, 2^30 on 64-bit builds; at c = 3, h = 3 below
+p = 1024, 2 below 32768 and 1 above), the sweep inverts each q mod p^h
+only, in one-digit arithmetic, and lifts T_1 exactly.  With w = 1/q mod
+p^h and u = qw, so that p^h divides 1 - u, and J = ceil(c/h),
+
+    1/q = w (1 + (1-u) + .. + (1-u)^(J-1))
+        = sum((-1)^i C(J, i+1) w u^i, i < J)   (mod p^c),
+
+so T_1 is an integer combination of the block sums of w u^i, and
+T_i = sum w^i (mod p^h) for i >= 2.  The scans need T_1 mod p^3 and T_2,
+T_3 mod p (two-sum) or T_1 mod p^2 (R_1 mod p^3); the plan's T_1..T_6 mod
+p^top are inverted mod p^top, as a fold would cost more there.
+
 P is read off Fermat-quotient moments.  With the integer
 u_k = (k^(p-1) - 1)/p, k^(j(p-1)+t) = k^t (1 + p u_k)^j, so for every p,
 j >= 0 and t (k^t an inverse mod p^c when t < 0)
@@ -56,10 +71,12 @@ Bernoulli check takes a pass per request.
 """
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
-from math import isqrt
-from operator import mul
+from itertools import repeat
+from math import comb, isqrt
+from operator import mod, mul
 from typing import Iterator, Mapping
 
 from .errors import DivisionNotExact, NMaxTooLarge
@@ -72,6 +89,9 @@ N_MAX_CAP = 8
 #: lists of this many residues alive, under 1 MB even at p^10, so a sweep's
 #: peak memory does not grow with p.
 _CHUNK = 1 << 12
+
+#: Bits per CPython int digit: a residue below 2^_DIGIT_BITS is one digit.
+_DIGIT_BITS = sys.int_info.bits_per_digit
 
 #: k's per block of a power-sum pass or the moment sweep.  A block keeps
 #: about ten lists of residues alive; 2^10 keeps that under 1 MB at p^5.
@@ -101,20 +121,76 @@ class WolstenholmeQuotient:
     w: int
 
 
-def _pair_inverses(p: int, m) -> Iterator[tuple[range, list]]:
-    """(ks, [v_k for k in ks]) in blocks, v_k = 1/(k(p-k)) mod m.
-
-    The ks run over 1..(p-1)/2, one block of at most _CHUNK pairs at a time.
-    """
+def _pair_products(p: int) -> Iterator[tuple[range, list]]:
+    """(ks, [k(p-k) for k in ks]) in blocks of _CHUNK over 1..(p-1)/2."""
     end = (p - 1) // 2 + 1
     for lo in range(1, end, _CHUNK):
         ks = range(lo, min(lo + _CHUNK, end))
-        yield ks, _batch_invert_raw([k * (p - k) for k in ks], m)
+        yield ks, list(map(mul, ks, range(p - lo, p - ks.stop, -1)))
 
 
-def _pair_power_sums_raw(p: int, n_max: int, m) -> list:
-    """[_, T_1, .., T_n_max] mod m, T_i = sum of v_k^i over the pairs."""
-    m = mpz(m)
+def _pair_inverses(p: int, m) -> Iterator[tuple[range, list]]:
+    """(ks, [v_k for k in ks]) in blocks, v_k = 1/(k(p-k)) mod m."""
+    for ks, qs in _pair_products(p):
+        yield ks, _batch_invert_raw(qs, m)
+
+
+def _exponent(p: int, m) -> int:
+    """c with m = p^c; a ValueError for any other modulus."""
+    c, q = 0, 1
+    while q < m:
+        q, c = q * p, c + 1
+    if q != m:
+        raise ValueError(f"modulus {m} is not a power of {p}")
+    return c
+
+
+def _digit_exponent(p: int, c: int) -> int:
+    """The largest h <= c with p^h below one int digit, at least 1."""
+    h = 1
+    while h < c and p ** (h + 1) < 1 << _DIGIT_BITS:
+        h += 1
+    return h
+
+
+def _pair_power_sums_raw(p: int, n_max: int, m, m_high=None) -> list:
+    """[_, T_1, .., T_n_max], T_i = sum of v_k^i over the pairs: T_1 mod
+    m = p^c, the higher T_i mod m_high (a power of p up to m, default m).
+
+    When the higher T_i fit p^h, h the digit exponent (module doc), each
+    block is inverted mod p^h only and T_1 lifted to p^c; else mod m.
+    """
+    c = _exponent(p, m)
+    m_high = m if m_high is None else m_high
+    h = _digit_exponent(p, c)
+    if n_max > 1 and _exponent(p, m_high) > h:
+        return _full_pair_power_sums(p, n_max, mpz(m), m_high)
+    ph, J = p ** h, max(1, -(-c // h))
+    lift = [0] * J  # lift[i] = sum of w u^i, u = q w = 1 (mod p^h)
+    sums = [0] * (n_max + 1)
+    for _, qs in _pair_products(p):
+        # q < p^2/4 < p^h unless h = 1: only then is q reduced first
+        ws = _batch_invert_raw(qs if h > 1 else list(map(mod, qs, repeat(p))), ph)
+        u = map(mul, qs, ws)
+        lift[0] += sum(ws)
+        for i, s in enumerate(_geometric_sums(ws, u if J < 3 else list(u), J - 1), 1):
+            lift[i] += s
+        for i, s in enumerate(_geometric_sums(ws, ws, n_max - 1), 2):
+            sums[i] += s
+    t1 = sum((-1) ** i * comb(J, i + 1) * s for i, s in enumerate(lift))
+    return [0, t1 % m] + [s % m_high for s in sums[2:]]
+
+
+def _geometric_sums(x: list, r, n: int) -> Iterator[int]:
+    """sum(x r^i) for i = 1..n, elementwise.  r is read n times (an
+    iterator serves n = 1), and only a product a later sum needs is kept."""
+    for i in range(n):
+        x = map(mul, x, r) if i + 1 == n else list(map(mul, x, r))
+        yield sum(x)
+
+
+def _full_pair_power_sums(p: int, n_max: int, m, m_high) -> list:
+    """The pair sums with every block inverted mod m."""
     sums = [0] * (n_max + 1)
     for _, vs in _pair_inverses(p, m):
         sums[1] += sum(vs)
@@ -124,14 +200,18 @@ def _pair_power_sums_raw(p: int, n_max: int, m) -> list:
             sums[i] += sum(x)
         if n_max > 1:  # the top power feeds nothing, so it is summed unreduced
             sums[n_max] += sum(map(mul, x, vs))
-    return [s % m for s in sums]
+    return [0, sums[1] % m] + [s % m_high for s in sums[2:]]
 
 
 def _inverse_power_sums_raw(p: int, n_max: int, m) -> list:
-    """[_, R_1, .., R_n_max] mod m, read off the pair sums T_i (module doc)."""
+    """[_, R_1, .., R_n_max] mod m = p^c, read off the pair sums T_i (module
+    doc).  R_1 = p T_1 alone needs T_1 mod p^(c-1) only."""
     m = mpz(m)
+    _exponent(p, m)
     if p == 2:  # no pair: k = p - k = 1, and R_n(2) = 1
         return [0] + [1 % m] * n_max
+    if n_max == 1:
+        return [0, p * _pair_power_sums_raw(p, 1, m // p)[1] % m]
     return _inverse_from_pair_sums(p, _pair_power_sums_raw(p, n_max, m), m)
 
 
@@ -273,11 +353,7 @@ def power_sum_raw(p: int, n: int, m) -> int:
     """P_n(p) = sum of k^n over 1..p-1, mod m = p^c, by one direct pass."""
     if p < 3:
         raise ValueError("p must be at least 3")
-    q = 1
-    while q < m:
-        q *= p
-    if q != m:
-        raise ValueError(f"modulus {m} is not a power of {p}")
+    _exponent(p, m)
     phi = m // p * (p - 1)  # Euler: k^n = k^e for k prime to p if n = e (mod phi)
     e = (n + phi // 2) % phi - phi // 2  # the e nearest 0 has the fewest bits
     return int(sum(sum(x) for _, x in _powers(p, e, mpz(m))) % m)

@@ -24,7 +24,15 @@ testing p for primality again, and runs each sweep at most once, on first read:
   ``harmonic.MOMENT_WINDOW`` and every read in the window comes off them.
   Below it (a lone ``bernoulli_mod``, a Bernoulli scan, a suite of one
   small Bernoulli check) ``window_sum`` serves nothing and ``power_sum``
-  makes one direct pass per read.
+  makes one direct pass per read.  At the Helou-Terjanian indices
+  n = j(p-1) + t, -6 <= t < 0, with p^(c-2) exactly dividing j, that pass
+  would raise k to an exponent of (c-1) log p bits (Euler's theorem cuts
+  it to t only once p^(c-1) divides j).  There only the moments i <= 1
+  survive, so P_n = (1-j) P_t + j P_(t+p-1) (mod p^c): P_t = R_(-t) comes
+  off the pairs and P_(t+p-1) is needed mod p^2 only, a short pass.  At
+  c = 3 the pass it replaces costs less than the pair sweep, so there it
+  is taken only once the pairs are swept (every such check but
+  ``eq26_n2_s4`` reads them).  Either way a read makes one pass.
 
 ``bernoulli`` memoises p B_n in ``plan.pb``, keyed by n: it holds p B_n
 mod p^c at the highest c computed so far, and a read at lower c reduces it.
@@ -128,6 +136,16 @@ class EvaluationPlan:
         return int(sum(comb(j, i) * p ** i * S[i] for i in range(c)) % p ** c)
 
     def power_sum(self, n: int, c: int) -> int:
-        """P_n mod p^c: a window read when the plan sweeps, else a direct pass."""
+        """P_n mod p^c: a window read when the plan sweeps, else one direct
+        pass, a short one at a Helou-Terjanian index (module doc)."""
         acc = self.window_sum(n, c)
-        return harmonic.power_sum_raw(self.p, n, self.p ** c) if acc is None else acc
+        if acc is not None:
+            return acc
+        p = self.p
+        j, t = divmod(n + 6, p - 1)  # n = j(p-1) + t, -6 <= t < p-7
+        t -= 6
+        if (t < 0 and 3 <= c <= self.top and j % p ** (c - 2) == 0 and j % p ** (c - 1)
+                and (c > 3 or "_T" in vars(self))):
+            tail = harmonic.power_sum_raw(p, t + p - 1, p * p)
+            return int(((1 - j) * self._R[-t] + j * tail) % p ** c)
+        return harmonic.power_sum_raw(p, n, p ** c)

@@ -3,8 +3,8 @@
 Four criteria, equivalent for p >= 7 where stated:
 
 * ``BINOMIAL_P4``   — v_p(C(2p-1,p-1) - 1) >= 4 (the defining congruence),
-* ``HARMONIC_R1_P3`` — v_p(R_1(p)) >= 3 (one batch inversion mod p^3; the
-  fast default),
+* ``HARMONIC_R1_P3`` — v_p(R_1(p)) >= 3 (T_1 = R_1/p mod p^2, inverted in
+  one-digit blocks and lifted; the fast default),
 * ``BERNOULLI_BP3`` — p divides B_{p-3} (through P_{p-3}(p) mod p^2),
 * ``COR1_SECOND_P7`` — C(2p-1,p-1) = 1 + 2p R_1 + (2/3) p^3 R_3 (mod p^7),
   the two-sum characterization; below 1e5 only 16843 satisfies it.
@@ -14,7 +14,9 @@ v = 1/(k(p-k)) and T_i = sum v^i (see ``harmonic``), its residual is
 
     2p^4 T_1^2 + (4/3) p^6 T_1^3 - 4p^6 T_1 T_2 + 2p^6 T_3   (mod p^7),
 
-so one sweep over (p-1)/2 pairs mod p^3 decides it.
+so one sweep over the (p-1)/2 pairs decides it: T_1 mod p^3, lifted from
+inverses mod p^h below one int digit (``harmonic``), and T_2, T_3 mod p
+off the same inverses.
 """
 from __future__ import annotations
 
@@ -104,7 +106,8 @@ def sieve_primes(cfg: SieveConfig) -> Iterator[int]:
 
 
 def _r1_valuation(p: int) -> int:
-    """v_p of R_1(p), computed mod p^3 and capped there."""
+    """v_p of R_1(p), computed mod p^3 (R_1 = p T_1, T_1 lifted to p^2) and
+    capped there."""
     return capped_valuation(int(_inverse_power_sums_raw(p, 1, p ** 3)[1]), p, 3)
 
 
@@ -122,10 +125,17 @@ def _cor1second_residual(p: int) -> int:
         lhs - rhs = 2p^4 T_1^2 + p^6 ((4/3) T_1^3 - 4 T_1 T_2 + 2 T_3)
                                                              (mod p^7),
 
-    which needs T_1 mod p^3 and T_2, T_3 mod p: one pair sweep mod p^3.
-    Every term is kept, so the residual is exact by algebra alone.
+    which needs T_1 mod p^3 and T_2, T_3 mod p: one pair sweep that inverts
+    each q = k(p-k) mod p^h only, h the digit exponent (``harmonic``: 3
+    below p = 1024, 2 below 32768, else 1), and lifts T_1 exactly with
+    w = 1/q mod p^h, u = qw and J = ceil(3/h):
+
+        1/q = sum((-1)^i C(J, i+1) w u^i, i < J)   (mod p^3),
+
+    while T_2 = sum w^2 and T_3 = sum w^3 (mod p).  Every term is kept, so
+    the residual is exact by algebra alone.
     """
-    _, t1, t2, t3 = _pair_power_sums_raw(p, 3, p ** 3)
+    _, t1, t2, t3 = _pair_power_sums_raw(p, 3, p ** 3, p)
     tail = (4 * pow(3, -1, p) * t1 ** 3 - 4 * t1 * t2 + 2 * t3) % p
     return int((2 * p ** 4 * t1 * t1 + p ** 6 * tail) % p ** 7)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wolstenholme import bernoulli, checks, errors
+from wolstenholme import bernoulli, checks, errors, harmonic
 from wolstenholme.bernoulli import bernoulli_mod, bernoulli_ratio
 from wolstenholme.harmonic import (
     MOMENT_WINDOW,
@@ -135,6 +135,25 @@ def test_inverse_power_sums_match_per_k_sweep():
             assert _inverse_power_sums_raw(p, 8, m) == [x % m for x in expected], (p, K)
 
 
+def test_lifted_r1_sweep_matches_per_k_oracle():
+    # R_1 = p T_1 alone reads T_1 mod p^(c-1), inverted mod the largest
+    # one-digit p^h and lifted with J = ceil((c-1)/h) terms (J <= 3 here).
+    for p in PRIMES_600:
+        expected = reference_inverse_power_sums(p, 1, p ** 10)[1]
+        for c in range(2, 11):
+            assert _inverse_power_sums_raw(p, 1, p ** c) == [0, expected % p ** c], (p, c)
+
+
+def test_pair_sweeps_reject_other_moduli():
+    # The lift reads the exponent c off m = p^c, as power_sum_raw does.
+    for args in ((11, 3, 2 * 11 ** 2), (11, 3, 11 ** 3, 12), (11, 1, 11 ** 2 + 1)):
+        with pytest.raises(ValueError):
+            _pair_power_sums_raw(*args)
+    for args in ((11, 1, 11 ** 3 + 1), (11, 4, 12), (2, 1, 6)):
+        with pytest.raises(ValueError):
+            _inverse_power_sums_raw(*args)
+
+
 def test_pair_power_sums_match_exact_rationals():
     for p in [3, 5] + PRIMES_100:
         exact = [sum(Fr(1, (k * (p - k)) ** i) for k in range(1, (p + 1) // 2))
@@ -244,6 +263,33 @@ def test_moment_path_matches_powmod_loop():
                     assert lone.window_sum(n, c) is None
                 assert plan.window_sum(n, plan.top) is None
         assert "_moments" in vars(plan) and "_moments" not in vars(lone), p
+
+
+def test_helou_terjanian_reads_match_direct_passes(monkeypatch):
+    # Where p^(c-2) exactly divides j (c >= 3), a plan that does not sweep
+    # reads P_(j(p-1)+t), -6 <= t < 0, as (1-j) R_(-t) + j P_(t+p-1) (mod
+    # p^c), with one pass mod p^2; at c = 3 only once its pairs are swept.
+    passes = []
+
+    def recording(p, n, m):
+        passes.append((n, m))
+        return power_sum_raw(p, n, m)
+
+    monkeypatch.setattr(harmonic, "power_sum_raw", recording)
+    for p in (p for p in PRIMES_600 if p >= 11):
+        swept = EvaluationPlan(p)
+        swept.R(1)
+        for n in (n for n in registry_indices(p) if n > 5 * (p - 1)):
+            j, t = divmod(n + 6, p - 1)
+            t -= 6
+            for c in range(2, 6):
+                expected = power_sum_raw(p, n, p ** c)
+                short = t < 0 and c >= 3 and j % p ** (c - 2) == 0 and j % p ** (c - 1)
+                for plan in (EvaluationPlan(p), swept):
+                    passes.clear()
+                    assert plan.power_sum(n, c) == expected, (p, n, c)
+                    takes_short = short and (c > 3 or plan is swept)
+                    assert passes == [(t + p - 1, p * p) if takes_short else (n, p ** c)]
 
 
 def test_power_sum_rejects_other_moduli():

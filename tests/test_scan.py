@@ -1,7 +1,10 @@
 """Sieve correctness, criterion agreement, and scan restartability."""
+import sys
+
 import pytest
 
-from wolstenholme import errors
+from wolstenholme import errors, harmonic
+from wolstenholme.harmonic import _pair_power_sums_raw
 from wolstenholme.modring import capped_valuation, is_prime
 from wolstenholme.scan import (
     Criterion,
@@ -59,6 +62,31 @@ def test_pair_kernel_agrees_below_3000():
 @pytest.mark.slow
 def test_pair_kernel_agrees_below_2e4():
     assert_pair_kernel_agrees(7, 2 * 10 ** 4)
+
+
+def test_two_sum_sweep_across_the_digit_boundary(monkeypatch):
+    # 32749^2 < 2^30 < 32771^2: the two-sum sweep inverts mod p^2, then mod
+    # p with one lift term more.  Its sums, and R_1 mod p^3, equal the
+    # full-precision sweep's, and every block is inverted mod the largest
+    # power of p below one int digit.
+    digit = 1 << sys.int_info.bits_per_digit
+    moduli = set()
+
+    def recording(raw, m, _invert=harmonic._batch_invert_raw):
+        moduli.add(m)
+        return _invert(raw, m)
+
+    for p in (32749, 32771, 100003):
+        _, t1, t2, t3 = _pair_power_sums_raw(p, 3, p ** 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(harmonic, "_batch_invert_raw", recording)
+            moduli.clear()
+            assert _pair_power_sums_raw(p, 3, p ** 3, p) == [0, t1, t2 % p, t3 % p], p
+            assert harmonic._inverse_power_sums_raw(p, 1, p ** 3) == [0, p * t1 % p ** 3], p
+        h = 2 if p * p < digit else 1
+        assert moduli == {p ** h} and p ** h < digit <= p ** (h + 1), p
+        tail = (4 * pow(3, -1, p) * t1 ** 3 - 4 * t1 * t2 + 2 * t3) % p
+        assert _cor1second_residual(p) == (2 * p ** 4 * t1 * t1 + p ** 6 * tail) % p ** 7, p
 
 
 def test_sieve_examples():
