@@ -34,18 +34,19 @@ one modular inversion per block of pairs, gives every R_n.
 
 Each caller says at which precision it reads T_1 (p^c) and the higher T_i.
 Where those fit in p^h, the digit exponent (the largest h <= c with p^h
-below one CPython int digit, 2^30 on 64-bit builds; at c = 3, h = 3 below
-p = 1024, 2 below 32768 and 1 above), the sweep inverts each q mod p^h
-only, in one-digit arithmetic, and lifts T_1 exactly.  With w = 1/q mod
-p^h and u = qw, so that p^h divides 1 - u, and J = ceil(c/h),
+below one CPython int digit, 2^30 on 64-bit builds; at c = 2, h = 2 below
+p = 32768 and 1 above), the sweep inverts each q mod p^h only, in
+one-digit arithmetic, and lifts T_1 exactly.  With w = 1/q mod p^h and
+u = qw, so that p^h divides 1 - u, and J = ceil(c/h),
 
     1/q = w (1 + (1-u) + .. + (1-u)^(J-1))
         = sum((-1)^i C(J, i+1) w u^i, i < J)   (mod p^c),
 
 so T_1 is an integer combination of the block sums of w u^i, and
-T_i = sum w^i (mod p^h) for i >= 2.  The scans need T_1 mod p^3 and T_2,
-T_3 mod p (two-sum) or T_1 mod p^2 (R_1 mod p^3); the plan's T_1..T_6 mod
-p^top are inverted mod p^top, as a fold would cost more there.
+T_i = sum w^i (mod p^h) for i >= 2.  The scans need T_1 mod p^2 and T_3
+mod p (two-sum) or T_1 mod p^2 (R_1 mod p^3).  Where the higher T_i do
+not fit p^h (the plan's T_1..T_6 mod p^top), the same loop runs with
+h = c: each block is inverted mod p^c, J = 1 and nothing is lifted.
 
 P is read off Fermat-quotient moments.  With the integer
 u_k = (k^(p-1) - 1)/p, k^(j(p-1)+t) = k^t (1 + p u_k)^j, so for every p,
@@ -85,9 +86,10 @@ from .modring import Residue, _batch_invert_raw, make_modulus, mpz, powmod
 #: Largest sum order ``elementary_symmetric`` serves (the plan stops at R_6).
 N_MAX_CAP = 8
 
-#: Pairs per block, one modular inversion each.  A block keeps about three
-#: lists of this many residues alive, under 1 MB even at p^10, so a sweep's
-#: peak memory does not grow with p.
+#: Pairs per block, one modular inversion each.  A block keeps a few lists
+#: of this many residues alive, the widest the unreduced v^i of a T_1..T_6
+#: sweep mod p^top: a traced peak of 1.4 MB at 16843 (p^10) and 1.7 MB at
+#: 2124679 (p^9), so a sweep's peak memory does not grow with the pairs.
 _CHUNK = 1 << 12
 
 #: Bits per CPython int digit: a residue below 2^_DIGIT_BITS is one digit.
@@ -129,12 +131,6 @@ def _pair_products(p: int) -> Iterator[tuple[range, list]]:
         yield ks, list(map(mul, ks, range(p - lo, p - ks.stop, -1)))
 
 
-def _pair_inverses(p: int, m) -> Iterator[tuple[range, list]]:
-    """(ks, [v_k for k in ks]) in blocks, v_k = 1/(k(p-k)) mod m."""
-    for ks, qs in _pair_products(p):
-        yield ks, _batch_invert_raw(qs, m)
-
-
 def _exponent(p: int, m) -> int:
     """c with m = p^c; a ValueError for any other modulus."""
     c, q = 0, 1
@@ -157,14 +153,15 @@ def _pair_power_sums_raw(p: int, n_max: int, m, m_high=None) -> list:
     """[_, T_1, .., T_n_max], T_i = sum of v_k^i over the pairs: T_1 mod
     m = p^c, the higher T_i mod m_high (a power of p up to m, default m).
 
-    When the higher T_i fit p^h, h the digit exponent (module doc), each
-    block is inverted mod p^h only and T_1 lifted to p^c; else mod m.
+    Each block is inverted mod p^h, h the digit exponent (module doc), and
+    T_1 lifted to p^c; where the higher T_i do not fit p^h, h = c and there
+    is no lift.  The w^i are summed unreduced, one reduction at the end.
     """
     c = _exponent(p, m)
     m_high = m if m_high is None else m_high
     h = _digit_exponent(p, c)
     if n_max > 1 and _exponent(p, m_high) > h:
-        return _full_pair_power_sums(p, n_max, mpz(m), m_high)
+        h = c
     ph, J = p ** h, max(1, -(-c // h))
     lift = [0] * J  # lift[i] = sum of w u^i, u = q w = 1 (mod p^h)
     sums = [0] * (n_max + 1)
@@ -187,20 +184,6 @@ def _geometric_sums(x: list, r, n: int) -> Iterator[int]:
     for i in range(n):
         x = map(mul, x, r) if i + 1 == n else list(map(mul, x, r))
         yield sum(x)
-
-
-def _full_pair_power_sums(p: int, n_max: int, m, m_high) -> list:
-    """The pair sums with every block inverted mod m."""
-    sums = [0] * (n_max + 1)
-    for _, vs in _pair_inverses(p, m):
-        sums[1] += sum(vs)
-        x = vs
-        for i in range(2, n_max):
-            x = [a * v % m for a, v in zip(x, vs)]
-            sums[i] += sum(x)
-        if n_max > 1:  # the top power feeds nothing, so it is summed unreduced
-            sums[n_max] += sum(map(mul, x, vs))
-    return [0, sums[1] % m] + [s % m_high for s in sums[2:]]
 
 
 def _inverse_power_sums_raw(p: int, n_max: int, m) -> list:

@@ -287,8 +287,8 @@ def batch_inverses(values: Sequence[Residue]) -> list[Residue]:
 def _batch_invert_raw(raw: Sequence[int], m) -> list:
     """Inverses of the units raw[i] mod m: prefix products, one inversion.
 
-    The package's one prefix-product loop (``harmonic._pair_inverses``
-    feeds it); the inverses overwrite the prefixes in place, one list.
+    The package's one prefix-product loop (``harmonic``'s pair sweep feeds
+    it the k(p-k)); the inverses overwrite the prefixes in place, one list.
     """
     out = []
     acc = 1

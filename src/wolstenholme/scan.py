@@ -10,13 +10,15 @@ Four criteria, equivalent for p >= 7 where stated:
   the two-sum characterization; below 1e5 only 16843 satisfies it.
 
 The two-sum criterion never forms C or R_3.  Over the pairs (k, p-k) with
-v = 1/(k(p-k)) and T_i = sum v^i (see ``harmonic``), its residual is
+v = 1/(k(p-k)) and T_i = sum v^i (see ``harmonic``), p divides T_1 = R_1/p
+(Wolstenholme's theorem, which the scan checks at each prime) and the
+residual is
 
-    2p^4 T_1^2 + (4/3) p^6 T_1^3 - 4p^6 T_1 T_2 + 2p^6 T_3   (mod p^7),
+    2p^6 ((T_1/p)^2 + T_3)   (mod p^7),
 
-so one sweep over the (p-1)/2 pairs decides it: T_1 mod p^3, lifted from
-inverses mod p^h below one int digit (``harmonic``), and T_2, T_3 mod p
-off the same inverses.
+so one sweep over the (p-1)/2 pairs decides it: T_1 mod p^2, from
+inverses mod p^h below one int digit (``harmonic``), and T_3 mod p off
+the same inverses.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from typing import Iterator, Optional
 
 from .bernoulli import bernoulli_mod
 from .binomial import central_binomial_mod
-from .errors import RangeTooLarge
+from .errors import DivisionNotExact, RangeTooLarge
 from .harmonic import _inverse_power_sums_raw, _pair_power_sums_raw
 from .modring import capped_valuation
 from .parallel import ordered_map
@@ -123,21 +125,21 @@ def _cor1second_residual(p: int) -> int:
     by Newton's identities, and R_1 = p T_1, R_3 = p(p^2 T_3 - 3T_2).  So
 
         lhs - rhs = 2p^4 T_1^2 + p^6 ((4/3) T_1^3 - 4 T_1 T_2 + 2 T_3)
-                                                             (mod p^7),
+                                                             (mod p^7).
 
-    which needs T_1 mod p^3 and T_2, T_3 mod p: one pair sweep that inverts
-    each q = k(p-k) mod p^h only, h the digit exponent (``harmonic``: 3
-    below p = 1024, 2 below 32768, else 1), and lifts T_1 exactly with
-    w = 1/q mod p^h, u = qw and J = ceil(3/h):
+    p divides T_1 = R_1/p (Wolstenholme's theorem, checked here: a
+    DivisionNotExact otherwise), so the T_1^3 and T_1 T_2 terms vanish and
 
-        1/q = sum((-1)^i C(J, i+1) w u^i, i < J)   (mod p^3),
+        lhs - rhs = 2p^6 ((T_1/p)^2 + T_3)   (mod p^7),
 
-    while T_2 = sum w^2 and T_3 = sum w^3 (mod p).  Every term is kept, so
-    the residual is exact by algebra alone.
+    which needs T_1 mod p^2 and T_3 mod p: one pair sweep that inverts
+    each q = k(p-k) mod p^h only, h the digit exponent (``harmonic``: 2
+    below p = 32768, else 1 with T_1 lifted to p^2).
     """
-    _, t1, t2, t3 = _pair_power_sums_raw(p, 3, p ** 3, p)
-    tail = (4 * pow(3, -1, p) * t1 ** 3 - 4 * t1 * t2 + 2 * t3) % p
-    return int((2 * p ** 4 * t1 * t1 + p ** 6 * tail) % p ** 7)
+    _, t1, _, t3 = _pair_power_sums_raw(p, 3, p ** 2, p)
+    if t1 % p:
+        raise DivisionNotExact(f"T_1({p}) is not divisible by {p}")
+    return int(2 * p ** 6 * ((t1 // p) ** 2 + t3) % p ** 7)
 
 
 def _cor1second_valuation(p: int) -> int:

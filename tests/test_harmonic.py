@@ -13,7 +13,6 @@ from wolstenholme.bernoulli import bernoulli_mod, bernoulli_ratio
 from wolstenholme.harmonic import (
     MOMENT_WINDOW,
     _inverse_power_sums_raw,
-    _pair_inverses,
     _least_prime_factors,
     _pair_power_sums_raw,
     elementary_symmetric,
@@ -142,6 +141,16 @@ def test_lifted_r1_sweep_matches_per_k_oracle():
         expected = reference_inverse_power_sums(p, 1, p ** 10)[1]
         for c in range(2, 11):
             assert _inverse_power_sums_raw(p, 1, p ** c) == [0, expected % p ** c], (p, c)
+
+
+def test_full_width_sweep_above_the_digit_boundary():
+    # 16843^2 < 2^30 < 32771^2: where R_2..R_6 mod p^K do not fit the
+    # one-digit p^h (h = 2 and 1 here), every block is inverted mod p^K.
+    for p in (16843, 32771):
+        expected = reference_inverse_power_sums(p, 6, p ** 10)
+        for K in (2, 5, 10):
+            m = p ** K
+            assert _inverse_power_sums_raw(p, 6, m) == [x % m for x in expected], (p, K)
 
 
 def test_pair_sweeps_reject_other_moduli():
@@ -394,10 +403,13 @@ def test_wolstenholme_quotient_rejects_p3():
 def euler_index_check(p: int, n: int, e: int) -> bool:
     """Identity R_{phi(p^e)-n} = P_n in Z/p^e Z (Euler's theorem), with R_N
     for the one large N summed as powmods of 1/k = (p-k) v and
-    1/(p-k) = k v over the pair inverses v = 1/(k(p-k))."""
+    1/(p-k) = k v over the pair inverses v = 1/(k(p-k)), each inverted on
+    its own."""
     phi, m = p ** (e - 1) * (p - 1), p ** e
-    r = sum(pow((p - k) * v % m, phi - n, m) + pow(k * v % m, phi - n, m)
-            for ks, vs in _pair_inverses(p, m) for k, v in zip(ks, vs))
+    r = 0
+    for k in range(1, (p + 1) // 2):
+        v = pow(k * (p - k), -1, m)
+        r += pow((p - k) * v % m, phi - n, m) + pow(k * v % m, phi - n, m)
     return r % m == power_sum_raw(p, n, m)
 
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from wolstenholme import errors, harmonic
+from wolstenholme import errors, harmonic, scan
 from wolstenholme.harmonic import _pair_power_sums_raw
 from wolstenholme.modring import capped_valuation, is_prime
 from wolstenholme.scan import (
@@ -87,6 +87,20 @@ def test_two_sum_sweep_across_the_digit_boundary(monkeypatch):
         assert moduli == {p ** h} and p ** h < digit <= p ** (h + 1), p
         tail = (4 * pow(3, -1, p) * t1 ** 3 - 4 * t1 * t2 + 2 * t3) % p
         assert _cor1second_residual(p) == (2 * p ** 4 * t1 * t1 + p ** 6 * tail) % p ** 7, p
+
+
+def test_two_sum_residual_checks_wolstenholme(monkeypatch):
+    # The residual drops the T_1^3 and T_1 T_2 terms because p divides T_1;
+    # a T_1 that p does not divide is an error, not a residual.
+    p = 101
+    _, t1, t2, t3 = _pair_power_sums_raw(p, 3, p ** 2, p)
+    monkeypatch.setattr(scan, "_pair_power_sums_raw",
+                        lambda *args: [0, t1 + 1, t2, t3])
+    with pytest.raises(errors.DivisionNotExact):
+        _cor1second_residual(p)
+    record = scan._scan_one(p, Criterion.COR1_SECOND_P7)
+    assert record.reason.startswith("error:") and not record.flagged
+    assert record.observed_valuation is None
 
 
 def test_sieve_examples():
