@@ -7,6 +7,12 @@ every sum off the prime's evaluation plan (``plan``) and work a couple of
 exponents above the stated one where the arithmetic allows, so an
 outcome reports how much slack a congruence has, not just pass/fail.
 
+Most evaluators come from two factories of coefficients:
+``_make_ev_expansion(stated, {n: c_n})`` for C(2p-1,p-1) = 1 + sum(c_n p^n R_n)
+(Wolstenholme, Zhao's Lemma 2, Propositions 1-2, Corollary 1, Remark 2) and
+``_make_ev_lemma13(r, stated)`` for 2 R_1 = -sum(p^i R_(i+1), i=1..r) (Lemma 1,
+eq. 19, Lemma 13).  Every B_n mod p^r is read through ``_b``.
+
 A check passes when v_p(lhs - rhs) reaches the stated exponent.  Skipped
 is not failed: gates (below minimum prime, not prime, not a Wolstenholme
 prime, beyond an exact-oracle bound) produce skipped outcomes so suites
@@ -72,46 +78,53 @@ class CheckOutcome:
     elapsed_ns: int = 0
 
 
-def _eval_exponent(plan, stated: int, margin: int = 2, cap: int = 10) -> int:
-    return max(stated, min(stated + margin, cap, plan.top))
+def _eval_exponent(plan, stated: int, cap: int = 10) -> int:
+    return max(stated, min(stated + 2, cap, plan.top))
 
 
 def _indicator_pair(plan, lhs_holds: bool, rhs_holds: bool):
     return tuple(plan.modulus(1).residue(int(x)) for x in (lhs_holds, rhs_holds))
 
 
-def _b_high(plan, n: int, s: int) -> int:
-    """B_M mod p^n for M = p^n - p^(n-1) - s, read directly like any index."""
-    p = plan.p
-    return bernoulli_mod(p ** n - p ** (n - 1) - s, p, n, plan).value.value
+def _b(plan, M, n: int, r: int) -> Residue:
+    """B_n mod p^r as a residue of M."""
+    return M.residue(bernoulli_mod(n, plan.p, r, plan).value.value)
 
 
 # --- binomial-side evaluators -------------------------------------------------
 
-def _ev_wolstenholme_thm(plan):
-    central = plan.central(_eval_exponent(plan, 3))
-    return central, central.modulus.residue(1)
+def _make_ev_expansion(stated: int, coeffs: dict):
+    """C(2p-1,p-1) against 1 + sum(c_n p^n R_n) for ``coeffs`` = {n: c_n}."""
+    def evaluator(plan):
+        W = _eval_exponent(plan, stated)
+        central, R = plan.central(W), plan.R(W)
+        return central, sum((c * plan.p ** n * R[n] for n, c in coeffs.items()),
+                            central.modulus.residue(1))
+
+    return evaluator
+
+
+_ev_cor1_first = _make_ev_expansion(7, {1: -2, 2: -2})
+_ev_cor1_second = _make_ev_expansion(7, {1: 2, 3: Fr(2, 3)})
 
 
 def _ev_glaisher(plan):
     p, W = plan.p, _eval_exponent(plan, 4)
-    b = plan.modulus(W).residue(bernoulli_mod(p - 3, p, W - 3, plan).value.value)
+    b = _b(plan, plan.modulus(W), p - 3, W - 3)
     return plan.central(W), 1 - Fr(2, 3) * p ** 3 * b
 
 
 def _ev_lehmer(plan):
     p, W = plan.p, _eval_exponent(plan, 3)
-    b = plan.modulus(W).residue(bernoulli_mod(p - 3, p, W - 2, plan).value.value)
+    b = _b(plan, plan.modulus(W), p - 3, W - 2)
     return plan.R(W)[1], -Fr(1, 3) * p ** 2 * b
 
 
 def _ev_helou_terjanian(plan):
     p, M = plan.p, plan.modulus(6)
-    b_big = M.residue(_b_high(plan, 3, 2))
-    b3 = bernoulli_mod(p - 3, p, 1, plan).value.value
-    b5 = bernoulli_mod(p - 5, p, 1, plan).value.value
-    rhs = 1 - p ** 3 * b_big + Fr(1, 3) * p ** 5 * M.residue(b3) \
-        - Fr(6, 5) * p ** 5 * M.residue(b5)
+    b_big = _b(plan, M, p ** 3 - p ** 2 - 2, 3)
+    b3, b5 = _b(plan, M, p - 3, 1), _b(plan, M, p - 5, 1)
+    rhs = 1 - p ** 3 * b_big + Fr(1, 3) * p ** 5 * b3 - Fr(6, 5) * p ** 5 * b5
     return plan.central(6), rhs
 
 
@@ -137,32 +150,13 @@ def _ev_zhao_eq4(plan):
 
 # --- harmonic-sum evaluators --------------------------------------------------
 
-def _ev_lemma1(plan):
-    R = plan.R(_eval_exponent(plan, 4))
-    return 2 * R[1], -plan.p * R[2]
-
-
-def _ev_lemma2a(plan):
-    W = _eval_exponent(plan, 5)
-    return plan.central(W), 1 + 2 * plan.p * plan.R(W)[1]
-
-
-def _ev_lemma2b(plan):
-    W = _eval_exponent(plan, 5)
-    return plan.central(W), 1 - plan.p ** 2 * plan.R(W)[2]
-
-
-def _make_ev_lemma13(r: int):
-    def evaluator(plan, _r=r):
-        p, R = plan.p, plan.R(_eval_exponent(plan, _r + 1))
-        return 2 * R[1], -sum(p ** i * R[i + 1] for i in range(1, _r + 1))
+def _make_ev_lemma13(r: int, stated: int):
+    """2 R_1 against -sum(p^i R_(i+1), i=1..r)."""
+    def evaluator(plan):
+        p, R = plan.p, plan.R(_eval_exponent(plan, stated))
+        return 2 * R[1], -sum(p ** i * R[i + 1] for i in range(1, r + 1))
 
     return evaluator
-
-
-def _ev_eq19(plan):
-    p, R = plan.p, plan.R(_eval_exponent(plan, 8))
-    return 2 * R[1], -sum(p ** (i - 1) * R[i] for i in range(2, 7))
 
 
 def _ev_lemma12_iv(plan):
@@ -190,9 +184,9 @@ def _ev_lemma6_valuations(plan):
 def _make_ev_lemma7(n: int, exponent: int):
     sign = 1 if n % 2 else -1
 
-    def evaluator(plan, _n=n, _sign=sign, _e=exponent):
-        W = _eval_exponent(plan, _e)
-        return plan.R(W)[_n], _sign * _n * plan.H(W)[_n]
+    def evaluator(plan):
+        W = _eval_exponent(plan, exponent)
+        return plan.R(W)[n], sign * n * plan.H(W)[n]
 
     return evaluator
 
@@ -201,23 +195,23 @@ def _make_ev_lemma7(n: int, exponent: int):
 
 def _ev_lemma12_i(plan):
     p, M = plan.p, plan.modulus(6)
-    b_big4 = M.residue(_b_high(plan, 4, 2))
-    b_big2 = M.residue(_b_high(plan, 2, 4))
-    b3 = M.residue(bernoulli_mod(p - 3, p, 1, plan).value.value)
-    b5 = M.residue(bernoulli_mod(p - 5, p, 1, plan).value.value)
+    b_big4 = _b(plan, M, p ** 4 - p ** 3 - 2, 4)
+    b_big2 = _b(plan, M, p ** 2 - p - 4, 2)
+    b3, b5 = _b(plan, M, p - 3, 1), _b(plan, M, p - 5, 1)
     rhs = -Fr(1, 2) * p ** 2 * b_big4 - Fr(1, 4) * p ** 4 * b_big2 \
         + Fr(1, 6) * p ** 5 * b3 + Fr(1, 20) * p ** 5 * b5
     return plan.R(6)[1], rhs
 
 
 def _ev_lemma12_ii(plan):
-    p, W = plan.p, _eval_exponent(plan, 4, margin=2, cap=6)
-    b = plan.modulus(W).residue(_b_high(plan, 4, 4))
+    p, W = plan.p, _eval_exponent(plan, 4, cap=6)
+    b = _b(plan, plan.modulus(W), p ** 4 - p ** 3 - 4, 4)
     return plan.R(W)[3], -Fr(3, 2) * p ** 2 * b
 
 
 def _ev_lemma12_iii(plan):
-    return plan.R(5)[4], plan.p * plan.modulus(5).residue(_b_high(plan, 4, 4))
+    p = plan.p
+    return plan.R(5)[4], p * _b(plan, plan.modulus(5), p ** 4 - p ** 3 - 4, 4)
 
 
 def _ev_kummer_eq10(plan):
@@ -235,60 +229,26 @@ def _ev_kummer_eq11(plan):
 
 
 def _make_ev_eq26(n: int, s: int):
-    def evaluator(plan, _n=n, _s=s):
+    def evaluator(plan):
         p = plan.p
-        big = p ** _n - p ** (_n - 1) - _s
-        return bernoulli_ratio(big, p, _n, plan), high_index_ratio(_n, _s, p, plan)
+        big = p ** n - p ** (n - 1) - s
+        return bernoulli_ratio(big, p, n, plan), high_index_ratio(n, s, p, plan)
 
     return evaluator
 
 
-# --- Wolstenholme-prime expansions --------------------------------------------
-
-def _ev_prop1(plan):
-    p, W = plan.p, _eval_exponent(plan, 8)
-    R = plan.R(W)
-    rhs = 1 + sum(Fr((-1) ** (n - 1), n) * p ** n * R[n] for n in range(1, 7))
-    return plan.central(W), rhs
-
-
-def _ev_prop2(plan):
-    p, W = plan.p, _eval_exponent(plan, 8)
-    R = plan.R(W)
-    rhs = 1 + Fr(3, 2) * p * R[1] - Fr(1, 4) * p ** 2 * R[2] \
-        + Fr(7, 12) * p ** 3 * R[3] + Fr(5, 12) * p ** 5 * R[5]
-    return plan.central(W), rhs
-
-
-def _ev_cor1_first(plan):
-    p, W = plan.p, _eval_exponent(plan, 7)
-    R = plan.R(W)
-    return plan.central(W), 1 - 2 * p * R[1] - 2 * p * p * R[2]
-
-
-def _ev_cor1_second(plan):
-    p, W = plan.p, _eval_exponent(plan, 7)
-    R = plan.R(W)
-    return plan.central(W), 1 + 2 * p * R[1] + Fr(2, 3) * p ** 3 * R[3]
-
-
 def _ev_cor2(plan):
     p, M = plan.p, plan.modulus(7)
-    b_big4 = M.residue(_b_high(plan, 4, 2))
-    b_big2 = M.residue(_b_high(plan, 2, 4))
-    b5 = M.residue(bernoulli_mod(p - 5, p, 1, plan).value.value)
+    b_big4 = _b(plan, M, p ** 4 - p ** 3 - 2, 4)
+    b_big2, b5 = _b(plan, M, p ** 2 - p - 4, 2), _b(plan, M, p - 5, 1)
     rhs = 1 - p ** 3 * b_big4 - Fr(3, 2) * p ** 5 * b_big2 + Fr(3, 10) * p ** 6 * b5
     return plan.central(7), rhs
 
 
 def _ev_cor3(plan):
     p, M = plan.p, plan.modulus(7)
-    b3 = M.residue(bernoulli_mod(p - 3, p, 4, plan).value.value)
-    b4 = M.residue(bernoulli_mod(2 * p - 4, p, 4, plan).value.value)
-    b5 = M.residue(bernoulli_mod(3 * p - 5, p, 4, plan).value.value)
-    b6 = M.residue(bernoulli_mod(4 * p - 6, p, 4, plan).value.value)
-    c5 = M.residue(bernoulli_mod(p - 5, p, 2, plan).value.value)
-    c6 = M.residue(bernoulli_mod(2 * p - 6, p, 2, plan).value.value)
+    b3, b4, b5, b6 = (_b(plan, M, j * (p - 1) - 2, 4) for j in range(1, 5))
+    c5, c6 = (_b(plan, M, j * (p - 1) - 4, 2) for j in (1, 2))
     rhs = (
         1
         - p ** 3 * (Fr(8, 3) * b3 - 3 * b4 + Fr(8, 5) * b5 - Fr(1, 3) * b6)
@@ -300,14 +260,6 @@ def _ev_cor3(plan):
         - p ** 6 * Fr(2, 25) * c5
     )
     return plan.central(7), rhs
-
-
-def _ev_remark2(plan):
-    p, W = plan.p, _eval_exponent(plan, 8)
-    R = plan.R(W)
-    rhs = 1 + 2 * p * R[1] + Fr(5, 6) * p ** 3 * R[3] \
-        + Fr(1, 4) * p ** 4 * R[4] + Fr(17, 30) * p ** 5 * R[5]
-    return plan.central(W), rhs
 
 
 def _cor1_first_holds(plan) -> bool:
@@ -335,7 +287,7 @@ def _entries() -> list[CongruenceCheck]:
         CongruenceCheck(
             "wolstenholme_thm",
             "C(2p-1,p-1) = 1 (mod p^3)",
-            "Wolstenholme 1862", 5, A, 3, _ev_wolstenholme_thm),
+            "Wolstenholme 1862", 5, A, 3, _make_ev_expansion(3, {})),
         CongruenceCheck(
             "glaisher_p4",
             "C(2p-1,p-1) = 1 - (2/3) p^3 B_{p-3} (mod p^4)",
@@ -366,15 +318,15 @@ def _entries() -> list[CongruenceCheck]:
         CongruenceCheck(
             "lemma1_p4",
             "2 R_1 = -p R_2 (mod p^4)",
-            "Zhao 2007", 7, A, 4, _ev_lemma1),
+            "Zhao 2007", 7, A, 4, _make_ev_lemma13(1, 4)),
         CongruenceCheck(
             "lemma2a_p5",
             "C(2p-1,p-1) = 1 + 2p R_1 (mod p^5)",
-            "Zhao 2007", 7, A, 5, _ev_lemma2a),
+            "Zhao 2007", 7, A, 5, _make_ev_expansion(5, {1: 2})),
         CongruenceCheck(
             "lemma2b_p5",
             "C(2p-1,p-1) = 1 - p^2 R_2 (mod p^5)",
-            "Zhao 2007; McIntosh 1995", 7, A, 5, _ev_lemma2b),
+            "Zhao 2007; McIntosh 1995", 7, A, 5, _make_ev_expansion(5, {2: -1})),
         CongruenceCheck(
             "lemma12_i_p6",
             "R_1 = -(1/2) p^2 B_{p^4-p^3-2} - (1/4) p^4 B_{p^2-p-4}"
@@ -395,16 +347,18 @@ def _entries() -> list[CongruenceCheck]:
         CongruenceCheck(
             "eq19_p8",
             "2 R_1 = -(p R_2 + p^2 R_3 + p^3 R_4 + p^4 R_5 + p^5 R_6) (mod p^8)",
-            "telescoped inverse-pair identity", 11, A, 8, _ev_eq19),
+            "telescoped inverse-pair identity", 11, A, 8, _make_ev_lemma13(5, 8)),
         CongruenceCheck(
             "prop1_p8",
             "C(2p-1,p-1) = 1 + sum((-1)^(n-1) (p^n/n) R_n, n=1..6) (mod p^8)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 8, _ev_prop1),
+            "Wolstenholme-prime expansion", 11, W_ONLY, 8,
+            _make_ev_expansion(8, {n: Fr((-1) ** (n - 1), n) for n in range(1, 7)})),
         CongruenceCheck(
             "prop2_p8",
             "C(2p-1,p-1) = 1 + (3p/2) R_1 - (p^2/4) R_2 + (7p^3/12) R_3"
             " + (5p^5/12) R_5 (mod p^8)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 8, _ev_prop2),
+            "Wolstenholme-prime expansion", 11, W_ONLY, 8, _make_ev_expansion(
+                8, {1: Fr(3, 2), 2: -Fr(1, 4), 3: Fr(7, 12), 5: Fr(5, 12)})),
         CongruenceCheck(
             "cor1_first_p7",
             "C(2p-1,p-1) = 1 - 2p R_1 - 2p^2 R_2 (mod p^7)",
@@ -431,7 +385,8 @@ def _entries() -> list[CongruenceCheck]:
             "remark2_p8",
             "C(2p-1,p-1) = 1 + 2p R_1 + (5p^3/6) R_3 + (p^4/4) R_4"
             " + (17p^5/30) R_5 (mod p^8)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 8, _ev_remark2),
+            "Wolstenholme-prime expansion", 11, W_ONLY, 8, _make_ev_expansion(
+                8, {1: 2, 3: Fr(5, 6), 4: Fr(1, 4), 5: Fr(17, 30)})),
         CongruenceCheck(
             "lemma4_valuations",
             "v_p(R_n) >= 2 for odd n, >= 1 for even n (n <= min(6, p-3))",
@@ -462,7 +417,7 @@ def _entries() -> list[CongruenceCheck]:
         entries.append(CongruenceCheck(
             f"lemma13_r{r}",
             f"2 R_1 = -sum(p^i R_(i+1), i=1..{r}) (mod p^{r + 1})",
-            "telescoped inverse-pair identity", 3, A, r + 1, _make_ev_lemma13(r)))
+            "telescoped inverse-pair identity", 3, A, r + 1, _make_ev_lemma13(r, r + 1)))
     for n, exponent in ((2, 6), (3, 5), (4, 4), (5, 4), (6, 3)):
         sign = "" if n % 2 else "-"
         entries.append(CongruenceCheck(

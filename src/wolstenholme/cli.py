@@ -12,7 +12,7 @@ parallelism; elapsed_ns serializes as 0 unless --timings is given.
 Exit codes: 0 all good, 1 at least one failed check, errored record or
 dead worker process, 2 usage error, 3 I/O error, 4 malformed record in an
 input file (``report``, or the last complete line of a ``scan --resume``
-output).
+output, which must be a record of the scan's criterion).
 """
 from __future__ import annotations
 
@@ -304,11 +304,12 @@ def _parse_record(line: bytes, path: str, lineno: int) -> dict:
     return rec
 
 
-def _resume_floor(path: str) -> Optional[int]:
-    """Last prime in a jsonl scan output, after cutting a torn last line.
+def _resume_floor(path: str, check: str) -> Optional[int]:
+    """Last prime of a jsonl ``check`` scan output, after cutting a torn last line.
 
     A crash can leave the last line without its newline; that tail is
-    truncated, so the scan recomputes its prime and appends cleanly.
+    truncated, so the scan recomputes its prime and appends cleanly.  A
+    file whose last record is not of ``check`` is refused untouched.
     """
     if not os.path.exists(path):
         return None
@@ -320,8 +321,11 @@ def _resume_floor(path: str) -> Optional[int]:
             kept += len(line)
             if line.strip():
                 last, last_lineno = line, lineno
+        rec = None if last is None else _parse_record(last, path, last_lineno)
+        if rec is not None and rec["check"] != check:
+            raise MalformedRecord(f"{path}, line {last_lineno}: not a {check} record")
         handle.truncate(kept)
-    return None if last is None else _parse_record(last, path, last_lineno)["p"]
+    return None if rec is None else rec["p"]
 
 
 def _candidate_primes(cfg: RunConfig) -> Iterable[int]:
@@ -352,7 +356,7 @@ def execute(cfg: RunConfig) -> int:
             lo, hi = cfg.prime_range
             mode = "w"
             if cfg.resume:
-                floor = _resume_floor(cfg.output_path)
+                floor = _resume_floor(cfg.output_path, f"scan:{cfg.criterion.value}")
                 if floor is not None:
                     lo = max(lo, floor + 1)
                     mode = "a"

@@ -151,6 +151,20 @@ def test_scan_resume_cuts_torn_last_line(tmp_path):
     assert full.read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("first", [
+    ["scan", "--criterion", "cor1second", "--primes", "11..100"],
+    ["verify", "--checks", "lemma1_p4", "--primes", "7..40"],
+], ids=["other criterion", "verify output"])
+def test_scan_resume_refuses_another_runs_file(first, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    assert main([*first, "--output", str(out)]) == 0
+    before = out.read_bytes()
+    assert main(["scan", "--primes", "7..200", "--criterion", "r1p3",
+                 "--output", str(out), "--resume"]) == 4
+    assert out.read_bytes() == before
+    assert f"line {len(before.splitlines())}:" in capsys.readouterr().err
+
+
 def test_scan_resume_needs_jsonl():
     for fmt in ("csv", "pretty"):
         with pytest.raises(SystemExit) as exc:

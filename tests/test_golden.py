@@ -14,6 +14,9 @@ from wolstenholme.cli import main
 GOLDEN = {
     ("verify", "--checks", "all", "--primes", "2..300"):
         "82dfd6f5024f810c3d202211f0d94aae2a89bdd9a906abf01f34be888184197f",
+    # the one Wolstenholme prime in reach, so the Wolstenholme-only checks run
+    ("verify", "--checks", "all", "--at", "16843"):
+        "5e1a473c7b6fc6bde817a19752c2fd5c3a6a5454f0d14582a4239383ae79453f",
     ("scan", "--criterion", "binomial", "--primes", "2..3000"):
         "f314fd537a83cb71a179c68b2a0f4aa9e06aa29f5ca9d67c7849702692f45cba",
     ("scan", "--criterion", "r1p3", "--primes", "2..3000"):
@@ -25,7 +28,8 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: " ".join(argv[:3]))
+@pytest.mark.parametrize("argv", list(GOLDEN),
+                         ids=lambda argv: " ".join(argv if "--at" in argv else argv[:3]))
 def test_jsonl_matches_golden_digest(argv, tmp_path):
     out = tmp_path / "out.jsonl"
     main([*argv, "--output", str(out)])
