@@ -36,7 +36,6 @@ from .errors import (
     ExactDivisionFailed,
     IndexTooLarge,
     IrregularPosition,
-    NoValidTarget,
     NotPrime,
     OddIndex,
     RangeError,
@@ -87,17 +86,6 @@ def bernoulli_exact(m: int) -> BernoulliExact:
                 acc += comb(j + 1, i) * _exact[i]
         _exact.append(-acc / (j + 1))
     return BernoulliExact(index=m, value=_exact[m])
-
-
-def vsc_denominator(m: int) -> int:
-    """Denominator of B_m: the product of primes q with q-1 | m."""
-    if m < 2 or m % 2:
-        raise OddIndex(f"index {m} must be even and >= 2")
-    den = 1
-    for d in range(1, m + 1):
-        if m % d == 0 and is_prime(d + 1):
-            den *= d + 1
-    return den
 
 
 def is_regular_position(n: int, p: int) -> bool:
@@ -198,69 +186,6 @@ def bernoulli_ratio(n: int, p: int, r: int, plan=None) -> Residue:
     return modulus.residue(b // p ** v) * embed_rational(
         Fraction(1, unit), modulus
     )
-
-
-@dataclass(frozen=True)
-class KummerReduction:
-    """Certified transfer B_source = factor * B_target (mod p^r)."""
-
-    source: int
-    target: int
-    p: int
-    r: int
-    factor: Residue
-
-
-def kummer_reduce(m: int, p: int, r: int) -> KummerReduction:
-    """Least even target n > r with n = m (mod phi(p^r)) and the factor m/n."""
-    if p < 7 or not is_prime(p):
-        raise NotPrime(f"p must be a prime >= 7, got {p}")
-    if not 1 <= r <= RESIDUE_EXPONENT_CAP:
-        raise ValueError(f"exponent r must be in 1..{RESIDUE_EXPONENT_CAP}")
-    if m < 2 or m % 2:
-        raise OddIndex(f"index {m} must be even and >= 2")
-    if not is_regular_position(m, p):
-        raise IrregularPosition(f"p-1 = {p - 1} divides index {m}")
-    if r > m - 1:
-        raise NoValidTarget(f"r = {r} exceeds m-1 = {m - 1}")
-    phi = p ** (r - 1) * (p - 1)
-    n = m % phi
-    if n <= r:
-        n += phi
-    modulus = make_modulus(p, r)
-    # p may divide both indices (for r >= 2 they agree mod p^(r-1)); the
-    # factor is then the ratio of the p-free parts, still p-integral.
-    v = 0
-    n_unit, m_unit = n, m
-    while n_unit % p == 0:
-        n_unit //= p
-        v += 1
-        if m_unit % p:
-            raise NoValidTarget(
-                f"cannot certify an integral factor for {m} -> {n} at p = {p}")
-        m_unit //= p
-    factor = modulus.residue(m_unit) * modulus.residue(n_unit).inverse()
-    return KummerReduction(source=m, target=n, p=p, r=r, factor=factor)
-
-
-def kummer_alternating_check(m: int, p: int, r: int) -> int:
-    """Valuation of sum((-1)^k C(r,k) B_{m+k(p-1)}/(m+k(p-1)), k=0..r) mod p^r.
-
-    The r-th finite difference of k -> B_{m+k(p-1)}/(m+k(p-1)) vanishes
-    mod p^r; the returned valuation is capped there.
-    """
-    if m < 2 or m % 2:
-        raise OddIndex(f"index {m} must be even and >= 2")
-    if not 1 <= r <= min(RESIDUE_EXPONENT_CAP, m - 1):
-        raise ValueError(f"need 1 <= r <= min({RESIDUE_EXPONENT_CAP}, m-1)")
-    if not is_regular_position(m, p):
-        raise IrregularPosition(f"p-1 = {p - 1} divides index {m}")
-    acc = make_modulus(p, r).residue(0)
-    plan = EvaluationPlan(p)
-    for k in range(r + 1):
-        coeff = (-1) ** k * comb(r, k)
-        acc = acc + coeff * bernoulli_ratio(m + k * (p - 1), p, r, plan)
-    return acc.valuation()
 
 
 def reduce_high_index(n: int, s: int, p: int) -> list[tuple[int, int]]:

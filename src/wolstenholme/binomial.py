@@ -8,11 +8,12 @@ The central object is C(2p-1, p-1), computed through the product expansion
 evaluated with one modular inversion.  ``exact_binomial`` is the exact
 big-integer oracle for desk-scale arguments, and ``zhao_quotient_check``
 evaluates the quotient law C(np, rp)/C(n, r) = 1 + w_p n r (n-r) p^3
-(mod p^5) for every shape 1 <= r <= n <= 6.  The Granville and Sun-Wan
-congruences live in the check registry (``granville_p5``, ``sun_wan_p5``),
-which reads both products off the pair sums (``plan``) and takes the
-exact binomials here; ``_shifted_product_raw`` stays their independent
-check.
+(mod p^5) for every shape 1 <= r <= n <= 6, with w_p = R_1/p^2 (mod p^2)
+read off R_1 mod p^4, as the registry's ``zhao_eq4_p5`` reads it.  The
+Granville and Sun-Wan congruences live in the check registry
+(``granville_p5``, ``sun_wan_p5``), which reads both products off the
+pair sums (``plan``) and takes the exact binomials here;
+``_shifted_product_raw`` stays their independent check.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import NotPrime, RangeError
-from .harmonic import wolstenholme_quotient
+from .harmonic import _inverse_power_sums_raw
 from .modring import (
     Residue,
     capped_valuation,
@@ -102,13 +103,6 @@ def central_binomial_mod(p: int, k: int) -> BinomialResidue:
     )
 
 
-def is_wolstenholme_prime(p: int) -> bool:
-    """C(2p-1, p-1) = 1 (mod p^4), the defining congruence."""
-    if p < 5 or not is_prime(p):
-        return False
-    return _central_raw(p, p ** 4) == 1
-
-
 def zhao_quotient_check(n: int, r: int, p: int) -> int:
     """Valuation of C(np, rp)/C(n, r) - (1 + w_p n r (n-r) p^3) in Z/p^5 Z.
 
@@ -124,6 +118,6 @@ def zhao_quotient_check(n: int, r: int, p: int) -> int:
     lhs = modulus.residue(exact_binomial(n * p, r * p)) * modulus.residue(
         exact_binomial(n, r)
     ).inverse()
-    w = wolstenholme_quotient(p).w
+    w = int(_inverse_power_sums_raw(p, 1, p ** 4)[1]) // p ** 2  # w_p (mod p^2)
     rhs = modulus.residue(1 + w * n * r * (n - r) * p ** 3)
     return (lhs - rhs).valuation()

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import binomial
 from .bernoulli import bernoulli_mod, bernoulli_ratio, high_index_ratio
-from .errors import NotPrime, UnknownCheck
+from .errors import UnknownCheck
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .bernoulli import high_index_bernoulli  # noqa: F401
 from .harmonic import _inverse_power_sums_raw  # noqa: F401
@@ -265,15 +265,6 @@ def _ev_cor3(plan):
 def _cor1_first_holds(plan) -> bool:
     lhs, rhs = _ev_cor1_first(plan)
     return (lhs - rhs).valuation() >= 7
-
-
-def cor4_equivalence(p: int) -> bool:
-    """Wolstenholme-prime status and the mod-p^7 two-sum congruence agree."""
-    if p < 11:
-        raise ValueError("defined for primes p >= 11")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    return binomial.is_wolstenholme_prime(p) == _cor1_first_holds(EvaluationPlan(p))
 
 
 def _ev_cor4_iff(plan):

@@ -32,7 +32,7 @@ from .binomial import (
 from .checks import CheckOutcome, all_check_ids, lookup, run_suite
 from .errors import MalformedRecord, WolstenholmeError
 from .scan import (
-    MIN_SEGMENT_SIZE, SIEVE_LIMIT, Criterion, ScanRecord, SieveConfig,
+    SIEVE_LIMIT, Criterion, ScanRecord, SieveConfig,
     sieve_primes, wolstenholme_scan,
 )
 
@@ -55,13 +55,11 @@ class RunConfig:
     prime_range: Optional[tuple[int, int]] = None
     at: Optional[int] = None
     criterion: Criterion = Criterion.HARMONIC_R1_P3
-    limit: Optional[int] = None
     output_path: Optional[str] = None
     format: str = "jsonl"
     parallelism: int = 1
     timings: bool = False
     resume: bool = False
-    segment_size: int = 1 << 16
     index: Optional[int] = None
     mod_prime: Optional[int] = None
     exponent: Optional[int] = None
@@ -127,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--primes", metavar="A..B", default=None)
     sp.add_argument("--criterion",
                     choices=[c.value for c in Criterion], default="r1p3")
-    sp.add_argument("--segment-size", type=int, default=1 << 16)
     sp.add_argument("--resume", action="store_true",
                     help="continue after the last prime already in --output")
     add_io(sp)
@@ -180,17 +177,13 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
             if not 2 < ns.limit <= SIEVE_LIMIT:
                 parser.error(f"--limit must be in 3..{SIEVE_LIMIT}")
             cfg.prime_range = (2, ns.limit)
-            cfg.limit = ns.limit
         else:
             cfg.prime_range = _parse_range(ns.primes, parser)
         if ns.resume and ns.format != "jsonl":
             parser.error("--resume needs --format jsonl")
         if ns.resume and ns.output is None:
             parser.error("--resume needs --output")
-        if ns.segment_size < MIN_SEGMENT_SIZE:
-            parser.error(f"--segment-size must be at least {MIN_SEGMENT_SIZE}")
         cfg.criterion = Criterion(ns.criterion)
-        cfg.segment_size = ns.segment_size
         cfg.resume = ns.resume
     elif ns.command == "bernoulli":
         if ns.mod is None and ns.exp is not None:
@@ -332,7 +325,7 @@ def _candidate_primes(cfg: RunConfig) -> Iterable[int]:
     if cfg.at is not None:
         return [cfg.at]
     lo, hi = cfg.prime_range
-    return sieve_primes(SieveConfig(lo, hi, cfg.segment_size))
+    return sieve_primes(SieveConfig(lo, hi))
 
 
 def execute(cfg: RunConfig) -> int:
@@ -362,9 +355,8 @@ def execute(cfg: RunConfig) -> int:
                     mode = "a"
                     if lo >= hi:
                         return 0
-            records = wolstenholme_scan(
-                SieveConfig(lo, hi, cfg.segment_size), cfg.criterion,
-                cfg.parallelism)
+            records = wolstenholme_scan(SieveConfig(lo, hi), cfg.criterion,
+                                        cfg.parallelism)
             errored = False
 
             def harvest():

@@ -26,22 +26,11 @@ class ModulusMismatch(WolstenholmeError, ValueError):
 
 
 class NotInvertible(WolstenholmeError, ValueError):
-    """Element shares a factor with the modulus.
-
-    ``index`` identifies the first offending position for batch inversions.
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """Element shares a factor with the modulus."""
 
 
 class DenominatorNotCoprime(WolstenholmeError, ValueError):
     """Rational with p in the denominator cannot embed into Z/p^k Z."""
-
-
-class NMaxTooLarge(WolstenholmeError, ValueError):
-    """Symmetric-sum order exceeds p-2 (or the supported cap)."""
 
 
 class DivisionNotExact(WolstenholmeError, ArithmeticError):
@@ -62,10 +51,6 @@ class IrregularPosition(WolstenholmeError, ValueError):
 
 class ExactDivisionFailed(WolstenholmeError, ArithmeticError):
     """Internal exact division by p failed; signals an arithmetic fault."""
-
-
-class NoValidTarget(WolstenholmeError, ValueError):
-    """No admissible low index for an index-reduction congruence."""
 
 
 class RangeError(WolstenholmeError, ValueError):

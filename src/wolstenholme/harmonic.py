@@ -1,14 +1,12 @@
-"""Harmonic-type sums over 1..p-1 as residues modulo p^K.
+"""Harmonic-type sums over 1..p-1 modulo p^K, as plain integers: the
+kernels that the evaluation plan (``plan``) and the scans read.
 
 Three families:
 
 * ``R_n(p) = sum(1/k^n for k in 1..p-1)`` — power sums of inverses,
 * ``H_n(p) = sum(1/(i_1*...*i_n))`` over n-subsets — elementary symmetric
   functions of the inverses,
-* ``P_n(p) = sum(k^n for k in 1..p-1)`` — ordinary power sums,
-
-plus the quotient w_p, the unique integer in [0, p^2) congruent to
-R_1(p)/p^2 modulo p^2 (R_1's numerator is divisible by p^2 for p >= 5).
+* ``P_n(p) = sum(k^n for k in 1..p-1)`` — ordinary power sums.
 
 R and H are linked by Newton's identity
 
@@ -74,17 +72,14 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import repeat
 from math import comb, isqrt
 from operator import mod, mul
-from typing import Iterator, Mapping
+from typing import Iterator
 
-from .errors import DivisionNotExact, NMaxTooLarge
-from .modring import Residue, _batch_invert_raw, make_modulus, mpz, powmod
-
-#: Largest sum order ``elementary_symmetric`` serves (the plan stops at R_6).
-N_MAX_CAP = 8
+from .modring import _batch_invert_raw, mpz, powmod
+# Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
+from .modring import make_modulus  # noqa: F401
 
 #: Pairs per block, one modular inversion each.  A block keeps a few lists
 #: of this many residues alive, the widest the unreduced v^i of a T_1..T_6
@@ -102,25 +97,6 @@ _MOMENT_CHUNK = 1 << 10
 #: t -> c: the classes n = t (mod p-1) and precisions p^c of every P_n the
 #: Bernoulli side asks for (derivation in the module doc).
 MOMENT_WINDOW = {4: 5, 2: 3, -2: 5, -4: 5, -6: 3}
-
-
-@dataclass(frozen=True)
-class SumProfile:
-    """R_1..R_n_max and H_1..H_n_max at one prime-power modulus."""
-
-    p: int
-    modulus_exponent: int
-    n_max: int
-    R: Mapping[int, Residue]
-    H: Mapping[int, Residue]
-
-
-@dataclass(frozen=True)
-class WolstenholmeQuotient:
-    """w_p in [0, p^2) with w_p = R_1(p)/p^2 (mod p^2)."""
-
-    p: int
-    w: int
 
 
 def _pair_products(p: int) -> Iterator[tuple[range, list]]:
@@ -209,35 +185,6 @@ def _inverse_from_pair_sums(p: int, T: list, m) -> list:
         for n in range(1, len(T))]
 
 
-def power_sum_inverses(p: int, n: int, K: int) -> Residue:
-    """R_n(p) = sum of k^-n over 1..p-1, reduced mod p^K."""
-    if p < 3:
-        raise ValueError("p must be an odd prime")
-    if n < 1:
-        raise ValueError("n must be positive")
-    modulus = make_modulus(p, K)
-    return modulus.residue(_inverse_power_sums_raw(p, n, modulus.m)[n])
-
-
-def elementary_symmetric(p: int, n_max: int, K: int) -> SumProfile:
-    """H_1..H_n_max via the Newton recurrence, together with the R values."""
-    if n_max > p - 2:
-        raise NMaxTooLarge(f"n_max {n_max} exceeds p-2 = {p - 2}")
-    if not 1 <= n_max <= N_MAX_CAP:
-        raise NMaxTooLarge(f"n_max {n_max} outside 1..{N_MAX_CAP}")
-    modulus = make_modulus(p, K)
-    m = mpz(modulus.m)
-    R = _inverse_power_sums_raw(p, n_max, m)
-    H = _newton_h_raw(R, n_max, m)
-    return SumProfile(
-        p=p,
-        modulus_exponent=K,
-        n_max=n_max,
-        R={n: modulus.residue(R[n]) for n in range(1, n_max + 1)},
-        H={n: modulus.residue(H[n]) for n in range(1, n_max + 1)},
-    )
-
-
 def _newton_h_raw(R, n_max: int, m) -> list:
     """[_, H_1, .., H_n_max] mod m from [_, R_1, .., R_n_max] (needs n_max < p).
 
@@ -249,16 +196,6 @@ def _newton_h_raw(R, n_max: int, m) -> list:
         acc = R[n] + sum((-1) ** i * H[i] * R[n - i] for i in range(1, n))
         H[n] = (-1) ** (n - 1) * (acc % m) * powmod(n, -1, m) % m
     return H
-
-
-def power_sum(p: int, n: int, K: int) -> Residue:
-    """P_n(p) = sum of k^n over 1..p-1, reduced mod p^K."""
-    if p < 3:
-        raise ValueError("p must be an odd prime")
-    if n < 1:
-        raise ValueError("n must be positive")
-    modulus = make_modulus(p, K)
-    return modulus.residue(power_sum_raw(p, n, modulus.m))
 
 
 def _least_prime_factors(n: int) -> array:
@@ -340,15 +277,3 @@ def power_sum_raw(p: int, n: int, m) -> int:
     phi = m // p * (p - 1)  # Euler: k^n = k^e for k prime to p if n = e (mod phi)
     e = (n + phi // 2) % phi - phi // 2  # the e nearest 0 has the fewest bits
     return int(sum(sum(x) for _, x in _powers(p, e, mpz(m))) % m)
-
-
-def wolstenholme_quotient(p: int) -> WolstenholmeQuotient:
-    """R_1(p) mod p^4, divided by p^2 exactly, reduced mod p^2."""
-    modulus = make_modulus(p, 4)
-    r1 = int(_inverse_power_sums_raw(p, 1, modulus.m)[1])
-    square = p * p
-    if r1 % square:
-        raise DivisionNotExact(
-            f"R_1({p}) is not divisible by {p}^2; requires p >= 5"
-        )
-    return WolstenholmeQuotient(p=p, w=(r1 // square) % square)

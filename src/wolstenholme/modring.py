@@ -28,9 +28,6 @@ except ImportError:  # pragma: no cover
     mpz = int
     powmod = pow
 
-#: Exact rationals are stdlib fractions: always in lowest terms, den >= 1.
-ExactRational = Fraction
-
 Rationalish = Union[int, Fraction]
 
 WIDTH_BITS = 200
@@ -230,13 +227,6 @@ class Residue:
     def inverse(self) -> "Residue":
         return inverse(self)
 
-    def reduce_to(self, j: int) -> "Residue":
-        """The image in Z/p^j Z for j <= k."""
-        if not 1 <= j <= self.modulus.k:
-            raise ExponentOutOfRange(f"cannot reduce exponent {self.modulus.k} to {j}")
-        lower = make_modulus(self.modulus.p, j)
-        return lower.residue(self.value)
-
     def valuation(self) -> int:
         """v_p of the value, capped at the exponent k (0 maps to the cap)."""
         return capped_valuation(self.value, self.modulus.p, self.modulus.k)
@@ -264,24 +254,6 @@ def embed_rational(q: Rationalish, modulus: PrimePowerModulus) -> Residue:
     if q.denominator != 1:
         value = value * pow(q.denominator, -1, modulus.m) % modulus.m
     return Residue(value, modulus)
-
-
-def batch_inverses(values: Sequence[Residue]) -> list[Residue]:
-    """Elementwise inverses using prefix products and one inversion.
-
-    Raises NotInvertible naming the first index with p | value.
-    """
-    if not values:
-        return []
-    modulus = values[0].modulus
-    raw = []
-    for i, v in enumerate(values):
-        if v.modulus.m != modulus.m:
-            raise ModulusMismatch("batch entries must share one modulus")
-        if v.value % modulus.p == 0:
-            raise NotInvertible(f"entry {v.value} not invertible", index=i)
-        raw.append(v.value)
-    return [Residue(x, modulus) for x in _batch_invert_raw(raw, modulus.m)]
 
 
 def _batch_invert_raw(raw: Sequence[int], m) -> list:

@@ -38,7 +38,6 @@ from .parallel import ordered_map
 
 SIEVE_LIMIT = 10 ** 8
 MIN_SEGMENT_SIZE = 8
-REMARK1_LIMIT = 10 ** 6
 
 _SCAN_MIN_PRIME = 7
 
@@ -179,14 +178,3 @@ def wolstenholme_scan(
     """One record per prime in the range, in ascending order."""
     return ordered_map(partial(_scan_one, criterion=criterion),
                        sieve_primes(cfg), parallelism, chunk=32)
-
-
-def remark1_experiment(limit: int, parallelism: int = 1) -> list[int]:
-    """Primes 11 <= p < limit satisfying the mod-p^7 two-sum congruence."""
-    if limit > REMARK1_LIMIT:
-        raise RangeTooLarge(f"limit {limit} beyond {REMARK1_LIMIT}")
-    if limit <= 11:
-        return []
-    records = wolstenholme_scan(SieveConfig(11, limit), Criterion.COR1_SECOND_P7,
-                                parallelism)
-    return [r.p for r in records if r.flagged]

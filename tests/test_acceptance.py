@@ -16,18 +16,16 @@ import pytest
 from wolstenholme.bernoulli import (
     bernoulli_exact,
     bernoulli_mod,
+    bernoulli_ratio,
     high_index_bernoulli,
-    kummer_alternating_check,
-    kummer_reduce,
 )
 from wolstenholme.binomial import central_binomial_mod
 from wolstenholme.checks import run_suite
-from wolstenholme.harmonic import elementary_symmetric
 from wolstenholme.modring import embed_rational, make_modulus
+from wolstenholme.plan import EvaluationPlan
 from wolstenholme.scan import (
     Criterion,
     SieveConfig,
-    remark1_experiment,
     sieve_primes,
     wolstenholme_scan,
 )
@@ -57,6 +55,12 @@ def _suite_green(ids, primes):
             failures.append((outcome.check_id, outcome.p,
                              outcome.residual_valuation, outcome.reason))
     return not failures, ran, failures
+
+
+def _two_sum_flags(limit):
+    """Primes 11 <= p < limit the mod-p^7 two-sum scan flags."""
+    return [r.p for r in wolstenholme_scan(SieveConfig(11, limit),
+                                           Criterion.COR1_SECOND_P7) if r.flagged]
 
 
 def test_criterion_1_wolstenholme_theorem_to_1e4():
@@ -151,7 +155,7 @@ def test_criterion_6_stretch_second_wolstenholme_prime():
 
 def test_criterion_7_two_sum_scan_ci_scale():
     start = time.time()
-    flagged = remark1_experiment(2 * 10 ** 4)
+    flagged = _two_sum_flags(2 * 10 ** 4)
     elapsed = time.time() - start
     ok = flagged == [WOLSTENHOLME_PRIME]
     _report(7, ok, f"two-sum mod-p^7 scan below 2e4 flags exactly"
@@ -163,7 +167,7 @@ def test_criterion_7_two_sum_scan_ci_scale():
 @pytest.mark.slow
 def test_criterion_7_two_sum_scan_full():
     start = time.time()
-    flagged = remark1_experiment(10 ** 5)
+    flagged = _two_sum_flags(10 ** 5)
     elapsed = time.time() - start
     ok = flagged == [WOLSTENHOLME_PRIME]
     _report(7, ok, f"full scan below 1e5 flags exactly {{16843}},"
@@ -185,12 +189,12 @@ def test_criterion_8_oracle_equivalences():
 
     # Newton recurrence vs brute-force subset sums, p <= 13, n <= 6
     for p in (5, 7, 11, 13):
-        profile = elementary_symmetric(p, min(6, p - 2), 4)
+        H = EvaluationPlan(p).H(4)
         modulus = make_modulus(p, 4)
-        for n in range(1, profile.n_max + 1):
+        for n in range(1, len(H)):
             brute = sum(Fr(1, prod(sub))
                         for sub in combinations(range(1, p), n))
-            if profile.H[n] != embed_rational(brute, modulus):
+            if H[n] != embed_rational(brute, modulus):
                 problems.append(("newton", p, n))
 
     # residue Bernoulli vs exact rationals: even n <= 60, p in 11..97, r <= 3
@@ -206,12 +210,16 @@ def test_criterion_8_oracle_equivalences():
 
     # Kummer transfer, alternating sums, and the high-index expansion
     for p in _primes(11, 98):
-        red = kummer_reduce(p * (p - 1) + 4, p, 2)
-        lhs = bernoulli_mod(p * (p - 1) + 4, p, 2).value
-        if lhs != red.factor * bernoulli_mod(red.target, p, 2).value:
+        plan = EvaluationPlan(p)
+        m = p * (p - 1) + 4  # m = 4 (mod phi(p^2))
+        target = m % (p * (p - 1))
+        if bernoulli_ratio(m, p, 2, plan) != bernoulli_ratio(target, p, 2, plan):
             problems.append(("kummer10", p))
         for r in (1, 2, 3):
-            if kummer_alternating_check(8, p, r) < r:
+            diff = sum((-1) ** k * comb(r, k)
+                       * bernoulli_ratio(8 + k * (p - 1), p, r, plan)
+                       for k in range(r + 1))
+            if diff.valuation() < r:
                 problems.append(("kummer11", p, r))
         for n in (2, 3, 4):
             for s in (2, 4):

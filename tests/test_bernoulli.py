@@ -4,6 +4,7 @@ The exact recurrence is the oracle for the residue path; sympy serves as
 an extra third-party cross-check of the recurrence itself.
 """
 from fractions import Fraction as Fr
+from math import comb
 
 import pytest
 
@@ -14,12 +15,10 @@ from wolstenholme.bernoulli import (
     bernoulli_ratio,
     high_index_bernoulli,
     high_index_ratio,
-    kummer_alternating_check,
-    kummer_reduce,
     reduce_high_index,
-    vsc_denominator,
 )
 from wolstenholme.modring import embed_rational, is_prime, make_modulus, valuation
+from wolstenholme.plan import EvaluationPlan
 
 PRIMES_11_97 = [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
                 71, 73, 79, 83, 89, 97]
@@ -76,16 +75,13 @@ def enumerate_vsc(m: int) -> int:
 
 
 def test_vsc_examples():
-    assert vsc_denominator(12) == 2730 == enumerate_vsc(12)
-    assert vsc_denominator(2) == 6 == enumerate_vsc(2)
-    assert vsc_denominator(12) == bernoulli_exact(12).value.denominator
-    with pytest.raises(errors.OddIndex):
-        vsc_denominator(9)
+    assert enumerate_vsc(12) == 2730 == bernoulli_exact(12).value.denominator
+    assert enumerate_vsc(2) == 6 == bernoulli_exact(2).value.denominator
 
 
 def test_vsc_matches_exact_denominators():
     for m in range(2, 102, 2):
-        assert vsc_denominator(m) == bernoulli_exact(m).value.denominator, m
+        assert enumerate_vsc(m) == bernoulli_exact(m).value.denominator, m
 
 
 def test_bernoulli_mod_examples():
@@ -139,22 +135,34 @@ def test_bernoulli_ratio_with_p_in_index():
     assert got == want
 
 
+def kummer_target(m: int, p: int, r: int) -> int:
+    """The least n > r with n = m (mod phi(p^r)), where Kummer's congruence
+    B_m/m = B_n/n (mod p^r) moves an index m != 0 (mod p-1)."""
+    phi = p ** (r - 1) * (p - 1)
+    n = m % phi
+    return n + phi if n <= r else n
+
+
+def kummer_difference(m: int, p: int, r: int):
+    """sum((-1)^k C(r,k) B_{m+k(p-1)}/(m+k(p-1)), k=0..r) mod p^r: the r-th
+    finite difference that Kummer's congruences make vanish mod p^r."""
+    plan = EvaluationPlan(p)
+    return sum((-1) ** k * comb(r, k) * bernoulli_ratio(m + k * (p - 1), p, r, plan)
+               for k in range(r + 1))
+
+
 def test_kummer_reduce_examples():
-    red = kummer_reduce(10, 7, 1)
-    assert red.target == 4
+    assert kummer_target(10, 7, 1) == 4
     assert bernoulli_ratio(10, 7, 1).value == 6
     assert bernoulli_ratio(4, 7, 1).value == 6
-    # degenerate: small index maps to itself with factor 1
-    red = kummer_reduce(10, 13, 1)
-    assert red.target == 10 and red.factor.value == 1
+    # degenerate: small index maps to itself
+    assert kummer_target(10, 13, 1) == 10
     with pytest.raises(errors.IrregularPosition):
-        kummer_reduce(20, 11, 2)
-    with pytest.raises(errors.NoValidTarget):
-        kummer_reduce(2, 11, 3)
+        bernoulli_ratio(20, 11, 2)
 
 
 def test_kummer_reduce_certified_transfer():
-    # B_source = factor * B_target mod p^r, source huge, against direct path
+    # B_m/m = B_n/n mod p^r, source m huge, both sides by the direct path
     cases = [
         (11, 4, 11 ** 4 - 11 ** 3 - 2),
         (13, 3, 13 ** 3 - 13 ** 2 - 4),
@@ -162,9 +170,8 @@ def test_kummer_reduce_certified_transfer():
         (19, 2, 19 ** 2 - 19 - 4),
     ]
     for p, r, m in cases:
-        red = kummer_reduce(m, p, r)
-        direct = bernoulli_mod(m, p, r).value
-        via = red.factor * bernoulli_mod(red.target, p, r).value
+        direct = bernoulli_ratio(m, p, r)
+        via = bernoulli_ratio(kummer_target(m, p, r), p, r)
         assert direct == via, (p, r, m)
 
 
@@ -179,23 +186,20 @@ def test_kummer_reduce_random_triples():
         m = rng.randint(r + 1, 4000) * 2
         if m % (p - 1) == 0:
             continue
-        red = kummer_reduce(m, p, r)
-        lhs = bernoulli_mod(m, p, r).value
-        rhs = red.factor * bernoulli_mod(red.target, p, r).value
+        lhs = bernoulli_ratio(m, p, r)
+        rhs = bernoulli_ratio(kummer_target(m, p, r), p, r)
         assert lhs == rhs, (m, p, r)
         done += 1
 
 
 def test_kummer_alternating_examples():
-    assert kummer_alternating_check(4, 11, 1) >= 1
+    assert kummer_difference(4, 11, 1).valuation() >= 1
     exact = bernoulli_exact(4).value / 4 - bernoulli_exact(14).value / 14
     assert valuation(exact, 11) >= 1
-    assert kummer_alternating_check(4, 7, 2) >= 2
+    assert kummer_difference(4, 7, 2).valuation() >= 2
     exact = (bernoulli_exact(4).value / 4 - 2 * bernoulli_exact(10).value / 10
              + bernoulli_exact(16).value / 16)
     assert valuation(exact, 7) >= 2
-    with pytest.raises(ValueError):
-        kummer_alternating_check(4, 7, 0)
 
 
 def test_kummer_alternating_sweep():
@@ -206,7 +210,7 @@ def test_kummer_alternating_sweep():
                     continue
                 if any((m + k * (p - 1)) % p == 0 for k in range(r + 1)) and r == 4:
                     continue  # ratio at p | index needs exponent r+1 > cap
-                assert kummer_alternating_check(m, p, r) >= r, (m, p, r)
+                assert kummer_difference(m, p, r).valuation() >= r, (m, p, r)
 
 
 def test_reduce_high_index_examples():
@@ -256,7 +260,7 @@ def test_kummer_alternating_across_p_divisible_index():
     # the plain finite-difference congruence survives indices divisible
     # by p (here 14 = 2*7), unlike the combined high-index expansion
     for r in (1, 2, 3):
-        assert kummer_alternating_check(8, 7, r) >= r
+        assert kummer_difference(8, 7, r).valuation() >= r
 
 
 def test_high_index_expansion_grid():

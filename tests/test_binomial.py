@@ -7,10 +7,9 @@ from wolstenholme import checks, errors
 from wolstenholme.binomial import (
     central_binomial_mod,
     exact_binomial,
-    is_wolstenholme_prime,
     zhao_quotient_check,
 )
-from wolstenholme.harmonic import elementary_symmetric, wolstenholme_quotient
+from wolstenholme.harmonic import _inverse_power_sums_raw, _newton_h_raw
 from wolstenholme.modring import make_modulus
 from wolstenholme.plan import EvaluationPlan
 
@@ -56,6 +55,16 @@ def test_wolstenholme_valuation_margin():
         assert central_binomial_mod(p, 3).wolstenholme_valuation >= 3, p
 
 
+def symmetric_sums(p: int, n_max: int, k: int) -> list:
+    """[_, H_1, .., H_n_max] in Z/p^k Z: the plan's up to n_max = 6, past
+    it (the plan stops at H_6) Newton's recurrence over the raw R's."""
+    if n_max <= 6:
+        return EvaluationPlan(p).H(k)[:n_max + 1]
+    modulus = make_modulus(p, k)
+    H = _newton_h_raw(_inverse_power_sums_raw(p, n_max, modulus.m), n_max, modulus.m)
+    return [None] + [modulus.residue(x) for x in H[1:]]
+
+
 def test_truncation_identity_against_symmetric_sums():
     # C(2p-1,p-1) = 1 + sum(p^j H_j, j < k) (mod p^k); needs k <= p-1 so
     # the elementary symmetric functions beyond the package cap stay out
@@ -63,24 +72,28 @@ def test_truncation_identity_against_symmetric_sums():
         for k in (2, 4, 6, 8):
             if k > p - 1:
                 continue
-            profile = elementary_symmetric(p, min(k - 1, 8, p - 2), k)
+            n_max = min(k - 1, 8, p - 2)
+            H = symmetric_sums(p, n_max, k)
             modulus = make_modulus(p, k)
             acc = modulus.residue(1)
-            for j in range(1, min(k - 1, profile.n_max) + 1):
-                acc = acc + p ** j * profile.H[j]
+            for j in range(1, min(k - 1, n_max) + 1):
+                acc = acc + p ** j * H[j]
             assert central_binomial_mod(p, k).value == acc, (p, k)
 
 
 def test_is_wolstenholme_prime():
-    assert is_wolstenholme_prime(16843)
-    assert not any(is_wolstenholme_prime(p) for p in PRIMES_200)
-    assert not is_wolstenholme_prime(4)
+    # the defining congruence C(2p-1, p-1) = 1 (mod p^4) by the product kernel
+    assert central_binomial_mod(16843, 4).wolstenholme_valuation >= 4
+    assert not any(central_binomial_mod(p, 4).wolstenholme_valuation >= 4
+                   for p in PRIMES_200)
+    with pytest.raises(errors.NotPrime):
+        central_binomial_mod(4, 4)
 
 
 def test_zhao_quotient_examples():
     assert zhao_quotient_check(2, 1, 7) >= 5
     # C(14,7)/2 = 1716 against 1 + 2 w_7 p^3 = 18523
-    w = wolstenholme_quotient(7).w
+    w = _inverse_power_sums_raw(7, 1, 7 ** 4)[1] // 7 ** 2
     assert comb(14, 7) // 2 == 1716
     assert (1 + 2 * w * 343 - 1716) % 7 ** 5 == 0
     assert zhao_quotient_check(3, 1, 11) >= 5

@@ -10,13 +10,13 @@ from wolstenholme import checks, errors
 from wolstenholme.checks import (
     Scope,
     all_check_ids,
-    cor4_equivalence,
     lookup,
     registry,
     run_check,
     run_suite,
 )
-from wolstenholme.harmonic import elementary_symmetric
+from wolstenholme.binomial import central_binomial_mod
+from wolstenholme.harmonic import _inverse_power_sums_raw, _newton_h_raw
 from wolstenholme.modring import is_prime, valuation
 from wolstenholme.plan import EvaluationPlan
 
@@ -98,7 +98,8 @@ def test_cor1_displays_agree_at_wolstenholme_prime():
     plan = EvaluationPlan(16843)
     lhs1, rhs1 = _ev_cor1_first(plan)
     lhs2, rhs2 = _ev_cor1_second(plan)
-    assert (rhs1.reduce_to(7) - rhs2.reduce_to(7)).valuation() >= 7
+    M = plan.modulus(7)
+    assert (M.residue(rhs1.value) - M.residue(rhs2.value)).valuation() >= 7
 
 
 def test_suite_order_and_determinism():
@@ -121,6 +122,13 @@ def test_suite_empty_range():
 def test_suite_unknown_id():
     with pytest.raises(errors.UnknownCheck):
         list(run_suite(["wolstenholme_thm", "bogus"], [5]))
+
+
+def cor4_equivalence(p: int) -> bool:
+    """Wolstenholme-prime status by the product kernel agrees with the
+    mod-p^7 two-sum congruence read off p's plan."""
+    wolstenholme = central_binomial_mod(p, 4).wolstenholme_valuation >= 4
+    return wolstenholme == checks._cor1_first_holds(EvaluationPlan(p))
 
 
 def test_cor4_equivalence():
@@ -157,14 +165,14 @@ def test_check_ids_cover_picked_names():
 
 
 def test_h_values_match_elementary_symmetric():
-    # The plan's R and H, reduced from one wide sweep, against the public
-    # path at each modulus.
+    # The plan's R and H, reduced from one wide sweep, against the raw
+    # kernels run at each modulus.
     for p, K in ((7, 3), (11, 5), (101, 8), (397, 10)):
-        n_max = min(6, p - 2)
-        profile = elementary_symmetric(p, n_max, K)
+        n_max, m = min(6, p - 2), p ** K
+        R = _inverse_power_sums_raw(p, n_max, m)
         plan = EvaluationPlan(p)
-        assert plan.R(K)[1:n_max + 1] == [profile.R[n] for n in range(1, n_max + 1)]
-        assert plan.H(K)[1:] == [profile.H[n] for n in range(1, n_max + 1)], (p, K)
+        assert [x.value for x in plan.R(K)[1:n_max + 1]] == R[1:]
+        assert [x.value for x in plan.H(K)[1:]] == _newton_h_raw(R, n_max, m)[1:], (p, K)
 
 
 def _exact_sums(p):

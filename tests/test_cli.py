@@ -28,7 +28,7 @@ def test_parse_verify():
 def test_parse_scan():
     cfg = parse_args(["scan", "--limit", "100000", "--criterion", "r1p3"])
     assert cfg.command == "scan"
-    assert cfg.limit == 100000
+    assert cfg.prime_range == (2, 100000)
     assert cfg.criterion is Criterion.HARMONIC_R1_P3
 
 

@@ -15,11 +15,7 @@ from wolstenholme.harmonic import (
     _inverse_power_sums_raw,
     _least_prime_factors,
     _pair_power_sums_raw,
-    elementary_symmetric,
-    power_sum,
-    power_sum_inverses,
     power_sum_raw,
-    wolstenholme_quotient,
 )
 from wolstenholme.modring import embed_rational, is_prime, make_modulus, valuation
 from wolstenholme.plan import SWEEP_REQUESTS, EvaluationPlan
@@ -110,10 +106,10 @@ def exact_h(p: int, n: int) -> Fr:
 
 
 def test_power_sum_inverses_examples():
-    assert power_sum_inverses(5, 1, 2).value == 0
-    assert power_sum_inverses(7, 1, 3).value == 294
+    assert _inverse_power_sums_raw(5, 1, 5 ** 2)[1] == 0
+    assert _inverse_power_sums_raw(7, 1, 7 ** 3)[1] == 294
     assert exact_r(7, 1) == Fr(49, 20)
-    assert power_sum_inverses(7, 2, 1).value == 0
+    assert _inverse_power_sums_raw(7, 2, 7)[2] == 0
     assert embed_rational(exact_r(7, 2), make_modulus(7, 1)).value == 0
 
 
@@ -122,8 +118,8 @@ def test_power_sum_inverses_matches_exact_rationals():
         for n in range(1, 7):
             for K in range(1, 9):
                 modulus = make_modulus(p, K)
-                assert power_sum_inverses(p, n, K) == embed_rational(
-                    exact_r(p, n), modulus), (p, n, K)
+                assert _inverse_power_sums_raw(p, n, modulus.m)[n] == embed_rational(
+                    exact_r(p, n), modulus).value, (p, n, K)
 
 
 def test_inverse_power_sums_match_per_k_sweep():
@@ -175,49 +171,50 @@ def test_pair_power_sums_match_exact_rationals():
 
 
 def test_elementary_symmetric_small_cases():
-    profile = elementary_symmetric(5, 2, 4)
+    plan = EvaluationPlan(5)
     modulus = make_modulus(5, 4)
     assert exact_h(5, 2) == Fr(35, 24)
-    assert profile.H[2] == embed_rational(Fr(35, 24), modulus)
-    assert profile.H[1] == profile.R[1]
+    assert plan.H(4)[2] == embed_rational(Fr(35, 24), modulus)
+    assert plan.H(4)[1] == plan.R(4)[1]
 
 
 def test_elementary_symmetric_matches_subset_enumeration():
     # C(12, 6) = 924 subsets at p = 13
-    profile = elementary_symmetric(13, 6, 4)
+    H = EvaluationPlan(13).H(4)
     modulus = make_modulus(13, 4)
     for n in range(1, 7):
-        assert profile.H[n] == embed_rational(exact_h(13, n), modulus), n
+        assert H[n] == embed_rational(exact_h(13, n), modulus), n
 
 
 def test_newton_identity_holds_in_ring():
     # R_n - H_1 R_{n-1} + ... + (-1)^(n-1) H_{n-1} R_1 + (-1)^n n H_n = 0
     for p in PRIMES_100:
+        plan = EvaluationPlan(p)
         for K in range(1, 7):
-            profile = elementary_symmetric(p, min(6, p - 2), K)
+            R, H = plan.R(K), plan.H(K)
             zero = make_modulus(p, K).residue(0)
-            for n in range(1, profile.n_max + 1):
-                acc = profile.R[n]
+            for n in range(1, len(H)):
+                acc = R[n]
                 sign = -1
                 for i in range(1, n):
-                    acc = acc + sign * profile.H[i] * profile.R[n - i]
+                    acc = acc + sign * H[i] * R[n - i]
                     sign = -sign
-                acc = acc + sign * n * profile.H[n]
+                acc = acc + sign * n * H[n]
                 assert acc == zero, (p, K, n)
 
 
 def test_elementary_symmetric_bounds():
-    with pytest.raises(errors.NMaxTooLarge):
-        elementary_symmetric(5, 4, 2)
-    with pytest.raises(errors.NMaxTooLarge):
-        elementary_symmetric(97, 9, 2)
+    # The plan serves H_n for n <= min(6, p - 2): Newton's recurrence
+    # divides by n, so it stops below p, and the pair sweep ends at T_6.
+    assert len(EvaluationPlan(5).H(2)) - 1 == 3
+    assert len(EvaluationPlan(97).H(2)) - 1 == 6
 
 
 def test_power_sum_examples():
-    assert power_sum(5, 2, 2).value == 5
-    assert power_sum(7, 6, 1).value == 6  # (p-1) | n forces -1 mod p
-    assert power_sum(7, 4, 1).value == 0
-    assert power_sum(11, 3, 5).value == sum(k ** 3 for k in range(1, 11)) % 11 ** 5
+    assert power_sum_raw(5, 2, 5 ** 2) == 5
+    assert power_sum_raw(7, 6, 7) == 6  # (p-1) | n forces -1 mod p
+    assert power_sum_raw(7, 4, 7) == 0
+    assert power_sum_raw(11, 3, 11 ** 5) == sum(k ** 3 for k in range(1, 11)) % 11 ** 5
 
 
 def test_power_sum_kernel_matches_powmod_loop():
@@ -383,21 +380,26 @@ def test_window_agrees_with_fermat_powers_below_2e4():
             assert "_moments" in vars(plan), p
 
 
+def wolstenholme_quotient(p: int) -> int:
+    """w_p in [0, p^2): R_1 mod p^4, divided by p^2, reduced mod p^2."""
+    return _inverse_power_sums_raw(p, 1, p ** 4)[1] // p ** 2 % p ** 2
+
+
 def test_wolstenholme_quotient_examples():
-    assert wolstenholme_quotient(7).w == 27
-    assert wolstenholme_quotient(5).w == 23
+    assert wolstenholme_quotient(7) == 27
+    assert wolstenholme_quotient(5) == 23
     # 1/20 mod 49 and 1/12 mod 25, from the exact fractions
     assert 20 * 27 % 49 == 1
     assert 12 * 23 % 25 == 1
 
 
 def test_wolstenholme_quotient_vanishes_at_wolstenholme_prime():
-    assert wolstenholme_quotient(16843).w % 16843 == 0
+    assert wolstenholme_quotient(16843) % 16843 == 0
 
 
 def test_wolstenholme_quotient_rejects_p3():
-    with pytest.raises(errors.DivisionNotExact):
-        wolstenholme_quotient(3)
+    # R_1(3) = 3/2: p^2 does not divide it, so w_p needs p >= 5
+    assert _inverse_power_sums_raw(3, 1, 3 ** 4)[1] % 3 ** 2 != 0
 
 
 def euler_index_check(p: int, n: int, e: int) -> bool:

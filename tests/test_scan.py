@@ -11,7 +11,6 @@ from wolstenholme.scan import (
     SieveConfig,
     _cor1second_residual,
     _r1_valuation,
-    remark1_experiment,
     sieve_primes,
     wolstenholme_scan,
 )
@@ -191,11 +190,15 @@ def test_binomial_criterion_full_range_flags_16843():
     assert flagged == [16843]
 
 
+def two_sum_flags(limit: int) -> list[int]:
+    """Primes 11 <= p < limit the mod-p^7 two-sum scan flags."""
+    return [r.p for r in wolstenholme_scan(SieveConfig(11, limit),
+                                           Criterion.COR1_SECOND_P7) if r.flagged]
+
+
 def test_remark1_small_limits():
-    assert remark1_experiment(10000) == []
-    assert remark1_experiment(16844) == [16843]
-    with pytest.raises(errors.RangeTooLarge):
-        remark1_experiment(10 ** 6 + 1)
+    assert two_sum_flags(10000) == []
+    assert two_sum_flags(16844) == [16843]
 
 
 def test_cor1second_valuation_against_exact_rationals():
