@@ -48,4 +48,13 @@ from .scan import (
     wolstenholme_scan,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BernoulliExact", "BernoulliResidue", "BinomialResidue", "CheckOutcome",
+    "CongruenceCheck", "Criterion", "PrimePowerModulus", "Residue",
+    "ScanRecord", "Scope", "SieveConfig", "all_check_ids", "bernoulli_exact",
+    "bernoulli_mod", "bernoulli_ratio", "central_binomial_mod",
+    "embed_rational", "exact_binomial", "high_index_bernoulli",
+    "high_index_ratio", "inverse", "is_prime", "lookup", "make_modulus",
+    "max_exponent", "reduce_high_index", "registry", "run_check", "run_suite",
+    "sieve_primes", "valuation", "wolstenholme_scan", "zhao_quotient_check",
+]

@@ -28,23 +28,19 @@ Writing s_n = sum_j c_{n,j} p^(n-2j) q^j and T_i = sum_k v_k^i,
           R_2 = p^2 T_2 - 2 T_1, R_3 = p^3 T_3 - 3p T_2, ...),
 
 an identity of integers mod any m, so one sweep over half the range,
-one modular inversion per block of pairs, gives every R_n.
+one modular inversion per block of pairs, gives every R_n.  That full-width
+sweep serves the plan's T_1..T_6 mod p^top and R_1 mod p^c for c >= 4.
 
-Each caller says at which precision it reads T_1 (p^c) and the higher T_i.
-Where those fit in p^h, the digit exponent (the largest h <= c with p^h
-below one CPython int digit, 2^30 on 64-bit builds; at c = 2, h = 2 below
-p = 32768 and 1 above), the sweep inverts each q mod p^h only, in
-one-digit arithmetic, and lifts T_1 exactly.  With w = 1/q mod p^h and
-u = qw, so that p^h divides 1 - u, and J = ceil(c/h),
+T_1 mod p^2 and T_3 mod p, all the scans and the lone Wolstenholme gate
+read, need no inversion.  With g a primitive root, H = (p-1)/2 and g^H = -1,
+k = g^i (i mod H) is one member of each pair and r = g^(H-i) = -1/k (mod p).
+As 1/k = -r(2 + kr) and 1/(p-k) = -(1/k)(1 + p/k) (mod p^2), for k in [1, p)
 
-    1/q = w (1 + (1-u) + .. + (1-u)^(J-1))
-        = sum((-1)^i C(J, i+1) w u^i, i < J)   (mod p^c),
+    1/(k(p-k)) = -3r^2 + (p - 2k) r^3  (mod p^2),   1/(k(p-k))^3 = -r^6  (mod p).
 
-so T_1 is an integer combination of the block sums of w u^i, and
-T_i = sum w^i (mod p^h) for i >= 2.  The scans need T_1 mod p^2 and T_3
-mod p (two-sum) or T_1 mod p^2 (R_1 mod p^3).  Where the higher T_i do
-not fit p^h (the plan's T_1..T_6 mod p^top), the same loop runs with
-h = c: each block is inverted mod p^c, J = 1 and nothing is lifted.
+The half walk takes the i < H/2 in blocks of 2^10 with their mirrors H - i,
+each the other's r, and adds i = 0 (k = 1, r = p-1) and, for p = 1 (mod 4),
+the mirror's fixed point i = H/2 (k = r) on their own.
 
 P is read off Fermat-quotient moments.  With the integer
 u_k = (k^(p-1) - 1)/p, k^(j(p-1)+t) = k^t (1 + p u_k)^j, so for every p,
@@ -62,6 +58,10 @@ at c - s + 1 (t - 2 at c - 2, t - 4 at c - 4), and ends at c = 3, as at
 c = 1 von Staudt-Clausen gives p B_n with no sum (``bernoulli``).  Closing
 that with the largest c per t gives the window
 {4: 5, 2: 3, -2: 5, -4: 5, -6: 3}: 21 sums S_it in 5 classes, one sweep.
+The sweep keys each class t < 0 by its exponent e = t + p - 1 (p-3, p-5,
+p-7, read with j one lower): one table of k^(p-7) mod p^5 and exact steps
+times k^2 give k^(p-5), k^(p-3) and k^(p-1), so nothing is inverted, and
+the Fermat quotients of k^(p-1) mod p^5 are already below p^4.
 The sweep costs five to seven direct passes (``power_sum_raw``) mod p^5,
 so an evaluation plan (``plan``) makes it only for checks that read
 ``plan.SWEEP_REQUESTS`` P_n or more at a prime (a registry run's make 24);
@@ -70,41 +70,29 @@ Bernoulli check takes a pass per request.
 """
 from __future__ import annotations
 
-import sys
 from array import array
 from itertools import repeat
-from math import comb, isqrt
-from operator import mod, mul
-from typing import Iterator
+from math import isqrt
+from operator import add, mod, mul
+from typing import Iterator, Optional
 
 from .modring import _batch_invert_raw, mpz, powmod
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .modring import make_modulus  # noqa: F401
 
-#: Pairs per block, one modular inversion each.  A block keeps a few lists
-#: of this many residues alive, the widest the unreduced v^i of a T_1..T_6
-#: sweep mod p^top: a traced peak of 1.4 MB at 16843 (p^10) and 1.7 MB at
-#: 2124679 (p^9), so a sweep's peak memory does not grow with the pairs.
+#: Pairs per block of the full-width sweep, one modular inversion each.  A
+#: block keeps a few lists of this many residues alive, the widest the
+#: unreduced v^i of a T_1..T_6 sweep mod p^top: a traced peak of 1.4 MB at
+#: 16843 (p^10) and 1.7 MB at 2124679 (p^9), whatever the number of pairs.
 _CHUNK = 1 << 12
 
-#: Bits per CPython int digit: a residue below 2^_DIGIT_BITS is one digit.
-_DIGIT_BITS = sys.int_info.bits_per_digit
-
-#: k's per block of a power-sum pass or the moment sweep.  A block keeps
-#: about ten lists of residues alive; 2^10 keeps that under 1 MB at p^5.
+#: k's per block of a power-sum pass, the moment sweep or the half walk: a
+#: block keeps about ten lists of residues alive, under 1 MB at p^5.
 _MOMENT_CHUNK = 1 << 10
 
 #: t -> c: the classes n = t (mod p-1) and precisions p^c of every P_n the
 #: Bernoulli side asks for (derivation in the module doc).
 MOMENT_WINDOW = {4: 5, 2: 3, -2: 5, -4: 5, -6: 3}
-
-
-def _pair_products(p: int) -> Iterator[tuple[range, list]]:
-    """(ks, [k(p-k) for k in ks]) in blocks of _CHUNK over 1..(p-1)/2."""
-    end = (p - 1) // 2 + 1
-    for lo in range(1, end, _CHUNK):
-        ks = range(lo, min(lo + _CHUNK, end))
-        yield ks, list(map(mul, ks, range(p - lo, p - ks.stop, -1)))
 
 
 def _exponent(p: int, m) -> int:
@@ -117,58 +105,82 @@ def _exponent(p: int, m) -> int:
     return c
 
 
-def _digit_exponent(p: int, c: int) -> int:
-    """The largest h <= c with p^h below one int digit, at least 1."""
-    h = 1
-    while h < c and p ** (h + 1) < 1 << _DIGIT_BITS:
-        h += 1
-    return h
+def _pair_power_sums_raw(p: int, n_max: int, m) -> list:
+    """[_, T_1, .., T_n_max] mod m = p^c, T_i = sum of v_k^i over the pairs:
+    each block of _CHUNK products k(p-k) inverted mod m, the v^i summed
+    unreduced in C, one reduction at the end, and the last power never kept."""
+    _exponent(p, m)
+    sums, end = [0] * (n_max + 1), (p - 1) // 2 + 1
+    for lo in range(1, end, _CHUNK):
+        hi = min(lo + _CHUNK, end)
+        qs = list(map(mul, range(lo, hi), range(p - lo, p - hi, -1)))
+        x = vs = _batch_invert_raw(qs, m)
+        sums[1] += sum(vs)
+        for i in range(2, n_max + 1):
+            x = map(mul, x, vs) if i == n_max else list(map(mul, x, vs))
+            sums[i] += sum(x)
+    return [0] + [s % m for s in sums[1:]]
 
 
-def _pair_power_sums_raw(p: int, n_max: int, m, m_high=None) -> list:
-    """[_, T_1, .., T_n_max], T_i = sum of v_k^i over the pairs: T_1 mod
-    m = p^c, the higher T_i mod m_high (a power of p up to m, default m).
-
-    Each block is inverted mod p^h, h the digit exponent (module doc), and
-    T_1 lifted to p^c; where the higher T_i do not fit p^h, h = c and there
-    is no lift.  The w^i are summed unreduced, one reduction at the end.
-    """
-    c = _exponent(p, m)
-    m_high = m if m_high is None else m_high
-    h = _digit_exponent(p, c)
-    if n_max > 1 and _exponent(p, m_high) > h:
-        h = c
-    ph, J = p ** h, max(1, -(-c // h))
-    lift = [0] * J  # lift[i] = sum of w u^i, u = q w = 1 (mod p^h)
-    sums = [0] * (n_max + 1)
-    for _, qs in _pair_products(p):
-        # q < p^2/4 < p^h unless h = 1: only then is q reduced first
-        ws = _batch_invert_raw(qs if h > 1 else list(map(mod, qs, repeat(p))), ph)
-        u = map(mul, qs, ws)
-        lift[0] += sum(ws)
-        for i, s in enumerate(_geometric_sums(ws, u if J < 3 else list(u), J - 1), 1):
-            lift[i] += s
-        for i, s in enumerate(_geometric_sums(ws, ws, n_max - 1), 2):
-            sums[i] += s
-    t1 = sum((-1) ** i * comb(J, i + 1) * s for i, s in enumerate(lift))
-    return [0, t1 % m] + [s % m_high for s in sums[2:]]
+def _primitive_root(p: int) -> int:
+    """The least primitive root g < p of the prime p.  By Lucas's theorem no
+    g has order p - 1 unless p is prime: any other p raises ValueError."""
+    n, qs = p - 1, set()  # the prime factors q of p - 1
+    for d in range(2, isqrt(max(n, 0)) + 1):
+        while n % d == 0:
+            n //= d
+            qs.add(d)
+    if n > 1:
+        qs.add(n)
+    for g in range(2, p):
+        if pow(g, p - 1, p) == 1 and all(pow(g, (p - 1) // q, p) != 1 for q in qs):
+            return g
+    raise ValueError(f"{p} has no primitive root of order {p - 1}: not an odd prime")
 
 
-def _geometric_sums(x: list, r, n: int) -> Iterator[int]:
-    """sum(x r^i) for i = 1..n, elementwise.  r is read n times (an
-    iterator serves n = 1), and only a product a later sum needs is kept."""
-    for i in range(n):
-        x = map(mul, x, r) if i + 1 == n else list(map(mul, x, r))
-        yield sum(x)
+def _walk_pair_sums_raw(p: int, t3: bool = False) -> tuple[int, Optional[int]]:
+    """(T_1 mod p^2, T_3 mod p if t3 else None) by the half walk (module doc),
+    p an odd prime.  With S = K^2 + R^2 and KR = -1 (mod p), the two pairs
+    of an entry add -3S + p(K + R)(S + 1) - 2KR S (mod p^2) to T_1 and
+    3S - S^3 (mod p) to T_3."""
+    g, half = _primitive_root(p), (p - 1) // 2
+    end = (half + 1) // 2  # walk 1 <= i < end, with the mirrors H - i > H - end
+    n = min(_MOMENT_CHUNK, end - 1)  # g^b for b < n, baby steps times giant steps
+    baby = [pow(g, b, p) for b in range(32)]
+    table = [x * y % p for x in (pow(g, 32 * a, p) for a in range(-(-n // 32)))
+             for y in baby][:n]
+    sq = cube = cross = sixth = 0
+    for lo in range(1, end, _MOMENT_CHUNK):
+        gb = table[:end - lo]
+        gk, gr = pow(g, lo, p), pow(g, half - lo - len(gb) + 1, p)
+        K = [gk * x % p for x in gb]  # g^(lo + b)
+        R = [gr * x % p for x in reversed(gb)]  # g^(H - lo - b)
+        S = list(map(add, map(mul, K, K), map(mul, R, R)))
+        A = list(map(add, K, R))
+        sq += sum(S)
+        cube += sum(map(mul, A, S)) + sum(A)  # K^3 + R^3 (mod p)
+        cross += sum(map(mul, map(mul, K, R), S))
+        if t3:
+            sixth += sum(map(mul, map(mul, S, S), S))
+    fixed = [(1, p - 1)]  # i = 0
+    if half % 2 == 0:  # i = H/2, where k = r and k^2 = -1
+        fixed.append((pow(g, half // 2, p),) * 2)
+    t1 = (p * cube - 3 * sq - 2 * cross
+          + sum(-3 * r * r + (p - 2 * k) * r ** 3 for k, r in fixed))
+    t3 = (3 * sq - sixth - sum(r ** 6 for _, r in fixed)) % p if t3 else None
+    return t1 % (p * p), t3
 
 
 def _inverse_power_sums_raw(p: int, n_max: int, m) -> list:
     """[_, R_1, .., R_n_max] mod m = p^c, read off the pair sums T_i (module
-    doc).  R_1 = p T_1 alone needs T_1 mod p^(c-1) only."""
+    doc).  R_1 = p T_1 alone needs T_1 mod p^(c-1) only: by the half walk
+    for c <= 3, else by the full-width sweep."""
     m = mpz(m)
-    _exponent(p, m)
+    c = _exponent(p, m)
     if p == 2:  # no pair: k = p - k = 1, and R_n(2) = 1
         return [0] + [1 % m] * n_max
+    if n_max == 1 and c <= 3:
+        return [0, p * _walk_pair_sums_raw(p)[0] % m]
     if n_max == 1:
         return [0, p * _pair_power_sums_raw(p, 1, m // p)[1] % m]
     return _inverse_from_pair_sums(p, _pair_power_sums_raw(p, n_max, m), m)
@@ -231,42 +243,39 @@ def _powers(p: int, e: int, m) -> Iterator[tuple[range, list]]:
                    for k, q in zip(ks, lpf[lo:ks.stop])]
 
 
-def _block_powers(ks: range, low: int, m) -> Iterator[tuple[int, list]]:
-    """(t, [k^t mod m for k in ks]) for t = 4, 2, -2, .., low (even, < 0).
-
-    k^2 and k^4 are exact; k^-2 comes from one block inversion of the k^2
-    (``modring._batch_invert_raw``) and each lower power multiplies it on,
-    so only the last power and k^-2 are alive at a time.
-    """
-    x2 = [k * k for k in ks]
-    yield 4, [x * x for x in x2]
-    yield 2, x2
-    x = step = _batch_invert_raw(x2, m)
-    for t in range(-2, low - 1, -2):
-        if t < -2:
-            x = [a * b % m for a, b in zip(x, step)]
-        yield t, x
+def _moment_window(p: int) -> dict:
+    """e -> c: MOMENT_WINDOW with each t < 0 keyed by its exponent e = t + p - 1
+    in the sweep (below 0 for p < 7, an inverse power); where two classes
+    meet (p <= 7) the larger c holds."""
+    return {(t if t > 0 else t + p - 1): c
+            for t, c in sorted(MOMENT_WINDOW.items(), key=lambda tc: tc[1])}
 
 
 def _moment_sums_raw(p: int) -> dict:
-    """{t: [S_0t, .., S_(c-1)t]} over MOMENT_WINDOW {t: c}, S_it mod p^(c-i)."""
-    top = max(MOMENT_WINDOW.values())
+    """{e: [S_0e, .., S_(c-1)e]} over _moment_window(p) {e: c}, S_ie mod p^(c-i)."""
+    window = _moment_window(p)
+    top = max(window.values())
     m = mpz(p) ** top
-    sums = {t: [0] * c for t, c in MOMENT_WINDOW.items()}
-    for ks, fermat in _powers(p, p - 1, m):
-        mu = p ** (top - 1)
-        u = [(x - 1) // p % mu for x in fermat]  # the Fermat quotients
+    sums = {e: [0] * c for e, c in window.items()}
+    for ks, x in _powers(p, p - 7, m):
+        k2 = [k * k for k in ks]
+        xs = {p - 7: x}
+        for e in (p - 5, p - 3):  # exact steps of k^2 from k^(p-7)
+            x = xs[e] = list(map(mul, x, k2))
+        # k^(p-1) mod p^top = 1 (mod p), so its Fermat quotient is below p^(top-1)
+        u = [(f - 1) // p for f in map(mod, map(mul, x, k2), repeat(m))]
+        xs[2], xs[4] = k2, list(map(mul, k2, k2))
         us = [None, u]
         for i in range(2, top):
             mi = p ** (top - i)
             us.append([x * y % mi for x, y in zip(us[-1], u)])
-        for t, x in _block_powers(ks, min(MOMENT_WINDOW), m):
-            s = sums[t]
+        for e, s in sums.items():
+            x = xs[e]
             s[0] += sum(x)
             for i in range(1, len(s)):  # summed unreduced, reduced once at the end
                 s[i] += sum(map(mul, us[i], x))
-    return {t: [x % p ** (c - i) for i, x in enumerate(sums[t])]
-            for t, c in MOMENT_WINDOW.items()}
+    return {e: [x % p ** (c - i) for i, x in enumerate(sums[e])]
+            for e, c in window.items()}
 
 
 def power_sum_raw(p: int, n: int, m) -> int:

@@ -259,8 +259,8 @@ def embed_rational(q: Rationalish, modulus: PrimePowerModulus) -> Residue:
 def _batch_invert_raw(raw: Sequence[int], m) -> list:
     """Inverses of the units raw[i] mod m: prefix products, one inversion.
 
-    The package's one prefix-product loop (``harmonic``'s pair sweep feeds
-    it the k(p-k)); the inverses overwrite the prefixes in place, one list.
+    The package's one prefix-product loop, fed the k(p-k) by ``harmonic``'s
+    full-width pair sweep only; the inverses overwrite the prefixes in place.
     """
     out = []
     acc = 1

@@ -15,8 +15,8 @@ testing p for primality again, and runs each sweep at most once, on first read:
   As C - 1 = 2p^2 T_1 (mod p^4), p is a Wolstenholme prime exactly when
   T_1 = 0 (mod p^2), that is R_1 = p T_1 = 0 (mod p^3).  When every check
   a plan serves is Wolstenholme-only (``gate_alone``), nothing reads the
-  pairs before that gate, so it reads R_1 mod p^3 off a sweep of its own
-  and a prime that fails it never pays the full sweep.
+  pairs before that gate, so it reads R_1 mod p^3 off the half walk and
+  a prime that fails it never pays the full sweep.
 * Moments: the plan's callers say how many P_n reads in the window they
   make at p (``requests``, and ``wolstenholme_requests`` for the reads
   made only past the gate, which count only if p passes it).  From
@@ -124,15 +124,19 @@ class EvaluationPlan:
     def _moments(self) -> dict:
         return harmonic._moment_sums_raw(self.p)
 
+    @cached_property
+    def _window(self) -> dict:
+        return harmonic._moment_window(self.p)
+
     def window_sum(self, n: int, c: int) -> Optional[int]:
         """P_n mod p^c off the moment window; None when the plan does not
         sweep it, or n and c fall outside it."""
         p = self.p
-        t = next((t for t, top in harmonic.MOMENT_WINDOW.items()
-                  if top >= c and t <= n and (n - t) % (p - 1) == 0), None)
-        if t is None or not self.sweeps:
+        e = next((e for e, top in self._window.items()
+                  if top >= c and e <= n and (n - e) % (p - 1) == 0), None)
+        if e is None or not self.sweeps:
             return None
-        j, S = (n - t) // (p - 1), self._moments[t]
+        j, S = (n - e) // (p - 1), self._moments[e]
         return int(sum(comb(j, i) * p ** i * S[i] for i in range(c)) % p ** c)
 
     def power_sum(self, n: int, c: int) -> int:

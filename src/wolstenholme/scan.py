@@ -3,8 +3,8 @@
 Four criteria, equivalent for p >= 7 where stated:
 
 * ``BINOMIAL_P4``   — v_p(C(2p-1,p-1) - 1) >= 4 (the defining congruence),
-* ``HARMONIC_R1_P3`` — v_p(R_1(p)) >= 3 (T_1 = R_1/p mod p^2, inverted in
-  one-digit blocks and lifted; the fast default),
+* ``HARMONIC_R1_P3`` — v_p(R_1(p)) >= 3 (T_1 = R_1/p mod p^2 off the half
+  walk over a primitive root's powers; the fast default),
 * ``BERNOULLI_BP3`` — p divides B_{p-3} (through P_{p-3}(p) mod p^2),
 * ``COR1_SECOND_P7`` — C(2p-1,p-1) = 1 + 2p R_1 + (2/3) p^3 R_3 (mod p^7),
   the two-sum characterization; below 1e5 only 16843 satisfies it.
@@ -16,9 +16,8 @@ residual is
 
     2p^6 ((T_1/p)^2 + T_3)   (mod p^7),
 
-so one sweep over the (p-1)/2 pairs decides it: T_1 mod p^2, from
-inverses mod p^h below one int digit (``harmonic``), and T_3 mod p off
-the same inverses.
+so one half walk over the powers of a primitive root decides it: T_1
+mod p^2 and T_3 mod p, with no modular inversion (``harmonic``).
 """
 from __future__ import annotations
 
@@ -32,7 +31,7 @@ from typing import Iterator, Optional
 from .bernoulli import bernoulli_mod
 from .binomial import central_binomial_mod
 from .errors import DivisionNotExact, RangeTooLarge
-from .harmonic import _inverse_power_sums_raw, _pair_power_sums_raw
+from .harmonic import _inverse_power_sums_raw, _walk_pair_sums_raw
 from .modring import capped_valuation
 from .parallel import ordered_map
 
@@ -107,8 +106,8 @@ def sieve_primes(cfg: SieveConfig) -> Iterator[int]:
 
 
 def _r1_valuation(p: int) -> int:
-    """v_p of R_1(p), computed mod p^3 (R_1 = p T_1, T_1 lifted to p^2) and
-    capped there."""
+    """v_p of R_1(p), computed mod p^3 (R_1 = p T_1, T_1 mod p^2 off the half
+    walk) and capped there."""
     return capped_valuation(int(_inverse_power_sums_raw(p, 1, p ** 3)[1]), p, 3)
 
 
@@ -131,11 +130,10 @@ def _cor1second_residual(p: int) -> int:
 
         lhs - rhs = 2p^6 ((T_1/p)^2 + T_3)   (mod p^7),
 
-    which needs T_1 mod p^2 and T_3 mod p: one pair sweep that inverts
-    each q = k(p-k) mod p^h only, h the digit exponent (``harmonic``: 2
-    below p = 32768, else 1 with T_1 lifted to p^2).
+    which needs T_1 mod p^2 and T_3 mod p: one half walk over the powers of
+    a primitive root, with no inversion (``harmonic``).
     """
-    _, t1, _, t3 = _pair_power_sums_raw(p, 3, p ** 2, p)
+    t1, t3 = _walk_pair_sums_raw(p, True)
     if t1 % p:
         raise DivisionNotExact(f"T_1({p}) is not divisible by {p}")
     return int(2 * p ** 6 * ((t1 // p) ** 2 + t3) % p ** 7)

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wolstenholme import bernoulli, checks, errors, harmonic
+from wolstenholme import bernoulli, checks, errors, harmonic, scan
 from wolstenholme.bernoulli import bernoulli_mod, bernoulli_ratio
 from wolstenholme.harmonic import (
     MOMENT_WINDOW,
     _inverse_power_sums_raw,
     _least_prime_factors,
+    _moment_sums_raw,
     _pair_power_sums_raw,
+    _primitive_root,
+    _walk_pair_sums_raw,
     power_sum_raw,
 )
 from wolstenholme.modring import embed_rational, is_prime, make_modulus, valuation
@@ -25,6 +28,7 @@ PRIMES_100 = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
 
 
 PRIMES_600 = [p for p in range(3, 600) if is_prime(p)]
+PRIMES_3000 = [p for p in range(3, 3000) if is_prime(p)]
 
 
 def reference_power_sum(p: int, n: int, m: int) -> int:
@@ -131,8 +135,8 @@ def test_inverse_power_sums_match_per_k_sweep():
 
 
 def test_lifted_r1_sweep_matches_per_k_oracle():
-    # R_1 = p T_1 alone reads T_1 mod p^(c-1), inverted mod the largest
-    # one-digit p^h and lifted with J = ceil((c-1)/h) terms (J <= 3 here).
+    # R_1 = p T_1 alone reads T_1 mod p^(c-1): off the half walk for c <= 3,
+    # off the full-width sweep mod p^(c-1) above.
     for p in PRIMES_600:
         expected = reference_inverse_power_sums(p, 1, p ** 10)[1]
         for c in range(2, 11):
@@ -140,8 +144,8 @@ def test_lifted_r1_sweep_matches_per_k_oracle():
 
 
 def test_full_width_sweep_above_the_digit_boundary():
-    # 16843^2 < 2^30 < 32771^2: where R_2..R_6 mod p^K do not fit the
-    # one-digit p^h (h = 2 and 1 here), every block is inverted mod p^K.
+    # R_2..R_6 mod p^K come off the full-width sweep, every block inverted
+    # mod p^K, on either side of 2^15 (16843^2 < 2^30 < 32771^2).
     for p in (16843, 32771):
         expected = reference_inverse_power_sums(p, 6, p ** 10)
         for K in (2, 5, 10):
@@ -150,13 +154,65 @@ def test_full_width_sweep_above_the_digit_boundary():
 
 
 def test_pair_sweeps_reject_other_moduli():
-    # The lift reads the exponent c off m = p^c, as power_sum_raw does.
-    for args in ((11, 3, 2 * 11 ** 2), (11, 3, 11 ** 3, 12), (11, 1, 11 ** 2 + 1)):
+    # The sweeps read the exponent c off m = p^c, as power_sum_raw does,
+    # and the half walk needs an odd prime p, the one case with a
+    # primitive root of order p - 1.
+    for args in ((11, 3, 2 * 11 ** 2), (11, 1, 11 ** 2 + 1)):
         with pytest.raises(ValueError):
             _pair_power_sums_raw(*args)
     for args in ((11, 1, 11 ** 3 + 1), (11, 4, 12), (2, 1, 6)):
         with pytest.raises(ValueError):
             _inverse_power_sums_raw(*args)
+    for p in (1, 2, 9, 561):
+        with pytest.raises(ValueError):
+            _walk_pair_sums_raw(p, True)
+    with pytest.raises(ValueError):
+        _inverse_power_sums_raw(9, 1, 9 ** 3)
+
+
+def test_primitive_root_search_stops():
+    # The least g of order p - 1 at every prime below 3000, by its powers;
+    # every other p (even, composite, a Carmichael number, below 3) tries
+    # each g < p and raises instead of running on.
+    for p in PRIMES_3000:
+        g = _primitive_root(p)
+        assert len({pow(g, i, p) for i in range(p - 1)}) == p - 1, p
+        assert all(len({pow(h, i, p) for i in range(p - 1)}) < p - 1 for h in range(2, g)), p
+    for p in (-7, 0, 1, 2, 4, 6, 9, 15, 91, 561, 1105, 2 ** 16):
+        with pytest.raises(ValueError):
+            _primitive_root(p)
+
+
+def test_half_walk_matches_per_k_oracles():
+    # T_1 mod p^2 = R_1/p and T_3 = -R_6/2 (mod p) from the per-k sweep, at
+    # every prime 3 <= p < 3000 (p = 3 and 5 have H = 1 and 2, every
+    # p = 1 (mod 4) a fixed point H/2 of the mirror) and either side of 2^15.
+    for p in PRIMES_3000 + [32749, 32771, 100003]:
+        R = reference_inverse_power_sums(p, 6, p ** 3)
+        t1, t3 = _walk_pair_sums_raw(p, True)
+        assert p * t1 == R[1] and t3 == -R[6] * pow(2, -1, p) % p, p
+        assert _walk_pair_sums_raw(p) == (t1, None), p
+
+
+def test_walk_and_moment_sweeps_invert_nothing(monkeypatch):
+    # The cor1second and r1p3 scans, the lone gate and the moment sweep
+    # make no batch inversion; only the full-width pair sweep does.
+    calls = []
+
+    def recording(raw, m, _invert=harmonic._batch_invert_raw):
+        calls.append(m)
+        return _invert(raw, m)
+
+    monkeypatch.setattr(harmonic, "_batch_invert_raw", recording)
+    cfg = scan.SieveConfig(7, 2000)
+    for criterion in (scan.Criterion.COR1_SECOND_P7, scan.Criterion.HARMONIC_R1_P3):
+        assert not any(r.reason for r in scan.wolstenholme_scan(cfg, criterion))
+    for p in (7, 11, 13, 101, 16843):
+        _moment_sums_raw(p)
+        assert EvaluationPlan(p, gate_alone=True).wolstenholme == (p == 16843)
+    assert calls == []
+    _pair_power_sums_raw(101, 1, 101 ** 2)
+    assert calls == [101 ** 2]
 
 
 def test_pair_power_sums_match_exact_rationals():
@@ -369,6 +425,16 @@ def bernoulli_values(plan: EvaluationPlan) -> dict:
         else:
             out[fn.__name__, n, r] = int(value.value if fn is bernoulli_mod else value)
     return out
+
+
+def test_window_agrees_with_fermat_powers_below_700():
+    # From p = 7, where the sweep's exponents p-3 and p-5 are the classes 4
+    # and 2 themselves, and 11, where p-7 is 4.
+    for p in range(7, 700):
+        if is_prime(p):
+            plan = EvaluationPlan(p, SWEEP_REQUESTS)
+            assert bernoulli_values(plan) == bernoulli_values(FermatPowers(p)), p
+            assert "_moments" in vars(plan), p
 
 
 @pytest.mark.slow

@@ -51,6 +51,7 @@ def count_kernels(monkeypatch) -> Counter:
     """Count the sweeps, direct passes and products made from here on."""
     counts = Counter()
     for module, name in ((harmonic, "_pair_power_sums_raw"),
+                         (harmonic, "_walk_pair_sums_raw"),
                          (harmonic, "_moment_sums_raw"),
                          (harmonic, "power_sum_raw"),
                          (bernoulli, "power_sum_raw"),
@@ -70,17 +71,18 @@ def test_suite_sweeps_once_per_prime(monkeypatch):
 
 
 def test_wolstenholme_only_suite_gates_on_t1_alone(monkeypatch):
-    # One sweep of T_1 per prime for the gate, and no product, where every
-    # prime fails it.
+    # One walk for T_1 per prime for the gate, and no sweep or product,
+    # where every prime fails it.
     counts = count_kernels(monkeypatch)
     ids = [c.id for c in checks.registry() if c.scope is checks.Scope.WOLSTENHOLME_ONLY]
     primes = [p for p in range(11, 200) if is_prime(p)]
     assert all(o.skipped for o in checks.run_suite(ids, primes))
-    assert counts == {"_pair_power_sums_raw": len(primes)}
-    # At a Wolstenholme prime the full sweeps follow the gate's.
+    assert counts == {"_walk_pair_sums_raw": len(primes)}
+    # At a Wolstenholme prime the full sweeps follow the gate's walk.
     counts.clear()
     assert all(o.passed for o in checks.run_suite(ids, [16843]))
-    assert counts == {"_pair_power_sums_raw": 2, "_moment_sums_raw": 1}
+    assert counts == {"_walk_pair_sums_raw": 1, "_pair_power_sums_raw": 1,
+                      "_moment_sums_raw": 1}
 
 
 def test_few_window_reads_take_direct_passes(monkeypatch):

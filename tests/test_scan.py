@@ -1,10 +1,8 @@
 """Sieve correctness, criterion agreement, and scan restartability."""
-import sys
-
 import pytest
 
 from wolstenholme import errors, harmonic, scan
-from wolstenholme.harmonic import _pair_power_sums_raw
+from wolstenholme.harmonic import _pair_power_sums_raw, _walk_pair_sums_raw
 from wolstenholme.modring import capped_valuation, is_prime
 from wolstenholme.scan import (
     Criterion,
@@ -63,38 +61,41 @@ def test_pair_kernel_agrees_below_2e4():
     assert_pair_kernel_agrees(7, 2 * 10 ** 4)
 
 
+@pytest.mark.slow
+def test_pair_kernel_agrees_near_32768_and_1e5():
+    # Either side of 2^15, where p^2 outgrows one int digit, and near 1e5:
+    # the walk against the per-k kernel where the sums are widest here.
+    assert_pair_kernel_agrees(32700, 33100)
+    assert_pair_kernel_agrees(100000, 100400)
+
+
 def test_two_sum_sweep_across_the_digit_boundary(monkeypatch):
-    # 32749^2 < 2^30 < 32771^2: the two-sum sweep inverts mod p^2, then mod
-    # p with one lift term more.  Its sums, and R_1 mod p^3, equal the
-    # full-precision sweep's, and every block is inverted mod the largest
-    # power of p below one int digit.
-    digit = 1 << sys.int_info.bits_per_digit
-    moduli = set()
+    # 32749^2 < 2^30 < 32771^2, where one int digit stops holding p^2: the
+    # two-sum walk inverts nothing, and its sums, R_1 mod p^3 and the
+    # residual equal the full-width sweep's.
+    moduli = []
 
     def recording(raw, m, _invert=harmonic._batch_invert_raw):
-        moduli.add(m)
+        moduli.append(m)
         return _invert(raw, m)
 
     for p in (32749, 32771, 100003):
         _, t1, t2, t3 = _pair_power_sums_raw(p, 3, p ** 3)
         with monkeypatch.context() as patch:
             patch.setattr(harmonic, "_batch_invert_raw", recording)
-            moduli.clear()
-            assert _pair_power_sums_raw(p, 3, p ** 3, p) == [0, t1, t2 % p, t3 % p], p
+            assert _walk_pair_sums_raw(p, True) == (t1 % p ** 2, t3 % p), p
             assert harmonic._inverse_power_sums_raw(p, 1, p ** 3) == [0, p * t1 % p ** 3], p
-        h = 2 if p * p < digit else 1
-        assert moduli == {p ** h} and p ** h < digit <= p ** (h + 1), p
-        tail = (4 * pow(3, -1, p) * t1 ** 3 - 4 * t1 * t2 + 2 * t3) % p
-        assert _cor1second_residual(p) == (2 * p ** 4 * t1 * t1 + p ** 6 * tail) % p ** 7, p
+            tail = (4 * pow(3, -1, p) * t1 ** 3 - 4 * t1 * t2 + 2 * t3) % p
+            assert _cor1second_residual(p) == (2 * p ** 4 * t1 * t1 + p ** 6 * tail) % p ** 7, p
+        assert moduli == [], p
 
 
 def test_two_sum_residual_checks_wolstenholme(monkeypatch):
     # The residual drops the T_1^3 and T_1 T_2 terms because p divides T_1;
     # a T_1 that p does not divide is an error, not a residual.
     p = 101
-    _, t1, t2, t3 = _pair_power_sums_raw(p, 3, p ** 2, p)
-    monkeypatch.setattr(scan, "_pair_power_sums_raw",
-                        lambda *args: [0, t1 + 1, t2, t3])
+    t1, t3 = _walk_pair_sums_raw(p, True)
+    monkeypatch.setattr(scan, "_walk_pair_sums_raw", lambda *args: (t1 + 1, t3))
     with pytest.raises(errors.DivisionNotExact):
         _cor1second_residual(p)
     record = scan._scan_one(p, Criterion.COR1_SECOND_P7)
