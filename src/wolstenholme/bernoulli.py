@@ -28,9 +28,9 @@ which the eq26 checks test against the direct read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import (
     ExactDivisionFailed,
@@ -42,7 +42,7 @@ from .errors import (
 )
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .harmonic import power_sum_raw  # noqa: F401
-from .modring import Residue, embed_rational, is_prime, make_modulus
+from .modring import Residue, is_prime, make_modulus
 from .plan import EvaluationPlan
 
 #: Exact rationals stop here; everything larger goes through residues.
@@ -54,14 +54,12 @@ RESIDUE_EXPONENT_CAP = 4
 _exact: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
 
-@dataclass(frozen=True)
-class BernoulliExact:
+class BernoulliExact(NamedTuple):
     index: int
     value: Fraction
 
 
-@dataclass(frozen=True)
-class BernoulliResidue:
+class BernoulliResidue(NamedTuple):
     """B_index mod p^r; only regular positions (index != 0 mod p-1) exist."""
 
     index: int
@@ -179,13 +177,10 @@ def bernoulli_ratio(n: int, p: int, r: int, plan=None) -> Residue:
         raise IndexTooLarge(
             f"B_{n}/{n} mod p^{r} needs exponent {r + v} > {RESIDUE_EXPONENT_CAP}"
         )
-    modulus = plan.modulus(r)
     b = bernoulli_mod(n, p, r + v, plan).value.value
     if b % p ** v:
         raise ExactDivisionFailed(f"B_{n} not divisible by {p}^{v}")
-    return modulus.residue(b // p ** v) * embed_rational(
-        Fraction(1, unit), modulus
-    )
+    return plan.modulus(r).residue(b // p ** v * pow(unit, -1, p ** r))
 
 
 def reduce_high_index(n: int, s: int, p: int) -> list[tuple[int, int]]:

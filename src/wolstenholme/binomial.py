@@ -17,8 +17,8 @@ pair sums (``plan``) and takes the exact binomials here;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import NotPrime, RangeError
 from .harmonic import _inverse_power_sums_raw
@@ -44,9 +44,8 @@ CENTRAL_EXPONENT_CAP = 9
 VALUATION_MARGIN = 2
 
 
-@dataclass(frozen=True)
-class BinomialResidue:
-    """C(2p-1, p-1) mod p^k with the observed valuation of C - 1.
+class BinomialResidue(NamedTuple):
+    """C(2p-1, p-1) mod p^k with the observed valuation of C - 1 (a named tuple).
 
     ``wolstenholme_valuation`` is capped at k + 2 (width permitting); it is
     at least 3 for every prime p >= 5, and p is a Wolstenholme prime

@@ -21,11 +21,10 @@ can sweep wide ranges without noise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import binomial
 from .bernoulli import bernoulli_mod, bernoulli_ratio, high_index_ratio
@@ -45,8 +44,7 @@ class Scope(Enum):
     WOLSTENHOLME_ONLY = "wolstenholme-only"
 
 
-@dataclass(frozen=True)
-class CongruenceCheck:
+class CongruenceCheck(NamedTuple):
     """A named congruence: applicability gates plus a two-sided evaluator."""
 
     id: str
@@ -62,9 +60,8 @@ class CongruenceCheck:
     window: int = 0
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    """Result of one check at one prime; lhs/rhs are decimal strings."""
+class CheckOutcome(NamedTuple):
+    """Result of one check at one prime, a named tuple; lhs/rhs are decimal strings."""
 
     check_id: str
     p: int

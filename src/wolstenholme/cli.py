@@ -17,11 +17,9 @@ output, which must be a record of the scan's criterion).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import __version__
@@ -32,7 +30,7 @@ from .binomial import (
 from .checks import CheckOutcome, all_check_ids, lookup, run_suite
 from .errors import MalformedRecord, WolstenholmeError
 from .scan import (
-    SIEVE_LIMIT, Criterion, ScanRecord, SieveConfig,
+    SIEVE_LIMIT, THRESHOLDS, Criterion, ScanRecord, SieveConfig,
     sieve_primes, wolstenholme_scan,
 )
 
@@ -47,10 +45,13 @@ _FIELDS = (
     "pass", "skipped", "reason", "elapsed_ns",
 )
 
+#: The one jsonl encoder (``json.dumps`` would build one per record).
+_JSONL = json.JSONEncoder(separators=(",", ":"))
 
-@dataclass
+
 class RunConfig:
-    command: str
+    """A parsed command line; an option the command does not set keeps its default."""
+
     check_ids: Optional[list[str]] = None
     prime_range: Optional[tuple[int, int]] = None
     at: Optional[int] = None
@@ -67,6 +68,9 @@ class RunConfig:
     r: Optional[int] = None
     central: Optional[int] = None
     input_path: Optional[str] = None
+
+    def __init__(self, command: str):
+        self.command = command
 
 
 def _parse_range(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
@@ -222,11 +226,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
 def record_dict(outcome, timings: bool = False) -> dict:
     """Uniform record mapping, keys in _FIELDS order, for CheckOutcome and ScanRecord."""
     if isinstance(outcome, CheckOutcome):
-        head = (outcome.check_id, outcome.p, outcome.modulus_exponent, outcome.lhs,
-                outcome.rhs, outcome.residual_valuation, outcome.passed)
+        head = outcome[:7]  # check_id .. passed, a named tuple in _FIELDS order
     elif isinstance(outcome, ScanRecord):
-        from .scan import THRESHOLDS
-
         head = (f"scan:{outcome.criterion.value}", outcome.p,
                 THRESHOLDS[outcome.criterion], None, None,
                 outcome.observed_valuation, outcome.flagged)
@@ -237,14 +238,16 @@ def record_dict(outcome, timings: bool = False) -> dict:
 
 
 def _write_jsonl(records: Iterable[dict], sink: TextIO) -> None:
+    """One compact JSON object per line, all through the one ``_JSONL``."""
     for i, rec in enumerate(records, 1):
-        sink.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        sink.write(_JSONL.encode(rec) + "\n")
         if i % FLUSH_EVERY == 0:
             sink.flush()
     sink.flush()
 
 
 def _write_csv(records: Iterable[dict], sink: TextIO) -> None:
+    import csv  # only csv output pays for the module
     writer = csv.DictWriter(sink, fieldnames=_FIELDS)
     writer.writeheader()
     for rec in records:

@@ -3,12 +3,11 @@
 Values are plain Python integers underneath, so every operation is exact;
 the width contract is that any modulus below 2**200 is supported
 (2124679**8 needs 168 bits).  All objects are immutable and safe to share
-across threads.
+across threads (``Frozen``).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -32,6 +31,7 @@ Rationalish = Union[int, Fraction]
 
 WIDTH_BITS = 200
 MAX_EXPONENT = 10
+_set = object.__setattr__  # fills a slot past ``Frozen.__setattr__``
 
 #: Miller-Rabin witnesses: the first 13 primes.  Together they are
 #: deterministic below psi_13 = 3317044064679887385961981 (about 3.317e24);
@@ -116,13 +116,40 @@ def max_exponent(p: int) -> int:
     return k
 
 
-@dataclass(frozen=True, slots=True)
-class PrimePowerModulus:
+class Frozen:
+    """Immutable ``__slots__`` base: ``__init__`` fills the slots through ``_set``;
+    equality, hash, pickling and copies go by the slot values, ``_key()``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __eq__(self, other):
+        return (self._key() == other._key() if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class PrimePowerModulus(Frozen):
     """The ambient ring Z/p^k Z: prime base p, exponent k, value m = p^k."""
 
-    p: int
-    k: int
-    m: int
+    __slots__ = ("p", "k", "m")
+
+    def __init__(self, p: int, k: int, m: int):
+        _set(self, "p", p)
+        _set(self, "k", k)
+        _set(self, "m", m)
 
     def residue(self, value: int) -> "Residue":
         """Canonically reduced residue of an integer."""
@@ -148,16 +175,18 @@ def make_modulus(p: int, k: int) -> PrimePowerModulus:
     return PrimePowerModulus(p, k, m)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Residue:
+class Residue(Frozen):
     """An element of Z/p^k Z, always held in canonical form 0 <= value < m.
 
     Arithmetic accepts other residues of the same modulus, integers, and
     rationals with p-free denominator; anything else is rejected.
     """
 
-    value: int
-    modulus: PrimePowerModulus
+    __slots__ = ("value", "modulus")
+
+    def __init__(self, value: int, modulus: PrimePowerModulus):
+        _fill_value(self, value)
+        _fill_modulus(self, modulus)
 
     def _coerce(self, other) -> "Residue":
         if isinstance(other, Residue):
@@ -230,6 +259,10 @@ class Residue:
     def valuation(self) -> int:
         """v_p of the value, capped at the exponent k (0 maps to the cap)."""
         return capped_valuation(self.value, self.modulus.p, self.modulus.k)
+
+
+#: The slots' own setters: a quarter cheaper than ``_set`` per Residue built.
+_fill_value, _fill_modulus = Residue.value.__set__, Residue.modulus.__set__
 
 
 def inverse(a: Residue) -> Residue:

@@ -22,17 +22,16 @@ mod p^2 and T_3 mod p, with no modular inversion (``harmonic``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import isqrt
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .bernoulli import bernoulli_mod
 from .binomial import central_binomial_mod
 from .errors import DivisionNotExact, RangeTooLarge
 from .harmonic import _inverse_power_sums_raw, _walk_pair_sums_raw
-from .modring import capped_valuation
+from .modring import Frozen, _set, capped_valuation
 from .parallel import ordered_map
 
 SIEVE_LIMIT = 10 ** 8
@@ -57,23 +56,27 @@ THRESHOLDS = {
 }
 
 
-@dataclass(frozen=True)
-class SieveConfig:
-    lo: int
-    hi: int
-    segment_size: int = 1 << 16
+class SieveConfig(Frozen):
+    """The range [lo, hi) to sieve in segments, validated on construction."""
 
-    def __post_init__(self):
-        if self.lo < 2 or self.hi <= self.lo:
-            raise ValueError(f"bad range [{self.lo}, {self.hi})")
-        if self.hi > SIEVE_LIMIT:
-            raise RangeTooLarge(f"hi = {self.hi} beyond {SIEVE_LIMIT}")
-        if self.segment_size < MIN_SEGMENT_SIZE:
+    __slots__ = ("lo", "hi", "segment_size")
+
+    def __init__(self, lo: int, hi: int, segment_size: int = 1 << 16):
+        if lo < 2 or hi <= lo:
+            raise ValueError(f"bad range [{lo}, {hi})")
+        if hi > SIEVE_LIMIT:
+            raise RangeTooLarge(f"hi = {hi} beyond {SIEVE_LIMIT}")
+        if segment_size < MIN_SEGMENT_SIZE:
             raise ValueError("segment_size too small")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "segment_size", segment_size)
+
+    def __repr__(self) -> str:
+        return "SieveConfig(lo={}, hi={}, segment_size={})".format(*self._key())
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     p: int
     criterion: Criterion
     observed_valuation: Optional[int] = None

@@ -281,6 +281,25 @@ def test_record_dict_matches_outcome():
     assert rec["elapsed_ns"] > 0
 
 
+def test_cold_start_imports_no_dataclass_or_csv_machinery(tmp_path):
+    # -S keeps the host's site hooks out: they could import these modules
+    # themselves and hide a regression.
+    out = tmp_path / "out.csv"
+    script = f"""
+import sys, wolstenholme.cli
+loaded = sorted({{"dataclasses", "inspect", "csv"}} & set(sys.modules))
+assert not loaded, loaded
+sys.exit(wolstenholme.cli.main(["verify", "--checks", "lemma1_p4", "--at", "11",
+                                "--format", "csv", "--output", {str(out)!r}]))
+"""
+    src = str(Path(wolstenholme.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, row = out.read_text(encoding="utf-8").splitlines()
+    assert header == ",".join(SCHEMA_KEYS) and row.startswith("lemma1_p4,11,4,")
+
+
 # Each script replaces one per-prime function with a copy that kills its
 # worker process at p = 101; forked workers inherit the replacement.
 _DYING_WORKER = {

@@ -1,6 +1,6 @@
-"""Golden jsonl digests: the same configuration writes the same bytes.
+"""Golden output digests: the same configuration writes the same bytes.
 
-Each digest was recorded before the change that added this file, so a
+Each digest was recorded before the change that added it, so a
 refactor of any kernel, plan or evaluator must leave every record of these
 runs byte-identical.  A digest changes only with a deliberate change of the
 record schema or of a check's stated congruence, named in CHANGES.md.
@@ -34,3 +34,24 @@ def test_jsonl_matches_golden_digest(argv, tmp_path):
     out = tmp_path / "out.jsonl"
     main([*argv, "--output", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]
+
+
+#: The csv and pretty writers on two of the runs above.
+GOLDEN_FORMATS = {
+    ("verify", "--checks", "all", "--primes", "2..300", "--format", "csv"):
+        "d75007d2373266706a28f3ab3a0aac6835fac3894a49fc59a7410980e0618ec3",
+    ("verify", "--checks", "all", "--primes", "2..300", "--format", "pretty"):
+        "a4caa09487457f53b07244cf04d5efdbfe31e231372a46ec62cfb1f6e9c677c0",
+    ("scan", "--criterion", "r1p3", "--primes", "2..3000", "--format", "csv"):
+        "1b44f35691c9a64bff59852df6fc62a68753208ee17c7f23c3e51dac2d18771c",
+    ("scan", "--criterion", "r1p3", "--primes", "2..3000", "--format", "pretty"):
+        "89f6a9f63dc5d5fb3e9f9aed56ed81207fa24ab3c4913b703ca03bd486471b10",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_FORMATS),
+                         ids=lambda argv: " ".join((argv[-1], *argv[:3])))
+def test_writer_matches_golden_digest(argv, tmp_path):
+    out = tmp_path / "out.txt"
+    main([*argv, "--output", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FORMATS[argv]
