@@ -42,7 +42,7 @@ from .errors import (
 )
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .harmonic import power_sum_raw  # noqa: F401
-from .modring import Residue, is_prime, make_modulus
+from .modring import Residue, int_valuation, is_prime, make_modulus
 from .plan import EvaluationPlan
 
 #: Exact rationals stop here; everything larger goes through residues.
@@ -168,11 +168,7 @@ def bernoulli_ratio(n: int, p: int, r: int, plan=None) -> Residue:
         raise ValueError("ratio defined for even n >= 2")
     if not is_regular_position(n, p):
         raise IrregularPosition(f"p-1 = {p - 1} divides index {n}")
-    v = 0
-    unit = n
-    while unit % p == 0:
-        unit //= p
-        v += 1
+    v = int_valuation(n, p)
     if r + v > RESIDUE_EXPONENT_CAP:
         raise IndexTooLarge(
             f"B_{n}/{n} mod p^{r} needs exponent {r + v} > {RESIDUE_EXPONENT_CAP}"
@@ -180,7 +176,7 @@ def bernoulli_ratio(n: int, p: int, r: int, plan=None) -> Residue:
     b = bernoulli_mod(n, p, r + v, plan).value.value
     if b % p ** v:
         raise ExactDivisionFailed(f"B_{n} not divisible by {p}^{v}")
-    return plan.modulus(r).residue(b // p ** v * pow(unit, -1, p ** r))
+    return plan.modulus(r).residue(b // p ** v * pow(n // p ** v, -1, p ** r))
 
 
 def reduce_high_index(n: int, s: int, p: int) -> list[tuple[int, int]]:

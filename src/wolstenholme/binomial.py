@@ -28,7 +28,6 @@ from .modring import (
     is_prime,
     make_modulus,
     max_exponent,
-    mpz,
 )
 
 #: Bound on exact binomial arguments; factorial-scale integers stay small.
@@ -70,14 +69,12 @@ def _shifted_product_raw(p: int, shift: int, m) -> int:
 
     shift = 1 gives C(2p-1, p-1); shift = 2 gives C(3p, 2p)/3.
     """
-    m = mpz(m)
     base = shift * p
-    num = mpz(1)
-    den = mpz(1)
+    num = den = 1
     for i in range(1, p):
         num = num * (base + i) % m
         den = den * i % m
-    return int(num * pow(int(den), -1, int(m)) % m)
+    return num * pow(den, -1, m) % m
 
 
 def _central_raw(p: int, m) -> int:
@@ -117,6 +114,6 @@ def zhao_quotient_check(n: int, r: int, p: int) -> int:
     lhs = modulus.residue(exact_binomial(n * p, r * p)) * modulus.residue(
         exact_binomial(n, r)
     ).inverse()
-    w = int(_inverse_power_sums_raw(p, 1, p ** 4)[1]) // p ** 2  # w_p (mod p^2)
+    w = _inverse_power_sums_raw(p, 1, p ** 4)[1] // p ** 2  # w_p (mod p^2)
     rhs = modulus.residue(1 + w * n * r * (n - r) * p ** 3)
     return (lhs - rhs).valuation()

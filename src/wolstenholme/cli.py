@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import __version__
@@ -47,30 +48,6 @@ _FIELDS = (
 
 #: The one jsonl encoder (``json.dumps`` would build one per record).
 _JSONL = json.JSONEncoder(separators=(",", ":"))
-
-
-class RunConfig:
-    """A parsed command line; an option the command does not set keeps its default."""
-
-    check_ids: Optional[list[str]] = None
-    prime_range: Optional[tuple[int, int]] = None
-    at: Optional[int] = None
-    criterion: Criterion = Criterion.HARMONIC_R1_P3
-    output_path: Optional[str] = None
-    format: str = "jsonl"
-    parallelism: int = 1
-    timings: bool = False
-    resume: bool = False
-    index: Optional[int] = None
-    mod_prime: Optional[int] = None
-    exponent: Optional[int] = None
-    n: Optional[int] = None
-    r: Optional[int] = None
-    central: Optional[int] = None
-    input_path: Optional[str] = None
-
-    def __init__(self, command: str):
-        self.command = command
 
 
 def _parse_range(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
@@ -103,6 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Congruence checks and Wolstenholme-prime scans.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # The io options that bernoulli, binom and report lack.
+    parser.set_defaults(output=None, parallelism=1, timings=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(sp):
@@ -152,75 +131,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The validated command line.  On top of the options, ``verify`` sets
+    ``check_ids`` (None for all) and ``verify`` and ``scan`` set
+    ``prime_range`` (None under --at); ``scan``'s ``criterion`` is a Criterion."""
     parser = build_parser()
     ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
     if ns.command == "verify":
-        cfg.check_ids = None if ns.checks == "all" else ns.checks.split(",")
-        if cfg.check_ids:
-            for check_id in cfg.check_ids:
-                try:
-                    lookup(check_id)
-                except WolstenholmeError:
-                    parser.error(f"unknown check id {check_id!r}")
+        ns.check_ids = None if ns.checks == "all" else ns.checks.split(",")
+        for check_id in ns.check_ids or ():
+            try:
+                lookup(check_id)
+            except WolstenholmeError:
+                parser.error(f"unknown check id {check_id!r}")
         if ns.at is not None and ns.primes is not None:
             parser.error("--at and --primes are mutually exclusive")
-        if ns.at is not None:
-            if ns.at < 2:
-                parser.error(f"--at must be 2 or above, got {ns.at}")
-            cfg.at = ns.at
-        elif ns.primes is not None:
-            cfg.prime_range = _parse_range(ns.primes, parser)
-        else:
+        if ns.at is None and ns.primes is None:
             parser.error("verify needs --primes or --at")
+        if ns.at is not None and ns.at < 2:
+            parser.error(f"--at must be 2 or above, got {ns.at}")
+        ns.prime_range = None if ns.primes is None else _parse_range(ns.primes, parser)
     elif ns.command == "scan":
         if (ns.limit is None) == (ns.primes is None):
             parser.error("scan needs exactly one of --limit or --primes")
         if ns.limit is not None:
             if not 2 < ns.limit <= SIEVE_LIMIT:
                 parser.error(f"--limit must be in 3..{SIEVE_LIMIT}")
-            cfg.prime_range = (2, ns.limit)
+            ns.prime_range = (2, ns.limit)
         else:
-            cfg.prime_range = _parse_range(ns.primes, parser)
+            ns.prime_range = _parse_range(ns.primes, parser)
         if ns.resume and ns.format != "jsonl":
             parser.error("--resume needs --format jsonl")
         if ns.resume and ns.output is None:
             parser.error("--resume needs --output")
-        cfg.criterion = Criterion(ns.criterion)
-        cfg.resume = ns.resume
+        ns.criterion = Criterion(ns.criterion)
     elif ns.command == "bernoulli":
-        if ns.mod is None and ns.exp is not None:
-            parser.error("--exp needs --mod")
-        cfg.exponent = 1 if ns.exp is None else ns.exp
-        if ns.mod is not None:
-            if ns.index == 1:
-                parser.error("B_1 has no residue path; drop --mod for its exact value")
-            if not 1 <= cfg.exponent <= RESIDUE_EXPONENT_CAP:
+        if ns.mod is None:
+            if ns.exp is not None:
+                parser.error("--exp needs --mod")
+        elif ns.index == 1:
+            parser.error("B_1 has no residue path; drop --mod for its exact value")
+        else:
+            ns.exp = 1 if ns.exp is None else ns.exp
+            if not 1 <= ns.exp <= RESIDUE_EXPONENT_CAP:
                 parser.error(f"--exp must be in 1..{RESIDUE_EXPONENT_CAP}")
-        cfg.index = ns.index
-        cfg.mod_prime = ns.mod
     elif ns.command == "binom":
-        cfg.central = ns.central
-        cfg.exponent = ns.exp
         if ns.central is None:
             if ns.n is None or ns.r is None:
                 parser.error("binom needs N R or --central P")
             if not 0 <= ns.r <= ns.n <= ORACLE_CAP:
                 parser.error(f"binom needs 0 <= R <= N <= {ORACLE_CAP}")
-            cfg.n, cfg.r = ns.n, ns.r
         elif not 1 <= ns.exp <= CENTRAL_EXPONENT_CAP:
             parser.error(f"--exp must be in 1..{CENTRAL_EXPONENT_CAP}")
-    elif ns.command == "report":
-        cfg.input_path = ns.input
-        cfg.format = ns.format
-        return cfg
-    if hasattr(ns, "format"):
-        cfg.format = ns.format
-        cfg.output_path = ns.output
-        cfg.parallelism = ns.parallelism
-        cfg.timings = ns.timings
-    return cfg
+    return ns
 
 
 def record_dict(outcome, timings: bool = False) -> dict:
@@ -324,80 +287,81 @@ def _resume_floor(path: str, check: str) -> Optional[int]:
     return None if rec is None else rec["p"]
 
 
-def _candidate_primes(cfg: RunConfig) -> Iterable[int]:
-    if cfg.at is not None:
-        return [cfg.at]
-    lo, hi = cfg.prime_range
-    return sieve_primes(SieveConfig(lo, hi))
+def _bad(rec: dict) -> bool:
+    """Whether a record makes the run exit 1: a failed check or an errored
+    scan record.  A scan record that is not flagged is a clean result, and a
+    skipped record is neither."""
+    if rec["skipped"]:
+        return False
+    return bool(rec["reason"]) if rec["check"].startswith("scan:") else not rec["pass"]
 
 
-def execute(cfg: RunConfig) -> int:
-    """Run a parsed configuration; returns the process exit code."""
+def _emit(args: argparse.Namespace, records: Iterable[dict], mode: str = "w") -> int:
+    """Write the records in ``args.format`` to ``args.output``, else stdout;
+    the exit code is 1 if any of them is ``_bad``, else 0."""
+    bad = False
+
+    def watched():
+        nonlocal bad
+        for rec in records:
+            bad = bad or _bad(rec)
+            yield rec
+
+    writer = _WRITERS[args.format]
+    if args.output:
+        with open(args.output, mode, encoding="utf-8") as sink:
+            writer(watched(), sink)
+    else:
+        writer(watched(), sys.stdout)
+    return 1 if bad else 0
+
+
+def execute(args: argparse.Namespace) -> int:
+    """Run a parsed command line; returns the process exit code."""
     try:
-        if cfg.command == "verify":
-            ids = cfg.check_ids if cfg.check_ids is not None else all_check_ids()
-            outcomes = run_suite(ids, _candidate_primes(cfg), cfg.parallelism)
-            failed = False
-
-            def harvest():
-                nonlocal failed
-                for outcome in outcomes:
-                    if not outcome.skipped and not outcome.passed:
-                        failed = True
-                    yield record_dict(outcome, cfg.timings)
-
-            _emit(cfg, harvest())
-            return 1 if failed else 0
-        if cfg.command == "scan":
-            lo, hi = cfg.prime_range
+        if args.command == "verify":
+            ids = args.check_ids if args.check_ids is not None else all_check_ids()
+            primes = ([args.at] if args.at is not None
+                      else sieve_primes(SieveConfig(*args.prime_range)))
+            outcomes = run_suite(ids, primes, args.parallelism)
+            return _emit(args, map(record_dict, outcomes, repeat(args.timings)))
+        if args.command == "scan":
+            lo, hi = args.prime_range
             mode = "w"
-            if cfg.resume:
-                floor = _resume_floor(cfg.output_path, f"scan:{cfg.criterion.value}")
+            if args.resume:
+                floor = _resume_floor(args.output, f"scan:{args.criterion.value}")
                 if floor is not None:
                     lo = max(lo, floor + 1)
                     mode = "a"
                     if lo >= hi:
                         return 0
-            records = wolstenholme_scan(SieveConfig(lo, hi), cfg.criterion,
-                                        cfg.parallelism)
-            errored = False
-
-            def harvest():
-                nonlocal errored
-                for rec in records:
-                    if rec.reason and not rec.skipped:
-                        errored = True
-                    yield record_dict(rec, cfg.timings)
-
-            _emit(cfg, harvest(), mode=mode)
-            return 1 if errored else 0
-        if cfg.command == "bernoulli":
-            if cfg.mod_prime is None:
-                value = bernoulli_exact(cfg.index).value
-                print(f"B_{cfg.index} = {value}")
+            records = wolstenholme_scan(SieveConfig(lo, hi), args.criterion,
+                                        args.parallelism)
+            return _emit(args, map(record_dict, records, repeat(args.timings)),
+                         mode=mode)
+        if args.command == "bernoulli":
+            if args.mod is None:
+                value = bernoulli_exact(args.index).value
+                print(f"B_{args.index} = {value}")
             else:
-                b = bernoulli_mod(cfg.index, cfg.mod_prime, cfg.exponent)
-                print(f"B_{cfg.index} = {b.value.value} "
-                      f"(mod {cfg.mod_prime}^{cfg.exponent})")
+                b = bernoulli_mod(args.index, args.mod, args.exp)
+                print(f"B_{args.index} = {b.value.value} "
+                      f"(mod {args.mod}^{args.exp})")
             return 0
-        if cfg.command == "binom":
-            if cfg.central is not None:
-                b = central_binomial_mod(cfg.central, cfg.exponent)
+        if args.command == "binom":
+            if args.central is not None:
+                b = central_binomial_mod(args.central, args.exp)
                 print(f"C(2p-1,p-1) = {b.value.value} "
                       f"(mod {b.p}^{b.k}); v_p(C-1) = {b.wolstenholme_valuation}")
             else:
-                print(exact_binomial(cfg.n, cfg.r))
+                print(exact_binomial(args.n, args.r))
             return 0
-        if cfg.command == "report":
-            with open(cfg.input_path, "rb") as handle:
-                records = [_parse_record(line, cfg.input_path, lineno)
+        if args.command == "report":
+            with open(args.input, "rb") as handle:
+                records = [_parse_record(line, args.input, lineno)
                            for lineno, line in enumerate(handle, 1) if line.strip()]
-            writer = _WRITERS["pretty" if cfg.format == "pretty" else "csv"]
-            writer(records, sys.stdout)
-            bad = any(not r["pass"] and not r["skipped"]
-                      and not r["check"].startswith("scan:") for r in records)
-            return 1 if bad else 0
-        raise AssertionError(f"unhandled command {cfg.command}")
+            return _emit(args, records)
+        raise AssertionError(f"unhandled command {args.command}")
     except MalformedRecord as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 4
@@ -407,15 +371,6 @@ def execute(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-
-
-def _emit(cfg: RunConfig, records: Iterable[dict], mode: str = "w") -> None:
-    writer = _WRITERS[cfg.format]
-    if cfg.output_path:
-        with open(cfg.output_path, mode, encoding="utf-8") as sink:
-            writer(records, sink)
-    else:
-        writer(records, sys.stdout)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

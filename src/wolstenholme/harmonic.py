@@ -76,7 +76,7 @@ from math import isqrt
 from operator import add, mod, mul
 from typing import Iterator, Optional
 
-from .modring import _batch_invert_raw, mpz, powmod
+from .modring import _batch_invert_raw
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .modring import make_modulus  # noqa: F401
 
@@ -175,7 +175,6 @@ def _inverse_power_sums_raw(p: int, n_max: int, m) -> list:
     """[_, R_1, .., R_n_max] mod m = p^c, read off the pair sums T_i (module
     doc).  R_1 = p T_1 alone needs T_1 mod p^(c-1) only: by the half walk
     for c <= 3, else by the full-width sweep."""
-    m = mpz(m)
     c = _exponent(p, m)
     if p == 2:  # no pair: k = p - k = 1, and R_n(2) = 1
         return [0] + [1 % m] * n_max
@@ -206,7 +205,7 @@ def _newton_h_raw(R, n_max: int, m) -> list:
     H[1] = R[1]
     for n in range(2, n_max + 1):
         acc = R[n] + sum((-1) ** i * H[i] * R[n - i] for i in range(1, n))
-        H[n] = (-1) ** (n - 1) * (acc % m) * powmod(n, -1, m) % m
+        H[n] = (-1) ** (n - 1) * (acc % m) * pow(n, -1, m) % m
     return H
 
 
@@ -225,21 +224,21 @@ def _powers(p: int, e: int, m) -> Iterator[tuple[range, list]]:
     """(ks, [k^e mod m for k in ks]) in blocks of _MOMENT_CHUNK over 1..p-1.
 
     The package's one loop over k^e.  k -> k^e is completely multiplicative,
-    so only primes pay a powmod: a composite k is pw[q] * pw[k // q] with q
-    its least prime factor.  Both factors are at most (p-1)/2, so pw is kept
+    so only primes pay a modular pow: a composite k is pw[q] * pw[k // q]
+    with q its least prime factor.  Both factors are at most (p-1)/2, so pw is kept
     only up to there, and the upper half is left unreduced (below m^2).
     """
     half = (p - 1) // 2
     lpf = _least_prime_factors(p)
     pw = [0, 1 % m]
     for k, q in zip(range(2, half + 1), lpf[2:half + 1]):
-        pw.append(pw[q] * pw[k // q] % m if q else powmod(k, e, m))
+        pw.append(pw[q] * pw[k // q] % m if q else pow(k, e, m))
     for lo in range(1, half + 1, _MOMENT_CHUNK):
         ks = range(lo, min(lo + _MOMENT_CHUNK, half + 1))
         yield ks, pw[lo:ks.stop]
     for lo in range(half + 1, p, _MOMENT_CHUNK):
         ks = range(lo, min(lo + _MOMENT_CHUNK, p))
-        yield ks, [pw[q] * pw[k // q] if q else powmod(k, e, m)
+        yield ks, [pw[q] * pw[k // q] if q else pow(k, e, m)
                    for k, q in zip(ks, lpf[lo:ks.stop])]
 
 
@@ -255,7 +254,7 @@ def _moment_sums_raw(p: int) -> dict:
     """{e: [S_0e, .., S_(c-1)e]} over _moment_window(p) {e: c}, S_ie mod p^(c-i)."""
     window = _moment_window(p)
     top = max(window.values())
-    m = mpz(p) ** top
+    m = p ** top
     sums = {e: [0] * c for e, c in window.items()}
     for ks, x in _powers(p, p - 7, m):
         k2 = [k * k for k in ks]
@@ -285,4 +284,4 @@ def power_sum_raw(p: int, n: int, m) -> int:
     _exponent(p, m)
     phi = m // p * (p - 1)  # Euler: k^n = k^e for k prime to p if n = e (mod phi)
     e = (n + phi // 2) % phi - phi // 2  # the e nearest 0 has the fewest bits
-    return int(sum(sum(x) for _, x in _powers(p, e, mpz(m))) % m)
+    return sum(sum(x) for _, x in _powers(p, e, m)) % m

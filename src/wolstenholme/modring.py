@@ -21,12 +21,6 @@ from .errors import (
     WidthExceeded,
 )
 
-try:  # optional C-backed big integers; plain int is the fallback
-    from gmpy2 import mpz, powmod
-except ImportError:  # pragma: no cover
-    mpz = int
-    powmod = pow
-
 Rationalish = Union[int, Fraction]
 
 WIDTH_BITS = 200
@@ -300,7 +294,7 @@ def _batch_invert_raw(raw: Sequence[int], m) -> list:
     for x in raw:
         acc = acc * x % m
         out.append(acc)
-    inv = pow(int(acc), -1, int(m))
+    inv = pow(acc, -1, m)
     for i in range(len(out) - 1, 0, -1):
         out[i] = inv * out[i - 1] % m
         inv = inv * raw[i] % m

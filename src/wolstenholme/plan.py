@@ -137,7 +137,7 @@ class EvaluationPlan:
         if e is None or not self.sweeps:
             return None
         j, S = (n - e) // (p - 1), self._moments[e]
-        return int(sum(comb(j, i) * p ** i * S[i] for i in range(c)) % p ** c)
+        return sum(comb(j, i) * p ** i * S[i] for i in range(c)) % p ** c
 
     def power_sum(self, n: int, c: int) -> int:
         """P_n mod p^c: a window read when the plan sweeps, else one direct
@@ -151,5 +151,5 @@ class EvaluationPlan:
         if (t < 0 and 3 <= c <= self.top and j % p ** (c - 2) == 0 and j % p ** (c - 1)
                 and (c > 3 or "_T" in vars(self))):
             tail = harmonic.power_sum_raw(p, t + p - 1, p * p)
-            return int(((1 - j) * self._R[-t] + j * tail) % p ** c)
+            return ((1 - j) * self._R[-t] + j * tail) % p ** c
         return harmonic.power_sum_raw(p, n, p ** c)

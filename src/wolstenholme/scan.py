@@ -35,7 +35,9 @@ from .modring import Frozen, _set, capped_valuation
 from .parallel import ordered_map
 
 SIEVE_LIMIT = 10 ** 8
-MIN_SEGMENT_SIZE = 8
+
+#: Numbers per block of the segmented sieve.
+SEGMENT_SIZE = 1 << 16
 
 _SCAN_MIN_PRIME = 7
 
@@ -59,21 +61,18 @@ THRESHOLDS = {
 class SieveConfig(Frozen):
     """The range [lo, hi) to sieve in segments, validated on construction."""
 
-    __slots__ = ("lo", "hi", "segment_size")
+    __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: int, hi: int, segment_size: int = 1 << 16):
+    def __init__(self, lo: int, hi: int):
         if lo < 2 or hi <= lo:
             raise ValueError(f"bad range [{lo}, {hi})")
         if hi > SIEVE_LIMIT:
             raise RangeTooLarge(f"hi = {hi} beyond {SIEVE_LIMIT}")
-        if segment_size < MIN_SEGMENT_SIZE:
-            raise ValueError("segment_size too small")
         _set(self, "lo", lo)
         _set(self, "hi", hi)
-        _set(self, "segment_size", segment_size)
 
     def __repr__(self) -> str:
-        return "SieveConfig(lo={}, hi={}, segment_size={})".format(*self._key())
+        return "SieveConfig(lo={}, hi={})".format(*self._key())
 
 
 class ScanRecord(NamedTuple):
@@ -95,8 +94,8 @@ def sieve_primes(cfg: SieveConfig) -> Iterator[int]:
         if base[i]:
             base[i * i:: i] = bytes((root - i * i) // i + 1)
     base_primes = [i for i in range(2, root + 1) if base[i]]
-    for seg_lo in range(cfg.lo, cfg.hi, cfg.segment_size):
-        seg_hi = min(seg_lo + cfg.segment_size, cfg.hi)
+    for seg_lo in range(cfg.lo, cfg.hi, SEGMENT_SIZE):
+        seg_hi = min(seg_lo + SEGMENT_SIZE, cfg.hi)
         seg = bytearray([1]) * (seg_hi - seg_lo)
         for q in base_primes:
             start = max(q * q, (seg_lo + q - 1) // q * q)
@@ -111,7 +110,7 @@ def sieve_primes(cfg: SieveConfig) -> Iterator[int]:
 def _r1_valuation(p: int) -> int:
     """v_p of R_1(p), computed mod p^3 (R_1 = p T_1, T_1 mod p^2 off the half
     walk) and capped there."""
-    return capped_valuation(int(_inverse_power_sums_raw(p, 1, p ** 3)[1]), p, 3)
+    return capped_valuation(_inverse_power_sums_raw(p, 1, p ** 3)[1], p, 3)
 
 
 def _cor1second_residual(p: int) -> int:
@@ -139,7 +138,7 @@ def _cor1second_residual(p: int) -> int:
     t1, t3 = _walk_pair_sums_raw(p, True)
     if t1 % p:
         raise DivisionNotExact(f"T_1({p}) is not divisible by {p}")
-    return int(2 * p ** 6 * ((t1 // p) ** 2 + t3) % p ** 7)
+    return 2 * p ** 6 * ((t1 // p) ** 2 + t3) % p ** 7
 
 
 def _cor1second_valuation(p: int) -> int:

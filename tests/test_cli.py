@@ -1,6 +1,7 @@
 """CLI parsing, record schema, determinism, and exit codes."""
 import json
 import os
+import site
 import subprocess
 import sys
 from pathlib import Path
@@ -230,6 +231,19 @@ def test_report_malformed_record_exit_code(tmp_path, capsys):
         assert "line 7" in err and "Traceback" not in err  # six good records
 
 
+def test_report_exits_one_on_errored_scan_record(tmp_path, capsys):
+    clean = tmp_path / "clean.jsonl"
+    assert main(["scan", "--primes", "7..100", "--criterion", "r1p3",
+                 "--output", str(clean)]) == 0
+    assert main(["report", str(clean)]) == 0
+    errored = tmp_path / "errored.jsonl"
+    errored.write_text(json.dumps(dict(
+        zip(SCHEMA_KEYS, ["scan:r1p3", 11, 3, None, None, None, False, False,
+                          "error: boom", 0]))) + "\n")
+    assert main(["report", str(errored)]) == 1
+    assert "scan:r1p3" in capsys.readouterr().out
+
+
 def test_report_missing_file_is_io_error():
     assert main(["report", "/nonexistent/nope.jsonl"]) == 3
 
@@ -283,18 +297,28 @@ def test_record_dict_matches_outcome():
 
 def test_cold_start_imports_no_dataclass_or_csv_machinery(tmp_path):
     # -S keeps the host's site hooks out: they could import these modules
-    # themselves and hide a regression.
+    # themselves and hide a regression.  The site-packages directories go on
+    # the path by hand, so a guarded third-party import would still load.
     out = tmp_path / "out.csv"
     script = f"""
 import sys, wolstenholme.cli
 loaded = sorted({{"dataclasses", "inspect", "csv"}} & set(sys.modules))
 assert not loaded, loaded
+import pkgutil, importlib
+for info in pkgutil.iter_modules(wolstenholme.__path__, "wolstenholme."):
+    importlib.import_module(info.name)
+# pyproject declares no dependencies: the package loads the standard library only
+foreign = sorted({{name.partition(".")[0] for name in sys.modules}}
+                 - set(sys.stdlib_module_names) - {{"__main__", "wolstenholme"}})
+assert not foreign, foreign
 sys.exit(wolstenholme.cli.main(["verify", "--checks", "lemma1_p4", "--at", "11",
                                 "--format", "csv", "--output", {str(out)!r}]))
 """
-    src = str(Path(wolstenholme.__file__).resolve().parents[1])
+    path = [str(Path(wolstenholme.__file__).resolve().parents[1]),
+            *site.getsitepackages()]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+                          text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     header, row = out.read_text(encoding="utf-8").splitlines()
     assert header == ",".join(SCHEMA_KEYS) and row.startswith("lemma1_p4,11,4,")

@@ -65,13 +65,11 @@ def test_residue_equality_and_hash():
     ((10, 10), ValueError, "bad range [10, 10)"),
     ((1, 10), ValueError, "bad range [1, 10)"),
     ((2, 10 ** 8 + 1), RangeTooLarge, "hi = 100000001 beyond 100000000"),
-    ((2, 100, 7), ValueError, "segment_size too small"),
-], ids=["empty", "below-2", "too-large", "small-segment"])
+], ids=["empty", "below-2", "too-large"])
 def test_sieve_config_errors(args, error, message):
     with pytest.raises(ValueError) as exc:
         SieveConfig(*args)
     assert type(exc.value) is error and str(exc.value) == message
-    assert SieveConfig(2, 100, segment_size=8).segment_size == 8
 
 
 #: Each record's fields in order, and the defaults of the trailing ones.

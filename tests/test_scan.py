@@ -108,9 +108,10 @@ def test_sieve_examples():
     assert list(sieve_primes(SieveConfig(16840, 16850))) == [16843]
 
 
-def test_sieve_against_trial_division():
+def test_sieve_against_trial_division(monkeypatch):
     assert list(sieve_primes(SieveConfig(2, 2000))) == trial_division_primes(2, 2000)
-    assert list(sieve_primes(SieveConfig(90000, 90400, segment_size=64))) == \
+    monkeypatch.setattr(scan, "SEGMENT_SIZE", 64)  # seven segments
+    assert list(sieve_primes(SieveConfig(90000, 90400))) == \
         trial_division_primes(90000, 90400)
 
 
