@@ -33,7 +33,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import (
-    ExactDivisionFailed,
+    DivisionNotExact,
     IndexTooLarge,
     IrregularPosition,
     NotPrime,
@@ -155,7 +155,7 @@ def bernoulli_mod(n: int, p: int, r: int, plan=None) -> BernoulliResidue:
         raise IrregularPosition(f"p-1 = {p - 1} divides index {n}")
     lifted = _p_times_bernoulli(n, plan, r + 1)
     if lifted % p:
-        raise ExactDivisionFailed(
+        raise DivisionNotExact(
             f"p*B_{n} mod {p}^{r + 1} is not divisible by {p}"
         )
     return BernoulliResidue(n, p, r, modulus.residue(lifted // p), True)
@@ -175,7 +175,7 @@ def bernoulli_ratio(n: int, p: int, r: int, plan=None) -> Residue:
         )
     b = bernoulli_mod(n, p, r + v, plan).value.value
     if b % p ** v:
-        raise ExactDivisionFailed(f"B_{n} not divisible by {p}^{v}")
+        raise DivisionNotExact(f"B_{n} not divisible by {p}^{v}")
     return plan.modulus(r).residue(b // p ** v * pow(n // p ** v, -1, p ** r))
 
 

@@ -25,6 +25,7 @@ from .harmonic import _inverse_power_sums_raw
 from .modring import (
     Residue,
     capped_valuation,
+    eval_exponent,
     is_prime,
     make_modulus,
     max_exponent,
@@ -38,9 +39,6 @@ SUN_WAN_PRIME_CAP = 400
 
 #: Largest k served by ``central_binomial_mod``.
 CENTRAL_EXPONENT_CAP = 9
-
-#: Extra exponent margin so "exactly k" and ">= k+1" stay distinguishable.
-VALUATION_MARGIN = 2
 
 
 class BinomialResidue(NamedTuple):
@@ -89,7 +87,7 @@ def central_binomial_mod(p: int, k: int) -> BinomialResidue:
     if not 1 <= k <= CENTRAL_EXPONENT_CAP:
         raise RangeError(f"exponent k must be in 1..{CENTRAL_EXPONENT_CAP}, got {k}")
     modulus = make_modulus(p, k)
-    eval_exp = max(k, min(k + VALUATION_MARGIN, max_exponent(p)))
+    eval_exp = eval_exponent(k, max_exponent(p))
     wide = _central_raw(p, p ** eval_exp)
     return BinomialResidue(
         p=p,

@@ -7,11 +7,11 @@ every sum off the prime's evaluation plan (``plan``) and work a couple of
 exponents above the stated one where the arithmetic allows, so an
 outcome reports how much slack a congruence has, not just pass/fail.
 
-Most evaluators come from two factories of coefficients:
-``_make_ev_expansion(stated, {n: c_n})`` for C(2p-1,p-1) = 1 + sum(c_n p^n R_n)
-(Wolstenholme, Zhao's Lemma 2, Propositions 1-2, Corollary 1, Remark 2) and
-``_make_ev_lemma13(r, stated)`` for 2 R_1 = -sum(p^i R_(i+1), i=1..r) (Lemma 1,
-eq. 19, Lemma 13).  Every B_n mod p^r is read through ``_b``.
+Most checks are linear, X = const + sum(c p^a Y) (mod p^k) with X and each
+Y one of C(2p-1,p-1), R_n, H_n or B_n: Wolstenholme, Glaisher, Lehmer,
+Helou-Terjanian, Zhao's Lemmas 1-2, Lemmas 7, 12 and 13, eq. 19,
+Propositions 1-2, Corollaries 1-3 and Remark 2.  Each is one ``Linear`` row
+of coefficients, and the row's one evaluator derives every B_n precision.
 
 A check passes when v_p(lhs - rhs) reaches the stated exponent.  Skipped
 is not failed: gates (below minimum prime, not prime, not a Wolstenholme
@@ -32,7 +32,7 @@ from .errors import UnknownCheck
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .bernoulli import high_index_bernoulli  # noqa: F401
 from .harmonic import _inverse_power_sums_raw  # noqa: F401
-from .modring import Residue, is_prime, make_modulus  # noqa: F401
+from .modring import Residue, eval_exponent, is_prime, make_modulus  # noqa: F401
 from .parallel import ordered_map
 from .plan import EvaluationPlan
 
@@ -75,64 +75,90 @@ class CheckOutcome(NamedTuple):
     elapsed_ns: int = 0
 
 
-def _eval_exponent(plan, stated: int, cap: int = 10) -> int:
-    return max(stated, min(stated + 2, cap, plan.top))
-
-
 def _indicator_pair(plan, lhs_holds: bool, rhs_holds: bool):
     return tuple(plan.modulus(1).residue(int(x)) for x in (lhs_holds, rhs_holds))
 
 
-def _b(plan, M, n: int, r: int) -> Residue:
-    """B_n mod p^r as a residue of M."""
-    return M.residue(bernoulli_mod(n, plan.p, r, plan).value.value)
+def _b(plan, n: int, r: int) -> int:
+    """B_n mod p^r, reduced."""
+    return bernoulli_mod(n, plan.p, r, plan).value.value
 
 
-# --- binomial-side evaluators -------------------------------------------------
+# --- linear congruences ---------------------------------------------------------
 
-def _make_ev_expansion(stated: int, coeffs: dict):
-    """C(2p-1,p-1) against 1 + sum(c_n p^n R_n) for ``coeffs`` = {n: c_n}."""
-    def evaluator(plan):
-        W = _eval_exponent(plan, stated)
-        central, R = plan.central(W), plan.R(W)
-        return central, sum((c * plan.p ** n * R[n] for n, c in coeffs.items()),
-                            central.modulus.residue(1))
-
-    return evaluator
+#: Term values of a ``Linear`` row: C(2p-1,p-1), R[n] and H[n] are read off
+#: the plan as (attribute, index); B(j, s) is B_(j(p-1)-s) and Bp(n, s) is
+#: B_(p^n-p^(n-1)-s), both ("B", j, e, s) for the index j p^e (p-1) - s.
+C = ("_products", 0)
+R, H = ([(name, n) for n in range(7)] for name in ("_R", "_H"))
 
 
-_ev_cor1_first = _make_ev_expansion(7, {1: -2, 2: -2})
-_ev_cor1_second = _make_ev_expansion(7, {1: 2, 3: Fr(2, 3)})
+def B(j: int, s: int) -> tuple:
+    return ("B", j, 0, s)
 
 
-def _ev_glaisher(plan):
-    p, W = plan.p, _eval_exponent(plan, 4)
-    b = _b(plan, plan.modulus(W), p - 3, W - 3)
-    return plan.central(W), 1 - Fr(2, 3) * p ** 3 * b
+def Bp(n: int, s: int) -> tuple:
+    return ("B", 1, n - 1, s)
 
 
-def _ev_lehmer(plan):
-    p, W = plan.p, _eval_exponent(plan, 3)
-    b = _b(plan, plan.modulus(W), p - 3, W - 2)
-    return plan.R(W)[1], -Fr(1, 3) * p ** 2 * b
+class Linear(NamedTuple):
+    """lhs = const + sum(c p^a x for (c, a, x) in terms) (mod p^stated), the
+    lhs one (c, a, x) term too; called on a plan, the pair (lhs, rhs).
+
+    Both sides are evaluated mod p^W, W = eval_exponent(stated, top, cap),
+    or ``fixed``.  Each distinct B_n is read first, once, in row order and
+    before any pair sum (the order sets the plan's short passes), mod
+    p^(W - a) for the least a it carries, so every term is exact mod p^W.
+    """
+
+    stated: int
+    lhs: tuple
+    const: int
+    terms: tuple
+    cap: int = 10
+    fixed: Optional[int] = None
+
+    def __call__(self, plan) -> tuple[Residue, Residue]:
+        p = plan.p
+        M = plan.modulus(self.fixed or eval_exponent(self.stated, plan.top, self.cap))
+        least = {}
+        for _, a, x in self.terms:
+            if x[0] == "B":
+                least[x] = min(a, least.get(x, a))
+        bs = {x: _b(plan, x[1] * p ** x[2] * (p - 1) - x[3], M.k - a)
+              for x, a in least.items()}
+
+        def term(c, a, x) -> int:
+            v = bs[x] if x in bs else getattr(plan, x[0])[x[1]]
+            if a:
+                v *= p ** a
+            if c != 1:
+                v *= c if type(c) is int else c.numerator * pow(c.denominator, -1, M.m)
+            return v
+
+        rhs = self.const + sum(term(*t) for t in self.terms)
+        return M.residue(term(*self.lhs)), M.residue(rhs)
 
 
-def _ev_helou_terjanian(plan):
-    p, M = plan.p, plan.modulus(6)
-    b_big = _b(plan, M, p ** 3 - p ** 2 - 2, 3)
-    b3, b5 = _b(plan, M, p - 3, 1), _b(plan, M, p - 5, 1)
-    rhs = 1 - p ** 3 * b_big + Fr(1, 3) * p ** 5 * b3 - Fr(6, 5) * p ** 5 * b5
-    return plan.central(6), rhs
+_ev_cor1_first = Linear(7, (1, 0, C), 1, ((-2, 1, R[1]), (-2, 2, R[2])))
+_ev_cor1_second = Linear(7, (1, 0, C), 1, ((2, 1, R[1]), (Fr(2, 3), 3, R[3])))
 
+
+def _cor1_first_holds(plan) -> bool:
+    lhs, rhs = _ev_cor1_first(plan)
+    return (lhs - rhs).valuation() >= _ev_cor1_first.stated
+
+
+# --- evaluators of the other congruences ----------------------------------------
 
 def _ev_granville(plan):
-    W = _eval_exponent(plan, 5)
+    W = eval_exponent(5, plan.top)
     lhs = 3 * plan.granville(W) * ((2 * plan.central(W)) ** 3).inverse()
     return lhs, plan.modulus(W).embed(Fr(3, 8))
 
 
 def _ev_sun_wan(plan):
-    p, M = plan.p, plan.modulus(_eval_exponent(plan, 5))
+    p, M = plan.p, plan.modulus(eval_exponent(5, plan.top))
     lhs = M.residue(binomial.exact_binomial(4 * p - 1, 2 * p - 1))
     rhs = M.residue(binomial.exact_binomial(4 * p, p) - 1)
     return lhs, rhs
@@ -143,22 +169,6 @@ def _ev_zhao_eq4(plan):
     lhs = M.residue(binomial.exact_binomial(3 * p, p)) * M.residue(3).inverse()
     w = plan.R(4)[1].value // p ** 2  # w_p = R_1/p^2 (mod p^2)
     return lhs, M.residue(1 + 6 * w * p ** 3)
-
-
-# --- harmonic-sum evaluators --------------------------------------------------
-
-def _make_ev_lemma13(r: int, stated: int):
-    """2 R_1 against -sum(p^i R_(i+1), i=1..r)."""
-    def evaluator(plan):
-        p, R = plan.p, plan.R(_eval_exponent(plan, stated))
-        return 2 * R[1], -sum(p ** i * R[i + 1] for i in range(1, r + 1))
-
-    return evaluator
-
-
-def _ev_lemma12_iv(plan):
-    R = plan.R(_eval_exponent(plan, 4))
-    return plan.p * R[6], -Fr(2, 5) * R[5]
 
 
 def _valuation_pattern(plan, values):
@@ -176,39 +186,6 @@ def _ev_lemma6_valuations(plan):
     # The odd-n bound stops at p-3: H_{p-2} only reaches valuation 1
     # (H_5(7) = 7/240), so the induction from the R_n pattern ends there.
     return _valuation_pattern(plan, plan.H(3))
-
-
-def _make_ev_lemma7(n: int, exponent: int):
-    sign = 1 if n % 2 else -1
-
-    def evaluator(plan):
-        W = _eval_exponent(plan, exponent)
-        return plan.R(W)[n], sign * n * plan.H(W)[n]
-
-    return evaluator
-
-
-# --- Bernoulli-side evaluators ------------------------------------------------
-
-def _ev_lemma12_i(plan):
-    p, M = plan.p, plan.modulus(6)
-    b_big4 = _b(plan, M, p ** 4 - p ** 3 - 2, 4)
-    b_big2 = _b(plan, M, p ** 2 - p - 4, 2)
-    b3, b5 = _b(plan, M, p - 3, 1), _b(plan, M, p - 5, 1)
-    rhs = -Fr(1, 2) * p ** 2 * b_big4 - Fr(1, 4) * p ** 4 * b_big2 \
-        + Fr(1, 6) * p ** 5 * b3 + Fr(1, 20) * p ** 5 * b5
-    return plan.R(6)[1], rhs
-
-
-def _ev_lemma12_ii(plan):
-    p, W = plan.p, _eval_exponent(plan, 4, cap=6)
-    b = _b(plan, plan.modulus(W), p ** 4 - p ** 3 - 4, 4)
-    return plan.R(W)[3], -Fr(3, 2) * p ** 2 * b
-
-
-def _ev_lemma12_iii(plan):
-    p = plan.p
-    return plan.R(5)[4], p * _b(plan, plan.modulus(5), p ** 4 - p ** 3 - 4, 4)
 
 
 def _ev_kummer_eq10(plan):
@@ -234,36 +211,6 @@ def _make_ev_eq26(n: int, s: int):
     return evaluator
 
 
-def _ev_cor2(plan):
-    p, M = plan.p, plan.modulus(7)
-    b_big4 = _b(plan, M, p ** 4 - p ** 3 - 2, 4)
-    b_big2, b5 = _b(plan, M, p ** 2 - p - 4, 2), _b(plan, M, p - 5, 1)
-    rhs = 1 - p ** 3 * b_big4 - Fr(3, 2) * p ** 5 * b_big2 + Fr(3, 10) * p ** 6 * b5
-    return plan.central(7), rhs
-
-
-def _ev_cor3(plan):
-    p, M = plan.p, plan.modulus(7)
-    b3, b4, b5, b6 = (_b(plan, M, j * (p - 1) - 2, 4) for j in range(1, 5))
-    c5, c6 = (_b(plan, M, j * (p - 1) - 4, 2) for j in (1, 2))
-    rhs = (
-        1
-        - p ** 3 * (Fr(8, 3) * b3 - 3 * b4 + Fr(8, 5) * b5 - Fr(1, 3) * b6)
-        - p ** 4 * (Fr(8, 9) * b3 - Fr(3, 2) * b4 + Fr(24, 25) * b5 - Fr(2, 9) * b6)
-        - p ** 5 * (
-            Fr(8, 27) * b3 - Fr(3, 4) * b4 + Fr(72, 125) * b5 - Fr(4, 27) * b6
-            + Fr(12, 5) * c5 - c6
-        )
-        - p ** 6 * Fr(2, 25) * c5
-    )
-    return plan.central(7), rhs
-
-
-def _cor1_first_holds(plan) -> bool:
-    lhs, rhs = _ev_cor1_first(plan)
-    return (lhs - rhs).valuation() >= 7
-
-
 def _ev_cor4_iff(plan):
     return _indicator_pair(plan, plan.wolstenholme, _cor1_first_holds(plan))
 
@@ -271,24 +218,33 @@ def _ev_cor4_iff(plan):
 def _entries() -> list[CongruenceCheck]:
     A, W_ONLY = Scope.ALL_PRIMES, Scope.WOLSTENHOLME_ONLY
     KUMMER = "power-sum expansion with Kummer reduction"
+
+    def linear(check_id, description, source, min_prime, scope, row, window=0):
+        return CongruenceCheck(check_id, description, source, min_prime, scope,
+                               row.stated, row, window=window)
+
     entries = [
-        CongruenceCheck(
+        linear(
             "wolstenholme_thm",
             "C(2p-1,p-1) = 1 (mod p^3)",
-            "Wolstenholme 1862", 5, A, 3, _make_ev_expansion(3, {})),
-        CongruenceCheck(
+            "Wolstenholme 1862", 5, A, Linear(3, (1, 0, C), 1, ())),
+        linear(
             "glaisher_p4",
             "C(2p-1,p-1) = 1 - (2/3) p^3 B_{p-3} (mod p^4)",
-            "Glaisher 1900", 7, A, 4, _ev_glaisher, window=2),
-        CongruenceCheck(
+            "Glaisher 1900", 7, A,
+            Linear(4, (1, 0, C), 1, ((-Fr(2, 3), 3, B(1, 2)),)), window=2),
+        linear(
             "lehmer_p3",
             "R_1 = -(1/3) p^2 B_{p-3} (mod p^3)",
-            "E. Lehmer 1938", 7, A, 3, _ev_lehmer, window=2),
-        CongruenceCheck(
+            "E. Lehmer 1938", 7, A,
+            Linear(3, (1, 0, R[1]), 0, ((-Fr(1, 3), 2, B(1, 2)),)), window=2),
+        linear(
             "helou_terjanian_p6",
             "C(2p-1,p-1) = 1 - p^3 B_{p^3-p^2-2} + (1/3) p^5 B_{p-3}"
             " - (6/5) p^5 B_{p-5} (mod p^6)",
-            "Helou-Terjanian 2008", 11, A, 6, _ev_helou_terjanian, window=4),
+            "Helou-Terjanian 2008", 11, A, Linear(6, (1, 0, C), 1, (
+                (-1, 3, Bp(3, 2)), (Fr(1, 3), 5, B(1, 2)), (-Fr(6, 5), 5, B(1, 4))),
+                cap=6), window=4),
         CongruenceCheck(
             "granville_p5",
             "C(3p,2p)/C(2p,p)^3 = C(3,2)/C(2,1)^3 (mod p^5)",
@@ -303,78 +259,97 @@ def _entries() -> list[CongruenceCheck]:
             "C(3p,p)/C(3,1) = 1 + 6 w_p p^3 (mod p^5)",
             "Zhao 2007", 7, A, 5, _ev_zhao_eq4,
             max_prime=binomial.ORACLE_CAP // 3),
-        CongruenceCheck(
+        linear(
             "lemma1_p4",
             "2 R_1 = -p R_2 (mod p^4)",
-            "Zhao 2007", 7, A, 4, _make_ev_lemma13(1, 4)),
-        CongruenceCheck(
+            "Zhao 2007", 7, A, Linear(4, (2, 0, R[1]), 0, ((-1, 1, R[2]),))),
+        linear(
             "lemma2a_p5",
             "C(2p-1,p-1) = 1 + 2p R_1 (mod p^5)",
-            "Zhao 2007", 7, A, 5, _make_ev_expansion(5, {1: 2})),
-        CongruenceCheck(
+            "Zhao 2007", 7, A, Linear(5, (1, 0, C), 1, ((2, 1, R[1]),))),
+        linear(
             "lemma2b_p5",
             "C(2p-1,p-1) = 1 - p^2 R_2 (mod p^5)",
-            "Zhao 2007; McIntosh 1995", 7, A, 5, _make_ev_expansion(5, {2: -1})),
-        CongruenceCheck(
+            "Zhao 2007; McIntosh 1995", 7, A,
+            Linear(5, (1, 0, C), 1, ((-1, 2, R[2]),))),
+        linear(
             "lemma12_i_p6",
             "R_1 = -(1/2) p^2 B_{p^4-p^3-2} - (1/4) p^4 B_{p^2-p-4}"
             " + (1/6) p^5 B_{p-3} + (1/20) p^5 B_{p-5} (mod p^6)",
-            KUMMER, 11, A, 6, _ev_lemma12_i, window=5),
-        CongruenceCheck(
+            KUMMER, 11, A, Linear(6, (1, 0, R[1]), 0, (
+                (-Fr(1, 2), 2, Bp(4, 2)), (-Fr(1, 4), 4, Bp(2, 4)),
+                (Fr(1, 6), 5, B(1, 2)), (Fr(1, 20), 5, B(1, 4))), cap=6), window=5),
+        linear(
             "lemma12_ii_p4",
             "R_3 = -(3/2) p^2 B_{p^4-p^3-4} (mod p^4)",
-            KUMMER, 11, A, 4, _ev_lemma12_ii, window=2),
-        CongruenceCheck(
+            KUMMER, 11, A,
+            Linear(4, (1, 0, R[3]), 0, ((-Fr(3, 2), 2, Bp(4, 4)),), cap=6), window=2),
+        linear(
             "lemma12_iii_p3",
             "R_4 = p B_{p^4-p^3-4} (mod p^3)",
-            KUMMER, 11, A, 3, _ev_lemma12_iii, window=2),
-        CongruenceCheck(
+            # mod p^5 at every p: past the width contract, make_modulus refuses it
+            KUMMER, 11, A, Linear(3, (1, 0, R[4]), 0, ((1, 1, Bp(4, 4)),), fixed=5),
+            window=2),
+        linear(
             "lemma12_iv_p4",
             "p R_6 = -(2/5) R_5 (mod p^4)",
-            KUMMER, 11, A, 4, _ev_lemma12_iv),
-        CongruenceCheck(
+            KUMMER, 11, A, Linear(4, (1, 1, R[6]), 0, ((-Fr(2, 5), 0, R[5]),))),
+        linear(
             "eq19_p8",
             "2 R_1 = -(p R_2 + p^2 R_3 + p^3 R_4 + p^4 R_5 + p^5 R_6) (mod p^8)",
-            "telescoped inverse-pair identity", 11, A, 8, _make_ev_lemma13(5, 8)),
-        CongruenceCheck(
+            "telescoped inverse-pair identity", 11, A,
+            Linear(8, (2, 0, R[1]), 0, tuple((-1, i, R[i + 1]) for i in range(1, 6)))),
+        linear(
             "prop1_p8",
             "C(2p-1,p-1) = 1 + sum((-1)^(n-1) (p^n/n) R_n, n=1..6) (mod p^8)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 8,
-            _make_ev_expansion(8, {n: Fr((-1) ** (n - 1), n) for n in range(1, 7)})),
-        CongruenceCheck(
+            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(8, (1, 0, C), 1, tuple(
+                (Fr((-1) ** (n - 1), n), n, R[n]) for n in range(1, 7)))),
+        linear(
             "prop2_p8",
             "C(2p-1,p-1) = 1 + (3p/2) R_1 - (p^2/4) R_2 + (7p^3/12) R_3"
             " + (5p^5/12) R_5 (mod p^8)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 8, _make_ev_expansion(
-                8, {1: Fr(3, 2), 2: -Fr(1, 4), 3: Fr(7, 12), 5: Fr(5, 12)})),
-        CongruenceCheck(
+            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(8, (1, 0, C), 1, (
+                (Fr(3, 2), 1, R[1]), (-Fr(1, 4), 2, R[2]), (Fr(7, 12), 3, R[3]),
+                (Fr(5, 12), 5, R[5])))),
+        linear(
             "cor1_first_p7",
             "C(2p-1,p-1) = 1 - 2p R_1 - 2p^2 R_2 (mod p^7)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 7, _ev_cor1_first),
-        CongruenceCheck(
+            "Wolstenholme-prime expansion", 11, W_ONLY, _ev_cor1_first),
+        linear(
             "cor1_second_p7",
             "C(2p-1,p-1) = 1 + 2p R_1 + (2/3) p^3 R_3 (mod p^7)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 7, _ev_cor1_second),
-        CongruenceCheck(
+            "Wolstenholme-prime expansion", 11, W_ONLY, _ev_cor1_second),
+        linear(
             "cor2_p7",
             "C(2p-1,p-1) = 1 - p^3 B_{p^4-p^3-2} - (3/2) p^5 B_{p^2-p-4}"
             " + (3/10) p^6 B_{p-5} (mod p^7)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 7, _ev_cor2, window=4),
-        CongruenceCheck(
+            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(7, (1, 0, C), 1, (
+                (-1, 3, Bp(4, 2)), (-Fr(3, 2), 5, Bp(2, 4)), (Fr(3, 10), 6, B(1, 4))),
+                cap=7), window=4),
+        linear(
             "cor3_p7",
             "C(2p-1,p-1) in low-index Bernoulli numbers B_{p-3}, B_{2p-4},"
             " B_{3p-5}, B_{4p-6}, B_{p-5}, B_{2p-6} (mod p^7)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 7, _ev_cor3, window=8),
+            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(7, (1, 0, C), 1, (
+                (-Fr(8, 3), 3, B(1, 2)), (3, 3, B(2, 2)),
+                (-Fr(8, 5), 3, B(3, 2)), (Fr(1, 3), 3, B(4, 2)),
+                (-Fr(8, 9), 4, B(1, 2)), (Fr(3, 2), 4, B(2, 2)),
+                (-Fr(24, 25), 4, B(3, 2)), (Fr(2, 9), 4, B(4, 2)),
+                (-Fr(8, 27), 5, B(1, 2)), (Fr(3, 4), 5, B(2, 2)),
+                (-Fr(72, 125), 5, B(3, 2)), (Fr(4, 27), 5, B(4, 2)),
+                (-Fr(12, 5), 5, B(1, 4)), (1, 5, B(2, 4)),
+                (-Fr(2, 25), 6, B(1, 4))), cap=7), window=8),
         CongruenceCheck(
             "cor4_iff",
             "Wolstenholme-prime status iff the mod-p^7 two-sum congruence",
             "Wolstenholme-prime characterization", 11, A, 1, _ev_cor4_iff),
-        CongruenceCheck(
+        linear(
             "remark2_p8",
             "C(2p-1,p-1) = 1 + 2p R_1 + (5p^3/6) R_3 + (p^4/4) R_4"
             " + (17p^5/30) R_5 (mod p^8)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, 8, _make_ev_expansion(
-                8, {1: 2, 3: Fr(5, 6), 4: Fr(1, 4), 5: Fr(17, 30)})),
+            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(8, (1, 0, C), 1, (
+                (2, 1, R[1]), (Fr(5, 6), 3, R[3]), (Fr(1, 4), 4, R[4]),
+                (Fr(17, 30), 5, R[5])))),
         CongruenceCheck(
             "lemma4_valuations",
             "v_p(R_n) >= 2 for odd n, >= 1 for even n (n <= min(6, p-3))",
@@ -402,17 +377,17 @@ def _entries() -> list[CongruenceCheck]:
             "Helou-Terjanian 2008", 11, A, 4, _make_ev_eq26(4, 2), window=10),
     ]
     for r in range(1, 6):
-        entries.append(CongruenceCheck(
+        entries.append(linear(
             f"lemma13_r{r}",
             f"2 R_1 = -sum(p^i R_(i+1), i=1..{r}) (mod p^{r + 1})",
-            "telescoped inverse-pair identity", 3, A, r + 1, _make_ev_lemma13(r, r + 1)))
+            "telescoped inverse-pair identity", 3, A, Linear(r + 1, (2, 0, R[1]), 0,
+                tuple((-1, i, R[i + 1]) for i in range(1, r + 1)))))
     for n, exponent in ((2, 6), (3, 5), (4, 4), (5, 4), (6, 3)):
-        sign = "" if n % 2 else "-"
-        entries.append(CongruenceCheck(
+        entries.append(linear(
             f"lemma7_n{n}",
-            f"R_{n} = {sign}{n} H_{n} (mod p^{exponent})",
-            "Newton-identity consequences at Wolstenholme primes",
-            11, Scope.WOLSTENHOLME_ONLY, exponent, _make_ev_lemma7(n, exponent)))
+            f"R_{n} = {'' if n % 2 else '-'}{n} H_{n} (mod p^{exponent})",
+            "Newton-identity consequences at Wolstenholme primes", 11, W_ONLY,
+            Linear(exponent, (1, 0, R[n]), 0, (((-1) ** (n + 1) * n, 0, H[n]),))))
     entries.sort(key=lambda c: c.id)
     return entries
 

@@ -226,13 +226,13 @@ def _write_pretty(records: Iterable[dict], sink: TextIO) -> None:
             rec["check"], {"pass": 0, "fail": 0, "skip": 0, "bad_primes": []})
         if rec["skipped"]:
             row["skip"] += 1
-        elif rec["pass"]:
-            row["pass"] += 1
-            if rec["check"].startswith("scan:"):
-                flagged.append(rec["p"])
-        else:
+        elif _bad(rec):
             row["fail"] += 1
             row["bad_primes"].append(rec["p"])
+        else:
+            row["pass"] += 1
+            if rec["pass"] and rec["check"].startswith("scan:"):
+                flagged.append(rec["p"])
     sink.write(f"{'check':24s} {'pass':>6s} {'fail':>6s} {'skip':>6s}\n")
     for check_id in sorted(by_check):
         row = by_check[check_id]

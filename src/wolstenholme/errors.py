@@ -49,10 +49,6 @@ class IrregularPosition(WolstenholmeError, ValueError):
     """Bernoulli index divisible by p-1; the residue has p in its denominator."""
 
 
-class ExactDivisionFailed(WolstenholmeError, ArithmeticError):
-    """Internal exact division by p failed; signals an arithmetic fault."""
-
-
 class RangeError(WolstenholmeError, ValueError):
     """Argument outside the range an exact oracle can serve."""
 

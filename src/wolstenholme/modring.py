@@ -110,6 +110,12 @@ def max_exponent(p: int) -> int:
     return k
 
 
+def eval_exponent(stated: int, top: int, cap: int = MAX_EXPONENT) -> int:
+    """The exponent to evaluate a mod-p^stated congruence at: two above it, so
+    "exactly" and "beyond" stay apart, within ``cap`` and ``top = max_exponent(p)``."""
+    return max(stated, min(stated + 2, cap, top))
+
+
 class Frozen:
     """Immutable ``__slots__`` base: ``__init__`` fills the slots through ``_set``;
     equality, hash, pickling and copies go by the slot values, ``_key()``."""

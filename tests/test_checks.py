@@ -15,6 +15,7 @@ from wolstenholme.checks import (
     run_check,
     run_suite,
 )
+from wolstenholme.bernoulli import bernoulli_exact
 from wolstenholme.binomial import central_binomial_mod
 from wolstenholme.harmonic import _inverse_power_sums_raw, _newton_h_raw
 from wolstenholme.modring import is_prime, valuation
@@ -264,3 +265,19 @@ def test_wolstenholme_only_evaluators_against_exact_rationals():
                                   lhs.modulus.embed(exact_rhs)), (check_id, p)
             want = min(valuation(exact_lhs - exact_rhs, p), lhs.modulus.k)
             assert (lhs - rhs).valuation() == want, (check_id, p)
+
+
+def test_bernoulli_rows_against_exact_rationals():
+    # Each rhs against const + sum(c p^a B_n) with B_n exact: a B_n read at
+    # less than its derived precision p^(W - a) leaves the term inexact mod p^W.
+    for p in (p for p in range(11, 98) if is_prime(p)):
+        plan = EvaluationPlan(p)
+        for check_id in ("glaisher_p4", "lehmer_p3", "cor3_p7"):
+            row = lookup(check_id).evaluator
+            _, rhs = row(plan)
+            exact = row.const
+            for c, a, (_, j, e, s) in row.terms:
+                assert e == 0
+                exact += c * p ** a * bernoulli_exact(j * (p - 1) - s).value
+            assert rhs == rhs.modulus.embed(exact), (check_id, p)
+            assert rhs.modulus.k == min(row.stated + 2, row.cap), (check_id, p)

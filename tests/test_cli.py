@@ -244,6 +244,21 @@ def test_report_exits_one_on_errored_scan_record(tmp_path, capsys):
     assert "scan:r1p3" in capsys.readouterr().out
 
 
+def test_pretty_counts_only_errored_scan_records_as_failures(tmp_path, capsys):
+    # An unflagged scan record is a clean result, a flagged one is also
+    # listed as flagged, and only the errored one fails (the exit-1 rule).
+    path = tmp_path / "scan.jsonl"
+    path.write_text("".join(json.dumps(dict(zip(SCHEMA_KEYS, [
+        "scan:r1p3", p, 3, None, None, v, flagged, skipped, reason, 0]))) + "\n"
+        for p, v, flagged, skipped, reason in (
+            (2, None, False, True, "below minimum prime 5"), (11, 2, False, False, None),
+            (13, 3, True, False, None), (17, None, False, False, "error: boom"))))
+    assert main(["report", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["scan:r1p3" + " " * 15 + "      2      1      1",
+                         "  failing primes: 17", "flagged primes: 13"]
+
+
 def test_report_missing_file_is_io_error():
     assert main(["report", "/nonexistent/nope.jsonl"]) == 3
 

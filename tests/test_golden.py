@@ -45,7 +45,7 @@ GOLDEN_FORMATS = {
     ("scan", "--criterion", "r1p3", "--primes", "2..3000", "--format", "csv"):
         "1b44f35691c9a64bff59852df6fc62a68753208ee17c7f23c3e51dac2d18771c",
     ("scan", "--criterion", "r1p3", "--primes", "2..3000", "--format", "pretty"):
-        "89f6a9f63dc5d5fb3e9f9aed56ed81207fa24ab3c4913b703ca03bd486471b10",
+        "f0831bff93fa99ebdc332e0a430629b93bd4a18de55266d270b1099c36009928",
 }
 
 
