@@ -38,9 +38,12 @@ As 1/k = -r(2 + kr) and 1/(p-k) = -(1/k)(1 + p/k) (mod p^2), for k in [1, p)
 
     1/(k(p-k)) = -3r^2 + (p - 2k) r^3  (mod p^2),   1/(k(p-k))^3 = -r^6  (mod p).
 
-The half walk takes the i < H/2 in blocks of 2^10 with their mirrors H - i,
-each the other's r, and adds i = 0 (k = 1, r = p-1) and, for p = 1 (mod 4),
-the mirror's fixed point i = H/2 (k = r) on their own.
+Over i < H, r runs through g^j, 1 <= j <= H, so the terms needed only mod p
+are geometric series: sum r^3 = -2a/(a - 1) with a = g^3 != 1, and T_3 =
+-sum r^6 = -H if g^6 = 1 (p = 3, 7) else 0.  The half walk sums the rest,
+-3r^2 - 2kr^3: the i < H/2 in blocks of 2^10 with their mirrors H - i, each
+the other's r, and on their own i = 0 (k = 1, r = p-1) and, for p = 1 (mod 4),
+the mirror's fixed point i = H/2 (k = r).
 
 P is read off Fermat-quotient moments.  With the integer
 u_k = (k^(p-1) - 1)/p, k^(j(p-1)+t) = k^t (1 + p u_k)^j, so for every p,
@@ -74,7 +77,7 @@ from array import array
 from itertools import repeat
 from math import isqrt
 from operator import add, mod, mul
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .modring import _batch_invert_raw
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
@@ -138,37 +141,32 @@ def _primitive_root(p: int) -> int:
     raise ValueError(f"{p} has no primitive root of order {p - 1}: not an odd prime")
 
 
-def _walk_pair_sums_raw(p: int, t3: bool = False) -> tuple[int, Optional[int]]:
-    """(T_1 mod p^2, T_3 mod p if t3 else None) by the half walk (module doc),
-    p an odd prime.  With S = K^2 + R^2 and KR = -1 (mod p), the two pairs
-    of an entry add -3S + p(K + R)(S + 1) - 2KR S (mod p^2) to T_1 and
-    3S - S^3 (mod p) to T_3."""
+def _walk_pair_sums_raw(p: int) -> tuple[int, int]:
+    """(T_1 mod p^2, T_3 mod p) by the half walk (module doc), p an odd prime.
+    With S = K^2 + R^2, an entry's two pairs add -3S - 2KR S (mod p^2) to T_1
+    beside their p r^3, so a block sums only S and KR S."""
     g, half = _primitive_root(p), (p - 1) // 2
     end = (half + 1) // 2  # walk 1 <= i < end, with the mirrors H - i > H - end
     n = min(_MOMENT_CHUNK, end - 1)  # g^b for b < n, baby steps times giant steps
     baby = [pow(g, b, p) for b in range(32)]
     table = [x * y % p for x in (pow(g, 32 * a, p) for a in range(-(-n // 32)))
              for y in baby][:n]
-    sq = cube = cross = sixth = 0
+    sq = cross = 0
     for lo in range(1, end, _MOMENT_CHUNK):
         gb = table[:end - lo]
         gk, gr = pow(g, lo, p), pow(g, half - lo - len(gb) + 1, p)
         K = [gk * x % p for x in gb]  # g^(lo + b)
         R = [gr * x % p for x in reversed(gb)]  # g^(H - lo - b)
         S = list(map(add, map(mul, K, K), map(mul, R, R)))
-        A = list(map(add, K, R))
         sq += sum(S)
-        cube += sum(map(mul, A, S)) + sum(A)  # K^3 + R^3 (mod p)
         cross += sum(map(mul, map(mul, K, R), S))
-        if t3:
-            sixth += sum(map(mul, map(mul, S, S), S))
     fixed = [(1, p - 1)]  # i = 0
     if half % 2 == 0:  # i = H/2, where k = r and k^2 = -1
         fixed.append((pow(g, half // 2, p),) * 2)
-    t1 = (p * cube - 3 * sq - 2 * cross
-          + sum(-3 * r * r + (p - 2 * k) * r ** 3 for k, r in fixed))
-    t3 = (3 * sq - sixth - sum(r ** 6 for _, r in fixed)) % p if t3 else None
-    return t1 % (p * p), t3
+    a = pow(g, 3, p)
+    t1 = (-2 * a * pow(a - 1, -1, p) * p - 3 * sq - 2 * cross
+          - sum(3 * r * r + 2 * k * r ** 3 for k, r in fixed))
+    return t1 % (p * p), (-half if pow(g, 6, p) == 1 else 0) % p
 
 
 def _inverse_power_sums_raw(p: int, n_max: int, m) -> list:

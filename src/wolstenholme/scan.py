@@ -16,8 +16,8 @@ residual is
 
     2p^6 ((T_1/p)^2 + T_3)   (mod p^7),
 
-so one half walk over the powers of a primitive root decides it: T_1
-mod p^2 and T_3 mod p, with no modular inversion (``harmonic``).
+so one half walk over a primitive root's powers decides it, inverting
+nothing: T_1 mod p^2 in blocks, T_3 mod p as a geometric series (``harmonic``).
 """
 from __future__ import annotations
 
@@ -133,9 +133,9 @@ def _cor1second_residual(p: int) -> int:
         lhs - rhs = 2p^6 ((T_1/p)^2 + T_3)   (mod p^7),
 
     which needs T_1 mod p^2 and T_3 mod p: one half walk over the powers of
-    a primitive root, with no inversion (``harmonic``).
+    a primitive root, T_3 a geometric series, with no inversion (``harmonic``).
     """
-    t1, t3 = _walk_pair_sums_raw(p, True)
+    t1, t3 = _walk_pair_sums_raw(p)
     if t1 % p:
         raise DivisionNotExact(f"T_1({p}) is not divisible by {p}")
     return 2 * p ** 6 * ((t1 // p) ** 2 + t3) % p ** 7

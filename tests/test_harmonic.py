@@ -165,7 +165,7 @@ def test_pair_sweeps_reject_other_moduli():
             _inverse_power_sums_raw(*args)
     for p in (1, 2, 9, 561):
         with pytest.raises(ValueError):
-            _walk_pair_sums_raw(p, True)
+            _walk_pair_sums_raw(p)
     with pytest.raises(ValueError):
         _inverse_power_sums_raw(9, 1, 9 ** 3)
 
@@ -186,12 +186,13 @@ def test_primitive_root_search_stops():
 def test_half_walk_matches_per_k_oracles():
     # T_1 mod p^2 = R_1/p and T_3 = -R_6/2 (mod p) from the per-k sweep, at
     # every prime 3 <= p < 3000 (p = 3 and 5 have H = 1 and 2, every
-    # p = 1 (mod 4) a fixed point H/2 of the mirror) and either side of 2^15.
+    # p = 1 (mod 4) a fixed point H/2 of the mirror, and p = 3 and 7, where
+    # g^6 = 1, the only T_3 != 0) and either side of 2^15.
     for p in PRIMES_3000 + [32749, 32771, 100003]:
         R = reference_inverse_power_sums(p, 6, p ** 3)
-        t1, t3 = _walk_pair_sums_raw(p, True)
+        t1, t3 = _walk_pair_sums_raw(p)
         assert p * t1 == R[1] and t3 == -R[6] * pow(2, -1, p) % p, p
-        assert _walk_pair_sums_raw(p) == (t1, None), p
+        assert _walk_pair_sums_raw(p) == (t1, t3), p
 
 
 def test_walk_and_moment_sweeps_invert_nothing(monkeypatch):

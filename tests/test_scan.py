@@ -83,7 +83,7 @@ def test_two_sum_sweep_across_the_digit_boundary(monkeypatch):
         _, t1, t2, t3 = _pair_power_sums_raw(p, 3, p ** 3)
         with monkeypatch.context() as patch:
             patch.setattr(harmonic, "_batch_invert_raw", recording)
-            assert _walk_pair_sums_raw(p, True) == (t1 % p ** 2, t3 % p), p
+            assert _walk_pair_sums_raw(p) == (t1 % p ** 2, t3 % p), p
             assert harmonic._inverse_power_sums_raw(p, 1, p ** 3) == [0, p * t1 % p ** 3], p
             tail = (4 * pow(3, -1, p) * t1 ** 3 - 4 * t1 * t2 + 2 * t3) % p
             assert _cor1second_residual(p) == (2 * p ** 4 * t1 * t1 + p ** 6 * tail) % p ** 7, p
@@ -94,7 +94,7 @@ def test_two_sum_residual_checks_wolstenholme(monkeypatch):
     # The residual drops the T_1^3 and T_1 T_2 terms because p divides T_1;
     # a T_1 that p does not divide is an error, not a residual.
     p = 101
-    t1, t3 = _walk_pair_sums_raw(p, True)
+    t1, t3 = _walk_pair_sums_raw(p)
     monkeypatch.setattr(scan, "_walk_pair_sums_raw", lambda *args: (t1 + 1, t3))
     with pytest.raises(errors.DivisionNotExact):
         _cor1second_residual(p)
@@ -150,6 +150,35 @@ def test_criteria_agree_on_flags():
             votes.setdefault(rec.p, []).append(rec.flagged)
     for p, flags in votes.items():
         assert len(flags) == 3 and len(set(flags)) == 1, (p, flags)
+
+
+#: Valuation each criterion reports at p >= 7, given b = [p | B_{p-3}]:
+#: C - 1 = -(1/3) p^3 B_{p-3} (mod p^4), R_1 = -(1/3) p^2 B_{p-3} (mod p^3),
+#: and the two-sum residual is 2p^6 ((T_1/p)^2 + T_3) with T_1/p = R_1/p^2
+#: (T_3 = 0 mod p for p > 7; at p = 7 the sum is 5 mod 7).
+ONE_BIT_VALUATIONS = {Criterion.BINOMIAL_P4: 3, Criterion.HARMONIC_R1_P3: 2,
+                      Criterion.BERNOULLI_BP3: 0, Criterion.COR1_SECOND_P7: 6}
+
+
+def assert_one_bit_valuations(lo: int, hi: int) -> None:
+    # bp3's power-sum pass shares no code with the half walk, so its bit is
+    # an oracle for every valuation the other three criteria report.
+    found = {c: {r.p: r.observed_valuation
+                 for r in wolstenholme_scan(SieveConfig(lo, hi), c)}
+             for c in Criterion}
+    for p, b in found[Criterion.BERNOULLI_BP3].items():
+        assert b in (0, 1), p
+        for criterion, base in ONE_BIT_VALUATIONS.items():
+            assert found[criterion][p] == base + b, (p, criterion)
+
+
+def test_one_bit_valuation_oracle_below_3000():
+    assert_one_bit_valuations(7, 3000)
+
+
+@pytest.mark.slow
+def test_one_bit_valuation_oracle_below_2e4():
+    assert_one_bit_valuations(7, 2 * 10 ** 4)
 
 
 def test_no_flags_below_1e4_under_default_criterion():
