@@ -24,7 +24,7 @@ B_{m+k(p-1)}/(m+k(p-1)), k=0..r) = 0 (mod p^r), which combine into
     B_{p^n-p^(n-1)-s}/(p^n-p^(n-1)-s)
         = sum((-1)^(k+1) C(n,k) B_{k(p-1)-s}/(k(p-1)-s), k=1..n) (mod p^n),
 
-which the eq26 checks test against the direct read.
+which ``high_index_ratio`` evaluates and the registry's eq26 rows state.
 """
 from __future__ import annotations
 

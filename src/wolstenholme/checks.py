@@ -7,11 +7,11 @@ every sum off the prime's evaluation plan (``plan``) and work a couple of
 exponents above the stated one where the arithmetic allows, so an
 outcome reports how much slack a congruence has, not just pass/fail.
 
-Most checks are linear, X = const + sum(c p^a Y) (mod p^k) with X and each
-Y one of C(2p-1,p-1), R_n, H_n or B_n: Wolstenholme, Glaisher, Lehmer,
-Helou-Terjanian, Zhao's Lemmas 1-2, Lemmas 7, 12 and 13, eq. 19,
-Propositions 1-2, Corollaries 1-3 and Remark 2.  Each is one ``Linear`` row
-of coefficients, and the row's one evaluator derives every B_n precision.
+Most checks are linear, sum(c p^a X) = const + sum(c p^a Y) (mod p^k) with
+each X and Y one of C(2p-1,p-1), R_n, H_n, B_n or B_n/n: Wolstenholme,
+Glaisher, Lehmer, Helou-Terjanian, Zhao's Lemmas 1-2, Lemmas 7, 12 and 13,
+eq. 19, Propositions 1-2, Corollaries 1-3, Remark 2, Kummer's eqs. 10-11 and
+eq. 26.  Each is one ``Linear`` row, whose evaluator derives every precision.
 
 A check passes when v_p(lhs - rhs) reaches the stated exponent.  Skipped
 is not failed: gates (below minimum prime, not prime, not a Wolstenholme
@@ -27,10 +27,10 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import binomial
-from .bernoulli import bernoulli_mod, bernoulli_ratio, high_index_ratio
+from .bernoulli import bernoulli_mod
 from .errors import UnknownCheck
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
-from .bernoulli import high_index_bernoulli  # noqa: F401
+from .bernoulli import bernoulli_ratio, high_index_bernoulli  # noqa: F401
 from .harmonic import _inverse_power_sums_raw  # noqa: F401
 from .modring import Residue, eval_exponent, is_prime, make_modulus  # noqa: F401
 from .parallel import ordered_map
@@ -88,9 +88,10 @@ def _b(plan, n: int, r: int) -> int:
 
 #: Term values of a ``Linear`` row: C(2p-1,p-1), R[n] and H[n] are read off
 #: the plan as (attribute, index); B(j, s) is B_(j(p-1)-s) and Bp(n, s) is
-#: B_(p^n-p^(n-1)-s), both ("B", j, e, s) for the index j p^e (p-1) - s.
-C = ("_products", 0)
-R, H = ([(name, n) for n in range(7)] for name in ("_R", "_H"))
+#: B_(p^n-p^(n-1)-s), both ("B", j, e, s) for the index j p^e (p-1) - s, and
+#: ratio(x) is B_n/n for the B_n of x, ("B/n", j, e, s).
+C = ("products", 0)
+R, H = ([(name, n) for n in range(7)] for name in ("R", "H"))
 
 
 def B(j: int, s: int) -> tuple:
@@ -101,14 +102,19 @@ def Bp(n: int, s: int) -> tuple:
     return ("B", 1, n - 1, s)
 
 
-class Linear(NamedTuple):
-    """lhs = const + sum(c p^a x for (c, a, x) in terms) (mod p^stated), the
-    lhs one (c, a, x) term too; called on a plan, the pair (lhs, rhs).
+def ratio(x: tuple) -> tuple:
+    return ("B/n", *x[1:])
 
-    Both sides are evaluated mod p^W, W = eval_exponent(stated, top, cap),
-    or ``fixed``.  Each distinct B_n is read first, once, in row order and
+
+class Linear(NamedTuple):
+    """sum(lhs) = const + sum(terms) (mod p^stated), each term (c, a, x)
+    standing for c p^a x; called on a plan, the pair (lhs, rhs).
+
+    Both sides are evaluated mod p^W, W = eval_exponent(stated, top, cap).
+    Each distinct B_n is read first, once, in row order (lhs first) and
     before any pair sum (the order sets the plan's short passes), mod
-    p^(W - a) for the least a it carries, so every term is exact mod p^W.
+    p^(W - a) for the least a it carries, so every term is exact mod p^W;
+    a B_n/n term is that read times n^-1 mod p^W.
     """
 
     stated: int
@@ -116,32 +122,38 @@ class Linear(NamedTuple):
     const: int
     terms: tuple
     cap: int = 10
-    fixed: Optional[int] = None
 
     def __call__(self, plan) -> tuple[Residue, Residue]:
         p = plan.p
-        M = plan.modulus(self.fixed or eval_exponent(self.stated, plan.top, self.cap))
+        M = plan.modulus(eval_exponent(self.stated, plan.top, self.cap))
+
+        def index(x) -> Optional[int]:  # n of a B_n or B_n/n term, else None
+            return x[1] * p ** x[2] * (p - 1) - x[3] if x[0] in ("B", "B/n") else None
+
         least = {}
-        for _, a, x in self.terms:
-            if x[0] == "B":
-                least[x] = min(a, least.get(x, a))
-        bs = {x: _b(plan, x[1] * p ** x[2] * (p - 1) - x[3], M.k - a)
-              for x, a in least.items()}
+        for _, a, x in self.lhs + self.terms:
+            n = index(x)
+            if n is not None:
+                least[n] = min(a, least.get(n, a))
+        bs = {n: _b(plan, n, M.k - a) for n, a in least.items()}
 
         def term(c, a, x) -> int:
-            v = bs[x] if x in bs else getattr(plan, x[0])[x[1]]
+            n = index(x)
+            v = getattr(plan, x[0])[x[1]] if n is None else bs[n]
+            if x[0] == "B/n":
+                v *= pow(n, -1, M.m)
             if a:
                 v *= p ** a
             if c != 1:
                 v *= c if type(c) is int else c.numerator * pow(c.denominator, -1, M.m)
             return v
 
-        rhs = self.const + sum(term(*t) for t in self.terms)
-        return M.residue(term(*self.lhs)), M.residue(rhs)
+        lhs = sum(term(*t) for t in self.lhs)
+        return M.residue(lhs), M.residue(self.const + sum(term(*t) for t in self.terms))
 
 
-_ev_cor1_first = Linear(7, (1, 0, C), 1, ((-2, 1, R[1]), (-2, 2, R[2])))
-_ev_cor1_second = Linear(7, (1, 0, C), 1, ((2, 1, R[1]), (Fr(2, 3), 3, R[3])))
+_ev_cor1_first = Linear(7, ((1, 0, C),), 1, ((-2, 1, R[1]), (-2, 2, R[2])))
+_ev_cor1_second = Linear(7, ((1, 0, C),), 1, ((2, 1, R[1]), (Fr(2, 3), 3, R[3])))
 
 
 def _cor1_first_holds(plan) -> bool:
@@ -152,9 +164,10 @@ def _cor1_first_holds(plan) -> bool:
 # --- evaluators of the other congruences ----------------------------------------
 
 def _ev_granville(plan):
-    W = eval_exponent(5, plan.top)
-    lhs = 3 * plan.granville(W) * ((2 * plan.central(W)) ** 3).inverse()
-    return lhs, plan.modulus(W).embed(Fr(3, 8))
+    M = plan.modulus(eval_exponent(5, plan.top))
+    central, granville = plan.products  # C(2p-1,p-1), C(3p,2p)/3
+    lhs = 3 * granville * pow(8 * central ** 3, -1, M.m)
+    return M.residue(lhs), M.embed(Fr(3, 8))
 
 
 def _ev_sun_wan(plan):
@@ -167,48 +180,25 @@ def _ev_sun_wan(plan):
 def _ev_zhao_eq4(plan):
     p, M = plan.p, plan.modulus(5)
     lhs = M.residue(binomial.exact_binomial(3 * p, p)) * M.residue(3).inverse()
-    w = plan.R(4)[1].value // p ** 2  # w_p = R_1/p^2 (mod p^2)
+    w = plan.R[1] % p ** 4 // p ** 2  # w_p = R_1/p^2 (mod p^2)
     return lhs, M.residue(1 + 6 * w * p ** 3)
 
 
 def _valuation_pattern(plan, values):
     """Indicator of v_p >= 2 at odd n and >= 1 at even n, n <= min(6, p-3)."""
-    ok = all(values[n].valuation() >= 1 + n % 2
+    ok = all(values[n] % plan.p ** (1 + n % 2) == 0
              for n in range(1, min(6, plan.p - 3) + 1))
     return _indicator_pair(plan, ok, True)
 
 
 def _ev_lemma4_valuations(plan):
-    return _valuation_pattern(plan, plan.R(3))
+    return _valuation_pattern(plan, plan.R)
 
 
 def _ev_lemma6_valuations(plan):
     # The odd-n bound stops at p-3: H_{p-2} only reaches valuation 1
     # (H_5(7) = 7/240), so the induction from the R_n pattern ends there.
-    return _valuation_pattern(plan, plan.H(3))
-
-
-def _ev_kummer_eq10(plan):
-    # source index p(p-1) + 4 reduces to 4 modulo phi(p^2)
-    p = plan.p
-    return bernoulli_ratio(p * (p - 1) + 4, p, 4, plan), bernoulli_ratio(4, p, 4, plan)
-
-
-def _ev_kummer_eq11(plan):
-    # second difference of k -> B_{4+k(p-1)}/(4+k(p-1)), evaluated wide
-    p = plan.p
-    acc = sum(coeff * bernoulli_ratio(4 + k * (p - 1), p, 4, plan)
-              for k, coeff in ((0, 1), (1, -2), (2, 1)))
-    return acc, acc.modulus.residue(0)
-
-
-def _make_ev_eq26(n: int, s: int):
-    def evaluator(plan):
-        p = plan.p
-        big = p ** n - p ** (n - 1) - s
-        return bernoulli_ratio(big, p, n, plan), high_index_ratio(n, s, p, plan)
-
-    return evaluator
+    return _valuation_pattern(plan, plan.H)
 
 
 def _ev_cor4_iff(plan):
@@ -227,22 +217,22 @@ def _entries() -> list[CongruenceCheck]:
         linear(
             "wolstenholme_thm",
             "C(2p-1,p-1) = 1 (mod p^3)",
-            "Wolstenholme 1862", 5, A, Linear(3, (1, 0, C), 1, ())),
+            "Wolstenholme 1862", 5, A, Linear(3, ((1, 0, C),), 1, ())),
         linear(
             "glaisher_p4",
             "C(2p-1,p-1) = 1 - (2/3) p^3 B_{p-3} (mod p^4)",
             "Glaisher 1900", 7, A,
-            Linear(4, (1, 0, C), 1, ((-Fr(2, 3), 3, B(1, 2)),)), window=2),
+            Linear(4, ((1, 0, C),), 1, ((-Fr(2, 3), 3, B(1, 2)),)), window=2),
         linear(
             "lehmer_p3",
             "R_1 = -(1/3) p^2 B_{p-3} (mod p^3)",
             "E. Lehmer 1938", 7, A,
-            Linear(3, (1, 0, R[1]), 0, ((-Fr(1, 3), 2, B(1, 2)),)), window=2),
+            Linear(3, ((1, 0, R[1]),), 0, ((-Fr(1, 3), 2, B(1, 2)),)), window=2),
         linear(
             "helou_terjanian_p6",
             "C(2p-1,p-1) = 1 - p^3 B_{p^3-p^2-2} + (1/3) p^5 B_{p-3}"
             " - (6/5) p^5 B_{p-5} (mod p^6)",
-            "Helou-Terjanian 2008", 11, A, Linear(6, (1, 0, C), 1, (
+            "Helou-Terjanian 2008", 11, A, Linear(6, ((1, 0, C),), 1, (
                 (-1, 3, Bp(3, 2)), (Fr(1, 3), 5, B(1, 2)), (-Fr(6, 5), 5, B(1, 4))),
                 cap=6), window=4),
         CongruenceCheck(
@@ -262,53 +252,51 @@ def _entries() -> list[CongruenceCheck]:
         linear(
             "lemma1_p4",
             "2 R_1 = -p R_2 (mod p^4)",
-            "Zhao 2007", 7, A, Linear(4, (2, 0, R[1]), 0, ((-1, 1, R[2]),))),
+            "Zhao 2007", 7, A, Linear(4, ((2, 0, R[1]),), 0, ((-1, 1, R[2]),))),
         linear(
             "lemma2a_p5",
             "C(2p-1,p-1) = 1 + 2p R_1 (mod p^5)",
-            "Zhao 2007", 7, A, Linear(5, (1, 0, C), 1, ((2, 1, R[1]),))),
+            "Zhao 2007", 7, A, Linear(5, ((1, 0, C),), 1, ((2, 1, R[1]),))),
         linear(
             "lemma2b_p5",
             "C(2p-1,p-1) = 1 - p^2 R_2 (mod p^5)",
             "Zhao 2007; McIntosh 1995", 7, A,
-            Linear(5, (1, 0, C), 1, ((-1, 2, R[2]),))),
+            Linear(5, ((1, 0, C),), 1, ((-1, 2, R[2]),))),
         linear(
             "lemma12_i_p6",
             "R_1 = -(1/2) p^2 B_{p^4-p^3-2} - (1/4) p^4 B_{p^2-p-4}"
             " + (1/6) p^5 B_{p-3} + (1/20) p^5 B_{p-5} (mod p^6)",
-            KUMMER, 11, A, Linear(6, (1, 0, R[1]), 0, (
+            KUMMER, 11, A, Linear(6, ((1, 0, R[1]),), 0, (
                 (-Fr(1, 2), 2, Bp(4, 2)), (-Fr(1, 4), 4, Bp(2, 4)),
                 (Fr(1, 6), 5, B(1, 2)), (Fr(1, 20), 5, B(1, 4))), cap=6), window=5),
         linear(
             "lemma12_ii_p4",
             "R_3 = -(3/2) p^2 B_{p^4-p^3-4} (mod p^4)",
             KUMMER, 11, A,
-            Linear(4, (1, 0, R[3]), 0, ((-Fr(3, 2), 2, Bp(4, 4)),), cap=6), window=2),
+            Linear(4, ((1, 0, R[3]),), 0, ((-Fr(3, 2), 2, Bp(4, 4)),), cap=6), window=2),
         linear(
             "lemma12_iii_p3",
             "R_4 = p B_{p^4-p^3-4} (mod p^3)",
-            # mod p^5 at every p: past the width contract, make_modulus refuses it
-            KUMMER, 11, A, Linear(3, (1, 0, R[4]), 0, ((1, 1, Bp(4, 4)),), fixed=5),
-            window=2),
+            KUMMER, 11, A, Linear(3, ((1, 0, R[4]),), 0, ((1, 1, Bp(4, 4)),)), window=2),
         linear(
             "lemma12_iv_p4",
             "p R_6 = -(2/5) R_5 (mod p^4)",
-            KUMMER, 11, A, Linear(4, (1, 1, R[6]), 0, ((-Fr(2, 5), 0, R[5]),))),
+            KUMMER, 11, A, Linear(4, ((1, 1, R[6]),), 0, ((-Fr(2, 5), 0, R[5]),))),
         linear(
             "eq19_p8",
             "2 R_1 = -(p R_2 + p^2 R_3 + p^3 R_4 + p^4 R_5 + p^5 R_6) (mod p^8)",
-            "telescoped inverse-pair identity", 11, A,
-            Linear(8, (2, 0, R[1]), 0, tuple((-1, i, R[i + 1]) for i in range(1, 6)))),
+            "telescoped inverse-pair identity", 11, A, Linear(
+                8, ((2, 0, R[1]),), 0, tuple((-1, i, R[i + 1]) for i in range(1, 6)))),
         linear(
             "prop1_p8",
             "C(2p-1,p-1) = 1 + sum((-1)^(n-1) (p^n/n) R_n, n=1..6) (mod p^8)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(8, (1, 0, C), 1, tuple(
+            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(8, ((1, 0, C),), 1, tuple(
                 (Fr((-1) ** (n - 1), n), n, R[n]) for n in range(1, 7)))),
         linear(
             "prop2_p8",
             "C(2p-1,p-1) = 1 + (3p/2) R_1 - (p^2/4) R_2 + (7p^3/12) R_3"
             " + (5p^5/12) R_5 (mod p^8)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(8, (1, 0, C), 1, (
+            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(8, ((1, 0, C),), 1, (
                 (Fr(3, 2), 1, R[1]), (-Fr(1, 4), 2, R[2]), (Fr(7, 12), 3, R[3]),
                 (Fr(5, 12), 5, R[5])))),
         linear(
@@ -323,14 +311,14 @@ def _entries() -> list[CongruenceCheck]:
             "cor2_p7",
             "C(2p-1,p-1) = 1 - p^3 B_{p^4-p^3-2} - (3/2) p^5 B_{p^2-p-4}"
             " + (3/10) p^6 B_{p-5} (mod p^7)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(7, (1, 0, C), 1, (
+            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(7, ((1, 0, C),), 1, (
                 (-1, 3, Bp(4, 2)), (-Fr(3, 2), 5, Bp(2, 4)), (Fr(3, 10), 6, B(1, 4))),
                 cap=7), window=4),
         linear(
             "cor3_p7",
             "C(2p-1,p-1) in low-index Bernoulli numbers B_{p-3}, B_{2p-4},"
             " B_{3p-5}, B_{4p-6}, B_{p-5}, B_{2p-6} (mod p^7)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(7, (1, 0, C), 1, (
+            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(7, ((1, 0, C),), 1, (
                 (-Fr(8, 3), 3, B(1, 2)), (3, 3, B(2, 2)),
                 (-Fr(8, 5), 3, B(3, 2)), (Fr(1, 3), 3, B(4, 2)),
                 (-Fr(8, 9), 4, B(1, 2)), (Fr(3, 2), 4, B(2, 2)),
@@ -347,7 +335,7 @@ def _entries() -> list[CongruenceCheck]:
             "remark2_p8",
             "C(2p-1,p-1) = 1 + 2p R_1 + (5p^3/6) R_3 + (p^4/4) R_4"
             " + (17p^5/30) R_5 (mod p^8)",
-            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(8, (1, 0, C), 1, (
+            "Wolstenholme-prime expansion", 11, W_ONLY, Linear(8, ((1, 0, C),), 1, (
                 (2, 1, R[1]), (Fr(5, 6), 3, R[3]), (Fr(1, 4), 4, R[4]),
                 (Fr(17, 30), 5, R[5])))),
         CongruenceCheck(
@@ -358,36 +346,42 @@ def _entries() -> list[CongruenceCheck]:
             "lemma6_valuations",
             "v_p(H_n) >= 2 for odd n, >= 1 for even n (n <= min(6, p-3))",
             "Newton-identity induction", 7, A, 1, _ev_lemma6_valuations),
-        CongruenceCheck(
+        linear(
             "kummer_eq10",
             "B_m/m = B_n/n (mod p^2) for m = p(p-1)+4, n = 4",
-            "Kummer 1851", 7, A, 2, _ev_kummer_eq10, window=4),
-        CongruenceCheck(
+            "Kummer 1851", 7, A, Linear(2, ((1, 0, ratio(Bp(2, -4))),), 0, (
+                (1, 0, ratio(B(0, -4))),), cap=4), window=4),
+        linear(
             "kummer_eq11",
             "sum((-1)^k C(2,k) B_{4+k(p-1)}/(4+k(p-1)), k=0..2) = 0 (mod p^2)",
-            "Kummer 1851", 7, A, 2, _ev_kummer_eq11, window=6),
-        CongruenceCheck(
+            "Kummer 1851", 7, A, Linear(2, tuple(
+                (c, 0, ratio(B(k, -4))) for k, c in ((0, 1), (1, -2), (2, 1))), 0, (),
+                cap=4), window=6),
+        linear(
             "eq26_n2_s4",
             "B_{p^2-p-4}/(p^2-p-4) = 2 B_{p-5}/(p-5) - B_{2p-6}/(2p-6) (mod p^2)",
-            "Helou-Terjanian 2008", 11, A, 2, _make_ev_eq26(2, 4), window=3),
-        CongruenceCheck(
+            "Helou-Terjanian 2008", 11, A, Linear(2, ((1, 0, ratio(Bp(2, 4))),), 0, (
+                (2, 0, ratio(B(1, 4))), (-1, 0, ratio(B(2, 4)))), cap=2), window=3),
+        linear(
             "eq26_n4_s2",
             "B_{p^4-p^3-2}/(p^4-p^3-2) = sum((-1)^(k+1) C(4,k)"
             " B_{k(p-1)-2}/(k(p-1)-2), k=1..4) (mod p^4)",
-            "Helou-Terjanian 2008", 11, A, 4, _make_ev_eq26(4, 2), window=10),
+            "Helou-Terjanian 2008", 11, A, Linear(4, ((1, 0, ratio(Bp(4, 2))),), 0, (
+                (4, 0, ratio(B(1, 2))), (-6, 0, ratio(B(2, 2))),
+                (4, 0, ratio(B(3, 2))), (-1, 0, ratio(B(4, 2)))), cap=4), window=10),
     ]
     for r in range(1, 6):
         entries.append(linear(
             f"lemma13_r{r}",
             f"2 R_1 = -sum(p^i R_(i+1), i=1..{r}) (mod p^{r + 1})",
-            "telescoped inverse-pair identity", 3, A, Linear(r + 1, (2, 0, R[1]), 0,
+            "telescoped inverse-pair identity", 3, A, Linear(r + 1, ((2, 0, R[1]),), 0,
                 tuple((-1, i, R[i + 1]) for i in range(1, r + 1)))))
     for n, exponent in ((2, 6), (3, 5), (4, 4), (5, 4), (6, 3)):
         entries.append(linear(
             f"lemma7_n{n}",
             f"R_{n} = {'' if n % 2 else '-'}{n} H_{n} (mod p^{exponent})",
             "Newton-identity consequences at Wolstenholme primes", 11, W_ONLY,
-            Linear(exponent, (1, 0, R[n]), 0, (((-1) ** (n + 1) * n, 0, H[n]),))))
+            Linear(exponent, ((1, 0, R[n]),), 0, (((-1) ** (n + 1) * n, 0, H[n]),))))
     entries.sort(key=lambda c: c.id)
     return entries
 

@@ -24,7 +24,9 @@ from itertools import repeat
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import __version__
-from .bernoulli import RESIDUE_EXPONENT_CAP, bernoulli_exact, bernoulli_mod
+from .bernoulli import (
+    EXACT_INDEX_CAP, RESIDUE_EXPONENT_CAP, bernoulli_exact, bernoulli_mod,
+)
 from .binomial import (
     CENTRAL_EXPONENT_CAP, ORACLE_CAP, central_binomial_mod, exact_binomial,
 )
@@ -123,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("r", type=int, nargs="?")
     sp.add_argument("--central", type=int, default=None, metavar="P",
                     help="C(2p-1, p-1) mod p^k for p = P")
-    sp.add_argument("--exp", type=int, default=4, metavar="K")
+    sp.add_argument("--exp", type=int, default=None, metavar="K",
+                    help="residue exponent, with --central (default 4)")
 
     sp = sub.add_parser("report", help="summarize a jsonl record file")
     sp.add_argument("input", metavar="PATH")
@@ -169,6 +172,11 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         if ns.mod is None:
             if ns.exp is not None:
                 parser.error("--exp needs --mod")
+            if not 0 <= ns.index <= EXACT_INDEX_CAP:
+                parser.error(f"index must be in 0..{EXACT_INDEX_CAP} without --mod,"
+                             f" got {ns.index}")
+        elif ns.index < 0:
+            parser.error(f"index must be 0 or above, got {ns.index}")
         elif ns.index == 1:
             parser.error("B_1 has no residue path; drop --mod for its exact value")
         else:
@@ -177,12 +185,16 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
                 parser.error(f"--exp must be in 1..{RESIDUE_EXPONENT_CAP}")
     elif ns.command == "binom":
         if ns.central is None:
+            if ns.exp is not None:
+                parser.error("--exp needs --central")
             if ns.n is None or ns.r is None:
                 parser.error("binom needs N R or --central P")
             if not 0 <= ns.r <= ns.n <= ORACLE_CAP:
                 parser.error(f"binom needs 0 <= R <= N <= {ORACLE_CAP}")
-        elif not 1 <= ns.exp <= CENTRAL_EXPONENT_CAP:
-            parser.error(f"--exp must be in 1..{CENTRAL_EXPONENT_CAP}")
+        else:
+            ns.exp = 4 if ns.exp is None else ns.exp
+            if not 1 <= ns.exp <= CENTRAL_EXPONENT_CAP:
+                parser.error(f"--exp must be in 1..{CENTRAL_EXPONENT_CAP}")
     return ns
 
 

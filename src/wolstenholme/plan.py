@@ -12,6 +12,7 @@ testing p for primality again, and runs each sweep at most once, on first read:
 
       C(2p-1, p-1) = sum((2p^2)^j e_j, j <= 4),  C(3p, 2p)/3 = sum((6p^2)^j e_j, j <= 4).
 
+  The plan serves them as ints mod p^top (``R``, ``H``, ``products``).
   As C - 1 = 2p^2 T_1 (mod p^4), p is a Wolstenholme prime exactly when
   T_1 = 0 (mod p^2), that is R_1 = p T_1 = 0 (mod p^3).  When every check
   a plan serves is Wolstenholme-only (``gate_alone``), nothing reads the
@@ -44,7 +45,7 @@ from math import comb
 from typing import Optional
 
 from . import harmonic
-from .modring import PrimePowerModulus, Residue, make_modulus, max_exponent
+from .modring import PrimePowerModulus, make_modulus, max_exponent
 
 #: Window reads at one prime from which one moment sweep is cheaper than a
 #: direct pass per read: the sweep costs five to seven passes mod p^5, and
@@ -74,34 +75,21 @@ class EvaluationPlan:
         return harmonic._pair_power_sums_raw(self.p, 6, self.m)
 
     @cached_property
-    def _R(self) -> list:
+    def R(self) -> list:
+        """[_, R_1, .., R_6] mod p^top."""
         return harmonic._inverse_from_pair_sums(self.p, self._T, self.m)
 
     @cached_property
-    def _H(self) -> list:
-        return harmonic._newton_h_raw(self._R, min(6, self.p - 2), self.m)
+    def H(self) -> list:
+        """[_, H_1, .., H_n] mod p^top, n = min(6, p - 2)."""
+        return harmonic._newton_h_raw(self.R, min(6, self.p - 2), self.m)
 
     @cached_property
-    def _products(self) -> tuple:
+    def products(self) -> tuple:
+        """(C(2p-1, p-1), C(3p, 2p)/3) mod p^top (p >= 5)."""
         e = [1] + harmonic._newton_h_raw(self._T, 4, self.m)[1:]
         return tuple(sum((a * self.p ** 2) ** j * x for j, x in enumerate(e)) % self.m
                      for a in (2, 6))
-
-    def R(self, k: int) -> list:
-        """[_, R_1, .., R_6] in Z/p^k Z."""
-        return [None] + [self.modulus(k).residue(x) for x in self._R[1:]]
-
-    def H(self, k: int) -> list:
-        """[_, H_1, .., H_n] in Z/p^k Z, n = min(6, p - 2)."""
-        return [None] + [self.modulus(k).residue(x) for x in self._H[1:]]
-
-    def central(self, k: int) -> Residue:
-        """C(2p-1, p-1) in Z/p^k Z (p >= 5)."""
-        return self.modulus(k).residue(self._products[0])
-
-    def granville(self, k: int) -> Residue:
-        """C(3p, 2p)/3 in Z/p^k Z (p >= 5)."""
-        return self.modulus(k).residue(self._products[1])
 
     @cached_property
     def wolstenholme(self) -> bool:
@@ -111,7 +99,7 @@ class EvaluationPlan:
             return False
         if self.gate_alone:
             return harmonic._inverse_power_sums_raw(p, 1, p ** 3)[1] == 0
-        return self._R[1] % p ** 3 == 0
+        return self.R[1] % p ** 3 == 0
 
     @cached_property
     def sweeps(self) -> bool:
@@ -151,5 +139,5 @@ class EvaluationPlan:
         if (t < 0 and 3 <= c <= self.top and j % p ** (c - 2) == 0 and j % p ** (c - 1)
                 and (c > 3 or "_T" in vars(self))):
             tail = harmonic.power_sum_raw(p, t + p - 1, p * p)
-            return ((1 - j) * self._R[-t] + j * tail) % p ** c
+            return ((1 - j) * self.R[-t] + j * tail) % p ** c
         return harmonic.power_sum_raw(p, n, p ** c)

@@ -58,10 +58,11 @@ def test_wolstenholme_valuation_margin():
 def symmetric_sums(p: int, n_max: int, k: int) -> list:
     """[_, H_1, .., H_n_max] in Z/p^k Z: the plan's up to n_max = 6, past
     it (the plan stops at H_6) Newton's recurrence over the raw R's."""
-    if n_max <= 6:
-        return EvaluationPlan(p).H(k)[:n_max + 1]
     modulus = make_modulus(p, k)
-    H = _newton_h_raw(_inverse_power_sums_raw(p, n_max, modulus.m), n_max, modulus.m)
+    if n_max <= 6:
+        H = EvaluationPlan(p).H[:n_max + 1]
+    else:
+        H = _newton_h_raw(_inverse_power_sums_raw(p, n_max, modulus.m), n_max, modulus.m)
     return [None] + [modulus.residue(x) for x in H[1:]]
 
 

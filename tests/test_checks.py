@@ -15,7 +15,7 @@ from wolstenholme.checks import (
     run_check,
     run_suite,
 )
-from wolstenholme.bernoulli import bernoulli_exact
+from wolstenholme.bernoulli import EXACT_INDEX_CAP, bernoulli_exact
 from wolstenholme.binomial import central_binomial_mod
 from wolstenholme.harmonic import _inverse_power_sums_raw, _newton_h_raw
 from wolstenholme.modring import is_prime, valuation
@@ -172,8 +172,8 @@ def test_h_values_match_elementary_symmetric():
         n_max, m = min(6, p - 2), p ** K
         R = _inverse_power_sums_raw(p, n_max, m)
         plan = EvaluationPlan(p)
-        assert [x.value for x in plan.R(K)[1:n_max + 1]] == R[1:]
-        assert [x.value for x in plan.H(K)[1:]] == _newton_h_raw(R, n_max, m)[1:], (p, K)
+        assert [x % m for x in plan.R[1:n_max + 1]] == R[1:]
+        assert [x % m for x in plan.H[1:]] == _newton_h_raw(R, n_max, m)[1:], (p, K)
 
 
 def _exact_sums(p):
@@ -267,17 +267,49 @@ def test_wolstenholme_only_evaluators_against_exact_rationals():
             assert (lhs - rhs).valuation() == want, (check_id, p)
 
 
+def _exact_side(p, const, terms):
+    """const + sum(c p^a x) with each x a B_n or B_n/n term and B_n exact;
+    None when a term reads the plan's sums or an index passes 400."""
+    exact = Fraction(const)
+    for c, a, x in terms:
+        if x[0] not in ("B", "B/n"):
+            return None
+        kind, j, e, s = x
+        n = j * p ** e * (p - 1) - s
+        if n > EXACT_INDEX_CAP:
+            return None
+        b = bernoulli_exact(n).value
+        exact += c * p ** a * (b / n if kind == "B/n" else b)
+    return exact
+
+
 def test_bernoulli_rows_against_exact_rationals():
-    # Each rhs against const + sum(c p^a B_n) with B_n exact: a B_n read at
-    # less than its derived precision p^(W - a) leaves the term inexact mod p^W.
-    for p in (p for p in range(11, 98) if is_prime(p)):
+    # Each side of B_n and B_n/n terms with every index <= 400 against its
+    # exact value: a B_n read at less than its derived precision p^(W - a),
+    # or a ratio term without its n^-1, leaves the side wrong mod p^W.
+    primes = [p for p in range(11, 98) if is_prime(p)]
+    ratio_rows = ("kummer_eq10", "kummer_eq11", "eq26_n2_s4", "eq26_n4_s2")
+    checked = set()
+    for p in primes:
         plan = EvaluationPlan(p)
-        for check_id in ("glaisher_p4", "lehmer_p3", "cor3_p7"):
+        for check_id in ("glaisher_p4", "lehmer_p3", "cor3_p7") + ratio_rows:
             row = lookup(check_id).evaluator
-            _, rhs = row(plan)
-            exact = row.const
-            for c, a, (_, j, e, s) in row.terms:
-                assert e == 0
-                exact += c * p ** a * bernoulli_exact(j * (p - 1) - s).value
-            assert rhs == rhs.modulus.embed(exact), (check_id, p)
-            assert rhs.modulus.k == min(row.stated + 2, row.cap), (check_id, p)
+            sides = zip(("lhs", "rhs"), row(plan), (0, row.const), (row.lhs, row.terms))
+            exact_sides = []
+            for side, got, const, terms in sides:
+                assert got.modulus.k == min(row.stated + 2, row.cap), (check_id, p)
+                exact = _exact_side(p, const, terms)
+                if exact is not None:
+                    assert got == got.modulus.embed(exact), (check_id, side, p)
+                    checked.add((check_id, side, p))
+                    exact_sides.append(exact)
+            if len(exact_sides) == 2:  # the congruence itself, in exact rationals
+                lhs, rhs = exact_sides
+                assert valuation(lhs - rhs, p) >= row.stated, (check_id, p)
+    small = [p for p in primes if p <= 19]
+    want = {(check_id, "rhs", p) for check_id in ("glaisher_p4", "lehmer_p3", "cor3_p7")
+            + ratio_rows for p in primes}
+    want |= {("kummer_eq11", "lhs", p) for p in primes}
+    want |= {(check_id, "lhs", p) for check_id in ("kummer_eq10", "eq26_n2_s4")
+             for p in small}
+    assert checked == want

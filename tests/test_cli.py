@@ -51,6 +51,10 @@ def test_parse_rejects_inverted_range():
     ["scan", "--limit", "200000000"],
     ["bernoulli", "12", "--exp", "9"],
     ["verify", "--at", "-5"],
+    ["binom", "5", "2", "--exp", "3"],
+    ["bernoulli", "-2"],
+    ["bernoulli", "401"],
+    ["bernoulli", "-4", "--mod", "11"],
 ])
 def test_bad_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -231,16 +231,16 @@ def test_elementary_symmetric_small_cases():
     plan = EvaluationPlan(5)
     modulus = make_modulus(5, 4)
     assert exact_h(5, 2) == Fr(35, 24)
-    assert plan.H(4)[2] == embed_rational(Fr(35, 24), modulus)
-    assert plan.H(4)[1] == plan.R(4)[1]
+    assert modulus.residue(plan.H[2]) == embed_rational(Fr(35, 24), modulus)
+    assert modulus.residue(plan.H[1]) == modulus.residue(plan.R[1])
 
 
 def test_elementary_symmetric_matches_subset_enumeration():
     # C(12, 6) = 924 subsets at p = 13
-    H = EvaluationPlan(13).H(4)
+    H = EvaluationPlan(13).H
     modulus = make_modulus(13, 4)
     for n in range(1, 7):
-        assert H[n] == embed_rational(exact_h(13, n), modulus), n
+        assert modulus.residue(H[n]) == embed_rational(exact_h(13, n), modulus), n
 
 
 def test_newton_identity_holds_in_ring():
@@ -248,8 +248,9 @@ def test_newton_identity_holds_in_ring():
     for p in PRIMES_100:
         plan = EvaluationPlan(p)
         for K in range(1, 7):
-            R, H = plan.R(K), plan.H(K)
-            zero = make_modulus(p, K).residue(0)
+            modulus = make_modulus(p, K)
+            R, H = ([None] + [modulus.residue(x) for x in xs[1:]] for xs in (plan.R, plan.H))
+            zero = modulus.residue(0)
             for n in range(1, len(H)):
                 acc = R[n]
                 sign = -1
@@ -263,8 +264,8 @@ def test_newton_identity_holds_in_ring():
 def test_elementary_symmetric_bounds():
     # The plan serves H_n for n <= min(6, p - 2): Newton's recurrence
     # divides by n, so it stops below p, and the pair sweep ends at T_6.
-    assert len(EvaluationPlan(5).H(2)) - 1 == 3
-    assert len(EvaluationPlan(97).H(2)) - 1 == 6
+    assert len(EvaluationPlan(5).H) - 1 == 3
+    assert len(EvaluationPlan(97).H) - 1 == 6
 
 
 def test_power_sum_examples():
@@ -341,7 +342,7 @@ def test_helou_terjanian_reads_match_direct_passes(monkeypatch):
     monkeypatch.setattr(harmonic, "power_sum_raw", recording)
     for p in (p for p in PRIMES_600 if p >= 11):
         swept = EvaluationPlan(p)
-        swept.R(1)
+        swept.R
         for n in (n for n in registry_indices(p) if n > 5 * (p - 1)):
             j, t = divmod(n + 6, p - 1)
             t -= 6
@@ -360,20 +361,25 @@ def test_power_sum_rejects_other_moduli():
         power_sum_raw(11, 4, 2 * 11 ** 2)
 
 
-def registry_bernoulli_calls(p: int) -> set:
-    """(function, index, exponent) of every bernoulli_mod / bernoulli_ratio
-    call the check registry makes at a Wolstenholme prime p; at any other
-    prime it makes a subset of them."""
-    mod = {(p - 3, 1), (p - 3, 3), (p - 3, 4), (p - 5, 1), (p - 5, 2),
-           (2 * p - 4, 4), (2 * p - 6, 2), (3 * p - 5, 4), (4 * p - 6, 4)}
-    mod |= {(p ** 2 - p - 4, 2), (p ** 3 - p ** 2 - 2, 3),
-            (p ** 4 - p ** 3 - 2, 4), (p ** 4 - p ** 3 - 4, 4)}
+def ratio_terms(p: int) -> set:
+    """(index, exponent) of the registry's B_n/n terms at p: Kummer's eqs.
+    10-11 and both eq. 26 rows."""
     ratio = {(4 + k * (p - 1), 4) for k in range(3)}
     ratio |= {(p * (p - 1) + 4, 4), (p ** 2 - p - 4, 2), (p ** 4 - p ** 3 - 2, 4)}
     ratio |= {(k * (p - 1) - 2, 4) for k in (1, 2, 3, 4)}
     ratio |= {(k * (p - 1) - 4, 2) for k in (1, 2)}
-    return ({(bernoulli_mod, n, r) for n, r in mod}
-            | {(bernoulli_ratio, n, r) for n, r in ratio})
+    return ratio
+
+
+def registry_bernoulli_calls(p: int) -> set:
+    """(bernoulli_mod, index, exponent) of every Bernoulli read the check
+    registry makes at a Wolstenholme prime p, B_n/n terms included; at any
+    other prime it makes a subset of them."""
+    mod = {(p - 3, 1), (p - 3, 3), (p - 3, 4), (p - 5, 1), (p - 5, 2),
+           (2 * p - 4, 4), (2 * p - 6, 2), (3 * p - 5, 4), (4 * p - 6, 4)}
+    mod |= {(p ** 2 - p - 4, 2), (p ** 3 - p ** 2 - 2, 3),
+            (p ** 4 - p ** 3 - 2, 4), (p ** 4 - p ** 3 - 4, 4)}
+    return {(bernoulli_mod, n, r) for n, r in mod | ratio_terms(p)}
 
 
 def recorded_bernoulli_calls(p: int, monkeypatch) -> set:
@@ -416,9 +422,11 @@ def test_registry_power_sums_fill_the_window(monkeypatch):
 
 
 def bernoulli_values(plan: EvaluationPlan) -> dict:
-    """Every registry Bernoulli call at plan.p through plan: int or error type."""
+    """Every registry Bernoulli read at plan.p through plan, and bernoulli_ratio
+    at each B_n/n term's (n, r): int or error type."""
     out = {}
-    for fn, n, r in registry_bernoulli_calls(plan.p):
+    ratio = {(bernoulli_ratio, n, r) for n, r in ratio_terms(plan.p)}
+    for fn, n, r in registry_bernoulli_calls(plan.p) | ratio:
         try:
             value = fn(n, plan.p, r, plan)
         except errors.WolstenholmeError as exc:

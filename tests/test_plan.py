@@ -20,8 +20,9 @@ def assert_products_match(plan, exponents):
     p = plan.p
     for K in exponents:
         m = p ** K
-        assert plan.central(K).value == _shifted_product_raw(p, 1, m), (p, K)
-        assert plan.granville(K).value == _shifted_product_raw(p, 2, m), (p, K)
+        central, granville = plan.products
+        assert central % m == _shifted_product_raw(p, 1, m), (p, K)
+        assert granville % m == _shifted_product_raw(p, 2, m), (p, K)
 
 
 def test_pair_products_match_shifted_products():
