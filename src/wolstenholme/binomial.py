@@ -6,10 +6,11 @@ The central object is C(2p-1, p-1), computed through the product expansion
                  = 1 + sum(p^j H_j(p) for j in 1..p-1),
 
 evaluated with one modular inversion.  ``exact_binomial`` is the exact
-big-integer oracle for desk-scale arguments, and ``zhao_quotient_check``
-evaluates the quotient law C(np, rp)/C(n, r) = 1 + w_p n r (n-r) p^3
-(mod p^5) for every shape 1 <= r <= n <= 6, with w_p = R_1/p^2 (mod p^2)
-read off R_1 mod p^4, as the registry's ``zhao_eq4_p5`` reads it.  The
+big-integer oracle for desk-scale arguments.  ``_zhao_sides`` is the one
+evaluation of Zhao's quotient law C(np, rp)/C(n, r) = 1 + w_p n r (n-r) p^3
+(mod p^5), with w_p = R_1/p^2 (mod p^2) off an evaluation plan's R_1: the
+registry's ``zhao_eq4_p5`` is its (3, 1) call, and ``zhao_quotient_check``
+its call for any shape 1 <= r <= n <= 6 on a plan of its own.  The
 Granville and Sun-Wan congruences live in the check registry
 (``granville_p5``, ``sun_wan_p5``), which reads both products off the
 pair sums (``plan``) and takes the exact binomials here;
@@ -21,7 +22,6 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import NotPrime, RangeError
-from .harmonic import _inverse_power_sums_raw
 from .modring import (
     Residue,
     capped_valuation,
@@ -30,6 +30,7 @@ from .modring import (
     make_modulus,
     max_exponent,
 )
+from .plan import EvaluationPlan
 
 #: Bound on exact binomial arguments; factorial-scale integers stay small.
 ORACLE_CAP = 5000
@@ -97,6 +98,16 @@ def central_binomial_mod(p: int, k: int) -> BinomialResidue:
     )
 
 
+def _zhao_sides(plan: EvaluationPlan, n: int, r: int) -> tuple[Residue, Residue]:
+    """C(np, rp)/C(n, r) and 1 + w_p n r (n-r) p^3, both mod p^5, with
+    w_p = R_1/p^2 (mod p^2) read off the plan's R_1 (np within the oracle)."""
+    p, M = plan.p, plan.modulus(5)
+    lhs = M.residue(exact_binomial(n * p, r * p)) * M.residue(
+        exact_binomial(n, r)).inverse()
+    w = plan.R[1] % p ** 4 // p ** 2
+    return lhs, M.residue(1 + w * n * r * (n - r) * p ** 3)
+
+
 def zhao_quotient_check(n: int, r: int, p: int) -> int:
     """Valuation of C(np, rp)/C(n, r) - (1 + w_p n r (n-r) p^3) in Z/p^5 Z.
 
@@ -108,10 +119,5 @@ def zhao_quotient_check(n: int, r: int, p: int) -> int:
         raise RangeError("need 1 <= r <= n <= 6")
     if n * p > ORACLE_CAP:
         raise RangeError(f"np = {n * p} beyond the exact oracle bound")
-    modulus = make_modulus(p, 5)
-    lhs = modulus.residue(exact_binomial(n * p, r * p)) * modulus.residue(
-        exact_binomial(n, r)
-    ).inverse()
-    w = _inverse_power_sums_raw(p, 1, p ** 4)[1] // p ** 2  # w_p (mod p^2)
-    rhs = modulus.residue(1 + w * n * r * (n - r) * p ** 3)
+    lhs, rhs = _zhao_sides(EvaluationPlan(p), n, r)
     return (lhs - rhs).valuation()

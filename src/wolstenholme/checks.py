@@ -177,13 +177,6 @@ def _ev_sun_wan(plan):
     return lhs, rhs
 
 
-def _ev_zhao_eq4(plan):
-    p, M = plan.p, plan.modulus(5)
-    lhs = M.residue(binomial.exact_binomial(3 * p, p)) * M.residue(3).inverse()
-    w = plan.R[1] % p ** 4 // p ** 2  # w_p = R_1/p^2 (mod p^2)
-    return lhs, M.residue(1 + 6 * w * p ** 3)
-
-
 def _valuation_pattern(plan, values):
     """Indicator of v_p >= 2 at odd n and >= 1 at even n, n <= min(6, p-3)."""
     ok = all(values[n] % plan.p ** (1 + n % 2) == 0
@@ -247,7 +240,7 @@ def _entries() -> list[CongruenceCheck]:
         CongruenceCheck(
             "zhao_eq4_p5",
             "C(3p,p)/C(3,1) = 1 + 6 w_p p^3 (mod p^5)",
-            "Zhao 2007", 7, A, 5, _ev_zhao_eq4,
+            "Zhao 2007", 7, A, 5, partial(binomial._zhao_sides, n=3, r=1),
             max_prime=binomial.ORACLE_CAP // 3),
         linear(
             "lemma1_p4",

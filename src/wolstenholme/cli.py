@@ -10,7 +10,8 @@ Identical configuration produces byte-identical jsonl regardless of
 parallelism; elapsed_ns serializes as 0 unless --timings is given.
 
 Exit codes: 0 all good, 1 at least one failed check, errored record or
-dead worker process, 2 usage error, 3 I/O error, 4 malformed record in an
+dead worker process, 2 usage error (a malformed command line or a value the
+library refuses), 3 I/O error, 4 malformed record in an
 input file (``report``, or the last complete line of a ``scan --resume``
 output, which must be a record of the scan's criterion).
 """
@@ -24,17 +25,12 @@ from itertools import repeat
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import __version__
-from .bernoulli import (
-    EXACT_INDEX_CAP, RESIDUE_EXPONENT_CAP, bernoulli_exact, bernoulli_mod,
-)
-from .binomial import (
-    CENTRAL_EXPONENT_CAP, ORACLE_CAP, central_binomial_mod, exact_binomial,
-)
+from .bernoulli import bernoulli_exact, bernoulli_mod
+from .binomial import central_binomial_mod, exact_binomial
 from .checks import CheckOutcome, all_check_ids, lookup, run_suite
 from .errors import MalformedRecord, WolstenholmeError
 from .scan import (
-    SIEVE_LIMIT, THRESHOLDS, Criterion, ScanRecord, SieveConfig,
-    sieve_primes, wolstenholme_scan,
+    THRESHOLDS, Criterion, ScanRecord, SieveConfig, sieve_primes, wolstenholme_scan,
 )
 
 FLUSH_EVERY = 1000
@@ -58,12 +54,15 @@ def _parse_range(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         parser.error(f"range must look like A..B, got {text!r}")
-    if hi <= lo:
-        parser.error(f"empty or inverted range {text!r}")
-    if lo < 2:
-        parser.error(f"range must start at 2 or above, got {text!r}")
-    if hi > SIEVE_LIMIT:
-        parser.error(f"range must end at {SIEVE_LIMIT} or below, got {text!r}")
+    return _sieve_range(lo, hi, parser)
+
+
+def _sieve_range(lo: int, hi: int, parser: argparse.ArgumentParser) -> tuple[int, int]:
+    """(lo, hi) once ``SieveConfig`` accepts it; its refusal is a usage error."""
+    try:
+        SieveConfig(lo, hi)
+    except ValueError as exc:
+        parser.error(str(exc))
     return lo, hi
 
 
@@ -137,7 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """The validated command line.  On top of the options, ``verify`` sets
     ``check_ids`` (None for all) and ``verify`` and ``scan`` set
-    ``prime_range`` (None under --at); ``scan``'s ``criterion`` is a Criterion."""
+    ``prime_range`` (None under --at); ``scan``'s ``criterion`` is a Criterion.
+
+    Only syntax and option combinations are checked here; the bounds on a
+    range are ``SieveConfig``'s, and those on a queried value are the
+    library's own, which ``execute`` turns into usage errors too."""
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.command == "verify":
@@ -157,44 +160,25 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     elif ns.command == "scan":
         if (ns.limit is None) == (ns.primes is None):
             parser.error("scan needs exactly one of --limit or --primes")
-        if ns.limit is not None:
-            if not 2 < ns.limit <= SIEVE_LIMIT:
-                parser.error(f"--limit must be in 3..{SIEVE_LIMIT}")
-            ns.prime_range = (2, ns.limit)
-        else:
-            ns.prime_range = _parse_range(ns.primes, parser)
+        ns.prime_range = (_parse_range(ns.primes, parser) if ns.limit is None
+                          else _sieve_range(2, ns.limit, parser))
         if ns.resume and ns.format != "jsonl":
             parser.error("--resume needs --format jsonl")
         if ns.resume and ns.output is None:
             parser.error("--resume needs --output")
         ns.criterion = Criterion(ns.criterion)
     elif ns.command == "bernoulli":
-        if ns.mod is None:
-            if ns.exp is not None:
-                parser.error("--exp needs --mod")
-            if not 0 <= ns.index <= EXACT_INDEX_CAP:
-                parser.error(f"index must be in 0..{EXACT_INDEX_CAP} without --mod,"
-                             f" got {ns.index}")
-        elif ns.index < 0:
-            parser.error(f"index must be 0 or above, got {ns.index}")
-        elif ns.index == 1:
-            parser.error("B_1 has no residue path; drop --mod for its exact value")
-        else:
-            ns.exp = 1 if ns.exp is None else ns.exp
-            if not 1 <= ns.exp <= RESIDUE_EXPONENT_CAP:
-                parser.error(f"--exp must be in 1..{RESIDUE_EXPONENT_CAP}")
+        if ns.mod is None and ns.exp is not None:
+            parser.error("--exp needs --mod")
+        ns.exp = 1 if ns.exp is None else ns.exp
     elif ns.command == "binom":
         if ns.central is None:
             if ns.exp is not None:
                 parser.error("--exp needs --central")
             if ns.n is None or ns.r is None:
                 parser.error("binom needs N R or --central P")
-            if not 0 <= ns.r <= ns.n <= ORACLE_CAP:
-                parser.error(f"binom needs 0 <= R <= N <= {ORACLE_CAP}")
-        else:
-            ns.exp = 4 if ns.exp is None else ns.exp
-            if not 1 <= ns.exp <= CENTRAL_EXPONENT_CAP:
-                parser.error(f"--exp must be in 1..{CENTRAL_EXPONENT_CAP}")
+        elif ns.exp is None:
+            ns.exp = 4
     return ns
 
 
@@ -328,6 +312,20 @@ def _emit(args: argparse.Namespace, records: Iterable[dict], mode: str = "w") ->
     return 1 if bad else 0
 
 
+def _query(args: argparse.Namespace) -> str:
+    """The one line that ``bernoulli`` or ``binom`` prints."""
+    if args.command == "bernoulli":
+        if args.mod is None:
+            return f"B_{args.index} = {bernoulli_exact(args.index).value}"
+        b = bernoulli_mod(args.index, args.mod, args.exp)
+        return f"B_{args.index} = {b.value.value} (mod {args.mod}^{args.exp})"
+    if args.central is None:
+        return str(exact_binomial(args.n, args.r))
+    b = central_binomial_mod(args.central, args.exp)
+    return (f"C(2p-1,p-1) = {b.value.value} "
+            f"(mod {b.p}^{b.k}); v_p(C-1) = {b.wolstenholme_valuation}")
+
+
 def execute(args: argparse.Namespace) -> int:
     """Run a parsed command line; returns the process exit code."""
     try:
@@ -351,22 +349,11 @@ def execute(args: argparse.Namespace) -> int:
                                         args.parallelism)
             return _emit(args, map(record_dict, records, repeat(args.timings)),
                          mode=mode)
-        if args.command == "bernoulli":
-            if args.mod is None:
-                value = bernoulli_exact(args.index).value
-                print(f"B_{args.index} = {value}")
-            else:
-                b = bernoulli_mod(args.index, args.mod, args.exp)
-                print(f"B_{args.index} = {b.value.value} "
-                      f"(mod {args.mod}^{args.exp})")
-            return 0
-        if args.command == "binom":
-            if args.central is not None:
-                b = central_binomial_mod(args.central, args.exp)
-                print(f"C(2p-1,p-1) = {b.value.value} "
-                      f"(mod {b.p}^{b.k}); v_p(C-1) = {b.wolstenholme_valuation}")
-            else:
-                print(exact_binomial(args.n, args.r))
+        if args.command in ("bernoulli", "binom"):
+            try:
+                print(_query(args))
+            except ValueError as exc:  # a value the library refuses
+                build_parser().error(str(exc))
             return 0
         if args.command == "report":
             with open(args.input, "rb") as handle:

@@ -29,7 +29,8 @@ Writing s_n = sum_j c_{n,j} p^(n-2j) q^j and T_i = sum_k v_k^i,
 
 an identity of integers mod any m, so one sweep over half the range,
 one modular inversion per block of pairs, gives every R_n.  That full-width
-sweep serves the plan's T_1..T_6 mod p^top and R_1 mod p^c for c >= 4.
+sweep serves the plan's T_1..T_6 mod p^top, hence its R_1..R_6 (Zhao's w_p
+among them: R_1 mod p^4).
 
 T_1 mod p^2 and T_3 mod p, all the scans and the lone Wolstenholme gate
 read, need no inversion.  With g a primitive root, H = (p-1)/2 and g^H = -1,
@@ -83,15 +84,13 @@ from .modring import _batch_invert_raw
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .modring import make_modulus  # noqa: F401
 
-#: Pairs per block of the full-width sweep, one modular inversion each.  A
-#: block keeps a few lists of this many residues alive, the widest the
-#: unreduced v^i of a T_1..T_6 sweep mod p^top: a traced peak of 1.4 MB at
-#: 16843 (p^10) and 1.7 MB at 2124679 (p^9), whatever the number of pairs.
-_CHUNK = 1 << 12
-
-#: k's per block of a power-sum pass, the moment sweep or the half walk: a
-#: block keeps about ten lists of residues alive, under 1 MB at p^5.
-_MOMENT_CHUNK = 1 << 10
+#: Entries per block of every loop here: pairs of the full-width sweep (one
+#: modular inversion each), k's of a power-sum pass or the moment sweep, and
+#: i's of the half walk.  A block keeps a few lists of this many residues
+#: alive, the widest the unreduced v^i of a T_1..T_6 sweep mod p^top: a
+#: traced peak of 0.34 MB at 16843 (p^10) and 0.41 MB at 2124679 (p^9),
+#: whatever the number of pairs.
+_CHUNK = 1 << 10
 
 #: t -> c: the classes n = t (mod p-1) and precisions p^c of every P_n the
 #: Bernoulli side asks for (derivation in the module doc).
@@ -147,12 +146,12 @@ def _walk_pair_sums_raw(p: int) -> tuple[int, int]:
     beside their p r^3, so a block sums only S and KR S."""
     g, half = _primitive_root(p), (p - 1) // 2
     end = (half + 1) // 2  # walk 1 <= i < end, with the mirrors H - i > H - end
-    n = min(_MOMENT_CHUNK, end - 1)  # g^b for b < n, baby steps times giant steps
+    n = min(_CHUNK, end - 1)  # g^b for b < n, baby steps times giant steps
     baby = [pow(g, b, p) for b in range(32)]
     table = [x * y % p for x in (pow(g, 32 * a, p) for a in range(-(-n // 32)))
              for y in baby][:n]
     sq = cross = 0
-    for lo in range(1, end, _MOMENT_CHUNK):
+    for lo in range(1, end, _CHUNK):
         gb = table[:end - lo]
         gk, gr = pow(g, lo, p), pow(g, half - lo - len(gb) + 1, p)
         K = [gk * x % p for x in gb]  # g^(lo + b)
@@ -171,15 +170,13 @@ def _walk_pair_sums_raw(p: int) -> tuple[int, int]:
 
 def _inverse_power_sums_raw(p: int, n_max: int, m) -> list:
     """[_, R_1, .., R_n_max] mod m = p^c, read off the pair sums T_i (module
-    doc).  R_1 = p T_1 alone needs T_1 mod p^(c-1) only: by the half walk
-    for c <= 3, else by the full-width sweep."""
+    doc), by the full-width sweep; R_1 alone mod p^c, c <= 3, needs T_1 mod
+    p^2 only, which the half walk gives."""
     c = _exponent(p, m)
     if p == 2:  # no pair: k = p - k = 1, and R_n(2) = 1
         return [0] + [1 % m] * n_max
     if n_max == 1 and c <= 3:
         return [0, p * _walk_pair_sums_raw(p)[0] % m]
-    if n_max == 1:
-        return [0, p * _pair_power_sums_raw(p, 1, m // p)[1] % m]
     return _inverse_from_pair_sums(p, _pair_power_sums_raw(p, n_max, m), m)
 
 
@@ -219,7 +216,7 @@ def _least_prime_factors(n: int) -> array:
 
 
 def _powers(p: int, e: int, m) -> Iterator[tuple[range, list]]:
-    """(ks, [k^e mod m for k in ks]) in blocks of _MOMENT_CHUNK over 1..p-1.
+    """(ks, [k^e mod m for k in ks]) in blocks of _CHUNK over 1..p-1.
 
     The package's one loop over k^e.  k -> k^e is completely multiplicative,
     so only primes pay a modular pow: a composite k is pw[q] * pw[k // q]
@@ -231,11 +228,11 @@ def _powers(p: int, e: int, m) -> Iterator[tuple[range, list]]:
     pw = [0, 1 % m]
     for k, q in zip(range(2, half + 1), lpf[2:half + 1]):
         pw.append(pw[q] * pw[k // q] % m if q else pow(k, e, m))
-    for lo in range(1, half + 1, _MOMENT_CHUNK):
-        ks = range(lo, min(lo + _MOMENT_CHUNK, half + 1))
+    for lo in range(1, half + 1, _CHUNK):
+        ks = range(lo, min(lo + _CHUNK, half + 1))
         yield ks, pw[lo:ks.stop]
-    for lo in range(half + 1, p, _MOMENT_CHUNK):
-        ks = range(lo, min(lo + _MOMENT_CHUNK, p))
+    for lo in range(half + 1, p, _CHUNK):
+        ks = range(lo, min(lo + _CHUNK, p))
         yield ks, [pw[q] * pw[k // q] if q else pow(k, e, m)
                    for k, q in zip(ks, lpf[lo:ks.stop])]
 

@@ -30,7 +30,7 @@ from typing import Iterator, NamedTuple, Optional
 from .bernoulli import bernoulli_mod
 from .binomial import central_binomial_mod
 from .errors import DivisionNotExact, RangeTooLarge
-from .harmonic import _inverse_power_sums_raw, _walk_pair_sums_raw
+from .harmonic import _inverse_power_sums_raw, _least_prime_factors, _walk_pair_sums_raw
 from .modring import Frozen, _set, capped_valuation
 from .parallel import ordered_map
 
@@ -86,14 +86,11 @@ class ScanRecord(NamedTuple):
 
 
 def sieve_primes(cfg: SieveConfig) -> Iterator[int]:
-    """Exactly the primes in [lo, hi), ascending, via a segmented sieve."""
+    """Exactly the primes in [lo, hi), ascending, via a segmented sieve; its
+    base primes up to sqrt(hi) come off ``harmonic._least_prime_factors``."""
     root = isqrt(cfg.hi - 1)
-    base = bytearray([1]) * (root + 1)
-    base[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(root) + 1):
-        if base[i]:
-            base[i * i:: i] = bytes((root - i * i) // i + 1)
-    base_primes = [i for i in range(2, root + 1) if base[i]]
+    lpf = _least_prime_factors(root + 1)
+    base_primes = [q for q in range(2, root + 1) if not lpf[q]]
     for seg_lo in range(cfg.lo, cfg.hi, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE, cfg.hi)
         seg = bytearray([1]) * (seg_hi - seg_lo)

@@ -55,6 +55,13 @@ def test_parse_rejects_inverted_range():
     ["bernoulli", "-2"],
     ["bernoulli", "401"],
     ["bernoulli", "-4", "--mod", "11"],
+    ["bernoulli", "12", "--mod", "12"],
+    ["bernoulli", "12", "--mod", "5"],
+    ["bernoulli", "2000000", "--mod", "11"],
+    ["binom", "--central", "12"],
+    ["bernoulli", "10", "--mod", "11"],  # p - 1 divides the index
+    # a probable prime above the deterministic Miller-Rabin bound
+    ["bernoulli", "12", "--mod", "340282366920938463463374607431768211507"],
 ])
 def test_bad_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -71,6 +71,19 @@ def test_suite_sweeps_once_per_prime(monkeypatch):
     assert counts == {"_pair_power_sums_raw": 1, "_moment_sums_raw": 1}
 
 
+def test_zhao_quotient_check_is_the_registry_row(monkeypatch):
+    # zhao_quotient_check(3, 1, p) evaluates zhao_eq4_p5 on a plan of its own,
+    # at every prime within the row's exact-oracle cap.
+    for p in PRIMES_5_3000:
+        if 7 <= p <= 1666:
+            record = checks.run_check("zhao_eq4_p5", p)
+            assert not record.skipped, p
+            assert binomial.zhao_quotient_check(3, 1, p) == record.residual_valuation, p
+    counts = count_kernels(monkeypatch)
+    binomial.zhao_quotient_check(3, 1, 1663)
+    assert counts == {"_pair_power_sums_raw": 1}
+
+
 def test_wolstenholme_only_suite_gates_on_t1_alone(monkeypatch):
     # One walk for T_1 per prime for the gate, and no sweep or product,
     # where every prime fails it.

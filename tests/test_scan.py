@@ -181,6 +181,11 @@ def test_one_bit_valuation_oracle_below_2e4():
     assert_one_bit_valuations(7, 2 * 10 ** 4)
 
 
+@pytest.mark.slow
+def test_one_bit_valuation_oracle_below_1e5():
+    assert_one_bit_valuations(7, 10 ** 5)
+
+
 def test_no_flags_below_1e4_under_default_criterion():
     flagged = [r.p for r in wolstenholme_scan(
         SieveConfig(7, 10 ** 4), Criterion.HARMONIC_R1_P3) if r.flagged]
