@@ -139,18 +139,14 @@ def _residue_plan(n: int, p: int, r: int, plan) -> EvaluationPlan:
 def bernoulli_mod(n: int, p: int, r: int, plan=None) -> BernoulliResidue:
     """B_n mod p^r through P_n(p) mod p^(r+1) and exact division by p.
 
-    Odd n >= 3 returns 0; positions with p-1 | n are rejected because
-    B_n there has p in its denominator.  ``plan`` is p's evaluation plan,
-    whose power sums and p B_n memo the call then shares.
+    B_0 = 1 and the odd n >= 3 (B_n = 0) read no sum; B_1 is refused, and
+    so are positions with p-1 | n, where B_n has p in its denominator.
+    ``plan`` is p's evaluation plan, whose power sums and p B_n memo the
+    call then shares.
     """
     plan = _residue_plan(n, p, r, plan)
-    modulus = plan.modulus(r)
-    if n == 0:
-        return BernoulliResidue(n, p, r, modulus.residue(1), True)
-    if n % 2:
-        if n == 1:
-            raise ValueError("B_1 is not served by the residue path; use the oracle")
-        return BernoulliResidue(n, p, r, modulus.residue(0), True)
+    if n == 1:
+        raise ValueError("B_1 is not served by the residue path; use the oracle")
     if not is_regular_position(n, p):
         raise IrregularPosition(f"p-1 = {p - 1} divides index {n}")
     lifted = _p_times_bernoulli(n, plan, r + 1)
@@ -158,7 +154,7 @@ def bernoulli_mod(n: int, p: int, r: int, plan=None) -> BernoulliResidue:
         raise DivisionNotExact(
             f"p*B_{n} mod {p}^{r + 1} is not divisible by {p}"
         )
-    return BernoulliResidue(n, p, r, modulus.residue(lifted // p), True)
+    return BernoulliResidue(n, p, r, plan.modulus(r).residue(lifted // p), True)
 
 
 def bernoulli_ratio(n: int, p: int, r: int, plan=None) -> Residue:

@@ -11,7 +11,10 @@ Most checks are linear, sum(c p^a X) = const + sum(c p^a Y) (mod p^k) with
 each X and Y one of C(2p-1,p-1), R_n, H_n, B_n or B_n/n: Wolstenholme,
 Glaisher, Lehmer, Helou-Terjanian, Zhao's Lemmas 1-2, Lemmas 7, 12 and 13,
 eq. 19, Propositions 1-2, Corollaries 1-3, Remark 2, Kummer's eqs. 10-11 and
-eq. 26.  Each is one ``Linear`` row, whose evaluator derives every precision.
+eq. 26.  Each is one ``Linear`` row, whose evaluator derives every precision
+and the exponent it works at, which a Bernoulli term holds to p^4 above its
+power of p; only ``helou_terjanian_p6`` and ``eq26_n2_s4`` pin that exponent,
+at the stated one.
 
 A check passes when v_p(lhs - rhs) reaches the stated exponent.  Skipped
 is not failed: gates (below minimum prime, not prime, not a Wolstenholme
@@ -27,7 +30,7 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import binomial
-from .bernoulli import bernoulli_mod
+from .bernoulli import RESIDUE_EXPONENT_CAP, bernoulli_mod
 from .errors import UnknownCheck
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .bernoulli import bernoulli_ratio, high_index_bernoulli  # noqa: F401
@@ -79,11 +82,6 @@ def _indicator_pair(plan, lhs_holds: bool, rhs_holds: bool):
     return tuple(plan.modulus(1).residue(int(x)) for x in (lhs_holds, rhs_holds))
 
 
-def _b(plan, n: int, r: int) -> int:
-    """B_n mod p^r, reduced."""
-    return bernoulli_mod(n, plan.p, r, plan).value.value
-
-
 # --- linear congruences ---------------------------------------------------------
 
 #: Term values of a ``Linear`` row: C(2p-1,p-1), R[n] and H[n] are read off
@@ -110,7 +108,11 @@ class Linear(NamedTuple):
     """sum(lhs) = const + sum(terms) (mod p^stated), each term (c, a, x)
     standing for c p^a x; called on a plan, the pair (lhs, rhs).
 
-    Both sides are evaluated mod p^W, W = eval_exponent(stated, top, cap).
+    Both sides are evaluated mod p^W, W = eval_exponent(stated, top, cap)
+    with the cap held to a + RESIDUE_EXPONENT_CAP for the least power p^a
+    of any B_n or B_n/n term, as a B_n is served mod p^4 at most: W follows
+    from the row.  A ``cap`` below that pins W; two rows pin it at their
+    stated exponent, as their records print residues mod p^W.
     Each distinct B_n is read first, once, in row order (lhs first) and
     before any pair sum (the order sets the plan's short passes), mod
     p^(W - a) for the least a it carries, so every term is exact mod p^W;
@@ -125,7 +127,6 @@ class Linear(NamedTuple):
 
     def __call__(self, plan) -> tuple[Residue, Residue]:
         p = plan.p
-        M = plan.modulus(eval_exponent(self.stated, plan.top, self.cap))
 
         def index(x) -> Optional[int]:  # n of a B_n or B_n/n term, else None
             return x[1] * p ** x[2] * (p - 1) - x[3] if x[0] in ("B", "B/n") else None
@@ -135,7 +136,9 @@ class Linear(NamedTuple):
             n = index(x)
             if n is not None:
                 least[n] = min(a, least.get(n, a))
-        bs = {n: _b(plan, n, M.k - a) for n, a in least.items()}
+        cap = min([self.cap] + [a + RESIDUE_EXPONENT_CAP for a in least.values()])
+        M = plan.modulus(eval_exponent(self.stated, plan.top, cap))
+        bs = {n: bernoulli_mod(n, p, M.k - a, plan).value.value for n, a in least.items()}
 
         def term(c, a, x) -> int:
             n = index(x)
@@ -177,21 +180,15 @@ def _ev_sun_wan(plan):
     return lhs, rhs
 
 
-def _valuation_pattern(plan, values):
-    """Indicator of v_p >= 2 at odd n and >= 1 at even n, n <= min(6, p-3)."""
+def _valuation_pattern(plan, family: str):
+    """Indicator of v_p >= 2 at odd n and >= 1 at even n, n <= min(6, p-3),
+    over ``plan.R`` or ``plan.H``.  The bound stops at p-3 for both: H_{p-2}
+    only reaches valuation 1 (H_5(7) = 7/240), so the induction from the
+    R_n pattern ends there."""
+    values = getattr(plan, family)
     ok = all(values[n] % plan.p ** (1 + n % 2) == 0
              for n in range(1, min(6, plan.p - 3) + 1))
     return _indicator_pair(plan, ok, True)
-
-
-def _ev_lemma4_valuations(plan):
-    return _valuation_pattern(plan, plan.R)
-
-
-def _ev_lemma6_valuations(plan):
-    # The odd-n bound stops at p-3: H_{p-2} only reaches valuation 1
-    # (H_5(7) = 7/240), so the induction from the R_n pattern ends there.
-    return _valuation_pattern(plan, plan.H)
 
 
 def _ev_cor4_iff(plan):
@@ -227,7 +224,7 @@ def _entries() -> list[CongruenceCheck]:
             " - (6/5) p^5 B_{p-5} (mod p^6)",
             "Helou-Terjanian 2008", 11, A, Linear(6, ((1, 0, C),), 1, (
                 (-1, 3, Bp(3, 2)), (Fr(1, 3), 5, B(1, 2)), (-Fr(6, 5), 5, B(1, 4))),
-                cap=6), window=4),
+                cap=6), window=4),  # W pinned at the stated exponent (derived: 7)
         CongruenceCheck(
             "granville_p5",
             "C(3p,2p)/C(2p,p)^3 = C(3,2)/C(2,1)^3 (mod p^5)",
@@ -261,12 +258,12 @@ def _entries() -> list[CongruenceCheck]:
             " + (1/6) p^5 B_{p-3} + (1/20) p^5 B_{p-5} (mod p^6)",
             KUMMER, 11, A, Linear(6, ((1, 0, R[1]),), 0, (
                 (-Fr(1, 2), 2, Bp(4, 2)), (-Fr(1, 4), 4, Bp(2, 4)),
-                (Fr(1, 6), 5, B(1, 2)), (Fr(1, 20), 5, B(1, 4))), cap=6), window=5),
+                (Fr(1, 6), 5, B(1, 2)), (Fr(1, 20), 5, B(1, 4)))), window=5),
         linear(
             "lemma12_ii_p4",
             "R_3 = -(3/2) p^2 B_{p^4-p^3-4} (mod p^4)",
             KUMMER, 11, A,
-            Linear(4, ((1, 0, R[3]),), 0, ((-Fr(3, 2), 2, Bp(4, 4)),), cap=6), window=2),
+            Linear(4, ((1, 0, R[3]),), 0, ((-Fr(3, 2), 2, Bp(4, 4)),)), window=2),
         linear(
             "lemma12_iii_p3",
             "R_4 = p B_{p^4-p^3-4} (mod p^3)",
@@ -305,8 +302,8 @@ def _entries() -> list[CongruenceCheck]:
             "C(2p-1,p-1) = 1 - p^3 B_{p^4-p^3-2} - (3/2) p^5 B_{p^2-p-4}"
             " + (3/10) p^6 B_{p-5} (mod p^7)",
             "Wolstenholme-prime expansion", 11, W_ONLY, Linear(7, ((1, 0, C),), 1, (
-                (-1, 3, Bp(4, 2)), (-Fr(3, 2), 5, Bp(2, 4)), (Fr(3, 10), 6, B(1, 4))),
-                cap=7), window=4),
+                (-1, 3, Bp(4, 2)), (-Fr(3, 2), 5, Bp(2, 4)), (Fr(3, 10), 6, B(1, 4)))),
+                window=4),
         linear(
             "cor3_p7",
             "C(2p-1,p-1) in low-index Bernoulli numbers B_{p-3}, B_{2p-4},"
@@ -319,7 +316,7 @@ def _entries() -> list[CongruenceCheck]:
                 (-Fr(8, 27), 5, B(1, 2)), (Fr(3, 4), 5, B(2, 2)),
                 (-Fr(72, 125), 5, B(3, 2)), (Fr(4, 27), 5, B(4, 2)),
                 (-Fr(12, 5), 5, B(1, 4)), (1, 5, B(2, 4)),
-                (-Fr(2, 25), 6, B(1, 4))), cap=7), window=8),
+                (-Fr(2, 25), 6, B(1, 4)))), window=8),
         CongruenceCheck(
             "cor4_iff",
             "Wolstenholme-prime status iff the mod-p^7 two-sum congruence",
@@ -334,34 +331,35 @@ def _entries() -> list[CongruenceCheck]:
         CongruenceCheck(
             "lemma4_valuations",
             "v_p(R_n) >= 2 for odd n, >= 1 for even n (n <= min(6, p-3))",
-            "Bayat 1997", 7, A, 1, _ev_lemma4_valuations),
+            "Bayat 1997", 7, A, 1, partial(_valuation_pattern, family="R")),
         CongruenceCheck(
             "lemma6_valuations",
             "v_p(H_n) >= 2 for odd n, >= 1 for even n (n <= min(6, p-3))",
-            "Newton-identity induction", 7, A, 1, _ev_lemma6_valuations),
+            "Newton-identity induction", 7, A, 1, partial(_valuation_pattern, family="H")),
         linear(
             "kummer_eq10",
             "B_m/m = B_n/n (mod p^2) for m = p(p-1)+4, n = 4",
             "Kummer 1851", 7, A, Linear(2, ((1, 0, ratio(Bp(2, -4))),), 0, (
-                (1, 0, ratio(B(0, -4))),), cap=4), window=4),
+                (1, 0, ratio(B(0, -4))),)), window=4),
         linear(
             "kummer_eq11",
             "sum((-1)^k C(2,k) B_{4+k(p-1)}/(4+k(p-1)), k=0..2) = 0 (mod p^2)",
             "Kummer 1851", 7, A, Linear(2, tuple(
-                (c, 0, ratio(B(k, -4))) for k, c in ((0, 1), (1, -2), (2, 1))), 0, (),
-                cap=4), window=6),
+                (c, 0, ratio(B(k, -4))) for k, c in ((0, 1), (1, -2), (2, 1))), 0, ()),
+                window=6),
         linear(
             "eq26_n2_s4",
             "B_{p^2-p-4}/(p^2-p-4) = 2 B_{p-5}/(p-5) - B_{2p-6}/(2p-6) (mod p^2)",
             "Helou-Terjanian 2008", 11, A, Linear(2, ((1, 0, ratio(Bp(2, 4))),), 0, (
-                (2, 0, ratio(B(1, 4))), (-1, 0, ratio(B(2, 4)))), cap=2), window=3),
+                (2, 0, ratio(B(1, 4))), (-1, 0, ratio(B(2, 4)))), cap=2),
+            window=3),  # W pinned at the stated exponent (derived: 4)
         linear(
             "eq26_n4_s2",
             "B_{p^4-p^3-2}/(p^4-p^3-2) = sum((-1)^(k+1) C(4,k)"
             " B_{k(p-1)-2}/(k(p-1)-2), k=1..4) (mod p^4)",
             "Helou-Terjanian 2008", 11, A, Linear(4, ((1, 0, ratio(Bp(4, 2))),), 0, (
                 (4, 0, ratio(B(1, 2))), (-6, 0, ratio(B(2, 2))),
-                (4, 0, ratio(B(3, 2))), (-1, 0, ratio(B(4, 2)))), cap=4), window=10),
+                (4, 0, ratio(B(3, 2))), (-1, 0, ratio(B(4, 2))))), window=10),
     ]
     for r in range(1, 6):
         entries.append(linear(

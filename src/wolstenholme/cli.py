@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--primes", metavar="A..B", default=None,
                     help="half-open prime range")
     sp.add_argument("--at", type=int, default=None, metavar="P",
-                    help="single value (sugar for --primes P..P+1)")
+                    help="one number P >= 2, not sieved: a composite P gets 'not"
+                         " prime' skip records, and P may lie past the sieve limit")
     add_io(sp)
 
     sp = sub.add_parser("scan", help="scan for Wolstenholme prime candidates")

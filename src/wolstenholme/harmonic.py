@@ -65,7 +65,8 @@ that with the largest c per t gives the window
 The sweep keys each class t < 0 by its exponent e = t + p - 1 (p-3, p-5,
 p-7, read with j one lower): one table of k^(p-7) mod p^5 and exact steps
 times k^2 give k^(p-5), k^(p-3) and k^(p-1), so nothing is inverted, and
-the Fermat quotients of k^(p-1) mod p^5 are already below p^4.
+the Fermat quotients of k^(p-1) mod p^5 are already below p^4.  It returns
+each class's c sums, so a reader takes the window off them.
 The sweep costs five to seven direct passes (``power_sum_raw``) mod p^5,
 so an evaluation plan (``plan``) makes it only for checks that read
 ``plan.SWEEP_REQUESTS`` P_n or more at a prime (a registry run's make 24);
@@ -237,17 +238,13 @@ def _powers(p: int, e: int, m) -> Iterator[tuple[range, list]]:
                    for k, q in zip(ks, lpf[lo:ks.stop])]
 
 
-def _moment_window(p: int) -> dict:
-    """e -> c: MOMENT_WINDOW with each t < 0 keyed by its exponent e = t + p - 1
-    in the sweep (below 0 for p < 7, an inverse power); where two classes
-    meet (p <= 7) the larger c holds."""
-    return {(t if t > 0 else t + p - 1): c
-            for t, c in sorted(MOMENT_WINDOW.items(), key=lambda tc: tc[1])}
-
-
 def _moment_sums_raw(p: int) -> dict:
-    """{e: [S_0e, .., S_(c-1)e]} over _moment_window(p) {e: c}, S_ie mod p^(c-i)."""
-    window = _moment_window(p)
+    """{e: [S_0e, .., S_(c-1)e]}, S_ie mod p^(c-i), over MOMENT_WINDOW with
+    each class t < 0 keyed by its exponent e = t + p - 1 in the sweep (below
+    0 for p < 7, an inverse power); where two classes meet (p <= 7) the
+    larger c holds."""
+    window = {(t if t > 0 else t + p - 1): c
+              for t, c in sorted(MOMENT_WINDOW.items(), key=lambda tc: tc[1])}
     top = max(window.values())
     m = p ** top
     sums = {e: [0] * c for e, c in window.items()}

@@ -8,6 +8,7 @@ across threads (``Frozen``).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -201,33 +202,21 @@ class Residue(Frozen):
             return embed_rational(other, self.modulus)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue((self.value + other.value) % self.modulus.m, self.modulus)
+    def _binary(op):
+        """The operator ``op`` on values, reduced; NotImplemented for operands
+        ``_coerce`` does not take."""
+        def method(self, other):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            return Residue(op(self.value, other.value) % self.modulus.m, self.modulus)
+        return method
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue((self.value - other.value) % self.modulus.m, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue((other.value - self.value) % self.modulus.m, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * other.value % self.modulus.m, self.modulus)
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _binary(operator.add)
+    __sub__ = _binary(operator.sub)
+    __rsub__ = _binary(lambda a, b: b - a)
+    __mul__ = __rmul__ = _binary(operator.mul)
+    del _binary
 
     def __neg__(self):
         return Residue(-self.value % self.modulus.m, self.modulus)

@@ -22,7 +22,9 @@ testing p for primality again, and runs each sweep at most once, on first read:
   make at p (``requests``, and ``wolstenholme_requests`` for the reads
   made only past the gate, which count only if p passes it).  From
   SWEEP_REQUESTS on, the first read sweeps the Fermat-quotient moments of
-  ``harmonic.MOMENT_WINDOW`` and every read in the window comes off them.
+  ``harmonic.MOMENT_WINDOW`` and every read in the window comes off them:
+  a read finds its class among the sweep's sums, whose count is the
+  class's precision.
   Below it (a lone ``bernoulli_mod``, a Bernoulli scan, a suite of one
   small Bernoulli check) ``window_sum`` serves nothing and ``power_sum``
   makes one direct pass per read.  At the Helou-Terjanian indices
@@ -112,17 +114,15 @@ class EvaluationPlan:
     def _moments(self) -> dict:
         return harmonic._moment_sums_raw(self.p)
 
-    @cached_property
-    def _window(self) -> dict:
-        return harmonic._moment_window(self.p)
-
     def window_sum(self, n: int, c: int) -> Optional[int]:
         """P_n mod p^c off the moment window; None when the plan does not
-        sweep it, or n and c fall outside it."""
+        sweep it, or n and c fall outside it (a class's c is its length)."""
+        if not self.sweeps:
+            return None
         p = self.p
-        e = next((e for e, top in self._window.items()
-                  if top >= c and e <= n and (n - e) % (p - 1) == 0), None)
-        if e is None or not self.sweeps:
+        e = next((e for e, S in self._moments.items()
+                  if len(S) >= c and e <= n and (n - e) % (p - 1) == 0), None)
+        if e is None:
             return None
         j, S = (n - e) // (p - 1), self._moments[e]
         return sum(comb(j, i) * p ** i * S[i] for i in range(c)) % p ** c

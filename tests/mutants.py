@@ -1,0 +1,104 @@
+"""Mutation guard: every listed mutant of ``src/`` must fail the tests named for it.
+
+    python tests/mutants.py
+
+Copies ``src/`` to a temporary directory and first runs every listed test
+against the unmutated copy, which must pass.  Then, for each mutant (file,
+old text, new text, test ids), it applies that one edit to the copy, runs
+those tests against it, and undoes the edit.  A mutant is killed when the
+tests fail.  Prints one line per mutant and exits 1 if any survives.  Uses
+only the standard library; pytest runs in a subprocess.
+
+A kernel change adds a mutant here for the exactness it relies on.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/wolstenholme
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repo root
+
+
+MUTANTS = (
+    Mutant("reflected subtraction computes self - other", "modring.py",
+           "__rsub__ = _binary(lambda a, b: b - a)",
+           "__rsub__ = _binary(lambda a, b: a - b)",
+           ("tests/test_modring.py::test_residue_arithmetic_with_ints_and_fractions",
+            "tests/test_modring.py::test_embed_is_ring_homomorphism")),
+    Mutant("B_0 reads as 2", "bernoulli.py",
+           "        return p % m\n", "        return 2 * p % m\n",
+           ("tests/test_bernoulli.py::test_bernoulli_mod_oracle_grid",)),
+    Mutant("a window read at its class's top precision misses the window",
+           "plan.py", "len(S) >= c", "len(S) > c",
+           ("tests/test_plan.py::test_suite_sweeps_once_per_prime",)),
+    Mutant("the derived Bernoulli cap reads one exponent too far", "checks.py",
+           "[a + RESIDUE_EXPONENT_CAP for", "[a + RESIDUE_EXPONENT_CAP + 1 for",
+           ("tests/test_checks.py::test_bernoulli_rows_evaluate_at_their_w",)),
+    Mutant("Zhao's law with n + r for n - r", "binomial.py",
+           "(n - r)", "(n + r)",
+           ("tests/test_binomial.py::test_zhao_quotient_examples",)),
+    Mutant("the base sieve stops short of isqrt(hi - 1)", "scan.py",
+           "range(2, root + 1)", "range(2, root)",
+           ("tests/test_scan.py::test_scan_skips_tiny_primes",)),
+    Mutant("the half walk's geometric sum of r^3 with its sign flipped",
+           "harmonic.py", "t1 = (-2 * a *", "t1 = (2 * a *",
+           ("tests/test_plan.py::test_t1_gate_is_the_defining_congruence",)),
+)
+
+
+def _pytest(src: Path, tests) -> int:
+    """pytest's exit code for ``tests`` run against the package under ``src``."""
+    # No bytecode cache: an edit that keeps the file's size and mtime second
+    # would otherwise run the stale compiled module.
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def main(mutants=MUTANTS, src: Path = ROOT / "src") -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        every = sorted({t for m in mutants for t in m.tests})
+        if _pytest(copy, every) != 0:
+            print("the unmutated copy fails the listed tests")
+            return 1
+        survivors = 0
+        for m in mutants:
+            path = copy / "wolstenholme" / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"STALE     {m.name}: {m.old!r} is not in {m.file} exactly once")
+                survivors += 1
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            try:
+                code = _pytest(copy, m.tests)
+            finally:
+                path.write_text(text)
+            if code == 1:
+                print(f"killed    {m.name}")
+            else:
+                print(f"SURVIVED  {m.name} (pytest exit {code})")
+                survivors += 1
+        print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

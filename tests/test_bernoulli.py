@@ -91,12 +91,16 @@ def test_bernoulli_mod_examples():
     assert bernoulli_mod(16843 - 3, 16843, 1).value.value == 0
 
 
+def served(p: int) -> list:
+    """The n <= 60 the residue path serves at p: B_0, the odd n >= 3 (zero)
+    and every even n at a regular position; B_1 is refused."""
+    return [n for n in range(61) if n != 1 and bernoulli.is_regular_position(n, p)]
+
+
 def test_bernoulli_mod_oracle_grid():
-    # every even n <= 60, primes 11..97, r <= 3 (the full stated grid)
+    # every served n <= 60, primes 11..97, r <= 3 (the full stated grid)
     for p in PRIMES_11_97:
-        for n in range(2, 61, 2):
-            if n % (p - 1) == 0:
-                continue
+        for n in served(p):
             for r in (1, 2, 3):
                 assert bernoulli_mod(n, p, r).value == embed_exact(n, p, r), (n, p, r)
 
@@ -105,14 +109,14 @@ def test_bernoulli_mod_r4_grid():
     # r = 4 works the deepest correction terms, including inner indices at
     # irregular positions (e.g. n = 14, p = 11 needs p*B_10 mod 11)
     for p in (11, 13, 17, 19, 23, 29, 31, 97):
-        for n in range(2, 61, 2):
-            if n % (p - 1) == 0:
-                continue
+        for n in served(p):
             assert bernoulli_mod(n, p, 4).value == embed_exact(n, p, 4), (n, p)
 
 
 def test_bernoulli_mod_odd_and_irregular():
     assert bernoulli_mod(9, 11, 2).value.value == 0
+    with pytest.raises(ValueError, match="B_1"):
+        bernoulli_mod(1, 11, 1)
     with pytest.raises(errors.IrregularPosition):
         bernoulli_mod(10, 11, 1)
     with pytest.raises(errors.IrregularPosition):

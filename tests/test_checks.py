@@ -19,7 +19,7 @@ from wolstenholme.bernoulli import EXACT_INDEX_CAP, bernoulli_exact
 from wolstenholme.binomial import central_binomial_mod
 from wolstenholme.harmonic import _inverse_power_sums_raw, _newton_h_raw
 from wolstenholme.modring import is_prime, valuation
-from wolstenholme.plan import EvaluationPlan
+from wolstenholme.plan import SWEEP_REQUESTS, EvaluationPlan
 
 PRIMES_300 = [p for p in range(2, 300) if is_prime(p)]
 
@@ -283,6 +283,29 @@ def _exact_side(p, const, terms):
     return exact
 
 
+#: W, the exponent each row with a Bernoulli term is evaluated at wherever
+#: p^10 fits the width contract: its stated exponent plus two, held to p^4
+#: above its least power p^a of a Bernoulli term, or to the row's pin.
+BERNOULLI_ROW_W = {
+    "glaisher_p4": 6, "lehmer_p3": 5, "helou_terjanian_p6": 6, "lemma12_i_p6": 6,
+    "lemma12_ii_p4": 6, "lemma12_iii_p3": 5, "cor2_p7": 7, "cor3_p7": 7,
+    "kummer_eq10": 4, "kummer_eq11": 4, "eq26_n2_s4": 2, "eq26_n4_s2": 4,
+}
+
+
+def test_bernoulli_rows_evaluate_at_their_w():
+    # Every row with a B_n or B_n/n term, on one sweeping plan at 16843,
+    # and no other row.
+    plan = EvaluationPlan(16843, SWEEP_REQUESTS)
+    rows = {c.id: row for c in registry() if isinstance(row := c.evaluator, checks.Linear)
+            and any(x[0] in ("B", "B/n") for _, _, x in row.lhs + row.terms)}
+    assert set(rows) == set(BERNOULLI_ROW_W)
+    for check_id, row in rows.items():
+        lhs, rhs = row(plan)
+        assert lhs.modulus.k == rhs.modulus.k == BERNOULLI_ROW_W[check_id], check_id
+        assert (lhs - rhs).valuation() >= row.stated, check_id
+
+
 def test_bernoulli_rows_against_exact_rationals():
     # Each side of B_n and B_n/n terms with every index <= 400 against its
     # exact value: a B_n read at less than its derived precision p^(W - a),
@@ -297,7 +320,7 @@ def test_bernoulli_rows_against_exact_rationals():
             sides = zip(("lhs", "rhs"), row(plan), (0, row.const), (row.lhs, row.terms))
             exact_sides = []
             for side, got, const, terms in sides:
-                assert got.modulus.k == min(row.stated + 2, row.cap), (check_id, p)
+                assert got.modulus.k == BERNOULLI_ROW_W[check_id], (check_id, p)
                 exact = _exact_side(p, const, terms)
                 if exact is not None:
                     assert got == got.modulus.embed(exact), (check_id, side, p)

@@ -113,6 +113,15 @@ def test_verify_at_composite_yields_skipped_record(tmp_path):
     assert recs[0]["skipped"] is True and recs[0]["reason"] == "not prime"
 
 
+def test_verify_primes_range_lists_only_primes(tmp_path):
+    # The range is sieved, so 4..5 holds no prime and writes nothing, where
+    # --at 4 writes a "not prime" skip record.
+    out = tmp_path / "records.jsonl"
+    assert main(["verify", "--checks", "wolstenholme_thm", "--primes", "4..5",
+                 "--output", str(out)]) == 0
+    assert out.read_text() == ""
+
+
 def test_verify_single_prime_sugar(tmp_path):
     out = tmp_path / "one.jsonl"
     assert main(["verify", "--checks", "cor2_p7", "--at", "16843",

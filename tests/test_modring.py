@@ -135,6 +135,9 @@ def test_mixed_modulus_rejected():
     b = make_modulus(5, 3).residue(3)
     with pytest.raises(errors.ModulusMismatch):
         _ = a + b
+    for op in (lambda: a - b, lambda: b - a, lambda: a * b):
+        with pytest.raises(errors.ModulusMismatch):
+            op()
 
 
 def test_residue_arithmetic_with_ints_and_fractions():
@@ -142,11 +145,17 @@ def test_residue_arithmetic_with_ints_and_fractions():
     r = modulus.residue(10)
     assert (1 + r).value == 11
     assert (r - 12).value == (10 - 12) % 343
+    assert (12 - r).value == 2
+    assert (Fr(1, 2) - r).value == (172 - 10) % 343
     assert (Fr(1, 2) * r).value == 5
     assert (r ** -2) * r ** 2 == 1
     assert (-r).value == 343 - 10
     assert int(r) == 10
     assert r == 10 and r != 11
+    for bad in (lambda: r + "x", lambda: "x" + r, lambda: r - [], lambda: r * 1.5,
+                lambda: 1.5 * r):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_reduce_compatibility():
@@ -176,6 +185,7 @@ def test_embed_is_ring_homomorphism(q1, q2):
     modulus = make_modulus(7, 4)
     e = lambda q: embed_rational(q, modulus)
     assert e(q1 + q2) == e(q1) + e(q2)
+    assert e(q1 - q2) == e(q1) - e(q2) == q1 - e(q2) == e(q1) - q2
     assert e(q1 * q2) == e(q1) * e(q2)
 
 

@@ -140,6 +140,19 @@ def test_lone_bernoulli_requests_take_direct_passes(monkeypatch):
     assert counts == {"power_sum_raw": 1 + len(records)}
 
 
+def test_b0_and_odd_index_reads_make_no_pass(monkeypatch):
+    # B_0 = 1 and B_n = 0 at odd n >= 3 come off no sum, at any precision.
+    counts = count_kernels(monkeypatch)
+    for p in (11, 16843):
+        plan = EvaluationPlan(p, SWEEP_REQUESTS)
+        for n in (0, 3, p - 2, p - 4, 16843 * 4 + 1):
+            for r in (1, 4):
+                want = 1 if n == 0 else 0
+                assert bernoulli.bernoulli_mod(n, p, r, plan).value.value == want
+                assert bernoulli.bernoulli_mod(n, p, r).value.value == want
+    assert counts == {}
+
+
 def test_bernoulli_memo_is_keyed_by_index(monkeypatch):
     # p B_n is held at the highest c computed: a later read at lower c
     # reduces it with no pass, and only a read at higher c makes another.
