@@ -458,14 +458,14 @@ def run_suite(
     primes: Iterable[int],
     parallelism: int = 1,
 ) -> Iterator[CheckOutcome]:
-    """Outcomes for every (prime, check) pair, ordered by prime then id.
+    """One outcome per prime and distinct check id, ordered by prime then id.
 
     The order is deterministic regardless of parallelism, and evaluation
     errors surface as failed outcomes rather than stopping the stream.
     Each prime gets one evaluation plan, shared by its checks and dropped
     when they are done, so no sweep runs twice at a prime.
     """
-    ids = tuple(sorted(ids))
+    ids = tuple(sorted(set(ids)))
     for check_id in ids:
         lookup(check_id)
     for outcomes in ordered_map(partial(_suite_worker, ids=ids), primes,

@@ -10,10 +10,11 @@ Identical configuration produces byte-identical jsonl regardless of
 parallelism; elapsed_ns serializes as 0 unless --timings is given.
 
 Exit codes: 0 all good, 1 at least one failed check, errored record or
-dead worker process, 2 usage error (a malformed command line or a value the
-library refuses), 3 I/O error, 4 malformed record in an
-input file (``report``, or the last complete line of a ``scan --resume``
-output, which must be a record of the scan's criterion).
+dead worker process, 2 usage error (in argparse's words where one option is
+at fault, as in "argument --primes: not allowed with argument --at"; also a
+value the library refuses), 3 I/O error, 4 malformed record in an input file
+(``report``, or the last complete line of a ``scan --resume`` output, which
+must be a record of the scan's criterion).
 """
 from __future__ import annotations
 
@@ -21,13 +22,14 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from itertools import repeat
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import __version__
 from .bernoulli import bernoulli_exact, bernoulli_mod
 from .binomial import central_binomial_mod, exact_binomial
-from .checks import CheckOutcome, all_check_ids, lookup, run_suite
+from .checks import CheckOutcome, all_check_ids, run_suite
 from .errors import MalformedRecord, WolstenholmeError
 from .scan import (
     THRESHOLDS, Criterion, ScanRecord, SieveConfig, sieve_primes, wolstenholme_scan,
@@ -48,22 +50,38 @@ _FIELDS = (
 _JSONL = json.JSONEncoder(separators=(",", ":"))
 
 
-def _parse_range(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
+def _prime_range(text: str, limit: bool = False) -> tuple[int, int]:
+    """The ``type=`` of --primes A..B, read as (A, B), and with ``limit`` that
+    of --limit B, read as (2, B); either once ``SieveConfig`` accepts it."""
     try:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = (2, int(text)) if limit else map(int, text.split("..", 1))
     except ValueError:
-        parser.error(f"range must look like A..B, got {text!r}")
-    return _sieve_range(lo, hi, parser)
-
-
-def _sieve_range(lo: int, hi: int, parser: argparse.ArgumentParser) -> tuple[int, int]:
-    """(lo, hi) once ``SieveConfig`` accepts it; its refusal is a usage error."""
+        shape = "need an integer" if limit else "range must look like A..B"
+        raise argparse.ArgumentTypeError(f"{shape}, got {text!r}") from None
     try:
         SieveConfig(lo, hi)
-    except ValueError as exc:
-        parser.error(str(exc))
+    except ValueError as exc:  # the library's refusal is the usage error
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return lo, hi
+
+
+def _at(text: str) -> int:
+    """The ``type=`` of --at: one integer P >= 2."""
+    try:
+        if int(text) >= 2:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"need an integer P >= 2, got {text!r}")
+
+
+def _check_ids(text: str) -> Optional[list[str]]:
+    """The ``type=`` of --checks: the listed ids, or None for 'all'."""
+    ids = None if text == "all" else text.split(",")
+    unknown = ", ".join(map(repr, sorted(set(ids or ()).difference(all_check_ids()))))
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown check id {unknown}")
+    return ids
 
 
 def _worker_count(text: str) -> int:
@@ -95,19 +113,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serialize real elapsed_ns (breaks byte determinism)")
 
     sp = sub.add_parser("verify", help="run congruence checks over primes")
-    sp.add_argument("--checks", default="all",
-                    help="comma-separated check ids, or 'all'")
-    sp.add_argument("--primes", metavar="A..B", default=None,
-                    help="half-open prime range")
-    sp.add_argument("--at", type=int, default=None, metavar="P",
-                    help="one number P >= 2, not sieved: a composite P gets 'not"
-                         " prime' skip records, and P may lie past the sieve limit")
+    sp.add_argument("--checks", dest="check_ids", type=_check_ids, default="all",
+                    metavar="IDS", help="comma-separated check ids, or 'all'")
+    where = sp.add_mutually_exclusive_group(required=True)
+    where.add_argument("--primes", dest="prime_range", type=_prime_range,
+                       metavar="A..B", help="half-open prime range")
+    where.add_argument("--at", type=_at, metavar="P",
+                       help="one number P >= 2, not sieved: a composite P gets"
+                            " 'not prime' skip records, and P may pass the sieve limit")
     add_io(sp)
 
     sp = sub.add_parser("scan", help="scan for Wolstenholme prime candidates")
-    sp.add_argument("--limit", type=int, default=None,
-                    help="scan primes below this bound")
-    sp.add_argument("--primes", metavar="A..B", default=None)
+    where = sp.add_mutually_exclusive_group(required=True)
+    where.add_argument("--limit", dest="prime_range", metavar="N",
+                       type=partial(_prime_range, limit=True), help="primes below N")
+    where.add_argument("--primes", dest="prime_range", type=_prime_range,
+                       metavar="A..B")
     sp.add_argument("--criterion",
                     choices=[c.value for c in Criterion], default="r1p3")
     sp.add_argument("--resume", action="store_true",
@@ -135,34 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """The validated command line.  On top of the options, ``verify`` sets
-    ``check_ids`` (None for all) and ``verify`` and ``scan`` set
-    ``prime_range`` (None under --at); ``scan``'s ``criterion`` is a Criterion.
-
-    Only syntax and option combinations are checked here; the bounds on a
-    range are ``SieveConfig``'s, and those on a queried value are the
-    library's own, which ``execute`` turns into usage errors too."""
+    """The validated command line: ``check_ids`` (None for all), ``prime_range``
+    (None under --at) and ``scan``'s ``criterion`` as a Criterion.  argparse
+    states each option's own rules, in its exclusive groups and ``type=``
+    converters; only the rules that span options are checked here."""
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.command == "verify":
-        ns.check_ids = None if ns.checks == "all" else ns.checks.split(",")
-        for check_id in ns.check_ids or ():
-            try:
-                lookup(check_id)
-            except WolstenholmeError:
-                parser.error(f"unknown check id {check_id!r}")
-        if ns.at is not None and ns.primes is not None:
-            parser.error("--at and --primes are mutually exclusive")
-        if ns.at is None and ns.primes is None:
-            parser.error("verify needs --primes or --at")
-        if ns.at is not None and ns.at < 2:
-            parser.error(f"--at must be 2 or above, got {ns.at}")
-        ns.prime_range = None if ns.primes is None else _parse_range(ns.primes, parser)
-    elif ns.command == "scan":
-        if (ns.limit is None) == (ns.primes is None):
-            parser.error("scan needs exactly one of --limit or --primes")
-        ns.prime_range = (_parse_range(ns.primes, parser) if ns.limit is None
-                          else _sieve_range(2, ns.limit, parser))
+    if ns.command == "scan":
         if ns.resume and ns.format != "jsonl":
             parser.error("--resume needs --format jsonl")
         if ns.resume and ns.output is None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 from enum import Enum
 from functools import partial
+from itertools import compress
 from math import isqrt
 from typing import Iterator, NamedTuple, Optional
 
@@ -99,9 +100,7 @@ def sieve_primes(cfg: SieveConfig) -> Iterator[int]:
             if start >= seg_hi:
                 continue
             seg[start - seg_lo:: q] = bytes((seg_hi - 1 - start) // q + 1)
-        for i, flag in enumerate(seg):
-            if flag:
-                yield seg_lo + i
+        yield from compress(range(seg_lo, seg_hi), seg)
 
 
 def _r1_valuation(p: int) -> int:

@@ -56,6 +56,24 @@ MUTANTS = (
     Mutant("the half walk's geometric sum of r^3 with its sign flipped",
            "harmonic.py", "t1 = (-2 * a *", "t1 = (2 * a *",
            ("tests/test_plan.py::test_t1_gate_is_the_defining_congruence",)),
+    Mutant("the power kernel's upper blocks stop at p - 2", "harmonic.py",
+           "min(lo + _CHUNK, p))", "min(lo + _CHUNK, p - 1))",
+           ("tests/test_harmonic.py::test_power_sum_kernel_matches_powmod_loop",)),
+    Mutant("the moment window drops the class t = -6", "harmonic.py",
+           "MOMENT_WINDOW = {4: 5, 2: 3, -2: 5, -4: 5, -6: 3}",
+           "MOMENT_WINDOW = {4: 5, 2: 3, -2: 5, -4: 5}",
+           ("tests/test_harmonic.py::test_registry_power_sums_fill_the_window",)),
+    Mutant("checks are evaluated one exponent above their statement, not two",
+           "modring.py", "min(stated + 2, cap, top)", "min(stated + 1, cap, top)",
+           ("tests/test_checks.py::test_all_primes_sum_checks_against_exact_rationals",)),
+    Mutant("eq19's sum stops one term short", "checks.py",
+           "for i in range(1, 6)))", "for i in range(1, 5)))",
+           ("tests/test_acceptance.py::test_criterion_3_harmonic_lemma_families",)),
+    Mutant("PrimePowerModulus hashes on p alone", "modring.py",
+           '        return f"PrimePowerModulus({self.p}^{self.k})"\n',
+           '        return f"PrimePowerModulus({self.p}^{self.k})"\n\n'
+           "    def __hash__(self):\n        return hash(self.p)\n",
+           ("tests/test_records.py::test_modulus_equal_by_value",)),
 )
 
 

@@ -103,6 +103,29 @@ def test_verify_exit_zero_and_schema(tmp_path):
         assert rec["elapsed_ns"] == 0
 
 
+def test_repeated_check_id_is_evaluated_once(tmp_path):
+    out = tmp_path / "records.jsonl"
+    assert main(["verify", "--checks", "lemma1_p4,lemma1_p4", "--primes", "11..14",
+                 "--output", str(out)]) == 0
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["check"], r["p"]) for r in recs] == [("lemma1_p4", 11), ("lemma1_p4", 13)]
+
+
+_TOO_WIDE = "error: 33554467^8 needs 201 bits (limit 200)"
+
+
+def test_check_error_is_a_failed_record(capsys):
+    # 33554467^8 passes the 200-bit modulus contract: the evaluation raises,
+    # and the run records the error instead of stopping.
+    outcome = run_check("eq19_p8", 33554467)
+    assert not outcome.skipped and not outcome.passed
+    assert outcome.reason == _TOO_WIDE and outcome.residual_valuation is None
+    assert main(["verify", "--checks", "eq19_p8", "--at", "33554467"]) == 1
+    captured = capsys.readouterr()
+    assert [json.loads(line)["reason"] for line in captured.out.splitlines()] == [_TOO_WIDE]
+    assert "Traceback" not in captured.err
+
+
 def test_verify_at_composite_yields_skipped_record(tmp_path):
     out = tmp_path / "records.jsonl"
     code = main(["verify", "--checks", "wolstenholme_thm", "--at", "4",

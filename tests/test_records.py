@@ -4,6 +4,8 @@
 classes; the six records are named tuples, so they also unpack and compare
 equal to the plain tuple of their fields.
 """
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -48,6 +50,15 @@ def test_modulus_equal_by_value():
     assert len({built, made}) == 1
     assert built != make_modulus(7, 2) and built != make_modulus(11, 3)
     assert built != (7, 3, 343)
+
+
+@pytest.mark.parametrize("obj", [make_modulus(7, 3), make_modulus(7, 3).residue(5),
+                                 SieveConfig(2, 100)], ids=lambda obj: type(obj).__name__)
+def test_frozen_values_pickle_and_copy_by_value(obj):
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+        assert twin == obj and hash(twin) == hash(obj) and type(twin) is type(obj)
+    with pytest.raises(AttributeError):
+        pickle.loads(pickle.dumps(obj)).not_a_field = 1
 
 
 def test_residue_equality_and_hash():

@@ -1,6 +1,15 @@
 """The package's public surface: a name added to or removed from
-``wolstenholme.__all__`` shows here first."""
+``wolstenholme.__all__`` shows here first, and the refusals of its
+functions that no other test reaches are pinned here."""
+import pytest
+
 import wolstenholme
+from wolstenholme import (
+    bernoulli_mod, bernoulli_ratio, high_index_ratio, reduce_high_index,
+    zhao_quotient_check,
+)
+from wolstenholme.errors import IndexTooLarge, NotPrime, RangeError
+from wolstenholme.plan import EvaluationPlan
 
 
 def test_public_names():
@@ -21,3 +30,19 @@ def test_star_import_binds_no_submodule():
     namespace = {}
     exec("from wolstenholme import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(wolstenholme.__all__)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: bernoulli_ratio(3, 11, 1), ValueError, "even n"),
+    (lambda: bernoulli_ratio(22, 11, 4), IndexTooLarge, "exponent 5 > 4"),
+    (lambda: bernoulli_mod(12, 11, 2, EvaluationPlan(13)), ValueError,
+     "plan for 13 cannot serve p = 11"),
+    (lambda: high_index_ratio(5, 2, 11), ValueError, "exponent n must be in 1..4"),
+    (lambda: reduce_high_index(0, 2, 11), ValueError, "n must be >= 1"),
+    (lambda: zhao_quotient_check(3, 1, 15), NotPrime, "prime >= 7, got 15"),
+    (lambda: zhao_quotient_check(6, 1, 997), RangeError, "exact oracle bound"),
+], ids=["odd ratio", "ratio past its exponent", "another prime's plan",
+        "high index exponent", "high index n = 0", "zhao composite", "zhao past oracle"])
+def test_public_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
