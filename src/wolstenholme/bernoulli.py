@@ -33,12 +33,8 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import (
-    DivisionNotExact,
-    IndexTooLarge,
-    IrregularPosition,
-    NotPrime,
-    OddIndex,
-    RangeError,
+    DivisionNotExact, ExponentOutOfRange, IndexTooLarge, IrregularPosition,
+    ModulusMismatch, NotPrime, OddIndex, RangeError,
 )
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .harmonic import power_sum_raw  # noqa: F401
@@ -128,9 +124,9 @@ def _residue_plan(n: int, p: int, r: int, plan) -> EvaluationPlan:
     if p < 7 or plan is None and not is_prime(p):
         raise NotPrime(f"p must be a prime >= 7, got {p}")
     if plan is not None and plan.p != p:
-        raise ValueError(f"a plan for {plan.p} cannot serve p = {p}")
+        raise ModulusMismatch(f"a plan for {plan.p} cannot serve p = {p}")
     if not 1 <= r <= RESIDUE_EXPONENT_CAP:
-        raise ValueError(f"exponent r must be in 1..{RESIDUE_EXPONENT_CAP}")
+        raise ExponentOutOfRange(f"exponent r must be in 1..{RESIDUE_EXPONENT_CAP}")
     if n < 0 or n >= p ** 6:
         raise IndexTooLarge(f"index {n} outside 0..p^6")
     return plan or EvaluationPlan(p)
@@ -146,7 +142,7 @@ def bernoulli_mod(n: int, p: int, r: int, plan=None) -> BernoulliResidue:
     """
     plan = _residue_plan(n, p, r, plan)
     if n == 1:
-        raise ValueError("B_1 is not served by the residue path; use the oracle")
+        raise RangeError("B_1 is not served by the residue path; use the oracle")
     if not is_regular_position(n, p):
         raise IrregularPosition(f"p-1 = {p - 1} divides index {n}")
     lifted = _p_times_bernoulli(n, plan, r + 1)
@@ -161,7 +157,7 @@ def bernoulli_ratio(n: int, p: int, r: int, plan=None) -> Residue:
     """B_n/n mod p^r for even regular n (p | n allowed; the ratio is integral)."""
     plan = _residue_plan(n, p, r, plan)
     if n < 2 or n % 2:
-        raise ValueError("ratio defined for even n >= 2")
+        raise OddIndex("ratio defined for even n >= 2")
     if not is_regular_position(n, p):
         raise IrregularPosition(f"p-1 = {p - 1} divides index {n}")
     v = int_valuation(n, p)
@@ -186,7 +182,7 @@ def reduce_high_index(n: int, s: int, p: int) -> list[tuple[int, int]]:
     indices are coprime whenever n + s < p.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ExponentOutOfRange("n must be >= 1")
     if s % 2 or s < 2:
         raise OddIndex(f"offset s = {s} must be even and >= 2")
     if s % (p - 1) == 0:
@@ -207,7 +203,7 @@ def reduce_high_index(n: int, s: int, p: int) -> list[tuple[int, int]]:
 def high_index_ratio(n: int, s: int, p: int, plan=None) -> Residue:
     """B_M/M mod p^n for M = p^n - p^(n-1) - s, via the low-index expansion."""
     if not 1 <= n <= RESIDUE_EXPONENT_CAP:
-        raise ValueError(f"exponent n must be in 1..{RESIDUE_EXPONENT_CAP}")
+        raise ExponentOutOfRange(f"exponent n must be in 1..{RESIDUE_EXPONENT_CAP}")
     acc = (make_modulus(p, n) if plan is None else plan.modulus(n)).residue(0)
     plan = plan or EvaluationPlan(p)
     for coeff, idx in reduce_high_index(n, s, p):

@@ -14,7 +14,7 @@ class PrimalityUndecided(WolstenholmeError, ValueError):
 
 
 class ExponentOutOfRange(WolstenholmeError, ValueError):
-    """Modulus exponent outside the supported range 1..10."""
+    """An exponent outside its range: a modulus's 1..10, a residue's 1..4."""
 
 
 class WidthExceeded(WolstenholmeError, ValueError):
@@ -22,7 +22,7 @@ class WidthExceeded(WolstenholmeError, ValueError):
 
 
 class ModulusMismatch(WolstenholmeError, ValueError):
-    """Arithmetic attempted between residues of different moduli."""
+    """Residues of different moduli combined, or a plan given another prime."""
 
 
 class NotInvertible(WolstenholmeError, ValueError):
@@ -42,7 +42,7 @@ class IndexTooLarge(WolstenholmeError, ValueError):
 
 
 class OddIndex(WolstenholmeError, ValueError):
-    """Operation defined only for even indices."""
+    """Operation defined only for even indices (a ratio B_n/n: even n >= 2)."""
 
 
 class IrregularPosition(WolstenholmeError, ValueError):
@@ -50,7 +50,7 @@ class IrregularPosition(WolstenholmeError, ValueError):
 
 
 class RangeError(WolstenholmeError, ValueError):
-    """Argument outside the range an exact oracle can serve."""
+    """Argument a function does not serve: past an exact oracle, a bad range, B_1."""
 
 
 class RangeTooLarge(WolstenholmeError, ValueError):

@@ -67,18 +67,20 @@ p-7, read with j one lower): one table of k^(p-7) mod p^5 and exact steps
 times k^2 give k^(p-5), k^(p-3) and k^(p-1), so nothing is inverted, and
 the Fermat quotients of k^(p-1) mod p^5 are already below p^4.  It returns
 each class's c sums, so a reader takes the window off them.
-The sweep costs five to seven direct passes (``power_sum_raw``) mod p^5,
-so an evaluation plan (``plan``) makes it only for checks that read
-``plan.SWEEP_REQUESTS`` P_n or more at a prime (a registry run's make 24);
-a lone ``bernoulli_mod``, a Bernoulli scan or a suite of one small
-Bernoulli check takes a pass per request.
+The sweep packs its classes into one integer per k, one product sum per i,
+and costs four and a half to five and a half direct passes
+(``power_sum_raw``) mod p^5 at an exponent below p, so an evaluation plan
+(``plan``) makes it only for checks that read ``plan.SWEEP_REQUESTS`` P_n or
+more at a prime (a registry run's make 24); a lone ``bernoulli_mod``, a
+Bernoulli scan or a suite of one small Bernoulli check takes a pass per
+request.
 """
 from __future__ import annotations
 
 from array import array
 from itertools import repeat
 from math import isqrt
-from operator import add, mod, mul
+from operator import add, lshift, mod, mul
 from typing import Iterator
 
 from .modring import _batch_invert_raw
@@ -241,32 +243,40 @@ def _powers(p: int, e: int, m) -> Iterator[tuple[range, list]]:
 def _moment_sums_raw(p: int) -> dict:
     """{e: [S_0e, .., S_(c-1)e]}, S_ie mod p^(c-i), over MOMENT_WINDOW with
     each class t < 0 keyed by its exponent e = t + p - 1 in the sweep (below
-    0 for p < 7, an inverse power); where two classes meet (p <= 7) the
-    larger c holds."""
+    0 for p < 7, an inverse power); where two classes meet (p - 1 = t' - t:
+    p = 5, 7, 11) the larger c holds.  Slot s of X_k = sum(k^e 2^(s w)), e the
+    s-th key, sums u^i k^e to S_ie: with k^(p-7) reduced mod p^top, k^e is
+    below p^(top+4) and u^i below p^(top-1), so fewer than p terms sum below
+    p^(2 top + 4) < 2^w, and no slot carries into the next."""
     window = {(t if t > 0 else t + p - 1): c
               for t, c in sorted(MOMENT_WINDOW.items(), key=lambda tc: tc[1])}
     top = max(window.values())
-    m = p ** top
-    sums = {e: [0] * c for e, c in window.items()}
+    m, w = p ** top, (2 * top + 4) * p.bit_length()
+    last, *lower = reversed(window)  # the slots, packed from the top one down
+    acc = [0] * top
     for ks, x in _powers(p, p - 7, m):
         k2 = [k * k for k in ks]
+        x = list(map(mod, x, repeat(m)))  # the upper half comes unreduced
         xs = {p - 7: x}
         for e in (p - 5, p - 3):  # exact steps of k^2 from k^(p-7)
             x = xs[e] = list(map(mul, x, k2))
         # k^(p-1) mod p^top = 1 (mod p), so its Fermat quotient is below p^(top-1)
         u = [(f - 1) // p for f in map(mod, map(mul, x, k2), repeat(m))]
         xs[2], xs[4] = k2, list(map(mul, k2, k2))
-        us = [None, u]
-        for i in range(2, top):
-            mi = p ** (top - i)
-            us.append([x * y % mi for x, y in zip(us[-1], u)])
-        for e, s in sums.items():
-            x = xs[e]
-            s[0] += sum(x)
-            for i in range(1, len(s)):  # summed unreduced, reduced once at the end
-                s[i] += sum(map(mul, us[i], x))
-    return {e: [x % p ** (c - i) for i, x in enumerate(sums[e])]
-            for e, c in window.items()}
+        X = xs[last]
+        for e in lower:
+            X = map(add, map(lshift, X, repeat(w)), xs[e])
+        X, ui = list(X), u
+        del xs, x  # from here a block holds X and one power u^i mod p^(top-i)
+        acc[0] += sum(X)
+        for i in range(1, top):  # summed unreduced, reduced once at the end
+            if i > 1:
+                mi = p ** (top - i)
+                ui = [a * b % mi for a, b in zip(ui, u)]
+            acc[i] += sum(map(mul, ui, X))
+    mask = (1 << w) - 1
+    return {e: [(acc[i] >> s * w & mask) % p ** (c - i) for i in range(c)]
+            for s, (e, c) in enumerate(window.items())}
 
 
 def power_sum_raw(p: int, n: int, m) -> int:

@@ -50,8 +50,8 @@ from . import harmonic
 from .modring import PrimePowerModulus, make_modulus, max_exponent
 
 #: Window reads at one prime from which one moment sweep is cheaper than a
-#: direct pass per read: the sweep costs five to seven passes mod p^5, and
-#: passes at lower c cost less.
+#: direct pass per read: the sweep costs four and a half to five and a half
+#: passes mod p^5, and passes at lower c cost less.
 SWEEP_REQUESTS = 8
 
 

@@ -30,7 +30,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .bernoulli import bernoulli_mod
 from .binomial import central_binomial_mod
-from .errors import DivisionNotExact, RangeTooLarge
+from .errors import DivisionNotExact, RangeError, RangeTooLarge
 from .harmonic import _inverse_power_sums_raw, _least_prime_factors, _walk_pair_sums_raw
 from .modring import Frozen, _set, capped_valuation
 from .parallel import ordered_map
@@ -66,7 +66,7 @@ class SieveConfig(Frozen):
 
     def __init__(self, lo: int, hi: int):
         if lo < 2 or hi <= lo:
-            raise ValueError(f"bad range [{lo}, {hi})")
+            raise RangeError(f"bad range [{lo}, {hi})")
         if hi > SIEVE_LIMIT:
             raise RangeTooLarge(f"hi = {hi} beyond {SIEVE_LIMIT}")
         _set(self, "lo", lo)

@@ -63,6 +63,9 @@ MUTANTS = (
            "MOMENT_WINDOW = {4: 5, 2: 3, -2: 5, -4: 5, -6: 3}",
            "MOMENT_WINDOW = {4: 5, 2: 3, -2: 5, -4: 5}",
            ("tests/test_harmonic.py::test_registry_power_sums_fill_the_window",)),
+    Mutant("the moment sweep's slot width leaves u^i out of its bound, so slots carry",
+           "harmonic.py", "(2 * top + 4) * p.bit_length()", "(top + 5) * p.bit_length()",
+           ("tests/test_harmonic.py::test_packed_sweep_at_wide_primes",)),
     Mutant("checks are evaluated one exponent above their statement, not two",
            "modring.py", "min(stated + 2, cap, top)", "min(stated + 1, cap, top)",
            ("tests/test_checks.py::test_all_primes_sum_checks_against_exact_rationals",)),

@@ -115,7 +115,7 @@ def test_bernoulli_mod_r4_grid():
 
 def test_bernoulli_mod_odd_and_irregular():
     assert bernoulli_mod(9, 11, 2).value.value == 0
-    with pytest.raises(ValueError, match="B_1"):
+    with pytest.raises(errors.RangeError, match="B_1"):
         bernoulli_mod(1, 11, 1)
     with pytest.raises(errors.IrregularPosition):
         bernoulli_mod(10, 11, 1)
@@ -126,7 +126,7 @@ def test_bernoulli_mod_odd_and_irregular():
 def test_bernoulli_mod_validation():
     with pytest.raises(errors.NotPrime):
         bernoulli_mod(4, 9, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.ExponentOutOfRange, match="exponent r must be in 1..4"):
         bernoulli_mod(4, 11, 5)
     with pytest.raises(errors.IndexTooLarge):
         bernoulli_mod(11 ** 6, 11, 1)

@@ -329,6 +329,30 @@ def test_moment_path_matches_powmod_loop():
         assert "_moments" in vars(plan) and "_moments" not in vars(lone), p
 
 
+def test_moment_window_keys_where_classes_meet():
+    # Each class t < 0 is keyed by e = t + p - 1, which meets a class t' > 0
+    # where p - 1 = t' - t: at 5, 7 and 11 (t = -6 keys 4), not at 13.  The
+    # larger c holds, and the keys keep their window order.
+    expected = {5: [(2, 5), (-2, 3), (4, 5), (0, 5)], 7: [(2, 5), (0, 3), (4, 5)],
+                11: [(2, 3), (4, 5), (8, 5), (6, 5)],
+                13: [(2, 3), (6, 3), (4, 5), (10, 5), (8, 5)]}
+    for p, keys in expected.items():
+        assert [(e, len(S)) for e, S in _moment_sums_raw(p).items()] == keys, p
+
+
+def test_packed_sweep_at_wide_primes():
+    # The sweep packs its classes into slots of (2 top + 4) bits per bit of
+    # p, a width that steps at 2^15; a slot that carried would spoil these
+    # reads of every class at its c and j < c, against direct passes.
+    for p in (16843, 32749, 32771):
+        plan = EvaluationPlan(p, SWEEP_REQUESTS)
+        for t, c in MOMENT_WINDOW.items():
+            for j in range(c):
+                n = j * (p - 1) + t
+                if n >= 1:
+                    assert plan.window_sum(n, c) == power_sum_raw(p, n, p ** c), (p, t, j)
+
+
 def test_helou_terjanian_reads_match_direct_passes(monkeypatch):
     # Where p^(c-2) exactly divides j (c >= 3), a plan that does not sweep
     # reads P_(j(p-1)+t), -6 <= t < 0, as (1-j) R_(-t) + j P_(t+p-1) (mod

@@ -16,7 +16,7 @@ from wolstenholme import (
     SieveConfig, bernoulli_exact, bernoulli_mod, central_binomial_mod, lookup,
     make_modulus, run_check,
 )
-from wolstenholme.errors import RangeTooLarge
+from wolstenholme.errors import RangeError, RangeTooLarge
 
 _SCAN_RECORD = ScanRecord(11, Criterion.HARMONIC_R1_P3, 2)
 
@@ -73,8 +73,8 @@ def test_residue_equality_and_hash():
 
 
 @pytest.mark.parametrize("args, error, message", [
-    ((10, 10), ValueError, "bad range [10, 10)"),
-    ((1, 10), ValueError, "bad range [1, 10)"),
+    ((10, 10), RangeError, "bad range [10, 10)"),
+    ((1, 10), RangeError, "bad range [1, 10)"),
     ((2, 10 ** 8 + 1), RangeTooLarge, "hi = 100000001 beyond 100000000"),
 ], ids=["empty", "below-2", "too-large"])
 def test_sieve_config_errors(args, error, message):

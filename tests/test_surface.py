@@ -8,7 +8,10 @@ from wolstenholme import (
     bernoulli_mod, bernoulli_ratio, high_index_ratio, reduce_high_index,
     zhao_quotient_check,
 )
-from wolstenholme.errors import IndexTooLarge, NotPrime, RangeError
+from wolstenholme.errors import (
+    ExponentOutOfRange, IndexTooLarge, ModulusMismatch, NotPrime, OddIndex, RangeError,
+    WolstenholmeError,
+)
 from wolstenholme.plan import EvaluationPlan
 
 
@@ -33,16 +36,18 @@ def test_star_import_binds_no_submodule():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: bernoulli_ratio(3, 11, 1), ValueError, "even n"),
+    (lambda: bernoulli_ratio(3, 11, 1), OddIndex, "even n"),
     (lambda: bernoulli_ratio(22, 11, 4), IndexTooLarge, "exponent 5 > 4"),
-    (lambda: bernoulli_mod(12, 11, 2, EvaluationPlan(13)), ValueError,
+    (lambda: bernoulli_mod(12, 11, 2, EvaluationPlan(13)), ModulusMismatch,
      "plan for 13 cannot serve p = 11"),
-    (lambda: high_index_ratio(5, 2, 11), ValueError, "exponent n must be in 1..4"),
-    (lambda: reduce_high_index(0, 2, 11), ValueError, "n must be >= 1"),
+    (lambda: high_index_ratio(5, 2, 11), ExponentOutOfRange, "exponent n must be in 1..4"),
+    (lambda: reduce_high_index(0, 2, 11), ExponentOutOfRange, "n must be >= 1"),
     (lambda: zhao_quotient_check(3, 1, 15), NotPrime, "prime >= 7, got 15"),
     (lambda: zhao_quotient_check(6, 1, 997), RangeError, "exact oracle bound"),
 ], ids=["odd ratio", "ratio past its exponent", "another prime's plan",
         "high index exponent", "high index n = 0", "zhao composite", "zhao past oracle"])
 def test_public_refusals(call, error, message):
-    with pytest.raises(error, match=message):
+    # Each refusal is the package's own error, and still a ValueError.
+    with pytest.raises(error, match=message) as exc:
         call()
+    assert isinstance(exc.value, WolstenholmeError) and isinstance(exc.value, ValueError)
