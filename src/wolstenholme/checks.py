@@ -27,17 +27,19 @@ import time
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import binomial
-from .bernoulli import RESIDUE_EXPONENT_CAP, bernoulli_mod
+from .bernoulli import RESIDUE_EXPONENT_CAP, _p_times_bernoulli, bernoulli_mod
 from .errors import UnknownCheck
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .bernoulli import bernoulli_ratio, high_index_bernoulli  # noqa: F401
 from .harmonic import _inverse_power_sums_raw  # noqa: F401
 from .modring import Residue, eval_exponent, is_prime, make_modulus  # noqa: F401
+from .modring import max_exponent
 from .parallel import ordered_map
-from .plan import EvaluationPlan
+from .plan import SWEEP_REQUESTS, EvaluationPlan
 
 Fr = Fraction
 
@@ -58,9 +60,6 @@ class CongruenceCheck(NamedTuple):
     modulus_exponent: int
     evaluator: Callable[[EvaluationPlan], tuple[Residue, Residue]]
     max_prime: Optional[int] = None
-    #: P_n reads the evaluator makes in the moment window at one prime
-    #: (``plan.SWEEP_REQUESTS``), counted on a plan of its own.
-    window: int = 0
 
 
 class CheckOutcome(NamedTuple):
@@ -104,6 +103,10 @@ def ratio(x: tuple) -> tuple:
     return ("B/n", *x[1:])
 
 
+def _index(x: tuple, p: int) -> Optional[int]:  # n of a B_n or B_n/n term, else None
+    return x[1] * p ** x[2] * (p - 1) - x[3] if x[0] in ("B", "B/n") else None
+
+
 class Linear(NamedTuple):
     """sum(lhs) = const + sum(terms) (mod p^stated), each term (c, a, x)
     standing for c p^a x; called on a plan, the pair (lhs, rhs).
@@ -115,8 +118,8 @@ class Linear(NamedTuple):
     stated exponent, as their records print residues mod p^W.
     Each distinct B_n is read first, once, in row order (lhs first) and
     before any pair sum (the order sets the plan's short passes), mod
-    p^(W - a) for the least a it carries, so every term is exact mod p^W;
-    a B_n/n term is that read times n^-1 mod p^W.
+    p^(W - a) for the least a it carries (``reads``), so every term is
+    exact mod p^W; a B_n/n term is that read times n^-1 mod p^W.
     """
 
     stated: int
@@ -125,23 +128,24 @@ class Linear(NamedTuple):
     terms: tuple
     cap: int = 10
 
-    def __call__(self, plan) -> tuple[Residue, Residue]:
-        p = plan.p
-
-        def index(x) -> Optional[int]:  # n of a B_n or B_n/n term, else None
-            return x[1] * p ** x[2] * (p - 1) - x[3] if x[0] in ("B", "B/n") else None
-
+    def reads(self, p: int, top: int) -> tuple[int, dict]:
+        """W at p, and {n: c} for the reads of p B_n mod p^c, c = W - a + 1."""
         least = {}
         for _, a, x in self.lhs + self.terms:
-            n = index(x)
+            n = _index(x, p)
             if n is not None:
                 least[n] = min(a, least.get(n, a))
         cap = min([self.cap] + [a + RESIDUE_EXPONENT_CAP for a in least.values()])
-        M = plan.modulus(eval_exponent(self.stated, plan.top, cap))
-        bs = {n: bernoulli_mod(n, p, M.k - a, plan).value.value for n, a in least.items()}
+        W = eval_exponent(self.stated, top, cap)
+        return W, {n: W - a + 1 for n, a in least.items()}
+
+    def __call__(self, plan) -> tuple[Residue, Residue]:
+        p, (W, reads) = plan.p, self.reads(plan.p, plan.top)
+        M = plan.modulus(W)
+        bs = {n: bernoulli_mod(n, p, c - 1, plan).value.value for n, c in reads.items()}
 
         def term(c, a, x) -> int:
-            n = index(x)
+            n = _index(x, p)
             v = getattr(plan, x[0])[x[1]] if n is None else bs[n]
             if x[0] == "B/n":
                 v *= pow(n, -1, M.m)
@@ -199,9 +203,9 @@ def _entries() -> list[CongruenceCheck]:
     A, W_ONLY = Scope.ALL_PRIMES, Scope.WOLSTENHOLME_ONLY
     KUMMER = "power-sum expansion with Kummer reduction"
 
-    def linear(check_id, description, source, min_prime, scope, row, window=0):
+    def linear(check_id, description, source, min_prime, scope, row):
         return CongruenceCheck(check_id, description, source, min_prime, scope,
-                               row.stated, row, window=window)
+                               row.stated, row)
 
     entries = [
         linear(
@@ -212,19 +216,19 @@ def _entries() -> list[CongruenceCheck]:
             "glaisher_p4",
             "C(2p-1,p-1) = 1 - (2/3) p^3 B_{p-3} (mod p^4)",
             "Glaisher 1900", 7, A,
-            Linear(4, ((1, 0, C),), 1, ((-Fr(2, 3), 3, B(1, 2)),)), window=2),
+            Linear(4, ((1, 0, C),), 1, ((-Fr(2, 3), 3, B(1, 2)),))),
         linear(
             "lehmer_p3",
             "R_1 = -(1/3) p^2 B_{p-3} (mod p^3)",
             "E. Lehmer 1938", 7, A,
-            Linear(3, ((1, 0, R[1]),), 0, ((-Fr(1, 3), 2, B(1, 2)),)), window=2),
+            Linear(3, ((1, 0, R[1]),), 0, ((-Fr(1, 3), 2, B(1, 2)),))),
         linear(
             "helou_terjanian_p6",
             "C(2p-1,p-1) = 1 - p^3 B_{p^3-p^2-2} + (1/3) p^5 B_{p-3}"
             " - (6/5) p^5 B_{p-5} (mod p^6)",
             "Helou-Terjanian 2008", 11, A, Linear(6, ((1, 0, C),), 1, (
                 (-1, 3, Bp(3, 2)), (Fr(1, 3), 5, B(1, 2)), (-Fr(6, 5), 5, B(1, 4))),
-                cap=6), window=4),  # W pinned at the stated exponent (derived: 7)
+                cap=6)),  # W pinned at the stated exponent (derived: 7)
         CongruenceCheck(
             "granville_p5",
             "C(3p,2p)/C(2p,p)^3 = C(3,2)/C(2,1)^3 (mod p^5)",
@@ -258,16 +262,16 @@ def _entries() -> list[CongruenceCheck]:
             " + (1/6) p^5 B_{p-3} + (1/20) p^5 B_{p-5} (mod p^6)",
             KUMMER, 11, A, Linear(6, ((1, 0, R[1]),), 0, (
                 (-Fr(1, 2), 2, Bp(4, 2)), (-Fr(1, 4), 4, Bp(2, 4)),
-                (Fr(1, 6), 5, B(1, 2)), (Fr(1, 20), 5, B(1, 4)))), window=5),
+                (Fr(1, 6), 5, B(1, 2)), (Fr(1, 20), 5, B(1, 4))))),
         linear(
             "lemma12_ii_p4",
             "R_3 = -(3/2) p^2 B_{p^4-p^3-4} (mod p^4)",
             KUMMER, 11, A,
-            Linear(4, ((1, 0, R[3]),), 0, ((-Fr(3, 2), 2, Bp(4, 4)),)), window=2),
+            Linear(4, ((1, 0, R[3]),), 0, ((-Fr(3, 2), 2, Bp(4, 4)),))),
         linear(
             "lemma12_iii_p3",
             "R_4 = p B_{p^4-p^3-4} (mod p^3)",
-            KUMMER, 11, A, Linear(3, ((1, 0, R[4]),), 0, ((1, 1, Bp(4, 4)),)), window=2),
+            KUMMER, 11, A, Linear(3, ((1, 0, R[4]),), 0, ((1, 1, Bp(4, 4)),))),
         linear(
             "lemma12_iv_p4",
             "p R_6 = -(2/5) R_5 (mod p^4)",
@@ -302,8 +306,7 @@ def _entries() -> list[CongruenceCheck]:
             "C(2p-1,p-1) = 1 - p^3 B_{p^4-p^3-2} - (3/2) p^5 B_{p^2-p-4}"
             " + (3/10) p^6 B_{p-5} (mod p^7)",
             "Wolstenholme-prime expansion", 11, W_ONLY, Linear(7, ((1, 0, C),), 1, (
-                (-1, 3, Bp(4, 2)), (-Fr(3, 2), 5, Bp(2, 4)), (Fr(3, 10), 6, B(1, 4)))),
-                window=4),
+                (-1, 3, Bp(4, 2)), (-Fr(3, 2), 5, Bp(2, 4)), (Fr(3, 10), 6, B(1, 4))))),
         linear(
             "cor3_p7",
             "C(2p-1,p-1) in low-index Bernoulli numbers B_{p-3}, B_{2p-4},"
@@ -316,7 +319,7 @@ def _entries() -> list[CongruenceCheck]:
                 (-Fr(8, 27), 5, B(1, 2)), (Fr(3, 4), 5, B(2, 2)),
                 (-Fr(72, 125), 5, B(3, 2)), (Fr(4, 27), 5, B(4, 2)),
                 (-Fr(12, 5), 5, B(1, 4)), (1, 5, B(2, 4)),
-                (-Fr(2, 25), 6, B(1, 4)))), window=8),
+                (-Fr(2, 25), 6, B(1, 4))))),
         CongruenceCheck(
             "cor4_iff",
             "Wolstenholme-prime status iff the mod-p^7 two-sum congruence",
@@ -340,26 +343,24 @@ def _entries() -> list[CongruenceCheck]:
             "kummer_eq10",
             "B_m/m = B_n/n (mod p^2) for m = p(p-1)+4, n = 4",
             "Kummer 1851", 7, A, Linear(2, ((1, 0, ratio(Bp(2, -4))),), 0, (
-                (1, 0, ratio(B(0, -4))),)), window=4),
+                (1, 0, ratio(B(0, -4))),))),
         linear(
             "kummer_eq11",
             "sum((-1)^k C(2,k) B_{4+k(p-1)}/(4+k(p-1)), k=0..2) = 0 (mod p^2)",
             "Kummer 1851", 7, A, Linear(2, tuple(
-                (c, 0, ratio(B(k, -4))) for k, c in ((0, 1), (1, -2), (2, 1))), 0, ()),
-                window=6),
-        linear(
+                (c, 0, ratio(B(k, -4))) for k, c in ((0, 1), (1, -2), (2, 1))), 0, ())),
+        linear(  # W pinned at the stated exponent (derived: 4)
             "eq26_n2_s4",
             "B_{p^2-p-4}/(p^2-p-4) = 2 B_{p-5}/(p-5) - B_{2p-6}/(2p-6) (mod p^2)",
             "Helou-Terjanian 2008", 11, A, Linear(2, ((1, 0, ratio(Bp(2, 4))),), 0, (
-                (2, 0, ratio(B(1, 4))), (-1, 0, ratio(B(2, 4)))), cap=2),
-            window=3),  # W pinned at the stated exponent (derived: 4)
+                (2, 0, ratio(B(1, 4))), (-1, 0, ratio(B(2, 4)))), cap=2)),
         linear(
             "eq26_n4_s2",
             "B_{p^4-p^3-2}/(p^4-p^3-2) = sum((-1)^(k+1) C(4,k)"
             " B_{k(p-1)-2}/(k(p-1)-2), k=1..4) (mod p^4)",
             "Helou-Terjanian 2008", 11, A, Linear(4, ((1, 0, ratio(Bp(4, 2))),), 0, (
                 (4, 0, ratio(B(1, 2))), (-6, 0, ratio(B(2, 2))),
-                (4, 0, ratio(B(3, 2))), (-1, 0, ratio(B(4, 2))))), window=10),
+                (4, 0, ratio(B(3, 2))), (-1, 0, ratio(B(4, 2)))))),
     ]
     for r in range(1, 6):
         entries.append(linear(
@@ -402,15 +403,29 @@ def _skipped(check: CongruenceCheck, p: int, reason: str) -> CheckOutcome:
 _suite_plan: Optional[EvaluationPlan] = None
 
 
+def _window_reads(p: int, checks: Sequence[CongruenceCheck]) -> int:
+    """The P_n reads ``checks`` make at p in order, up to SWEEP_REQUESTS: their
+    B_n reads replayed on a stand-in plan whose power_sum records a read and returns 0,
+    a value the recursion of ``_p_times_bernoulli`` never branches on."""
+    made, top = [], max_exponent(p)
+    stand_in = SimpleNamespace(p=p, pb={}, power_sum=lambda n, c: made.append((n, c)) or 0)
+    for check in checks:
+        if (isinstance(check.evaluator, Linear) and check.min_prime <= p
+                and len(made) < SWEEP_REQUESTS):
+            for n, c in check.evaluator.reads(p, top)[1].items():
+                _p_times_bernoulli(n, stand_in, c)
+    return min(len(made), SWEEP_REQUESTS)
+
+
 def _plan(p: int, ids: Iterable[str]) -> EvaluationPlan:
-    """p's plan for the checks ``ids``, told their window reads (those of
-    Wolstenholme-only checks apart) and, when all are Wolstenholme-only,
-    to gate on an R_1 sweep of its own."""
+    """p's plan for the checks ``ids``, told the window reads all but the
+    Wolstenholme-only ones make, how many more all make (while those stay below
+    SWEEP_REQUESTS) and, if all are Wolstenholme-only, to gate on R_1 alone."""
     checks = [lookup(check_id) for check_id in ids]
-    gated = [c for c in checks if c.scope is Scope.WOLSTENHOLME_ONLY]
     ungated = [c for c in checks if c.scope is not Scope.WOLSTENHOLME_ONLY]
-    return EvaluationPlan(p, sum(c.window for c in ungated),
-                          sum(c.window for c in gated), gate_alone=not ungated)
+    requests = _window_reads(p, ungated)
+    every = _window_reads(p, checks) if requests < SWEEP_REQUESTS else requests
+    return EvaluationPlan(p, requests, every - requests, gate_alone=not ungated)
 
 
 def run_check(check_id: str, p: int) -> CheckOutcome:

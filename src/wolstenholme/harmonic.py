@@ -71,9 +71,9 @@ The sweep packs its classes into one integer per k, one product sum per i,
 and costs four and a half to five and a half direct passes
 (``power_sum_raw``) mod p^5 at an exponent below p, so an evaluation plan
 (``plan``) makes it only for checks that read ``plan.SWEEP_REQUESTS`` P_n or
-more at a prime (a registry run's make 24); a lone ``bernoulli_mod``, a
-Bernoulli scan or a suite of one small Bernoulli check takes a pass per
-request.
+more at a prime (a registry run's make 23, or 24 at a Wolstenholme prime);
+a lone ``bernoulli_mod``, a Bernoulli scan or a suite of a few Bernoulli
+reads takes a pass per request.
 """
 from __future__ import annotations
 

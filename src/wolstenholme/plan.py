@@ -18,24 +18,24 @@ testing p for primality again, and runs each sweep at most once, on first read:
   a plan serves is Wolstenholme-only (``gate_alone``), nothing reads the
   pairs before that gate, so it reads R_1 mod p^3 off the half walk and
   a prime that fails it never pays the full sweep.
-* Moments: the plan's callers say how many P_n reads in the window they
-  make at p (``requests``, and ``wolstenholme_requests`` for the reads
-  made only past the gate, which count only if p passes it).  From
-  SWEEP_REQUESTS on, the first read sweeps the Fermat-quotient moments of
-  ``harmonic.MOMENT_WINDOW`` and every read in the window comes off them:
-  a read finds its class among the sweep's sums, whose count is the
-  class's precision.
-  Below it (a lone ``bernoulli_mod``, a Bernoulli scan, a suite of one
-  small Bernoulli check) ``window_sum`` serves nothing and ``power_sum``
-  makes one direct pass per read.  At the Helou-Terjanian indices
-  n = j(p-1) + t, -6 <= t < 0, with p^(c-2) exactly dividing j, that pass
-  would raise k to an exponent of (c-1) log p bits (Euler's theorem cuts
-  it to t only once p^(c-1) divides j).  There only the moments i <= 1
-  survive, so P_n = (1-j) P_t + j P_(t+p-1) (mod p^c): P_t = R_(-t) comes
-  off the pairs and P_(t+p-1) is needed mod p^2 only, a short pass.  At
-  c = 3 the pass it replaces costs less than the pair sweep, so there it
-  is taken only once the pairs are swept (every such check but
-  ``eq26_n2_s4`` reads them).  Either way a read makes one pass.
+* Moments: the plan's callers count the P_n reads they make at p, as
+  replayed on a stand-in plan with the memo below (``requests``, and
+  ``wolstenholme_requests`` for those made only past the gate, which count
+  only if p passes it).  From SWEEP_REQUESTS on, the first read sweeps the
+  Fermat-quotient moments of ``harmonic.MOMENT_WINDOW`` and every read in
+  the window comes off them, a read finding its class among the sweep's
+  sums, whose count is the class's precision.  Below it (a lone
+  ``bernoulli_mod``, a Bernoulli scan, a suite of a few Bernoulli reads)
+  ``window_sum`` serves nothing and ``power_sum`` makes one direct pass
+  per read.  At the Helou-Terjanian indices n = j(p-1) + t, -6 <= t < 0,
+  with p^(c-2) exactly dividing j, that pass would raise k to an exponent
+  of (c-1) log p bits (Euler's theorem cuts it to t only once p^(c-1)
+  divides j).  There only the moments i <= 1 survive, so
+  P_n = (1-j) P_t + j P_(t+p-1) (mod p^c): P_t = R_(-t) comes off the
+  pairs and P_(t+p-1) is needed mod p^2 only, a short pass.  At c = 3 the
+  pass it replaces costs less than the pair sweep, so there it is taken
+  only once the pairs are swept (every such check but ``eq26_n2_s4`` reads
+  them).  Either way a read makes one pass.
 
 ``bernoulli`` memoises p B_n in ``plan.pb``, keyed by n: it holds p B_n
 mod p^c at the highest c computed so far, and a read at lower c reduces it.

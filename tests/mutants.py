@@ -44,6 +44,10 @@ MUTANTS = (
     Mutant("a window read at its class's top precision misses the window",
            "plan.py", "len(S) >= c", "len(S) > c",
            ("tests/test_plan.py::test_suite_sweeps_once_per_prime",)),
+    Mutant("the read replay drops the memo between rows, so shared reads count twice",
+           "checks.py", "    for check in checks:\n        if (isinstance",
+           "    for check in checks:\n        stand_in.pb = {}\n        if (isinstance",
+           ("tests/test_plan.py::test_suite_counts_shared_reads_once",)),
     Mutant("the derived Bernoulli cap reads one exponent too far", "checks.py",
            "[a + RESIDUE_EXPONENT_CAP for", "[a + RESIDUE_EXPONENT_CAP + 1 for",
            ("tests/test_checks.py::test_bernoulli_rows_evaluate_at_their_w",)),

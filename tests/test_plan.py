@@ -102,8 +102,8 @@ def test_wolstenholme_only_suite_gates_on_t1_alone(monkeypatch):
 def test_few_window_reads_take_direct_passes(monkeypatch):
     # lehmer_p3 reads P_(p-3) and P_(p-5): two passes beat one sweep.  The
     # reads of cor2_p7 count only where the gate lets it evaluate, and with
-    # them the pair declares 6 < SWEEP_REQUESTS reads even at 16843: five
-    # passes, as both checks read p B_(p-5) mod p^2 and the plan holds it.
+    # them the pair makes 5 < SWEEP_REQUESTS reads even at 16843, as both
+    # checks read p B_(p-5) mod p^2 and the plan holds it: five passes.
     counts = count_kernels(monkeypatch)
     primes = [p for p in range(11, 200) if is_prime(p)]
     for ids in (["lehmer_p3"], ["cor2_p7", "lehmer_p3"]):
@@ -117,17 +117,48 @@ def test_few_window_reads_take_direct_passes(monkeypatch):
     assert counts == {"_pair_power_sums_raw": 1, "power_sum_raw": 5}
 
 
-def test_declared_window_reads_are_made(monkeypatch):
-    # Each check's declared window reads, the plan's sweep-or-pass input,
-    # are the reads its evaluator makes on a plan of its own.
-    counts = count_kernels(monkeypatch)
+def test_replay_predicts_the_reads_made(monkeypatch):
+    # The reads a plan is told of, replayed from the rows, are the P_n reads
+    # (passes or window reads) its checks make, up to SWEEP_REQUESTS: for
+    # each row on a plan of its own, and for the whole registry.
+    made = Counter()
+    power_sum = EvaluationPlan.power_sum
+
+    def counting(plan, n, c):
+        made[plan.p] += 1
+        return power_sum(plan, n, c)
+
+    monkeypatch.setattr(EvaluationPlan, "power_sum", counting)
     for p in (11, 101, 1009):
         for check in checks.registry():
             if check.max_prime is None or p <= check.max_prime:
-                counts.clear()
+                made.clear()
                 check.evaluator(EvaluationPlan(p))
-                assert counts["power_sum_raw"] == check.window, (check.id, p)
-    assert sum(c.window for c in checks.registry()) >= SWEEP_REQUESTS
+                assert (checks._window_reads(p, [check])
+                        == min(made[p], SWEEP_REQUESTS)), (check.id, p)
+    for p in (11, 101, 1009, 16843):
+        made.clear()
+        assert all(o.passed or o.skipped
+                   for o in checks.run_suite(checks.all_check_ids(), [p]))
+        plan = checks._plan(p, checks.all_check_ids())
+        told = plan.requests + (plan.wolstenholme_requests if plan.wolstenholme else 0)
+        assert told == min(made[p], SWEEP_REQUESTS) == SWEEP_REQUESTS, p
+
+
+def test_suite_counts_shared_reads_once(monkeypatch):
+    # glaisher_p4 and lehmer_p3 read p B_(p-3) mod p^4, lemma12_ii_p4 and
+    # lemma12_iii_p3 p B_(p^4-p^3-4) mod p^5: each row reads two P_n, but the
+    # plan's memo leaves four distinct ones, so four passes and no sweep.
+    counts = count_kernels(monkeypatch)
+    ids = ["glaisher_p4", "lehmer_p3", "lemma12_ii_p4", "lemma12_iii_p3"]
+    for p in [p for p in range(11, 200) if is_prime(p)] + [16843]:
+        counts.clear()
+        assert all(o.passed for o in checks.run_suite(ids, [p]))
+        assert counts["power_sum_raw"] == 4 and not counts["_moment_sums_raw"], p
+    # The registry reads enough to sweep at every prime from 7 on.
+    counts.clear()
+    list(checks.run_suite(checks.all_check_ids(), range(4, 501)))
+    assert counts["_moment_sums_raw"] == len([p for p in range(7, 501) if is_prime(p)])
 
 
 def test_lone_bernoulli_requests_take_direct_passes(monkeypatch):

@@ -97,8 +97,8 @@ RECORD_FIELDS = {
          "skipped": False, "reason": None}),
     CongruenceCheck: (
         ("id", "description", "source", "min_prime", "scope",
-         "modulus_exponent", "evaluator", "max_prime", "window"),
-        {"max_prime": None, "window": 0}),
+         "modulus_exponent", "evaluator", "max_prime"),
+        {"max_prime": None}),
     BernoulliExact: (("index", "value"), {}),
     BernoulliResidue: (("index", "p", "r", "value", "regular"), {}),
     BinomialResidue: (("p", "k", "value", "wolstenholme_valuation"), {}),
