@@ -18,7 +18,6 @@ from .binomial import (
     BinomialResidue,
     central_binomial_mod,
     exact_binomial,
-    zhao_quotient_check,
 )
 from .checks import (
     CheckOutcome,
@@ -37,7 +36,6 @@ from .modring import (
     inverse,
     is_prime,
     make_modulus,
-    max_exponent,
     valuation,
 )
 from .scan import (
@@ -55,6 +53,6 @@ __all__ = [
     "bernoulli_mod", "bernoulli_ratio", "central_binomial_mod",
     "embed_rational", "exact_binomial", "high_index_bernoulli",
     "high_index_ratio", "inverse", "is_prime", "lookup", "make_modulus",
-    "max_exponent", "reduce_high_index", "registry", "run_check", "run_suite",
-    "sieve_primes", "valuation", "wolstenholme_scan", "zhao_quotient_check",
+    "reduce_high_index", "registry", "run_check", "run_suite", "sieve_primes",
+    "valuation", "wolstenholme_scan",
 ]

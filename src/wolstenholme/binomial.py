@@ -9,12 +9,10 @@ evaluated with one modular inversion.  ``exact_binomial`` is the exact
 big-integer oracle for desk-scale arguments.  ``_zhao_sides`` is the one
 evaluation of Zhao's quotient law C(np, rp)/C(n, r) = 1 + w_p n r (n-r) p^3
 (mod p^5), with w_p = R_1/p^2 (mod p^2) off an evaluation plan's R_1: the
-registry's ``zhao_eq4_p5`` is its (3, 1) call, and ``zhao_quotient_check``
-its call for any shape 1 <= r <= n <= 6 on a plan of its own.  The
-Granville and Sun-Wan congruences live in the check registry
-(``granville_p5``, ``sun_wan_p5``), which reads both products off the
-pair sums (``plan``) and takes the exact binomials here;
-``_shifted_product_raw`` stays their independent check.
+registry's ``zhao_eq4_p5`` is its (3, 1) call.  The Granville and Sun-Wan
+congruences live in the check registry (``granville_p5``, ``sun_wan_p5``),
+which reads both products off the pair sums (``plan``) and takes the exact
+binomials here; ``_shifted_product_raw`` stays their independent check.
 """
 from __future__ import annotations
 
@@ -22,14 +20,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import NotPrime, RangeError
-from .modring import (
-    Residue,
-    capped_valuation,
-    eval_exponent,
-    is_prime,
-    make_modulus,
-    max_exponent,
-)
+from .modring import Residue, capped_valuation, eval_exponent, is_prime, make_modulus
 from .plan import EvaluationPlan
 
 #: Bound on exact binomial arguments; factorial-scale integers stay small.
@@ -45,9 +36,8 @@ CENTRAL_EXPONENT_CAP = 9
 class BinomialResidue(NamedTuple):
     """C(2p-1, p-1) mod p^k with the observed valuation of C - 1 (a named tuple).
 
-    ``wolstenholme_valuation`` is capped at k + 2 (width permitting); it is
-    at least 3 for every prime p >= 5, and p is a Wolstenholme prime
-    exactly when it is >= 4.
+    ``wolstenholme_valuation`` is capped at k + 2; it is at least 3 for
+    every prime p >= 5, and p is a Wolstenholme prime exactly when it is >= 4.
     """
 
     p: int
@@ -88,7 +78,7 @@ def central_binomial_mod(p: int, k: int) -> BinomialResidue:
     if not 1 <= k <= CENTRAL_EXPONENT_CAP:
         raise RangeError(f"exponent k must be in 1..{CENTRAL_EXPONENT_CAP}, got {k}")
     modulus = make_modulus(p, k)
-    eval_exp = eval_exponent(k, max_exponent(p))
+    eval_exp = eval_exponent(k)
     wide = _central_raw(p, p ** eval_exp)
     return BinomialResidue(
         p=p,
@@ -106,18 +96,3 @@ def _zhao_sides(plan: EvaluationPlan, n: int, r: int) -> tuple[Residue, Residue]
         exact_binomial(n, r)).inverse()
     w = plan.R[1] % p ** 4 // p ** 2
     return lhs, M.residue(1 + w * n * r * (n - r) * p ** 3)
-
-
-def zhao_quotient_check(n: int, r: int, p: int) -> int:
-    """Valuation of C(np, rp)/C(n, r) - (1 + w_p n r (n-r) p^3) in Z/p^5 Z.
-
-    Returns at least 5 (the cap) when the congruence holds.
-    """
-    if p < 7 or not is_prime(p):
-        raise NotPrime(f"p must be a prime >= 7, got {p}")
-    if not 1 <= r <= n <= 6:
-        raise RangeError("need 1 <= r <= n <= 6")
-    if n * p > ORACLE_CAP:
-        raise RangeError(f"np = {n * p} beyond the exact oracle bound")
-    lhs, rhs = _zhao_sides(EvaluationPlan(p), n, r)
-    return (lhs - rhs).valuation()

@@ -37,7 +37,6 @@ from .errors import UnknownCheck
 from .bernoulli import bernoulli_ratio, high_index_bernoulli  # noqa: F401
 from .harmonic import _inverse_power_sums_raw  # noqa: F401
 from .modring import Residue, eval_exponent, is_prime, make_modulus  # noqa: F401
-from .modring import max_exponent
 from .parallel import ordered_map
 from .plan import SWEEP_REQUESTS, EvaluationPlan
 
@@ -111,11 +110,11 @@ class Linear(NamedTuple):
     """sum(lhs) = const + sum(terms) (mod p^stated), each term (c, a, x)
     standing for c p^a x; called on a plan, the pair (lhs, rhs).
 
-    Both sides are evaluated mod p^W, W = eval_exponent(stated, top, cap)
+    Both sides are evaluated mod p^W, W = eval_exponent(stated, cap)
     with the cap held to a + RESIDUE_EXPONENT_CAP for the least power p^a
     of any B_n or B_n/n term, as a B_n is served mod p^4 at most: W follows
-    from the row.  A ``cap`` below that pins W; two rows pin it at their
-    stated exponent, as their records print residues mod p^W.
+    from the row, whatever p.  A ``cap`` below that pins W; two rows pin it
+    at their stated exponent, as their records print residues mod p^W.
     Each distinct B_n is read first, once, in row order (lhs first) and
     before any pair sum (the order sets the plan's short passes), mod
     p^(W - a) for the least a it carries (``reads``), so every term is
@@ -128,7 +127,7 @@ class Linear(NamedTuple):
     terms: tuple
     cap: int = 10
 
-    def reads(self, p: int, top: int) -> tuple[int, dict]:
+    def reads(self, p: int) -> tuple[int, dict]:
         """W at p, and {n: c} for the reads of p B_n mod p^c, c = W - a + 1."""
         least = {}
         for _, a, x in self.lhs + self.terms:
@@ -136,11 +135,11 @@ class Linear(NamedTuple):
             if n is not None:
                 least[n] = min(a, least.get(n, a))
         cap = min([self.cap] + [a + RESIDUE_EXPONENT_CAP for a in least.values()])
-        W = eval_exponent(self.stated, top, cap)
+        W = eval_exponent(self.stated, cap)
         return W, {n: W - a + 1 for n, a in least.items()}
 
     def __call__(self, plan) -> tuple[Residue, Residue]:
-        p, (W, reads) = plan.p, self.reads(plan.p, plan.top)
+        p, (W, reads) = plan.p, self.reads(plan.p)
         M = plan.modulus(W)
         bs = {n: bernoulli_mod(n, p, c - 1, plan).value.value for n, c in reads.items()}
 
@@ -171,14 +170,14 @@ def _cor1_first_holds(plan) -> bool:
 # --- evaluators of the other congruences ----------------------------------------
 
 def _ev_granville(plan):
-    M = plan.modulus(eval_exponent(5, plan.top))
+    M = plan.modulus(eval_exponent(5))
     central, granville = plan.products  # C(2p-1,p-1), C(3p,2p)/3
     lhs = 3 * granville * pow(8 * central ** 3, -1, M.m)
     return M.residue(lhs), M.embed(Fr(3, 8))
 
 
 def _ev_sun_wan(plan):
-    p, M = plan.p, plan.modulus(eval_exponent(5, plan.top))
+    p, M = plan.p, plan.modulus(eval_exponent(5))
     lhs = M.residue(binomial.exact_binomial(4 * p - 1, 2 * p - 1))
     rhs = M.residue(binomial.exact_binomial(4 * p, p) - 1)
     return lhs, rhs
@@ -407,12 +406,12 @@ def _window_reads(p: int, checks: Sequence[CongruenceCheck]) -> int:
     """The P_n reads ``checks`` make at p in order, up to SWEEP_REQUESTS: their
     B_n reads replayed on a stand-in plan whose power_sum records a read and returns 0,
     a value the recursion of ``_p_times_bernoulli`` never branches on."""
-    made, top = [], max_exponent(p)
+    made = []
     stand_in = SimpleNamespace(p=p, pb={}, power_sum=lambda n, c: made.append((n, c)) or 0)
     for check in checks:
         if (isinstance(check.evaluator, Linear) and check.min_prime <= p
                 and len(made) < SWEEP_REQUESTS):
-            for n, c in check.evaluator.reads(p, top)[1].items():
+            for n, c in check.evaluator.reads(p)[1].items():
                 _p_times_bernoulli(n, stand_in, c)
     return min(len(made), SWEEP_REQUESTS)
 

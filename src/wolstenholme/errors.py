@@ -17,10 +17,6 @@ class ExponentOutOfRange(WolstenholmeError, ValueError):
     """An exponent outside its range: a modulus's 1..10, a residue's 1..4."""
 
 
-class WidthExceeded(WolstenholmeError, ValueError):
-    """Modulus too wide for the exact-arithmetic contract (>= 2**200)."""
-
-
 class ModulusMismatch(WolstenholmeError, ValueError):
     """Residues of different moduli combined, or a plan given another prime."""
 

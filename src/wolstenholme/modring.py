@@ -1,9 +1,8 @@
 """Exact residue arithmetic in Z/p^k Z for prime p and exponent k <= 10.
 
-Values are plain Python integers underneath, so every operation is exact;
-the width contract is that any modulus below 2**200 is supported
-(2124679**8 needs 168 bits).  All objects are immutable and safe to share
-across threads (``Frozen``).
+Values are plain Python integers underneath, so every operation is exact
+at any width: p^10 is served at every prime, only slower as it widens.
+All objects are immutable and safe to share across threads (``Frozen``).
 """
 from __future__ import annotations
 
@@ -19,12 +18,10 @@ from .errors import (
     NotInvertible,
     NotPrime,
     PrimalityUndecided,
-    WidthExceeded,
 )
 
 Rationalish = Union[int, Fraction]
 
-WIDTH_BITS = 200
 MAX_EXPONENT = 10
 _set = object.__setattr__  # fills a slot past ``Frozen.__setattr__``
 
@@ -103,18 +100,10 @@ def valuation(q: Rationalish, p: int) -> Union[int, float]:
     return v
 
 
-def max_exponent(p: int) -> int:
-    """Largest k <= 10 with p^k inside the width contract."""
-    k = MAX_EXPONENT
-    while k > 1 and (p ** k).bit_length() > WIDTH_BITS:
-        k -= 1
-    return k
-
-
-def eval_exponent(stated: int, top: int, cap: int = MAX_EXPONENT) -> int:
+def eval_exponent(stated: int, cap: int = MAX_EXPONENT) -> int:
     """The exponent to evaluate a mod-p^stated congruence at: two above it, so
-    "exactly" and "beyond" stay apart, within ``cap`` and ``top = max_exponent(p)``."""
-    return max(stated, min(stated + 2, cap, top))
+    "exactly" and "beyond" stay apart, within ``cap``."""
+    return max(stated, min(stated + 2, cap))
 
 
 class Frozen:
@@ -170,10 +159,7 @@ def make_modulus(p: int, k: int) -> PrimePowerModulus:
         raise ExponentOutOfRange(f"exponent {k} outside 1..{MAX_EXPONENT}")
     if p < 2 or not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    m = p ** k
-    if m.bit_length() > WIDTH_BITS:
-        raise WidthExceeded(f"{p}^{k} needs {m.bit_length()} bits (limit {WIDTH_BITS})")
-    return PrimePowerModulus(p, k, m)
+    return PrimePowerModulus(p, k, p ** k)
 
 
 class Residue(Frozen):

@@ -1,18 +1,18 @@
 """Per-prime evaluation plan: the sums the checks read at one prime, each
 computed once and dropped with the plan.
 
-A plan for p holds Z/p^k Z for k = 1..top = max_exponent(p), built without
+A plan for p holds Z/p^k Z for k = 1..10 (``MAX_EXPONENT``), built without
 testing p for primality again, and runs each sweep at most once, on first read:
 
-* Pairs: T_1..T_6 mod p^top, T_i = sum v^i over v = 1/(k(p-k)) (see
+* Pairs: T_1..T_6 mod p^10, T_i = sum v^i over v = 1/(k(p-k)) (see
   ``harmonic``).  R_1..R_6 are exact combinations of them, and Newton's
   identities give H_1..H_6 and the e_j of the v's, hence both products:
-  (1 + sp/k)(1 + sp/(p-k)) = 1 + (s + s^2) p^2 v, so mod p^top (terms
+  (1 + sp/k)(1 + sp/(p-k)) = 1 + (s + s^2) p^2 v, so mod p^10 (terms
   j >= 5 carry p^10; the e_j divide by 2, 3 and 4, so p >= 5)
 
       C(2p-1, p-1) = sum((2p^2)^j e_j, j <= 4),  C(3p, 2p)/3 = sum((6p^2)^j e_j, j <= 4).
 
-  The plan serves them as ints mod p^top (``R``, ``H``, ``products``).
+  The plan serves them as ints mod p^10 (``R``, ``H``, ``products``).
   As C - 1 = 2p^2 T_1 (mod p^4), p is a Wolstenholme prime exactly when
   T_1 = 0 (mod p^2), that is R_1 = p T_1 = 0 (mod p^3).  When every check
   a plan serves is Wolstenholme-only (``gate_alone``), nothing reads the
@@ -47,7 +47,7 @@ from math import comb
 from typing import Optional
 
 from . import harmonic
-from .modring import PrimePowerModulus, make_modulus, max_exponent
+from .modring import MAX_EXPONENT, PrimePowerModulus, make_modulus
 
 #: Window reads at one prime from which one moment sweep is cheaper than a
 #: direct pass per read: the sweep costs four and a half to five and a half
@@ -63,14 +63,13 @@ class EvaluationPlan:
         self.p, self.pb = p, {}
         self.requests, self.wolstenholme_requests = requests, wolstenholme_requests
         self.gate_alone = gate_alone
-        self.top = max_exponent(p)
         self.moduli = [None] + [PrimePowerModulus(p, k, p ** k)
-                                for k in range(1, self.top + 1)]
-        self.m = self.moduli[-1].m  # the sweeps' modulus, p^top
+                                for k in range(1, MAX_EXPONENT + 1)]
+        self.m = self.moduli[-1].m  # the sweeps' modulus, p^10
 
     def modulus(self, k: int) -> PrimePowerModulus:
-        """Z/p^k Z (past the width contract, make_modulus refuses as ever)."""
-        return self.moduli[k] if 1 <= k <= self.top else make_modulus(self.p, k)
+        """Z/p^k Z (outside 1..10, make_modulus refuses as ever)."""
+        return self.moduli[k] if 1 <= k <= MAX_EXPONENT else make_modulus(self.p, k)
 
     @cached_property
     def _T(self) -> list:
@@ -78,17 +77,17 @@ class EvaluationPlan:
 
     @cached_property
     def R(self) -> list:
-        """[_, R_1, .., R_6] mod p^top."""
+        """[_, R_1, .., R_6] mod p^10."""
         return harmonic._inverse_from_pair_sums(self.p, self._T, self.m)
 
     @cached_property
     def H(self) -> list:
-        """[_, H_1, .., H_n] mod p^top, n = min(6, p - 2)."""
+        """[_, H_1, .., H_n] mod p^10, n = min(6, p - 2)."""
         return harmonic._newton_h_raw(self.R, min(6, self.p - 2), self.m)
 
     @cached_property
     def products(self) -> tuple:
-        """(C(2p-1, p-1), C(3p, 2p)/3) mod p^top (p >= 5)."""
+        """(C(2p-1, p-1), C(3p, 2p)/3) mod p^10 (p >= 5)."""
         e = [1] + harmonic._newton_h_raw(self._T, 4, self.m)[1:]
         return tuple(sum((a * self.p ** 2) ** j * x for j, x in enumerate(e)) % self.m
                      for a in (2, 6))
@@ -136,7 +135,7 @@ class EvaluationPlan:
         p = self.p
         j, t = divmod(n + 6, p - 1)  # n = j(p-1) + t, -6 <= t < p-7
         t -= 6
-        if (t < 0 and 3 <= c <= self.top and j % p ** (c - 2) == 0 and j % p ** (c - 1)
+        if (t < 0 and c >= 3 and j % p ** (c - 2) == 0 and j % p ** (c - 1)
                 and (c > 3 or "_T" in vars(self))):
             tail = harmonic.power_sum_raw(p, t + p - 1, p * p)
             return ((1 - j) * self.R[-t] + j * tail) % p ** c

@@ -4,11 +4,7 @@ from math import comb
 import pytest
 
 from wolstenholme import checks, errors
-from wolstenholme.binomial import (
-    central_binomial_mod,
-    exact_binomial,
-    zhao_quotient_check,
-)
+from wolstenholme.binomial import central_binomial_mod, exact_binomial
 from wolstenholme.harmonic import _inverse_power_sums_raw, _newton_h_raw
 from wolstenholme.modring import make_modulus
 from wolstenholme.plan import EvaluationPlan
@@ -89,25 +85,6 @@ def test_is_wolstenholme_prime():
                    for p in PRIMES_200)
     with pytest.raises(errors.NotPrime):
         central_binomial_mod(4, 4)
-
-
-def test_zhao_quotient_examples():
-    assert zhao_quotient_check(2, 1, 7) >= 5
-    # C(14,7)/2 = 1716 against 1 + 2 w_7 p^3 = 18523
-    w = _inverse_power_sums_raw(7, 1, 7 ** 4)[1] // 7 ** 2
-    assert comb(14, 7) // 2 == 1716
-    assert (1 + 2 * w * 343 - 1716) % 7 ** 5 == 0
-    assert zhao_quotient_check(3, 1, 11) >= 5
-    assert zhao_quotient_check(4, 4, 11) >= 5  # degenerate r = n
-    with pytest.raises(errors.RangeError):
-        zhao_quotient_check(7, 1, 11)
-
-
-def test_zhao_quotient_sweep():
-    for p in (7, 11, 13, 37, 101):
-        for n in range(1, 7):
-            for r in range(1, n + 1):
-                assert zhao_quotient_check(n, r, p) >= 5, (n, r, p)
 
 
 def _residual(check_id, p):

@@ -283,14 +283,22 @@ def _exact_side(p, const, terms):
     return exact
 
 
-#: W, the exponent each row with a Bernoulli term is evaluated at wherever
-#: p^10 fits the width contract: its stated exponent plus two, held to p^4
-#: above its least power p^a of a Bernoulli term, or to the row's pin.
+#: W, the exponent each row with a Bernoulli term is evaluated at, at every
+#: prime: its stated exponent plus two, held to p^4 above its least power p^a
+#: of a Bernoulli term, or to the row's pin.
 BERNOULLI_ROW_W = {
     "glaisher_p4": 6, "lehmer_p3": 5, "helou_terjanian_p6": 6, "lemma12_i_p6": 6,
     "lemma12_ii_p4": 6, "lemma12_iii_p3": 5, "cor2_p7": 7, "cor3_p7": 7,
     "kummer_eq10": 4, "kummer_eq11": 4, "eq26_n2_s4": 2, "eq26_n4_s2": 4,
 }
+
+
+def test_linear_w_is_the_same_at_every_prime():
+    # W follows from the row alone: p^10 is 35 bits at 11 and 251 at 33554467.
+    for check in registry():
+        if isinstance(row := check.evaluator, checks.Linear):
+            ws = {row.reads(p)[0] for p in (11, 16843, 2124679, 33554467)}
+            assert len(ws) == 1, (check.id, ws)
 
 
 def test_bernoulli_rows_evaluate_at_their_w():

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import wolstenholme
-from wolstenholme.cli import MAX_PARALLELISM, main, parse_args, record_dict
+from wolstenholme import checks
 from wolstenholme.checks import run_check
+from wolstenholme.cli import MAX_PARALLELISM, main, parse_args, record_dict
 from wolstenholme.scan import Criterion
 
 SCHEMA_KEYS = ["check", "p", "modulus_exponent", "lhs", "rhs",
@@ -111,19 +112,29 @@ def test_repeated_check_id_is_evaluated_once(tmp_path):
     assert [(r["check"], r["p"]) for r in recs] == [("lemma1_p4", 11), ("lemma1_p4", 13)]
 
 
-_TOO_WIDE = "error: 33554467^8 needs 201 bits (limit 200)"
+def test_check_error_is_a_failed_record(capsys, monkeypatch):
+    # An evaluator that raises: the run records the error instead of stopping.
+    def failing(n, p, r, plan=None):
+        raise ArithmeticError(f"B_{n} mod {p}^{r} refused")
 
-
-def test_check_error_is_a_failed_record(capsys):
-    # 33554467^8 passes the 200-bit modulus contract: the evaluation raises,
-    # and the run records the error instead of stopping.
-    outcome = run_check("eq19_p8", 33554467)
+    monkeypatch.setattr(checks, "bernoulli_mod", failing)
+    outcome = run_check("glaisher_p4", 11)
     assert not outcome.skipped and not outcome.passed
-    assert outcome.reason == _TOO_WIDE and outcome.residual_valuation is None
-    assert main(["verify", "--checks", "eq19_p8", "--at", "33554467"]) == 1
+    assert outcome.reason == "error: B_8 mod 11^3 refused"
+    assert outcome.residual_valuation is None
+    assert main(["verify", "--checks", "glaisher_p4", "--at", "11"]) == 1
     captured = capsys.readouterr()
-    assert [json.loads(line)["reason"] for line in captured.out.splitlines()] == [_TOO_WIDE]
+    assert [json.loads(line)["reason"] for line in captured.out.splitlines()] == [
+        outcome.reason]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.slow
+def test_eq19_p8_passes_past_2_to_the_25(capsys):
+    # 33554467^8 needs 201 bits; the row is evaluated at p^10 there as at 11.
+    assert main(["verify", "--checks", "eq19_p8", "--at", "33554467"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["pass"], r["residual_valuation"]) for r in records] == [(True, 8)]
 
 
 def test_verify_at_composite_yields_skipped_record(tmp_path):

@@ -20,7 +20,9 @@ from wolstenholme.harmonic import (
     _walk_pair_sums_raw,
     power_sum_raw,
 )
-from wolstenholme.modring import embed_rational, is_prime, make_modulus, valuation
+from wolstenholme.modring import (
+    MAX_EXPONENT, embed_rational, is_prime, make_modulus, valuation,
+)
 from wolstenholme.plan import SWEEP_REQUESTS, EvaluationPlan
 
 PRIMES_100 = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -309,7 +311,7 @@ def test_power_sum_kernel_property(p, n, c):
 def test_moment_path_matches_powmod_loop():
     # Every window class t, at j = 0..5, p and p^3 (the j of p^4 - p^3 - 2),
     # read off a sweeping plan's window at every c it holds (the other
-    # c <= 5 are in test_power_sum_kernel_property).  c = max_exponent(p),
+    # c <= 5 are in test_power_sum_kernel_property).  c = MAX_EXPONENT,
     # the first c above the class's (unless a class of small p holds it),
     # and any read of a plan below SWEEP_REQUESTS are left to a direct pass.
     for p in PRIMES_600:
@@ -325,7 +327,7 @@ def test_moment_path_matches_powmod_loop():
                     assert got == expected % p ** c or got is None and c > c_held, \
                         (p, t, j, c)
                     assert lone.window_sum(n, c) is None
-                assert plan.window_sum(n, plan.top) is None
+                assert plan.window_sum(n, MAX_EXPONENT) is None
         assert "_moments" in vars(plan) and "_moments" not in vars(lone), p
 
 

@@ -13,9 +13,9 @@ from wolstenholme.modring import (
     inverse,
     is_prime,
     make_modulus,
-    max_exponent,
     valuation,
 )
+from wolstenholme.plan import EvaluationPlan
 
 
 def brute_force_inverse(a: int, m: int) -> int:
@@ -54,11 +54,10 @@ def test_make_modulus_exponent_range():
         make_modulus(5, 11)
 
 
-def test_make_modulus_width_contract():
-    assert make_modulus(2124679, 9).m == 2124679 ** 9
-    with pytest.raises(errors.WidthExceeded):
-        make_modulus(2124679, 10)
-    assert max_exponent(2124679) == 9
+def test_make_modulus_has_no_width_limit():
+    # p^10 is served at every prime, past 2^200 too (33554467^8 is 201 bits).
+    assert make_modulus(2124679, 10).m == 2124679 ** 10
+    assert EvaluationPlan(33554467).modulus(10).m == 33554467 ** 10
 
 
 def test_is_prime_deterministic_witnesses():

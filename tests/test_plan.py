@@ -10,7 +10,7 @@ import pytest
 import wolstenholme
 from wolstenholme import bernoulli, binomial, checks, harmonic, scan
 from wolstenholme.binomial import _shifted_product_raw
-from wolstenholme.modring import is_prime
+from wolstenholme.modring import MAX_EXPONENT, is_prime
 from wolstenholme.plan import SWEEP_REQUESTS, EvaluationPlan
 
 PRIMES_5_3000 = [p for p in range(5, 3000) if is_prime(p)]
@@ -35,7 +35,7 @@ def test_pair_products_match_shifted_products():
 @pytest.mark.stretch
 def test_pair_products_match_shifted_products_at_2124679():
     plan = EvaluationPlan(2124679)
-    assert_products_match(plan, (4, 7, plan.top))
+    assert_products_match(plan, (4, 7, MAX_EXPONENT))
     assert plan.wolstenholme
 
 
@@ -69,19 +69,6 @@ def test_suite_sweeps_once_per_prime(monkeypatch):
     outcomes = list(checks.run_suite(checks.all_check_ids(), [16843]))
     assert sum(o.passed for o in outcomes) == 37
     assert counts == {"_pair_power_sums_raw": 1, "_moment_sums_raw": 1}
-
-
-def test_zhao_quotient_check_is_the_registry_row(monkeypatch):
-    # zhao_quotient_check(3, 1, p) evaluates zhao_eq4_p5 on a plan of its own,
-    # at every prime within the row's exact-oracle cap.
-    for p in PRIMES_5_3000:
-        if 7 <= p <= 1666:
-            record = checks.run_check("zhao_eq4_p5", p)
-            assert not record.skipped, p
-            assert binomial.zhao_quotient_check(3, 1, p) == record.residual_valuation, p
-    counts = count_kernels(monkeypatch)
-    binomial.zhao_quotient_check(3, 1, 1663)
-    assert counts == {"_pair_power_sums_raw": 1}
 
 
 def test_wolstenholme_only_suite_gates_on_t1_alone(monkeypatch):

@@ -4,13 +4,9 @@ functions that no other test reaches are pinned here."""
 import pytest
 
 import wolstenholme
-from wolstenholme import (
-    bernoulli_mod, bernoulli_ratio, high_index_ratio, reduce_high_index,
-    zhao_quotient_check,
-)
+from wolstenholme import bernoulli_mod, bernoulli_ratio, high_index_ratio, reduce_high_index
 from wolstenholme.errors import (
-    ExponentOutOfRange, IndexTooLarge, ModulusMismatch, NotPrime, OddIndex, RangeError,
-    WolstenholmeError,
+    ExponentOutOfRange, IndexTooLarge, ModulusMismatch, OddIndex, WolstenholmeError,
 )
 from wolstenholme.plan import EvaluationPlan
 
@@ -23,8 +19,8 @@ def test_public_names():
         "bernoulli_mod", "bernoulli_ratio", "central_binomial_mod",
         "embed_rational", "exact_binomial", "high_index_bernoulli",
         "high_index_ratio", "inverse", "is_prime", "lookup", "make_modulus",
-        "max_exponent", "reduce_high_index", "registry", "run_check", "run_suite",
-        "sieve_primes", "valuation", "wolstenholme_scan", "zhao_quotient_check",
+        "reduce_high_index", "registry", "run_check", "run_suite", "sieve_primes",
+        "valuation", "wolstenholme_scan",
     ]
 
 
@@ -42,10 +38,8 @@ def test_star_import_binds_no_submodule():
      "plan for 13 cannot serve p = 11"),
     (lambda: high_index_ratio(5, 2, 11), ExponentOutOfRange, "exponent n must be in 1..4"),
     (lambda: reduce_high_index(0, 2, 11), ExponentOutOfRange, "n must be >= 1"),
-    (lambda: zhao_quotient_check(3, 1, 15), NotPrime, "prime >= 7, got 15"),
-    (lambda: zhao_quotient_check(6, 1, 997), RangeError, "exact oracle bound"),
 ], ids=["odd ratio", "ratio past its exponent", "another prime's plan",
-        "high index exponent", "high index n = 0", "zhao composite", "zhao past oracle"])
+        "high index exponent", "high index n = 0"])
 def test_public_refusals(call, error, message):
     # Each refusal is the package's own error, and still a ValueError.
     with pytest.raises(error, match=message) as exc:
