@@ -1,8 +1,23 @@
 """Bernoulli numbers two ways: exact rationals and residues mod p^r.
 
 The exact side follows the defining recurrence of x/(e^x - 1), capped at
-index 400; it exists as an oracle.  The residue side inverts the classical
-power-sum expansion
+index 400; it exists as an oracle.  The residue side reads p B_n mod p^c
+two ways.  Where the prime's plan sweeps the moment window (``plan``), it
+evaluates the power-sum expansion at x = (p+1)/2: for even n,
+B_n((p+1)/2) - B_n = n S_(n-1) with S_m = sum(k^m, k <= (p-1)/2), and
+B_r(1/2) = (2^(1-r) - 1) B_r, so
+
+    (2^(1-n) - 2) p B_n = n p S_(n-1)
+        - sum(C(n, j) (2^(1-n+j) - 1) 2^(-j) p^j p B_(n-j),
+              j even, 2 <= j <= min(n, c-1))   (mod p^c),
+
+the half identity, exact at any c: every p B_r is p-integral (von
+Staudt-Clausen), so the omitted terms carry p^j, j >= c, and nothing is
+divided by j.  The odd j drop out (B_1(1/2) = 0), p B_0 = p, and S_(n-1)
+is needed mod p^(c-1) only.  Solving for p B_n needs 2^n != 1 (mod p),
+true in every class the window holds once p >= 11.  Every other read
+(a plan that does not sweep, an index outside the window) inverts the
+classical power-sum expansion of one P_n, a direct pass,
 
     P_n(p) = sum over s of (1/s) C(n, s-1) p^s B_{n+1-s}   (mod p^c)
 
@@ -12,6 +27,8 @@ s - e - 1 >= p - 2 >= 5, and omitted p-integral terms at least s - 1 >= c.
 Solving the triangle top-down yields p*B_n mod p^c for arbitrary n, even at
 positions with p-1 | n where only p*B_n (not B_n) is p-integral: the inner
 indices of such a position are all regular, so no precision is lost.
+Both read p B_(n-2) at c - 2 and p B_(n-4) at c - 4, so a read makes the
+same reads below it either way.
 
 Any index below p^6 is read directly; indices p^n - p^(n-1) - s also
 reduce to indices below n*p through the Kummer congruences:
@@ -90,11 +107,15 @@ def is_regular_position(n: int, p: int) -> bool:
 def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
     """p * B_n mod p^c for any n >= 0 (p >= 7, c <= 5), memoised in the plan.
 
-    Works at irregular positions too: the s = 1 term of the power-sum
-    expansion is p*B_n itself, and every inner index n+1-s with s >= 2 is
-    either odd (B = 0) or regular, so the recursion never needs an
-    irregular value at more precision than it has.  At c = 1 no sum is
-    read: von Staudt-Clausen gives p*B_n = -[p-1 | n] (mod p) for even n >= 2.
+    Off the half identity (module doc) where 2^n != 1 (mod p) and the plan's
+    moment window holds S_(n-1) mod p^(c-1), else off the power-sum
+    expansion of one P_n; either way p B_(n-2) and p B_(n-4) are read at
+    c - 2 and c - 4.  Works at irregular positions too: the s = 1 term of
+    the power-sum expansion is p*B_n itself, and every inner index n+1-s
+    with s >= 2 is either odd (B = 0) or regular, so the recursion never
+    needs an irregular value at more precision than it has.  At c = 1 no
+    sum is read: von Staudt-Clausen gives p*B_n = -[p-1 | n] (mod p) for
+    even n >= 2.
     """
     p = plan.p
     m = p ** c
@@ -109,11 +130,20 @@ def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
     held = plan.pb.get(n)
     if held is not None and held[0] >= c:
         return held[1] % m
-    acc = plan.power_sum(n, c)
-    for s in range(2, min(c, n + 1) + 1):
-        # p B_(n+1-s) is needed mod p^(c-s+1) only: its term carries p^(s-1).
-        pb = _p_times_bernoulli(n + 1 - s, plan, c - s + 1)
-        acc -= comb(n, s - 1) * pow(s, -1, m) * p ** (s - 1) * pb
+    half = plan.half_sum(n - 1, c - 1) if pow(2, n, p) != 1 else None
+    if half is not None:
+        # p B_(n-j) is needed mod p^(c-j) only: its term carries p^j.
+        h, acc = pow(2, 1 - n, m), n * p * half
+        for j in range(2, min(n, c - 1) + 1, 2):
+            pb = _p_times_bernoulli(n - j, plan, c - j)
+            acc -= comb(n, j) * (h - pow(2, -j, m)) * p ** j * pb
+        acc *= pow(h - 2, -1, m)
+    else:
+        acc = plan.power_sum(n, c)
+        for s in range(2, min(c, n + 1) + 1):
+            # p B_(n+1-s) is needed mod p^(c-s+1) only: its term carries p^(s-1).
+            pb = _p_times_bernoulli(n + 1 - s, plan, c - s + 1)
+            acc -= comb(n, s - 1) * pow(s, -1, m) * p ** (s - 1) * pb
     plan.pb[n] = c, acc % m
     return plan.pb[n][1]
 
@@ -133,7 +163,7 @@ def _residue_plan(n: int, p: int, r: int, plan) -> EvaluationPlan:
 
 
 def bernoulli_mod(n: int, p: int, r: int, plan=None) -> BernoulliResidue:
-    """B_n mod p^r through P_n(p) mod p^(r+1) and exact division by p.
+    """B_n mod p^r through p B_n mod p^(r+1) and exact division by p.
 
     B_0 = 1 and the odd n >= 3 (B_n = 0) read no sum; B_1 is refused, and
     so are positions with p-1 | n, where B_n has p in its denominator.

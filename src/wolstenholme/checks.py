@@ -403,11 +403,14 @@ _suite_plan: Optional[EvaluationPlan] = None
 
 
 def _window_reads(p: int, checks: Sequence[CongruenceCheck]) -> int:
-    """The P_n reads ``checks`` make at p in order, up to SWEEP_REQUESTS: their
-    B_n reads replayed on a stand-in plan whose power_sum records a read and returns 0,
-    a value the recursion of ``_p_times_bernoulli`` never branches on."""
+    """The window reads ``checks`` make at p in order, up to SWEEP_REQUESTS:
+    their B_n reads replayed on a stand-in plan whose window serves nothing and
+    whose power_sum records a read and returns 0, a value the recursion of
+    ``_p_times_bernoulli`` never branches on (the half identity's recursion
+    makes the same reads)."""
     made = []
-    stand_in = SimpleNamespace(p=p, pb={}, power_sum=lambda n, c: made.append((n, c)) or 0)
+    stand_in = SimpleNamespace(p=p, pb={}, half_sum=lambda n, c: None,
+                               power_sum=lambda n, c: made.append((n, c)) or 0)
     for check in checks:
         if (isinstance(check.evaluator, Linear) and check.min_prime <= p
                 and len(made) < SWEEP_REQUESTS):

@@ -6,7 +6,8 @@ Three families:
 * ``R_n(p) = sum(1/k^n for k in 1..p-1)`` — power sums of inverses,
 * ``H_n(p) = sum(1/(i_1*...*i_n))`` over n-subsets — elementary symmetric
   functions of the inverses,
-* ``P_n(p) = sum(k^n for k in 1..p-1)`` — ordinary power sums.
+* ``P_n(p) = sum(k^n for k in 1..p-1)`` — ordinary power sums, and their
+  halves S_n over 1..(p-1)/2.
 
 R and H are linked by Newton's identity
 
@@ -46,34 +47,37 @@ are geometric series: sum r^3 = -2a/(a - 1) with a = g^3 != 1, and T_3 =
 the other's r, and on their own i = 0 (k = 1, r = p-1) and, for p = 1 (mod 4),
 the mirror's fixed point i = H/2 (k = r).
 
-P is read off Fermat-quotient moments.  With the integer
-u_k = (k^(p-1) - 1)/p, k^(j(p-1)+t) = k^t (1 + p u_k)^j, so for every p,
-j >= 0 and t (k^t an inverse mod p^c when t < 0)
+P comes by a direct pass (``power_sum_raw``), or as half sums S_n =
+sum(k^n for k in 1..(p-1)/2) off Fermat-quotient moments.  With the
+integer u_k = (k^(p-1) - 1)/p, k^(j(p-1)+t) = k^t (1 + p u_k)^j, so for
+every p, j >= 0 and t (k^t an inverse mod p^c when t < 0)
 
-    P_(j(p-1)+t) = sum(C(j, i) p^i S_it, i < c)  (mod p^c),  S_it = sum_k u_k^i k^t.
+    S_(j(p-1)+t) = sum(C(j, i) p^i S_it, i < c)  (mod p^c),  S_it = sum_k u_k^i k^t,
 
-Terms i >= c vanish; C(j, i) is an integer, so nothing is divided and a
-huge j costs nothing.  Term i carries p^i, so S_it is needed only mod
-p^(c-i), and k^(p-1) only mod p^c.  The Bernoulli side asks for P_n at
-c <= 5 at the indices j(p-1) - s, s in {2, 4} (the low k(p-1) - s and the
-Helou-Terjanian p^n - p^(n-1) - s alike), and at 4 + j(p-1) (t = -2, -4, 4
-at c = 5); its recursion descends from even n to n + 1 - s, s in {3, 5},
-at c - s + 1 (t - 2 at c - 2, t - 4 at c - 4), and ends at c = 3, as at
-c = 1 von Staudt-Clausen gives p B_n with no sum (``bernoulli``).  Closing
-that with the largest c per t gives the window
-{4: 5, 2: 3, -2: 5, -4: 5, -6: 3}: 21 sums S_it in 5 classes, one sweep.
-The sweep keys each class t < 0 by its exponent e = t + p - 1 (p-3, p-5,
-p-7, read with j one lower): one table of k^(p-7) mod p^5 and exact steps
-times k^2 give k^(p-5), k^(p-3) and k^(p-1), so nothing is inverted, and
-the Fermat quotients of k^(p-1) mod p^5 are already below p^4.  It returns
-each class's c sums, so a reader takes the window off them.
-The sweep packs its classes into one integer per k, one product sum per i,
-and costs four and a half to five and a half direct passes
-(``power_sum_raw``) mod p^5 at an exponent below p, so an evaluation plan
-(``plan``) makes it only for checks that read ``plan.SWEEP_REQUESTS`` P_n or
-more at a prime (a registry run's make 23, or 24 at a Wolstenholme prime);
-a lone ``bernoulli_mod``, a Bernoulli scan or a suite of a few Bernoulli
-reads takes a pass per request.
+k over 1..(p-1)/2.  Terms i >= c vanish; C(j, i) is an integer, so nothing
+is divided and a huge j costs nothing.  Term i carries p^i, so S_it is
+needed only mod p^(c-i), and k^(p-1) only mod p^c.  The Bernoulli side
+reads p B_n mod p^c, c <= 5, off S_(n-1) mod p^(c-1) by the half identity
+(``bernoulli``), at the indices j(p-1) - s, s in {2, 4} (the low
+k(p-1) - s and the Helou-Terjanian p^n - p^(n-1) - s alike), and at
+4 + j(p-1) (t = -2, -4, 4 at c = 5); its recursion descends from even n
+to n - 2 at c - 2 and n - 4 at c - 4, and ends at c = 3, as at c = 1 von
+Staudt-Clausen gives p B_n with no sum.  Closing that with the largest c
+per t gives MOMENT_WINDOW, {4: 5, 2: 3, -2: 5, -4: 5, -6: 3}, whose half
+sums are its classes t - 1 at c - 1, {3: 4, 1: 2, -3: 4, -5: 4, -7: 2}:
+16 sums S_it mod p^4 in 5 classes, one sweep over k <= (p-1)/2.  The
+sweep keys each half class t - 1 < 0 by its exponent e = t - 1 + p - 1
+(p-4, p-6, p-8, read with j one lower): one half table of k^(p-8) mod p^4
+and exact steps times k^2 give k^(p-6) and k^(p-4), and times k^3
+k^(p-1), so nothing is inverted, and the Fermat quotients of k^(p-1) mod
+p^4 are already below p^3.  It returns each class's c sums, so a reader
+takes the window off them.  The sweep packs its classes into one integer per k, one product sum
+per i, and costs about two direct passes (1.8 to 2.4 ``power_sum_raw``
+mod p^5 at an exponent below p, from p = 101 to 100003), so an evaluation
+plan (``plan``) makes it only at p >= 11 and for checks that read
+``plan.SWEEP_REQUESTS`` sums or more at the prime; a lone
+``bernoulli_mod``, a Bernoulli scan or a suite of two Bernoulli reads
+takes a direct pass of P_n per request.
 """
 from __future__ import annotations
 
@@ -95,8 +99,9 @@ from .modring import make_modulus  # noqa: F401
 #: number of pairs.
 _CHUNK = 1 << 10
 
-#: t -> c: the classes n = t (mod p-1) and precisions p^c of every P_n the
-#: Bernoulli side asks for (derivation in the module doc).
+#: t -> c: the classes n = t (mod p-1) and precisions p^c of every p B_n the
+#: Bernoulli side reads off the window, which sweeps their half sums
+#: S_(n-1) as the classes t - 1 at c - 1 (derivation in the module doc).
 MOMENT_WINDOW = {4: 5, 2: 3, -2: 5, -4: 5, -6: 3}
 
 
@@ -218,51 +223,55 @@ def _least_prime_factors(n: int) -> array:
     return lpf
 
 
-def _powers(p: int, e: int, m) -> Iterator[tuple[range, list]]:
-    """(ks, [k^e mod m for k in ks]) in blocks of _CHUNK over 1..p-1.
+def _powers(p: int, e: int, m, half: bool = False) -> Iterator[tuple[range, list]]:
+    """(ks, [k^e mod m for k in ks]) in blocks of _CHUNK over 1..p-1, or over
+    1..(p-1)/2 only when ``half``.
 
     The package's one loop over k^e.  k -> k^e is completely multiplicative,
     so only primes pay a modular pow: a composite k is pw[q] * pw[k // q]
     with q its least prime factor.  Both factors are at most (p-1)/2, so pw is kept
     only up to there, and the upper half is left unreduced (below m^2).
     """
-    half = (p - 1) // 2
-    lpf = _least_prime_factors(p)
+    mid = (p - 1) // 2
+    lpf = _least_prime_factors(mid + 1 if half else p)
     pw = [0, 1 % m]
-    for k, q in zip(range(2, half + 1), lpf[2:half + 1]):
+    for k, q in zip(range(2, mid + 1), lpf[2:mid + 1]):
         pw.append(pw[q] * pw[k // q] % m if q else pow(k, e, m))
-    for lo in range(1, half + 1, _CHUNK):
-        ks = range(lo, min(lo + _CHUNK, half + 1))
+    for lo in range(1, mid + 1, _CHUNK):
+        ks = range(lo, min(lo + _CHUNK, mid + 1))
         yield ks, pw[lo:ks.stop]
-    for lo in range(half + 1, p, _CHUNK):
+    if half:
+        return
+    for lo in range(mid + 1, p, _CHUNK):
         ks = range(lo, min(lo + _CHUNK, p))
         yield ks, [pw[q] * pw[k // q] if q else pow(k, e, m)
                    for k, q in zip(ks, lpf[lo:ks.stop])]
 
 
 def _moment_sums_raw(p: int) -> dict:
-    """{e: [S_0e, .., S_(c-1)e]}, S_ie mod p^(c-i), over MOMENT_WINDOW with
-    each class t < 0 keyed by its exponent e = t + p - 1 in the sweep (below
-    0 for p < 7, an inverse power); where two classes meet (p - 1 = t' - t:
-    p = 5, 7, 11) the larger c holds.  Slot s of X_k = sum(k^e 2^(s w)), e the
-    s-th key, sums u^i k^e to S_ie: with k^(p-7) reduced mod p^top, k^e is
-    below p^(top+4) and u^i below p^(top-1), so fewer than p terms sum below
-    p^(2 top + 4) < 2^w, and no slot carries into the next."""
-    window = {(t if t > 0 else t + p - 1): c
+    """{e: [S_0e, .., S_(c-1)e]}, S_ie = sum(u_k^i k^e, k <= (p-1)/2) mod
+    p^(c-i), over the half window: each class t of MOMENT_WINDOW at c read
+    as t - 1 at c - 1, a class below 0 keyed by its exponent e = t - 1 + p - 1
+    in the sweep (below 0 for p < 8, an inverse power); where two classes meet
+    (p = 5, 7, 11) the larger c holds.  Slot s of X_k = sum(k^e 2^(s w)), e
+    the s-th key, sums u^i k^e to S_ie: with k^(p-8) reduced mod p^top, k^e
+    is below p^(top+4) and u^i below p^(top-1), so fewer than p terms sum
+    below p^(2 top + 4) < 2^w, and no slot carries into the next."""
+    window = {(t - 1 if t > 0 else t + p - 2): c - 1
               for t, c in sorted(MOMENT_WINDOW.items(), key=lambda tc: tc[1])}
     top = max(window.values())
     m, w = p ** top, (2 * top + 4) * p.bit_length()
     last, *lower = reversed(window)  # the slots, packed from the top one down
     acc = [0] * top
-    for ks, x in _powers(p, p - 7, m):
+    for ks, x in _powers(p, p - 8, m, half=True):
         k2 = [k * k for k in ks]
-        x = list(map(mod, x, repeat(m)))  # the upper half comes unreduced
-        xs = {p - 7: x}
-        for e in (p - 5, p - 3):  # exact steps of k^2 from k^(p-7)
+        k3 = list(map(mul, k2, ks))
+        xs = {p - 8: x}
+        for e in (p - 6, p - 4):  # exact steps of k^2 from k^(p-8)
             x = xs[e] = list(map(mul, x, k2))
         # k^(p-1) mod p^top = 1 (mod p), so its Fermat quotient is below p^(top-1)
-        u = [(f - 1) // p for f in map(mod, map(mul, x, k2), repeat(m))]
-        xs[2], xs[4] = k2, list(map(mul, k2, k2))
+        u = [(f - 1) // p for f in map(mod, map(mul, x, k3), repeat(m))]
+        xs[1], xs[3] = ks, k3
         X = xs[last]
         for e in lower:
             X = map(add, map(lshift, X, repeat(w)), xs[e])

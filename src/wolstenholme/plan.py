@@ -18,15 +18,19 @@ testing p for primality again, and runs each sweep at most once, on first read:
   a plan serves is Wolstenholme-only (``gate_alone``), nothing reads the
   pairs before that gate, so it reads R_1 mod p^3 off the half walk and
   a prime that fails it never pays the full sweep.
-* Moments: the plan's callers count the P_n reads they make at p, as
+* Moments: the plan's callers count the window reads they make at p, as
   replayed on a stand-in plan with the memo below (``requests``, and
   ``wolstenholme_requests`` for those made only past the gate, which count
-  only if p passes it).  From SWEEP_REQUESTS on, the first read sweeps the
-  Fermat-quotient moments of ``harmonic.MOMENT_WINDOW`` and every read in
-  the window comes off them, a read finding its class among the sweep's
-  sums, whose count is the class's precision.  Below it (a lone
-  ``bernoulli_mod``, a Bernoulli scan, a suite of a few Bernoulli reads)
-  ``window_sum`` serves nothing and ``power_sum`` makes one direct pass
+  only if p passes it).  At p >= 11, from SWEEP_REQUESTS on, the first read
+  sweeps the Fermat-quotient moments of the half window (the classes
+  t - 1 at c - 1 of ``harmonic.MOMENT_WINDOW``, over k <= (p-1)/2), and
+  ``half_sum`` serves every S_n = sum(k^n, k <= (p-1)/2) in it, a read
+  finding its class among the sweep's sums, whose count is the class's
+  precision: ``bernoulli`` reads p B_n mod p^c off S_(n-1) mod p^(c-1).
+  Below 11 some class t of the window has 2^t = 1 (mod p) (p = 3, 5, 7),
+  where that read cannot serve, so no plan sweeps.  Otherwise (a lone
+  ``bernoulli_mod``, a Bernoulli scan, a suite of two Bernoulli reads)
+  ``half_sum`` serves nothing and ``power_sum`` makes one direct pass of P_n
   per read.  At the Helou-Terjanian indices n = j(p-1) + t, -6 <= t < 0,
   with p^(c-2) exactly dividing j, that pass would raise k to an exponent
   of (c-1) log p bits (Euler's theorem cuts it to t only once p^(c-1)
@@ -34,8 +38,7 @@ testing p for primality again, and runs each sweep at most once, on first read:
   P_n = (1-j) P_t + j P_(t+p-1) (mod p^c): P_t = R_(-t) comes off the
   pairs and P_(t+p-1) is needed mod p^2 only, a short pass.  At c = 3 the
   pass it replaces costs less than the pair sweep, so there it is taken
-  only once the pairs are swept (every such check but ``eq26_n2_s4`` reads
-  them).  Either way a read makes one pass.
+  only once the pairs are swept.  Either way a read makes one pass.
 
 ``bernoulli`` memoises p B_n in ``plan.pb``, keyed by n: it holds p B_n
 mod p^c at the highest c computed so far, and a read at lower c reduces it.
@@ -50,9 +53,10 @@ from . import harmonic
 from .modring import MAX_EXPONENT, PrimePowerModulus, make_modulus
 
 #: Window reads at one prime from which one moment sweep is cheaper than a
-#: direct pass per read: the sweep costs four and a half to five and a half
-#: passes mod p^5, and passes at lower c cost less.
-SWEEP_REQUESTS = 8
+#: direct pass per read: the half sweep costs 1.8 to 2.4 passes mod p^5 from
+#: p = 101 to 100003, and passes at lower c cost less, so two reads take
+#: passes and three sweep.
+SWEEP_REQUESTS = 3
 
 
 class EvaluationPlan:
@@ -104,18 +108,21 @@ class EvaluationPlan:
 
     @cached_property
     def sweeps(self) -> bool:
-        """Whether the window reads at p reach SWEEP_REQUESTS, asked at the
-        first read (the gate runs only for gated reads, which need it anyway)."""
+        """Whether p >= 11 and the window reads at p reach SWEEP_REQUESTS,
+        asked at the first read (the gate runs only for gated reads, which
+        need it anyway)."""
         w = self.wolstenholme_requests
-        return self.requests + (w if w and self.wolstenholme else 0) >= SWEEP_REQUESTS
+        return self.p >= 11 and (
+            self.requests + (w if w and self.wolstenholme else 0) >= SWEEP_REQUESTS)
 
     @cached_property
     def _moments(self) -> dict:
         return harmonic._moment_sums_raw(self.p)
 
-    def window_sum(self, n: int, c: int) -> Optional[int]:
-        """P_n mod p^c off the moment window; None when the plan does not
-        sweep it, or n and c fall outside it (a class's c is its length)."""
+    def half_sum(self, n: int, c: int) -> Optional[int]:
+        """S_n = sum of k^n over 1..(p-1)/2, mod p^c, off the moment window;
+        None when the plan does not sweep it, or n and c fall outside it (a
+        class's c is its length)."""
         if not self.sweeps:
             return None
         p = self.p
@@ -127,11 +134,8 @@ class EvaluationPlan:
         return sum(comb(j, i) * p ** i * S[i] for i in range(c)) % p ** c
 
     def power_sum(self, n: int, c: int) -> int:
-        """P_n mod p^c: a window read when the plan sweeps, else one direct
-        pass, a short one at a Helou-Terjanian index (module doc)."""
-        acc = self.window_sum(n, c)
-        if acc is not None:
-            return acc
+        """P_n mod p^c by one direct pass, a short one at a Helou-Terjanian
+        index (module doc)."""
         p = self.p
         j, t = divmod(n + 6, p - 1)  # n = j(p-1) + t, -6 <= t < p-7
         t -= 6

@@ -63,10 +63,20 @@ MUTANTS = (
     Mutant("the power kernel's upper blocks stop at p - 2", "harmonic.py",
            "min(lo + _CHUNK, p))", "min(lo + _CHUNK, p - 1))",
            ("tests/test_harmonic.py::test_power_sum_kernel_matches_powmod_loop",)),
-    Mutant("the moment window drops the class t = -6", "harmonic.py",
+    Mutant("the moment window drops the class t = -6, so the half sweep drops t - 1 = -7",
+           "harmonic.py",
            "MOMENT_WINDOW = {4: 5, 2: 3, -2: 5, -4: 5, -6: 3}",
            "MOMENT_WINDOW = {4: 5, 2: 3, -2: 5, -4: 5}",
            ("tests/test_harmonic.py::test_registry_power_sums_fill_the_window",)),
+    Mutant("the half sweep keys its classes below 0 one exponent high", "harmonic.py",
+           "t + p - 2", "t + p - 1",
+           ("tests/test_harmonic.py::test_moment_path_matches_powmod_loop",)),
+    Mutant("the half identity's terms carry 2^j for 2^-j", "bernoulli.py",
+           "(h - pow(2, -j, m))", "(h - pow(2, j, m))",
+           ("tests/test_bernoulli.py::test_half_identity_against_exact_rationals",)),
+    Mutant("a plan sweeps at p = 7, where 2^n = 1 (mod p) in the window", "plan.py",
+           "self.p >= 11", "self.p >= 7",
+           ("tests/test_bernoulli.py::test_no_plan_sweeps_below_11",)),
     Mutant("the moment sweep's slot width leaves u^i out of its bound, so slots carry",
            "harmonic.py", "(2 * top + 4) * p.bit_length()", "(top + 5) * p.bit_length()",
            ("tests/test_harmonic.py::test_packed_sweep_at_wide_primes",)),

@@ -17,8 +17,9 @@ from wolstenholme.bernoulli import (
     high_index_ratio,
     reduce_high_index,
 )
+from wolstenholme.harmonic import MOMENT_WINDOW
 from wolstenholme.modring import embed_rational, is_prime, make_modulus, valuation
-from wolstenholme.plan import EvaluationPlan
+from wolstenholme.plan import SWEEP_REQUESTS, EvaluationPlan
 
 PRIMES_11_97 = [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
                 71, 73, 79, 83, 89, 97]
@@ -111,6 +112,48 @@ def test_bernoulli_mod_r4_grid():
     for p in (11, 13, 17, 19, 23, 29, 31, 97):
         for n in served(p):
             assert bernoulli_mod(n, p, 4).value == embed_exact(n, p, 4), (n, p)
+
+
+def test_half_identity_against_exact_rationals(monkeypatch):
+    # Every read the moment window serves: at 11 <= p <= 97, every class t
+    # at c of MOMENT_WINDOW and every n = j(p-1) + t <= 400, a sweeping
+    # plan's B_n mod p^r, r < c, comes off the half identity alone (a direct
+    # pass would raise) and equals the exact rational.
+    monkeypatch.setattr(EvaluationPlan, "power_sum", None)
+    for p in PRIMES_11_97:
+        plan = EvaluationPlan(p, SWEEP_REQUESTS)
+        for t, c in MOMENT_WINDOW.items():
+            for n in range(t % (p - 1), 401, p - 1):
+                for r in range(1, c):
+                    assert bernoulli_mod(n, p, r, plan).value == embed_exact(n, p, r), \
+                        (p, n, r)
+        assert "_moments" in vars(plan), p
+
+
+def test_sweeping_and_direct_plans_agree_at_helou_terjanian_indices():
+    # The registry's reads of B_(p^n - p^(n-1) - s), far past the exact
+    # oracle, at every prime 11 <= p < 600: off the half identity, off
+    # direct passes, and off the short passes of a plan whose pairs are swept.
+    for p in (p for p in range(11, 600) if is_prime(p)):
+        sweeping, swept = EvaluationPlan(p, SWEEP_REQUESTS), EvaluationPlan(p)
+        swept.R
+        for n, r in ((p ** 2 - p - 4, 2), (p ** 3 - p ** 2 - 2, 3),
+                     (p ** 4 - p ** 3 - 2, 4), (p ** 4 - p ** 3 - 4, 4)):
+            values = {bernoulli_mod(n, p, r, plan).value.value
+                      for plan in (sweeping, EvaluationPlan(p), swept)}
+            assert len(values) == 1, (p, n, r)
+        assert "_moments" in vars(sweeping) and "_moments" not in vars(swept), p
+
+
+def test_no_plan_sweeps_below_11():
+    # At p = 7, 2^n = 1 (mod p) in the window's class t = -6, so a plan told
+    # of SWEEP_REQUESTS reads still takes a direct pass per read, all exact.
+    plan = EvaluationPlan(7, SWEEP_REQUESTS)
+    for n in range(401):
+        if n != 1 and bernoulli.is_regular_position(n, 7):
+            for r in range(1, 5):
+                assert bernoulli_mod(n, 7, r, plan).value == embed_exact(n, 7, r), (n, r)
+    assert not plan.sweeps and "_moments" not in vars(plan)
 
 
 def test_bernoulli_mod_odd_and_irregular():

@@ -38,6 +38,17 @@ def reference_power_sum(p: int, n: int, m: int) -> int:
     return sum(pow(k, n, m) for k in range(1, p)) % m
 
 
+def reference_half_sum(p: int, n: int, m: int) -> int:
+    """S_n = sum of k^n over 1..(p-1)/2, mod m, one powmod per k: the oracle
+    for the moment window."""
+    return sum(pow(k, n, m) for k in range(1, (p + 1) // 2)) % m
+
+
+#: t - 1 -> c - 1 over MOMENT_WINDOW: the half sums S_(n-1) mod p^(c-1) that
+#: serve the reads p B_n mod p^c, n = t (mod p-1).
+HALF_WINDOW = {t - 1: c - 1 for t, c in MOMENT_WINDOW.items()}
+
+
 def multiplicative_powers(p: int, e: int, m: int) -> list[int]:
     """[1^e, .., (p-1)^e] mod m, a pow per prime k (k -> k^e is completely
     multiplicative; q is the least prime factor of composite k)."""
@@ -50,33 +61,34 @@ def multiplicative_powers(p: int, e: int, m: int) -> list[int]:
 
 
 class FermatPowers(EvaluationPlan):
-    """A plan whose P_n mod p^c (c <= 5) come from k^n = k^t (k^(p-1))^j
-    with k^(p-1) and its p-th, p^2-th and p^3-th powers exact mod p^5:
-    independent of the truncated moment identity, so the oracle for the
-    window."""
+    """A plan whose half sums S_n mod p^c (c <= 5) come from k^n = k^t
+    (k^(p-1))^j with k^(p-1) and its p-th, p^2-th and p^3-th powers exact
+    mod p^5, and any other from a powmod per k: independent of the truncated
+    moment identity, so the oracle for the window.  It serves every read
+    whose 2^n != 1 (mod p) through the half identity, at every p."""
 
     def __init__(self, p: int):
         super().__init__(p)
-        m = p ** 5
-        f = multiplicative_powers(p, p - 1, m)
-        self.fj = {0: [1] * (p - 1), 1: f}  # j -> [k^(j(p-1))], the registry's j
+        m, half = p ** 5, (p - 1) // 2
+        f = multiplicative_powers(p, p - 1, m)[:half]
+        self.fj = {0: [1] * half, 1: f}  # j -> [k^(j(p-1))], the registry's j
         for j in range(2, 6):
             self.fj[j] = [a * b % m for a, b in zip(self.fj[j - 1], f)]
         for j in (p, p ** 2, p ** 3):
-            self.fj[j] = multiplicative_powers(p, j * (p - 1), m)
-        self.kt = {0: self.fj[0], 2: [k * k for k in range(1, p)]}  # t -> [k^t]
-        self.kt[4] = [x * x for x in self.kt[2]]
-        self.kt[-2] = multiplicative_powers(p, -2, m)
-        for t in (-4, -6, -8):
-            self.kt[t] = [a * b % m for a, b in zip(self.kt[t + 2], self.kt[-2])]
-        self.sums = {}  # (t, j) -> P_(j(p-1)+t), unreduced
+            self.fj[j] = multiplicative_powers(p, j * (p - 1), m)[:half]
+        ks = range(1, half + 1)
+        self.kt = {1: list(ks), 3: [k ** 3 for k in ks]}  # t -> [k^t]
+        self.kt[-1] = multiplicative_powers(p, -1, m)[:half]
+        for t in (-3, -5, -7):
+            self.kt[t] = [a * b * b % m for a, b in zip(self.kt[t + 2], self.kt[-1])]
+        self.sums = {}  # (t, j) -> S_(j(p-1)+t), unreduced
 
-    def window_sum(self, n: int, c: int) -> int:
+    def half_sum(self, n: int, c: int) -> int:
         p = self.p
         t = next((t for t in self.kt if t <= n and (n - t) % (p - 1) == 0), None)
         j = None if t is None else (n - t) // (p - 1)
         if j not in self.fj or c > 5:
-            return reference_power_sum(p, n, p ** c)
+            return reference_half_sum(p, n, p ** c)
         if (t, j) not in self.sums:
             self.sums[t, j] = sum(map(mul, self.kt[t], self.fj[j]))
         return self.sums[t, j] % p ** c
@@ -309,50 +321,55 @@ def test_power_sum_kernel_property(p, n, c):
 
 
 def test_moment_path_matches_powmod_loop():
-    # Every window class t, at j = 0..5, p and p^3 (the j of p^4 - p^3 - 2),
-    # read off a sweeping plan's window at every c it holds (the other
-    # c <= 5 are in test_power_sum_kernel_property).  c = MAX_EXPONENT,
-    # the first c above the class's (unless a class of small p holds it),
-    # and any read of a plan below SWEEP_REQUESTS are left to a direct pass.
+    # Every half-window class t, at j = 0..5, p and p^3 (the j of p^4 - p^3 - 2),
+    # read off a sweeping plan's window at every c it holds, against a powmod
+    # per k.  c = MAX_EXPONENT, the first c above the class's (unless a class
+    # of small p holds it), any read of a plan below SWEEP_REQUESTS and any
+    # read at p < 11, where no plan sweeps, are served by nothing.
     for p in PRIMES_600:
         plan, lone = EvaluationPlan(p, SWEEP_REQUESTS), EvaluationPlan(p)
-        for t, c_held in MOMENT_WINDOW.items():
+        for t, c_held in HALF_WINDOW.items():
             for j in [*range(6), p, p ** 3]:
                 n = j * (p - 1) + t
                 if n < 1:
                     continue
-                expected = reference_power_sum(p, n, p ** (c_held + 1))
+                expected = reference_half_sum(p, n, p ** (c_held + 1))
                 for c in range(1, c_held + 2):
-                    got = plan.window_sum(n, c)  # past c_held, another class may hold n
-                    assert got == expected % p ** c or got is None and c > c_held, \
-                        (p, t, j, c)
-                    assert lone.window_sum(n, c) is None
-                assert plan.window_sum(n, MAX_EXPONENT) is None
-        assert "_moments" in vars(plan) and "_moments" not in vars(lone), p
+                    got = plan.half_sum(n, c)  # past c_held, another class may hold n
+                    if p < 11:
+                        assert got is None, (p, t, j, c)
+                    else:
+                        assert got == expected % p ** c or got is None and c > c_held, \
+                            (p, t, j, c)
+                    assert lone.half_sum(n, c) is None
+                assert plan.half_sum(n, MAX_EXPONENT) is None
+        assert ("_moments" in vars(plan)) == (p >= 11) and "_moments" not in vars(lone), p
 
 
 def test_moment_window_keys_where_classes_meet():
-    # Each class t < 0 is keyed by e = t + p - 1, which meets a class t' > 0
-    # where p - 1 = t' - t: at 5, 7 and 11 (t = -6 keys 4), not at 13.  The
+    # The sweep's classes are MOMENT_WINDOW's t - 1 at c - 1.  Each class
+    # t - 1 < 0 is keyed by e = t - 1 + p - 1, which meets a class t' - 1 > 0
+    # where p - 1 = t' - t: at 5, 7 and 11 (t = -6 keys 3), not at 13.  The
     # larger c holds, and the keys keep their window order.
-    expected = {5: [(2, 5), (-2, 3), (4, 5), (0, 5)], 7: [(2, 5), (0, 3), (4, 5)],
-                11: [(2, 3), (4, 5), (8, 5), (6, 5)],
-                13: [(2, 3), (6, 3), (4, 5), (10, 5), (8, 5)]}
+    expected = {5: [(1, 4), (-3, 2), (3, 4), (-1, 4)], 7: [(1, 4), (-1, 2), (3, 4)],
+                11: [(1, 2), (3, 4), (7, 4), (5, 4)],
+                13: [(1, 2), (5, 2), (3, 4), (9, 4), (7, 4)]}
     for p, keys in expected.items():
         assert [(e, len(S)) for e, S in _moment_sums_raw(p).items()] == keys, p
+    assert sorted(HALF_WINDOW.items()) == [(-7, 2), (-5, 4), (-3, 4), (1, 2), (3, 4)]
 
 
 def test_packed_sweep_at_wide_primes():
     # The sweep packs its classes into slots of (2 top + 4) bits per bit of
     # p, a width that steps at 2^15; a slot that carried would spoil these
-    # reads of every class at its c and j < c, against direct passes.
+    # reads of every class at its c and j < c, against a powmod per k.
     for p in (16843, 32749, 32771):
         plan = EvaluationPlan(p, SWEEP_REQUESTS)
-        for t, c in MOMENT_WINDOW.items():
+        for t, c in HALF_WINDOW.items():
             for j in range(c):
                 n = j * (p - 1) + t
                 if n >= 1:
-                    assert plan.window_sum(n, c) == power_sum_raw(p, n, p ** c), (p, t, j)
+                    assert plan.half_sum(n, c) == reference_half_sum(p, n, p ** c), (p, t, j)
 
 
 def test_helou_terjanian_reads_match_direct_passes(monkeypatch):
@@ -432,19 +449,23 @@ def test_registry_bernoulli_calls_are_listed(monkeypatch):
 
 
 def test_registry_power_sums_fill_the_window(monkeypatch):
-    # At 16843 the registry's P_n requests, by class t and largest c, are
-    # the window exactly: nothing outside it, nothing in it unused.
-    p, needed = 16843, {}
-    original = EvaluationPlan.window_sum
+    # At 16843 the registry's half-sum requests, by class t and largest c,
+    # are the half window exactly: nothing outside it (every read is served,
+    # and no direct pass is made), nothing in it unused.
+    p, needed, served = 16843, {}, set()
+    original = EvaluationPlan.half_sum
 
     def recording(plan, n, c):
         t = (n + 8) % (p - 1) - 8
         needed[t] = max(needed.get(t, 0), c)
-        return original(plan, n, c)
+        got = original(plan, n, c)
+        served.add(got is not None)
+        return got
 
-    monkeypatch.setattr(EvaluationPlan, "window_sum", recording)
-    list(checks.run_suite(checks.all_check_ids(), [p]))
-    assert needed == MOMENT_WINDOW
+    monkeypatch.setattr(EvaluationPlan, "half_sum", recording)
+    monkeypatch.setattr(EvaluationPlan, "power_sum", None)  # a pass errs the record
+    assert all(o.passed or o.skipped for o in checks.run_suite(checks.all_check_ids(), [p]))
+    assert needed == HALF_WINDOW and served == {True}
 
 
 def bernoulli_values(plan: EvaluationPlan) -> dict:
@@ -463,13 +484,13 @@ def bernoulli_values(plan: EvaluationPlan) -> dict:
 
 
 def test_window_agrees_with_fermat_powers_below_700():
-    # From p = 7, where the sweep's exponents p-3 and p-5 are the classes 4
-    # and 2 themselves, and 11, where p-7 is 4.
+    # From p = 7, where no plan sweeps and 2^n = 1 (mod 7) at t = -6, and 11,
+    # where the classes -7 and 3 meet.
     for p in range(7, 700):
         if is_prime(p):
             plan = EvaluationPlan(p, SWEEP_REQUESTS)
             assert bernoulli_values(plan) == bernoulli_values(FermatPowers(p)), p
-            assert "_moments" in vars(plan), p
+            assert ("_moments" in vars(plan)) == (p >= 11), p
 
 
 @pytest.mark.slow

@@ -88,9 +88,9 @@ def test_wolstenholme_only_suite_gates_on_t1_alone(monkeypatch):
 
 def test_few_window_reads_take_direct_passes(monkeypatch):
     # lehmer_p3 reads P_(p-3) and P_(p-5): two passes beat one sweep.  The
-    # reads of cor2_p7 count only where the gate lets it evaluate, and with
-    # them the pair makes 5 < SWEEP_REQUESTS reads even at 16843, as both
-    # checks read p B_(p-5) mod p^2 and the plan holds it: five passes.
+    # reads of cor2_p7 count only where the gate lets it evaluate, so below
+    # 200 the pair makes 2 < SWEEP_REQUESTS reads; at 16843 it makes 5, as
+    # both checks read p B_(p-5) mod p^2 and the plan holds it: one sweep.
     counts = count_kernels(monkeypatch)
     primes = [p for p in range(11, 200) if is_prime(p)]
     for ids in (["lehmer_p3"], ["cor2_p7", "lehmer_p3"]):
@@ -101,21 +101,34 @@ def test_few_window_reads_take_direct_passes(monkeypatch):
                           "power_sum_raw": 2 * len(primes)}, ids
     counts.clear()
     assert all(o.passed for o in checks.run_suite(["cor2_p7", "lehmer_p3"], [16843]))
-    assert counts == {"_pair_power_sums_raw": 1, "power_sum_raw": 5}
+    assert counts == {"_pair_power_sums_raw": 1, "_moment_sums_raw": 1}
 
 
-def test_replay_predicts_the_reads_made(monkeypatch):
-    # The reads a plan is told of, replayed from the rows, are the P_n reads
-    # (passes or window reads) its checks make, up to SWEEP_REQUESTS: for
-    # each row on a plan of its own, and for the whole registry.
+def count_reads(monkeypatch) -> Counter:
+    """Count, by prime, the reads made from here on: half sums off the
+    window and P_n by direct pass."""
     made = Counter()
-    power_sum = EvaluationPlan.power_sum
+    half_sum, power_sum = EvaluationPlan.half_sum, EvaluationPlan.power_sum
 
-    def counting(plan, n, c):
+    def half(plan, n, c):
+        got = half_sum(plan, n, c)
+        made[plan.p] += got is not None
+        return got
+
+    def direct(plan, n, c):
         made[plan.p] += 1
         return power_sum(plan, n, c)
 
-    monkeypatch.setattr(EvaluationPlan, "power_sum", counting)
+    monkeypatch.setattr(EvaluationPlan, "half_sum", half)
+    monkeypatch.setattr(EvaluationPlan, "power_sum", direct)
+    return made
+
+
+def test_replay_predicts_the_reads_made(monkeypatch):
+    # The reads a plan is told of, replayed from the rows, are the reads
+    # (passes or window reads) its checks make, up to SWEEP_REQUESTS: for
+    # each row on a plan of its own, and for the whole registry.
+    made = count_reads(monkeypatch)
     for p in (11, 101, 1009):
         for check in checks.registry():
             if check.max_prime is None or p <= check.max_prime:
@@ -130,22 +143,30 @@ def test_replay_predicts_the_reads_made(monkeypatch):
         plan = checks._plan(p, checks.all_check_ids())
         told = plan.requests + (plan.wolstenholme_requests if plan.wolstenholme else 0)
         assert told == min(made[p], SWEEP_REQUESTS) == SWEEP_REQUESTS, p
+    # Off the window the same rows make as many reads, at every prime.
+    for p in (101, 16843):
+        counts = {}
+        for requests in (0, SWEEP_REQUESTS):
+            made.clear()
+            checks.lookup("cor3_p7").evaluator(EvaluationPlan(p, requests))
+            counts[requests] = made[p]
+        assert counts[0] == counts[SWEEP_REQUESTS] > SWEEP_REQUESTS, p
 
 
 def test_suite_counts_shared_reads_once(monkeypatch):
-    # glaisher_p4 and lehmer_p3 read p B_(p-3) mod p^4, lemma12_ii_p4 and
-    # lemma12_iii_p3 p B_(p^4-p^3-4) mod p^5: each row reads two P_n, but the
-    # plan's memo leaves four distinct ones, so four passes and no sweep.
+    # glaisher_p4 and lehmer_p3 both read p B_(p-3) mod p^4: each row reads
+    # two P_n, but the plan's memo leaves two distinct ones, so two passes
+    # and no sweep.
     counts = count_kernels(monkeypatch)
-    ids = ["glaisher_p4", "lehmer_p3", "lemma12_ii_p4", "lemma12_iii_p3"]
+    ids = ["glaisher_p4", "lehmer_p3"]
     for p in [p for p in range(11, 200) if is_prime(p)] + [16843]:
         counts.clear()
         assert all(o.passed for o in checks.run_suite(ids, [p]))
-        assert counts["power_sum_raw"] == 4 and not counts["_moment_sums_raw"], p
-    # The registry reads enough to sweep at every prime from 7 on.
+        assert counts["power_sum_raw"] == 2 and not counts["_moment_sums_raw"], p
+    # The registry reads enough to sweep at every prime from 11 on.
     counts.clear()
     list(checks.run_suite(checks.all_check_ids(), range(4, 501)))
-    assert counts["_moment_sums_raw"] == len([p for p in range(7, 501) if is_prime(p)])
+    assert counts["_moment_sums_raw"] == len([p for p in range(11, 501) if is_prime(p)])
 
 
 def test_lone_bernoulli_requests_take_direct_passes(monkeypatch):
