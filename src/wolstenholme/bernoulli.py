@@ -130,13 +130,15 @@ def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
     held = plan.pb.get(n)
     if held is not None and held[0] >= c:
         return held[1] % m
-    half = plan.half_sum(n - 1, c - 1) if pow(2, n, p) != 1 else None
+    half = plan.half_sum(n - 1, c - 1) if pow(2, n % (p - 1), p) != 1 else None
     if half is not None:
-        # p B_(n-j) is needed mod p^(c-j) only: its term carries p^j.
-        h, acc = pow(2, 1 - n, m), n * p * half
+        # 2^(1-n) as (2^-1)^((n-1) mod phi(p^c)); p B_(n-j) is needed mod
+        # p^(c-j) only: its term carries p^j.
+        i2 = (m + 1) // 2
+        h, acc = pow(i2, (n - 1) % (m // p * (p - 1)), m), n * p * half
         for j in range(2, min(n, c - 1) + 1, 2):
             pb = _p_times_bernoulli(n - j, plan, c - j)
-            acc -= comb(n, j) * (h - pow(2, -j, m)) * p ** j * pb
+            acc -= comb(n, j) * (h - pow(i2, j, m)) * p ** j * pb
         acc *= pow(h - 2, -1, m)
     else:
         acc = plan.power_sum(n, c)

@@ -6,13 +6,14 @@ The central object is C(2p-1, p-1), computed through the product expansion
                  = 1 + sum(p^j H_j(p) for j in 1..p-1),
 
 evaluated with one modular inversion.  ``exact_binomial`` is the exact
-big-integer oracle for desk-scale arguments.  ``_zhao_sides`` is the one
-evaluation of Zhao's quotient law C(np, rp)/C(n, r) = 1 + w_p n r (n-r) p^3
-(mod p^5), with w_p = R_1/p^2 (mod p^2) off an evaluation plan's R_1: the
-registry's ``zhao_eq4_p5`` is its (3, 1) call.  The Granville and Sun-Wan
-congruences live in the check registry (``granville_p5``, ``sun_wan_p5``),
-which reads both products off the pair sums (``plan``) and takes the exact
-binomials here; ``_shifted_product_raw`` stays their independent check.
+big-integer oracle for desk-scale arguments (``binom N R``, and the tests'
+check of the plan's products).  ``_zhao_sides`` evaluates Zhao's quotient law
+C(np, rp)/C(n, r) = 1 + w_p n r (n-r) p^3 (mod p^5) at (n, r) = (3, 1), his
+eq. 4 and the registry's ``zhao_eq4_p5``.  It and the Granville and Sun-Wan
+congruences of the check registry (``granville_p5``, ``sun_wan_p5``) read
+every binomial off the products E(s) = prod(1 + sp/k, k < p), s = 1, 2, 3,
+that an evaluation plan builds from its pair sums (``plan``);
+``_shifted_product_raw`` stays their independent check.
 """
 from __future__ import annotations
 
@@ -26,7 +27,9 @@ from .plan import EvaluationPlan
 #: Bound on exact binomial arguments; factorial-scale integers stay small.
 ORACLE_CAP = 5000
 
-#: Sun-Wan needs C(4p-1, 2p-1) exactly, so p is capped separately.
+#: The primes past which ``sun_wan_p5`` (this cap) and ``zhao_eq4_p5``
+#: (ORACLE_CAP // 3) skip, where their exact binomials once stopped; both now
+#: read the plan's products, and the caps stay until their records may change.
 SUN_WAN_PRIME_CAP = 400
 
 #: Largest k served by ``central_binomial_mod``.
@@ -56,7 +59,7 @@ def exact_binomial(n: int, r: int) -> int:
 def _shifted_product_raw(p: int, shift: int, m) -> int:
     """prod((shift*p + i)/i for i in 1..p-1) mod m, one inversion.
 
-    shift = 1 gives C(2p-1, p-1); shift = 2 gives C(3p, 2p)/3.
+    shift = 1 gives C(2p-1, p-1), 2 gives C(3p, 2p)/3 and 3 gives C(4p, p)/4.
     """
     base = shift * p
     num = den = 1
@@ -88,11 +91,10 @@ def central_binomial_mod(p: int, k: int) -> BinomialResidue:
     )
 
 
-def _zhao_sides(plan: EvaluationPlan, n: int, r: int) -> tuple[Residue, Residue]:
-    """C(np, rp)/C(n, r) and 1 + w_p n r (n-r) p^3, both mod p^5, with
-    w_p = R_1/p^2 (mod p^2) read off the plan's R_1 (np within the oracle)."""
-    p, M = plan.p, plan.modulus(5)
-    lhs = M.residue(exact_binomial(n * p, r * p)) * M.residue(
-        exact_binomial(n, r)).inverse()
+def _zhao_sides(plan: EvaluationPlan) -> tuple[Residue, Residue]:
+    """C(np, rp)/C(n, r) and 1 + w_p n r (n-r) p^3 at (n, r) = (3, 1), both
+    mod p^5: the left side is the plan's E(2) = C(3p, p)/3, and w_p = R_1/p^2
+    (mod p^2) is read off its R_1."""
+    p, M, n, r = plan.p, plan.modulus(5), 3, 1
     w = plan.R[1] % p ** 4 // p ** 2
-    return lhs, M.residue(1 + w * n * r * (n - r) * p ** 3)
+    return M.residue(plan.products[1]), M.residue(1 + w * n * r * (n - r) * p ** 3)

@@ -19,7 +19,9 @@ at the stated one.
 A check passes when v_p(lhs - rhs) reaches the stated exponent.  Skipped
 is not failed: gates (below minimum prime, not prime, not a Wolstenholme
 prime, beyond an exact-oracle bound) produce skipped outcomes so suites
-can sweep wide ranges without noise.
+can sweep wide ranges without noise.  The last gate is the reach of the
+exact binomials ``sun_wan_p5`` and ``zhao_eq4_p5`` once took; both read
+the plan's products now, and keep the caps so their records keep their bytes.
 """
 from __future__ import annotations
 
@@ -106,37 +108,40 @@ def _index(x: tuple, p: int) -> Optional[int]:  # n of a B_n or B_n/n term, else
     return x[1] * p ** x[2] * (p - 1) - x[3] if x[0] in ("B", "B/n") else None
 
 
-class Linear(NamedTuple):
+class Linear:
     """sum(lhs) = const + sum(terms) (mod p^stated), each term (c, a, x)
     standing for c p^a x; called on a plan, the pair (lhs, rhs).
 
     Both sides are evaluated mod p^W, W = eval_exponent(stated, cap)
     with the cap held to a + RESIDUE_EXPONENT_CAP for the least power p^a
     of any B_n or B_n/n term, as a B_n is served mod p^4 at most: W follows
-    from the row, whatever p.  A ``cap`` below that pins W; two rows pin it
-    at their stated exponent, as their records print residues mod p^W.
-    Each distinct B_n is read first, once, in row order (lhs first) and
-    before any pair sum (the order sets the plan's short passes), mod
-    p^(W - a) for the least a it carries (``reads``), so every term is
-    exact mod p^W; a B_n/n term is that read times n^-1 mod p^W.
+    from the row, whatever p, and is derived once, with each term's read
+    precision.  A ``cap`` below that pins W; two rows pin it at their stated
+    exponent, as their records print residues mod p^W.  Each distinct B_n
+    is read first, once, in row order (lhs first) and before any pair sum
+    (the order sets the plan's short passes), mod p^(W - a) for the least
+    a it carries (``reads``), so every term is exact mod p^W; a B_n/n term
+    is that read times n^-1 mod p^W.
     """
 
-    stated: int
-    lhs: tuple
-    const: int
-    terms: tuple
-    cap: int = 10
+    def __init__(self, stated: int, lhs: tuple, const: int, terms: tuple, cap: int = 10):
+        self.stated, self.lhs, self.const, self.terms = stated, lhs, const, terms
+        least = {}  # (j, e, s) of each B_n or B_n/n term -> the least a it carries
+        for _, a, x in lhs + terms:
+            if x[0] in ("B", "B/n"):
+                least[x[1:]] = min(a, least.get(x[1:], a))
+        self.W = eval_exponent(
+            stated, min([cap] + [a + RESIDUE_EXPONENT_CAP for a in least.values()]))
+        self._reads = [(("B", *key), self.W - a + 1) for key, a in least.items()]
 
     def reads(self, p: int) -> tuple[int, dict]:
-        """W at p, and {n: c} for the reads of p B_n mod p^c, c = W - a + 1."""
-        least = {}
-        for _, a, x in self.lhs + self.terms:
+        """W, and {n: c} at p for the reads of p B_n mod p^c, c = W - a + 1
+        (terms whose indices meet at p read once, at the larger c)."""
+        reads = {}
+        for x, c in self._reads:
             n = _index(x, p)
-            if n is not None:
-                least[n] = min(a, least.get(n, a))
-        cap = min([self.cap] + [a + RESIDUE_EXPONENT_CAP for a in least.values()])
-        W = eval_exponent(self.stated, cap)
-        return W, {n: W - a + 1 for n, a in least.items()}
+            reads[n] = max(c, reads.get(n, c))
+        return self.W, reads
 
     def __call__(self, plan) -> tuple[Residue, Residue]:
         p, (W, reads) = plan.p, self.reads(plan.p)
@@ -171,16 +176,16 @@ def _cor1_first_holds(plan) -> bool:
 
 def _ev_granville(plan):
     M = plan.modulus(eval_exponent(5))
-    central, granville = plan.products  # C(2p-1,p-1), C(3p,2p)/3
+    central, granville, _ = plan.products  # C(2p-1,p-1), C(3p,2p)/3
     lhs = 3 * granville * pow(8 * central ** 3, -1, M.m)
     return M.residue(lhs), M.embed(Fr(3, 8))
 
 
 def _ev_sun_wan(plan):
-    p, M = plan.p, plan.modulus(eval_exponent(5))
-    lhs = M.residue(binomial.exact_binomial(4 * p - 1, 2 * p - 1))
-    rhs = M.residue(binomial.exact_binomial(4 * p, p) - 1)
-    return lhs, rhs
+    # C(4p-1,2p-1) = 3 E(2) E(3)/E(1) and C(4p,p) = 4 E(3) (``plan``)
+    M = plan.modulus(eval_exponent(5))
+    e1, e2, e3 = plan.products
+    return M.residue(3 * e2 * e3 * pow(e1, -1, M.m)), M.residue(4 * e3 - 1)
 
 
 def _valuation_pattern(plan, family: str):
@@ -240,7 +245,7 @@ def _entries() -> list[CongruenceCheck]:
         CongruenceCheck(
             "zhao_eq4_p5",
             "C(3p,p)/C(3,1) = 1 + 6 w_p p^3 (mod p^5)",
-            "Zhao 2007", 7, A, 5, partial(binomial._zhao_sides, n=3, r=1),
+            "Zhao 2007", 7, A, 5, binomial._zhao_sides,
             max_prime=binomial.ORACLE_CAP // 3),
         linear(
             "lemma1_p4",
@@ -402,32 +407,45 @@ def _skipped(check: CongruenceCheck, p: int, reason: str) -> CheckOutcome:
 _suite_plan: Optional[EvaluationPlan] = None
 
 
+#: The prime a suite replays its window reads at, the least one a plan sweeps
+#: at: the counts are the same at every prime from 11 on (``tests/test_plan.py``
+#: pins it below 3000), and below 11 no plan sweeps, so no count is read there.
+_REPLAY_PRIME = 11
+
+
 def _window_reads(p: int, checks: Sequence[CongruenceCheck]) -> int:
     """The window reads ``checks`` make at p in order, up to SWEEP_REQUESTS:
     their B_n reads replayed on a stand-in plan whose window serves nothing and
     whose power_sum records a read and returns 0, a value the recursion of
     ``_p_times_bernoulli`` never branches on (the half identity's recursion
-    makes the same reads)."""
+    makes the same reads).  A suite replays once, at _REPLAY_PRIME; a lone
+    ``run_check`` at its own prime."""
     made = []
     stand_in = SimpleNamespace(p=p, pb={}, half_sum=lambda n, c: None,
                                power_sum=lambda n, c: made.append((n, c)) or 0)
     for check in checks:
-        if (isinstance(check.evaluator, Linear) and check.min_prime <= p
-                and len(made) < SWEEP_REQUESTS):
+        if isinstance(check.evaluator, Linear) and len(made) < SWEEP_REQUESTS:
             for n, c in check.evaluator.reads(p)[1].items():
                 _p_times_bernoulli(n, stand_in, c)
     return min(len(made), SWEEP_REQUESTS)
 
 
-def _plan(p: int, ids: Iterable[str]) -> EvaluationPlan:
-    """p's plan for the checks ``ids``, told the window reads all but the
-    Wolstenholme-only ones make, how many more all make (while those stay below
-    SWEEP_REQUESTS) and, if all are Wolstenholme-only, to gate on R_1 alone."""
+def _counts(p: int, ids: Iterable[str]) -> tuple[int, int, bool]:
+    """What a plan at p for the checks ``ids`` is told, its arguments after
+    p: the window reads all but the Wolstenholme-only ones make, how many more
+    all make (while those stay below SWEEP_REQUESTS) and whether all are
+    Wolstenholme-only, so the plan gates on R_1 alone."""
     checks = [lookup(check_id) for check_id in ids]
     ungated = [c for c in checks if c.scope is not Scope.WOLSTENHOLME_ONLY]
     requests = _window_reads(p, ungated)
     every = _window_reads(p, checks) if requests < SWEEP_REQUESTS else requests
-    return EvaluationPlan(p, requests, every - requests, gate_alone=not ungated)
+    return requests, every - requests, not ungated
+
+
+def _plan(p: int, ids: Iterable[str]) -> EvaluationPlan:
+    """p's plan for the checks ``ids``, its counts replayed at p: a lone
+    ``run_check``'s plan (``run_suite`` replays once for all its primes)."""
+    return EvaluationPlan(p, *_counts(p, ids))
 
 
 def run_check(check_id: str, p: int) -> CheckOutcome:
@@ -461,9 +479,9 @@ def run_check(check_id: str, p: int) -> CheckOutcome:
         elapsed_ns=time.perf_counter_ns() - start)
 
 
-def _suite_worker(p: int, ids: tuple[str, ...]) -> list[CheckOutcome]:
+def _suite_worker(p: int, ids: tuple[str, ...], counts: tuple) -> list[CheckOutcome]:
     global _suite_plan
-    _suite_plan = _plan(p, ids) if is_prime(p) else None
+    _suite_plan = EvaluationPlan(p, *counts) if is_prime(p) else None
     try:
         return [run_check(check_id, p) for check_id in ids]
     finally:
@@ -483,9 +501,8 @@ def run_suite(
     when they are done, so no sweep runs twice at a prime.
     """
     ids = tuple(sorted(set(ids)))
-    for check_id in ids:
-        lookup(check_id)
-    for outcomes in ordered_map(partial(_suite_worker, ids=ids), primes,
+    counts = _counts(_REPLAY_PRIME, ids)  # looks every id up
+    for outcomes in ordered_map(partial(_suite_worker, ids=ids, counts=counts), primes,
                                 parallelism, chunk=4):
         yield from outcomes
 

@@ -6,27 +6,32 @@ testing p for primality again, and runs each sweep at most once, on first read:
 
 * Pairs: T_1..T_6 mod p^10, T_i = sum v^i over v = 1/(k(p-k)) (see
   ``harmonic``).  R_1..R_6 are exact combinations of them, and Newton's
-  identities give H_1..H_6 and the e_j of the v's, hence both products:
-  (1 + sp/k)(1 + sp/(p-k)) = 1 + (s + s^2) p^2 v, so mod p^10 (terms
-  j >= 5 carry p^10; the e_j divide by 2, 3 and 4, so p >= 5)
+  identities give H_1..H_6 and the e_j of the v's, hence the products
+  E(s) = prod(1 + sp/k, k < p), as (1 + sp/k)(1 + sp/(p-k)) = 1 + (s + s^2) p^2 v:
+  mod p^10 (terms j >= 5 carry p^10; the e_j divide by 2, 3 and 4, so p >= 5)
 
-      C(2p-1, p-1) = sum((2p^2)^j e_j, j <= 4),  C(3p, 2p)/3 = sum((6p^2)^j e_j, j <= 4).
+      E(s) = sum(((s + s^2) p^2)^j e_j, j <= 4),  s = 1, 2, 3.
 
-  The plan serves them as ints mod p^10 (``R``, ``H``, ``products``).
+  E(1) = C(2p-1, p-1), E(2) = C(3p, 2p)/3 = C(3p, p)/3, E(3) = C(4p, p)/4,
+  and C(4p-1, 2p-1) = 3 E(2) E(3)/E(1) (split C(4p, 2p) = 2 C(4p-1, 2p-1)
+  at i = p and 2p).  The plan serves them as ints mod p^10 (``R``, ``H``,
+  ``products``).
   As C - 1 = 2p^2 T_1 (mod p^4), p is a Wolstenholme prime exactly when
   T_1 = 0 (mod p^2), that is R_1 = p T_1 = 0 (mod p^3).  When every check
   a plan serves is Wolstenholme-only (``gate_alone``), nothing reads the
   pairs before that gate, so it reads R_1 mod p^3 off the half walk and
   a prime that fails it never pays the full sweep.
-* Moments: the plan's callers count the window reads they make at p, as
+* Moments: the plan's callers count the window reads its checks make, as
   replayed on a stand-in plan with the memo below (``requests``, and
   ``wolstenholme_requests`` for those made only past the gate, which count
-  only if p passes it).  At p >= 11, from SWEEP_REQUESTS on, the first read
-  sweeps the Fermat-quotient moments of the half window (the classes
-  t - 1 at c - 1 of ``harmonic.MOMENT_WINDOW``, over k <= (p-1)/2), and
-  ``half_sum`` serves every S_n = sum(k^n, k <= (p-1)/2) in it, a read
-  finding its class among the sweep's sums, whose count is the class's
-  precision: ``bernoulli`` reads p B_n mod p^c off S_(n-1) mod p^(c-1).
+  only if p passes it); a suite replays once for all its primes, as the
+  count is the same at every prime from 11 on.  At p >= 11, from
+  SWEEP_REQUESTS on, the first read sweeps the Fermat-quotient moments of
+  the half window (the classes t - 1 at c - 1 of ``harmonic.MOMENT_WINDOW``,
+  over k <= (p-1)/2), and ``half_sum`` serves every S_n = sum(k^n,
+  k <= (p-1)/2) in it, a read finding its class by n mod (p-1), whose
+  count of sums is the class's precision: ``bernoulli`` reads p B_n mod p^c
+  off S_(n-1) mod p^(c-1).
   Below 11 some class t of the window has 2^t = 1 (mod p) (p = 3, 5, 7),
   where that read cannot serve, so no plan sweeps.  Otherwise (a lone
   ``bernoulli_mod``, a Bernoulli scan, a suite of two Bernoulli reads)
@@ -91,10 +96,11 @@ class EvaluationPlan:
 
     @cached_property
     def products(self) -> tuple:
-        """(C(2p-1, p-1), C(3p, 2p)/3) mod p^10 (p >= 5)."""
+        """(E(1), E(2), E(3)) mod p^10 (p >= 5): C(2p-1, p-1), C(3p, 2p)/3 and
+        C(4p, p)/4 (module doc)."""
         e = [1] + harmonic._newton_h_raw(self._T, 4, self.m)[1:]
         return tuple(sum((a * self.p ** 2) ** j * x for j, x in enumerate(e)) % self.m
-                     for a in (2, 6))
+                     for a in (2, 6, 12))
 
     @cached_property
     def wolstenholme(self) -> bool:
@@ -126,11 +132,10 @@ class EvaluationPlan:
         if not self.sweeps:
             return None
         p = self.p
-        e = next((e for e, S in self._moments.items()
-                  if len(S) >= c and e <= n and (n - e) % (p - 1) == 0), None)
-        if e is None:
+        j, e = divmod(n, p - 1)  # at p >= 11 each class's key e is in 1..p-2
+        S = self._moments.get(e)
+        if S is None or len(S) < c:
             return None
-        j, S = (n - e) // (p - 1), self._moments[e]
         return sum(comb(j, i) * p ** i * S[i] for i in range(c)) % p ** c
 
     def power_sum(self, n: int, c: int) -> int:

@@ -42,12 +42,20 @@ MUTANTS = (
            "        return p % m\n", "        return 2 * p % m\n",
            ("tests/test_bernoulli.py::test_bernoulli_mod_oracle_grid",)),
     Mutant("a window read at its class's top precision misses the window",
-           "plan.py", "len(S) >= c", "len(S) > c",
+           "plan.py", "len(S) < c", "len(S) <= c",
            ("tests/test_plan.py::test_suite_sweeps_once_per_prime",)),
     Mutant("the read replay drops the memo between rows, so shared reads count twice",
-           "checks.py", "    for check in checks:\n        if (isinstance",
-           "    for check in checks:\n        stand_in.pb = {}\n        if (isinstance",
+           "checks.py", "    for check in checks:\n        if isinstance",
+           "    for check in checks:\n        stand_in.pb = {}\n        if isinstance",
            ("tests/test_plan.py::test_suite_counts_shared_reads_once",)),
+    Mutant("a suite's count replays its ungated rows only, so gated reads never sweep",
+           "checks.py", "every = _window_reads(p, checks)",
+           "every = _window_reads(p, ungated)",
+           ("tests/test_plan.py::test_few_window_reads_take_direct_passes",)),
+    Mutant("E(3) with multiplier 13 for 3 + 3^2 = 12", "plan.py",
+           "for a in (2, 6, 12))", "for a in (2, 6, 13))",
+           ("tests/test_plan.py::test_pair_products_match_shifted_products",
+            "tests/test_binomial.py::test_binomials_off_products_against_exact_oracle")),
     Mutant("the derived Bernoulli cap reads one exponent too far", "checks.py",
            "[a + RESIDUE_EXPONENT_CAP for", "[a + RESIDUE_EXPONENT_CAP + 1 for",
            ("tests/test_checks.py::test_bernoulli_rows_evaluate_at_their_w",)),
@@ -72,7 +80,7 @@ MUTANTS = (
            "t + p - 2", "t + p - 1",
            ("tests/test_harmonic.py::test_moment_path_matches_powmod_loop",)),
     Mutant("the half identity's terms carry 2^j for 2^-j", "bernoulli.py",
-           "(h - pow(2, -j, m))", "(h - pow(2, j, m))",
+           "(h - pow(i2, j, m))", "(h - pow(2, j, m))",
            ("tests/test_bernoulli.py::test_half_identity_against_exact_rationals",)),
     Mutant("a plan sweeps at p = 7, where 2^n = 1 (mod p) in the window", "plan.py",
            "self.p >= 11", "self.p >= 7",

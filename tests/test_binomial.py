@@ -4,9 +4,9 @@ from math import comb
 import pytest
 
 from wolstenholme import checks, errors
-from wolstenholme.binomial import central_binomial_mod, exact_binomial
+from wolstenholme.binomial import ORACLE_CAP, central_binomial_mod, exact_binomial
 from wolstenholme.harmonic import _inverse_power_sums_raw, _newton_h_raw
-from wolstenholme.modring import make_modulus
+from wolstenholme.modring import MAX_EXPONENT, is_prime, make_modulus
 from wolstenholme.plan import EvaluationPlan
 
 PRIMES_200 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -124,3 +124,36 @@ def test_sun_wan_examples():
     assert outcome.skipped and outcome.reason == "beyond exact-oracle bound 400"
     outcome = checks.run_check("sun_wan_p5", 15)
     assert outcome.skipped and outcome.reason == "not prime"
+
+
+def assert_binomials_off_products(primes):
+    """Sun-Wan's and Zhao's binomials read off the plan's products E(1..3)
+    equal the exact oracle mod p^10, wherever it reaches, and so do both
+    checks' sides mod their p^W."""
+    for p in primes:
+        plan, m = EvaluationPlan(p), p ** MAX_EXPONENT
+        e1, e2, e3 = plan.products
+        c3p = exact_binomial(3 * p, p)
+        assert e2 == c3p * pow(3, -1, m) % m, p  # C(3p, p)/3 = E(2)
+        zhao = checks.lookup("zhao_eq4_p5").evaluator(plan)[0]
+        assert zhao.value == c3p * pow(3, -1, zhao.modulus.m) % zhao.modulus.m, p
+        if 4 * p > ORACLE_CAP:
+            continue
+        c4p, c4p1 = exact_binomial(4 * p, p), exact_binomial(4 * p - 1, 2 * p - 1)
+        assert 4 * e3 % m == c4p % m, p  # C(4p, p) = 4 E(3)
+        assert 3 * e2 * e3 * pow(e1, -1, m) % m == c4p1 % m, p
+        lhs, rhs = checks.lookup("sun_wan_p5").evaluator(plan)
+        M = lhs.modulus
+        assert (lhs.value, rhs.value) == (c4p1 % M.m, (c4p - 1) % M.m), p
+
+
+def test_binomials_off_products_against_exact_oracle():
+    # every prime where sun_wan_p5 evaluates
+    assert_binomials_off_products([p for p in range(7, 401) if is_prime(p)])
+
+
+@pytest.mark.slow
+def test_binomials_off_products_to_the_oracle_cap():
+    # every prime where zhao_eq4_p5 evaluates; Sun-Wan's up to 1250, 4p <= 5000
+    assert_binomials_off_products(
+        [p for p in range(7, ORACLE_CAP // 3 + 1) if is_prime(p)])

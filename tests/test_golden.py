@@ -17,6 +17,9 @@ GOLDEN = {
     # the one Wolstenholme prime in reach, so the Wolstenholme-only checks run
     ("verify", "--checks", "all", "--at", "16843"):
         "5e1a473c7b6fc6bde817a19752c2fd5c3a6a5454f0d14582a4239383ae79453f",
+    # the two checks of the exact-oracle era, to Zhao's cap 1666
+    ("verify", "--checks", "sun_wan_p5,zhao_eq4_p5", "--primes", "2..1700"):
+        "e7974156c59252afcdc6a5a43c70cea23894b837a4ce6d248d06bd1aebc8317d",
     ("scan", "--criterion", "binomial", "--primes", "2..3000"):
         "f314fd537a83cb71a179c68b2a0f4aa9e06aa29f5ca9d67c7849702692f45cba",
     ("scan", "--criterion", "r1p3", "--primes", "2..3000"):

@@ -4,6 +4,7 @@ import gc
 import importlib
 import pkgutil
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -14,20 +15,25 @@ from wolstenholme.modring import MAX_EXPONENT, is_prime
 from wolstenholme.plan import SWEEP_REQUESTS, EvaluationPlan
 
 PRIMES_5_3000 = [p for p in range(5, 3000) if is_prime(p)]
+PRIMES_11_3000 = [p for p in PRIMES_5_3000 if p >= 11]
+BERNOULLI_ROWS = [c.id for c in checks.registry()
+                  if isinstance(row := c.evaluator, checks.Linear)
+                  and any(x[0] in ("B", "B/n") for _, _, x in row.lhs + row.terms)]
 
 
 def assert_products_match(plan, exponents):
     p = plan.p
+    assert len(plan.products) == 3
     for K in exponents:
         m = p ** K
-        central, granville = plan.products
-        assert central % m == _shifted_product_raw(p, 1, m), (p, K)
-        assert granville % m == _shifted_product_raw(p, 2, m), (p, K)
+        for shift, product in enumerate(plan.products, 1):
+            assert product % m == _shifted_product_raw(p, shift, m), (p, K, shift)
 
 
 def test_pair_products_match_shifted_products():
-    # C(2p-1, p-1) and C(3p, 2p)/3 read off T_1..T_4 equal the product form,
-    # also at 16843, the one prime whose expansions the suite evaluates.
+    # E(1), E(2), E(3) (C(2p-1, p-1), C(3p, 2p)/3 and C(4p, p)/4) read off
+    # T_1..T_4 equal the product form, also at 16843, the one prime whose
+    # expansions the suite evaluates.
     for p in PRIMES_5_3000 + [16843]:
         assert_products_match(EvaluationPlan(p), (4, 7, 10))
 
@@ -151,6 +157,41 @@ def test_replay_predicts_the_reads_made(monkeypatch):
             checks.lookup("cor3_p7").evaluator(EvaluationPlan(p, requests))
             counts[requests] = made[p]
         assert counts[0] == counts[SWEEP_REQUESTS] > SWEEP_REQUESTS, p
+
+
+def assert_suite_counts_are_the_replay_at_every_prime(monkeypatch, suites):
+    """What run_suite tells each prime's plan, replayed once per suite, is
+    what a replay at that prime gives, at every prime a plan sweeps at below
+    3000 (below 11 no plan reads it)."""
+    told = {}
+    monkeypatch.setattr(checks, "EvaluationPlan",
+                        lambda p, *counts: told.update({p: counts}))
+    monkeypatch.setattr(checks, "run_check", lambda check_id, p: None)
+    for ids in suites:
+        told.clear()
+        list(checks.run_suite(ids, PRIMES_11_3000))
+        assert len(told) == len(PRIMES_11_3000)
+        for p in PRIMES_11_3000:
+            assert told[p] == checks._counts(p, sorted(ids)), (ids, p)
+
+
+def test_suite_counts_are_the_replay_at_every_prime(monkeypatch):
+    # The registry, its Wolstenholme-only checks, and each Bernoulli row alone.
+    assert len(BERNOULLI_ROWS) == 12
+    gated = [c.id for c in checks.registry() if c.scope is checks.Scope.WOLSTENHOLME_ONLY]
+    assert checks._counts(checks._REPLAY_PRIME, checks.all_check_ids()) == (
+        SWEEP_REQUESTS, 0, False)
+    assert checks._counts(checks._REPLAY_PRIME, gated) == (0, SWEEP_REQUESTS, True)
+    assert_suite_counts_are_the_replay_at_every_prime(
+        monkeypatch, [checks.all_check_ids(), gated] + [[i] for i in BERNOULLI_ROWS])
+
+
+@pytest.mark.slow
+def test_suite_counts_of_bernoulli_pairs_and_triples(monkeypatch):
+    # Counts stop at SWEEP_REQUESTS = 3, which pairs and triples of the
+    # Bernoulli rows reach or stop short of.
+    assert_suite_counts_are_the_replay_at_every_prime(
+        monkeypatch, [ids for r in (2, 3) for ids in combinations(BERNOULLI_ROWS, r)])
 
 
 def test_suite_counts_shared_reads_once(monkeypatch):
