@@ -2,9 +2,10 @@
 
 The exact side follows the defining recurrence of x/(e^x - 1), capped at
 index 400; it exists as an oracle.  The residue side reads p B_n mod p^c
-two ways.  Where the prime's plan sweeps the moment window (``plan``), it
-evaluates the power-sum expansion at x = (p+1)/2: for even n,
-B_n((p+1)/2) - B_n = n S_(n-1) with S_m = sum(k^m, k <= (p-1)/2), and
+off the half sums S_m = sum(k^m, k <= (p-1)/2), which the prime's plan
+serves (``plan``: off its moment window or by one direct pass over half
+the range).  Where 2^n != 1 (mod p) it evaluates the power-sum expansion
+at x = (p+1)/2: for even n, B_n((p+1)/2) - B_n = n S_(n-1), and
 B_r(1/2) = (2^(1-r) - 1) B_r, so
 
     (2^(1-n) - 2) p B_n = n p S_(n-1)
@@ -15,15 +16,19 @@ the half identity, exact at any c: every p B_r is p-integral (von
 Staudt-Clausen), so the omitted terms carry p^j, j >= c, and nothing is
 divided by j.  The odd j drop out (B_1(1/2) = 0), p B_0 = p, and S_(n-1)
 is needed mod p^(c-1) only.  Solving for p B_n needs 2^n != 1 (mod p),
-true in every class the window holds once p >= 11.  Every other read
-(a plan that does not sweep, an index outside the window) inverts the
-classical power-sum expansion of one P_n, a direct pass,
+true in every class the checks read once p >= 11.  Where 2^n = 1 (mod p)
+(a public read at ord_p(2) | n, p-1 | n among them, or a plan at p = 7)
+it inverts the classical power-sum expansion of P_n = sum(k^n, k < p),
 
     P_n(p) = sum over s of (1/s) C(n, s-1) p^s B_{n+1-s}   (mod p^c)
 
 truncated at s <= min(c, n+1), which is exact for p >= 7 and c <= 5: any
 omitted term with ord_p(s) = e >= 1 has valuation at least
 s - e - 1 >= p - 2 >= 5, and omitted p-integral terms at least s - 1 >= c.
+P_n comes off half sums too: pairing k with p - k, for even n
+
+    P_n = 2 S_n + sum(C(n, i) (-p)^i S_(n-i), 1 <= i <= min(n, c-1))   (mod p^c).
+
 Solving the triangle top-down yields p*B_n mod p^c for arbitrary n, even at
 positions with p-1 | n where only p*B_n (not B_n) is p-integral: the inner
 indices of such a position are all regular, so no precision is lost.
@@ -107,15 +112,14 @@ def is_regular_position(n: int, p: int) -> bool:
 def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
     """p * B_n mod p^c for any n >= 0 (p >= 7, c <= 5), memoised in the plan.
 
-    Off the half identity (module doc) where 2^n != 1 (mod p) and the plan's
-    moment window holds S_(n-1) mod p^(c-1), else off the power-sum
-    expansion of one P_n; either way p B_(n-2) and p B_(n-4) are read at
-    c - 2 and c - 4.  Works at irregular positions too: the s = 1 term of
-    the power-sum expansion is p*B_n itself, and every inner index n+1-s
-    with s >= 2 is either odd (B = 0) or regular, so the recursion never
-    needs an irregular value at more precision than it has.  At c = 1 no
-    sum is read: von Staudt-Clausen gives p*B_n = -[p-1 | n] (mod p) for
-    even n >= 2.
+    Off the half identity (module doc) where 2^n != 1 (mod p), else off the
+    power-sum expansion of P_n, both read off the plan's half sums; either
+    way p B_(n-2) and p B_(n-4) are read at c - 2 and c - 4.  Works at
+    irregular positions too: the s = 1 term of the power-sum expansion is
+    p*B_n itself, and every inner index n+1-s with s >= 2 is either odd
+    (B = 0) or regular, so the recursion never needs an irregular value at
+    more precision than it has.  At c = 1 no sum is read: von
+    Staudt-Clausen gives p*B_n = -[p-1 | n] (mod p) for even n >= 2.
     """
     p = plan.p
     m = p ** c
@@ -130,18 +134,21 @@ def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
     held = plan.pb.get(n)
     if held is not None and held[0] >= c:
         return held[1] % m
-    half = plan.half_sum(n - 1, c - 1) if pow(2, n % (p - 1), p) != 1 else None
-    if half is not None:
+    if pow(2, n % (p - 1), p) != 1:
         # 2^(1-n) as (2^-1)^((n-1) mod phi(p^c)); p B_(n-j) is needed mod
         # p^(c-j) only: its term carries p^j.
         i2 = (m + 1) // 2
-        h, acc = pow(i2, (n - 1) % (m // p * (p - 1)), m), n * p * half
+        h = pow(i2, (n - 1) % (m // p * (p - 1)), m)
+        acc = n * p * plan.half_sum(n - 1, c - 1)
         for j in range(2, min(n, c - 1) + 1, 2):
             pb = _p_times_bernoulli(n - j, plan, c - j)
             acc -= comb(n, j) * (h - pow(i2, j, m)) * p ** j * pb
         acc *= pow(h - 2, -1, m)
     else:
-        acc = plan.power_sum(n, c)
+        # P_n off half sums (module doc), S_(n-i) needed mod p^(c-i) only.
+        acc = 2 * plan.half_sum(n, c) + sum(
+            comb(n, i) * (-p) ** i * plan.half_sum(n - i, c - i)
+            for i in range(1, min(n, c - 1) + 1))
         for s in range(2, min(c, n + 1) + 1):
             # p B_(n+1-s) is needed mod p^(c-s+1) only: its term carries p^(s-1).
             pb = _p_times_bernoulli(n + 1 - s, plan, c - s + 1)
@@ -152,7 +159,7 @@ def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
 
 def _residue_plan(n: int, p: int, r: int, plan) -> EvaluationPlan:
     """Check the arguments; the caller's plan for p (p known prime) or a
-    new one, which sweeps nothing, so each read is a direct pass."""
+    new one, which sweeps nothing, so each half sum is a direct pass."""
     if p < 7 or plan is None and not is_prime(p):
         raise NotPrime(f"p must be a prime >= 7, got {p}")
     if plan is not None and plan.p != p:

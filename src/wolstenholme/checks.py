@@ -118,10 +118,9 @@ class Linear:
     from the row, whatever p, and is derived once, with each term's read
     precision.  A ``cap`` below that pins W; two rows pin it at their stated
     exponent, as their records print residues mod p^W.  Each distinct B_n
-    is read first, once, in row order (lhs first) and before any pair sum
-    (the order sets the plan's short passes), mod p^(W - a) for the least
-    a it carries (``reads``), so every term is exact mod p^W; a B_n/n term
-    is that read times n^-1 mod p^W.
+    is read first, once, in row order (lhs first) and before any pair sum,
+    mod p^(W - a) for the least a it carries (``reads``), so every term is
+    exact mod p^W; a B_n/n term is that read times n^-1 mod p^W.
     """
 
     def __init__(self, stated: int, lhs: tuple, const: int, terms: tuple, cap: int = 10):
@@ -415,14 +414,12 @@ _REPLAY_PRIME = 11
 
 def _window_reads(p: int, checks: Sequence[CongruenceCheck]) -> int:
     """The window reads ``checks`` make at p in order, up to SWEEP_REQUESTS:
-    their B_n reads replayed on a stand-in plan whose window serves nothing and
-    whose power_sum records a read and returns 0, a value the recursion of
-    ``_p_times_bernoulli`` never branches on (the half identity's recursion
-    makes the same reads).  A suite replays once, at _REPLAY_PRIME; a lone
+    their B_n reads replayed on a stand-in plan whose half_sum records a read
+    and returns 0, a value the recursion of ``_p_times_bernoulli`` never
+    branches on.  A suite replays once, at _REPLAY_PRIME; a lone
     ``run_check`` at its own prime."""
     made = []
-    stand_in = SimpleNamespace(p=p, pb={}, half_sum=lambda n, c: None,
-                               power_sum=lambda n, c: made.append((n, c)) or 0)
+    stand_in = SimpleNamespace(p=p, pb={}, half_sum=lambda n, c: made.append((n, c)) or 0)
     for check in checks:
         if isinstance(check.evaluator, Linear) and len(made) < SWEEP_REQUESTS:
             for n, c in check.evaluator.reads(p)[1].items():

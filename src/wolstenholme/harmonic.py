@@ -6,8 +6,8 @@ Three families:
 * ``R_n(p) = sum(1/k^n for k in 1..p-1)`` — power sums of inverses,
 * ``H_n(p) = sum(1/(i_1*...*i_n))`` over n-subsets — elementary symmetric
   functions of the inverses,
-* ``P_n(p) = sum(k^n for k in 1..p-1)`` — ordinary power sums, and their
-  halves S_n over 1..(p-1)/2.
+* ``P_n(p) = sum(k^n for k in 1..p-1)`` — ordinary power sums, read
+  through their halves S_n over 1..(p-1)/2.
 
 R and H are linked by Newton's identity
 
@@ -47,10 +47,11 @@ are geometric series: sum r^3 = -2a/(a - 1) with a = g^3 != 1, and T_3 =
 the other's r, and on their own i = 0 (k = 1, r = p-1) and, for p = 1 (mod 4),
 the mirror's fixed point i = H/2 (k = r).
 
-P comes by a direct pass (``power_sum_raw``), or as half sums S_n =
-sum(k^n for k in 1..(p-1)/2) off Fermat-quotient moments.  With the
-integer u_k = (k^(p-1) - 1)/p, k^(j(p-1)+t) = k^t (1 + p u_k)^j, so for
-every p, j >= 0 and t (k^t an inverse mod p^c when t < 0)
+P is read through its half sums S_n = sum(k^n for k in 1..(p-1)/2), by one
+direct pass over half the range (``power_sum_raw``) or off Fermat-quotient
+moments.  With the integer u_k = (k^(p-1) - 1)/p, k^(j(p-1)+t) =
+k^t (1 + p u_k)^j, so for every p, j >= 0 and t (k^t an inverse mod p^c
+when t < 0)
 
     S_(j(p-1)+t) = sum(C(j, i) p^i S_it, i < c)  (mod p^c),  S_it = sum_k u_k^i k^t,
 
@@ -71,13 +72,13 @@ sweep keys each half class t - 1 < 0 by its exponent e = t - 1 + p - 1
 and exact steps times k^2 give k^(p-6) and k^(p-4), and times k^3
 k^(p-1), so nothing is inverted, and the Fermat quotients of k^(p-1) mod
 p^4 are already below p^3.  It returns each class's c sums, so a reader
-takes the window off them.  The sweep packs its classes into one integer per k, one product sum
-per i, and costs about two direct passes (1.8 to 2.4 ``power_sum_raw``
-mod p^5 at an exponent below p, from p = 101 to 100003), so an evaluation
-plan (``plan``) makes it only at p >= 11 and for checks that read
-``plan.SWEEP_REQUESTS`` sums or more at the prime; a lone
+takes the window off them.  The sweep packs its classes into one integer
+per k, one product sum per i, and costs about three half passes (2.4 to
+5.3 ``power_sum_raw`` mod p^4 at an exponent below p, from p = 100003 down
+to 101), so an evaluation plan (``plan``) makes it only at p >= 11 and for
+checks that read ``plan.SWEEP_REQUESTS`` sums or more at the prime; a lone
 ``bernoulli_mod``, a Bernoulli scan or a suite of two Bernoulli reads
-takes a direct pass of P_n per request.
+takes a direct half pass per half sum.
 """
 from __future__ import annotations
 
@@ -92,7 +93,7 @@ from .modring import _batch_invert_raw
 from .modring import make_modulus  # noqa: F401
 
 #: Entries per block of every loop here: pairs of the full-width sweep (one
-#: modular inversion each), k's of a power-sum pass or the moment sweep, and
+#: modular inversion each), k's of a half pass or the moment sweep, and
 #: i's of the half walk.  A block keeps a few lists of this many residues
 #: alive, the widest the unreduced v^i of a T_1..T_6 sweep mod p^10: a
 #: traced peak of 0.34 MB at 16843 and 0.44 MB at 2124679, whatever the
@@ -223,29 +224,21 @@ def _least_prime_factors(n: int) -> array:
     return lpf
 
 
-def _powers(p: int, e: int, m, half: bool = False) -> Iterator[tuple[range, list]]:
-    """(ks, [k^e mod m for k in ks]) in blocks of _CHUNK over 1..p-1, or over
-    1..(p-1)/2 only when ``half``.
+def _powers(p: int, e: int, m) -> Iterator[tuple[range, list]]:
+    """(ks, [k^e mod m for k in ks]) in blocks of _CHUNK over 1..(p-1)/2.
 
     The package's one loop over k^e.  k -> k^e is completely multiplicative,
     so only primes pay a modular pow: a composite k is pw[q] * pw[k // q]
-    with q its least prime factor.  Both factors are at most (p-1)/2, so pw is kept
-    only up to there, and the upper half is left unreduced (below m^2).
+    with q its least prime factor.
     """
     mid = (p - 1) // 2
-    lpf = _least_prime_factors(mid + 1 if half else p)
+    lpf = _least_prime_factors(mid + 1)
     pw = [0, 1 % m]
-    for k, q in zip(range(2, mid + 1), lpf[2:mid + 1]):
+    for k, q in zip(range(2, mid + 1), lpf[2:]):
         pw.append(pw[q] * pw[k // q] % m if q else pow(k, e, m))
     for lo in range(1, mid + 1, _CHUNK):
         ks = range(lo, min(lo + _CHUNK, mid + 1))
         yield ks, pw[lo:ks.stop]
-    if half:
-        return
-    for lo in range(mid + 1, p, _CHUNK):
-        ks = range(lo, min(lo + _CHUNK, p))
-        yield ks, [pw[q] * pw[k // q] if q else pow(k, e, m)
-                   for k, q in zip(ks, lpf[lo:ks.stop])]
 
 
 def _moment_sums_raw(p: int) -> dict:
@@ -263,7 +256,7 @@ def _moment_sums_raw(p: int) -> dict:
     m, w = p ** top, (2 * top + 4) * p.bit_length()
     last, *lower = reversed(window)  # the slots, packed from the top one down
     acc = [0] * top
-    for ks, x in _powers(p, p - 8, m, half=True):
+    for ks, x in _powers(p, p - 8, m):
         k2 = [k * k for k in ks]
         k3 = list(map(mul, k2, ks))
         xs = {p - 8: x}
@@ -289,7 +282,8 @@ def _moment_sums_raw(p: int) -> dict:
 
 
 def power_sum_raw(p: int, n: int, m) -> int:
-    """P_n(p) = sum of k^n over 1..p-1, mod m = p^c, by one direct pass."""
+    """The half sum S_n = sum of k^n over 1..(p-1)/2, mod m = p^c, by one
+    direct pass."""
     if p < 3:
         raise ValueError("p must be at least 3")
     _exponent(p, m)

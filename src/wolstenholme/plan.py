@@ -33,17 +33,11 @@ testing p for primality again, and runs each sweep at most once, on first read:
   count of sums is the class's precision: ``bernoulli`` reads p B_n mod p^c
   off S_(n-1) mod p^(c-1).
   Below 11 some class t of the window has 2^t = 1 (mod p) (p = 3, 5, 7),
-  where that read cannot serve, so no plan sweeps.  Otherwise (a lone
-  ``bernoulli_mod``, a Bernoulli scan, a suite of two Bernoulli reads)
-  ``half_sum`` serves nothing and ``power_sum`` makes one direct pass of P_n
-  per read.  At the Helou-Terjanian indices n = j(p-1) + t, -6 <= t < 0,
-  with p^(c-2) exactly dividing j, that pass would raise k to an exponent
-  of (c-1) log p bits (Euler's theorem cuts it to t only once p^(c-1)
-  divides j).  There only the moments i <= 1 survive, so
-  P_n = (1-j) P_t + j P_(t+p-1) (mod p^c): P_t = R_(-t) comes off the
-  pairs and P_(t+p-1) is needed mod p^2 only, a short pass.  At c = 3 the
-  pass it replaces costs less than the pair sweep, so there it is taken
-  only once the pairs are swept.  Either way a read makes one pass.
+  where that read cannot serve, so no plan sweeps.  Every other read (a
+  lone ``bernoulli_mod``, a Bernoulli scan, a suite of two Bernoulli reads,
+  a plan at p = 7) makes one direct pass of S_n over k <= (p-1)/2.  At the
+  Helou-Terjanian indices n = j(p-1) + t with p^(c-2) dividing j, Euler's
+  theorem mod p^(c-1) cuts that pass's exponent n - 1 to t - 1.
 
 ``bernoulli`` memoises p B_n in ``plan.pb``, keyed by n: it holds p B_n
 mod p^c at the highest c computed so far, and a read at lower c reduces it.
@@ -52,15 +46,14 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import comb
-from typing import Optional
 
 from . import harmonic
 from .modring import MAX_EXPONENT, PrimePowerModulus, make_modulus
 
 #: Window reads at one prime from which one moment sweep is cheaper than a
-#: direct pass per read: the half sweep costs 1.8 to 2.4 passes mod p^5 from
-#: p = 101 to 100003, and passes at lower c cost less, so two reads take
-#: passes and three sweep.
+#: direct half pass per read: the sweep costs 2.4 to 5.3 half passes mod p^4
+#: from p = 100003 down to 101, and passes at lower c cost less, so two reads
+#: take passes and three sweep, at about the passes' cost.
 SWEEP_REQUESTS = 3
 
 
@@ -125,27 +118,14 @@ class EvaluationPlan:
     def _moments(self) -> dict:
         return harmonic._moment_sums_raw(self.p)
 
-    def half_sum(self, n: int, c: int) -> Optional[int]:
-        """S_n = sum of k^n over 1..(p-1)/2, mod p^c, off the moment window;
-        None when the plan does not sweep it, or n and c fall outside it (a
-        class's c is its length)."""
-        if not self.sweeps:
-            return None
+    def half_sum(self, n: int, c: int) -> int:
+        """S_n = sum of k^n over 1..(p-1)/2, mod p^c: off the moment window
+        where the plan sweeps it and it holds n at c (a class's c is its
+        length), else by one direct pass."""
         p = self.p
-        j, e = divmod(n, p - 1)  # at p >= 11 each class's key e is in 1..p-2
-        S = self._moments.get(e)
-        if S is None or len(S) < c:
-            return None
-        return sum(comb(j, i) * p ** i * S[i] for i in range(c)) % p ** c
-
-    def power_sum(self, n: int, c: int) -> int:
-        """P_n mod p^c by one direct pass, a short one at a Helou-Terjanian
-        index (module doc)."""
-        p = self.p
-        j, t = divmod(n + 6, p - 1)  # n = j(p-1) + t, -6 <= t < p-7
-        t -= 6
-        if (t < 0 and c >= 3 and j % p ** (c - 2) == 0 and j % p ** (c - 1)
-                and (c > 3 or "_T" in vars(self))):
-            tail = harmonic.power_sum_raw(p, t + p - 1, p * p)
-            return ((1 - j) * self.R[-t] + j * tail) % p ** c
+        if self.sweeps:
+            j, e = divmod(n, p - 1)  # at p >= 11 each class's key e is in 1..p-2
+            S = self._moments.get(e)
+            if S is not None and len(S) >= c:
+                return sum(comb(j, i) * p ** i * S[i] for i in range(c)) % p ** c
         return harmonic.power_sum_raw(p, n, p ** c)

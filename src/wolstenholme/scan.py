@@ -5,7 +5,7 @@ Four criteria, equivalent for p >= 7 where stated:
 * ``BINOMIAL_P4``   — v_p(C(2p-1,p-1) - 1) >= 4 (the defining congruence),
 * ``HARMONIC_R1_P3`` — v_p(R_1(p)) >= 3 (T_1 = R_1/p mod p^2 off the half
   walk over a primitive root's powers; the fast default),
-* ``BERNOULLI_BP3`` — p divides B_{p-3} (through P_{p-3}(p) mod p^2),
+* ``BERNOULLI_BP3`` — p divides B_{p-3} (through the half sum S_{p-4} mod p),
 * ``COR1_SECOND_P7`` — C(2p-1,p-1) = 1 + 2p R_1 + (2/3) p^3 R_3 (mod p^7),
   the two-sum characterization; below 1e5 only 16843 satisfies it.
 

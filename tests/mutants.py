@@ -42,7 +42,7 @@ MUTANTS = (
            "        return p % m\n", "        return 2 * p % m\n",
            ("tests/test_bernoulli.py::test_bernoulli_mod_oracle_grid",)),
     Mutant("a window read at its class's top precision misses the window",
-           "plan.py", "len(S) < c", "len(S) <= c",
+           "plan.py", "len(S) >= c", "len(S) > c",
            ("tests/test_plan.py::test_suite_sweeps_once_per_prime",)),
     Mutant("the read replay drops the memo between rows, so shared reads count twice",
            "checks.py", "    for check in checks:\n        if isinstance",
@@ -68,9 +68,14 @@ MUTANTS = (
     Mutant("the half walk's geometric sum of r^3 with its sign flipped",
            "harmonic.py", "t1 = (-2 * a *", "t1 = (2 * a *",
            ("tests/test_plan.py::test_t1_gate_is_the_defining_congruence",)),
-    Mutant("the power kernel's upper blocks stop at p - 2", "harmonic.py",
-           "min(lo + _CHUNK, p))", "min(lo + _CHUNK, p - 1))",
+    Mutant("the power kernel's half loop stops at (p-3)/2", "harmonic.py",
+           "min(lo + _CHUNK, mid + 1))", "min(lo + _CHUNK, mid))",
            ("tests/test_harmonic.py::test_power_sum_kernel_matches_powmod_loop",)),
+    Mutant("the power-sum expansion's half sums carry p^i for (-p)^i", "bernoulli.py",
+           "(-p) ** i", "p ** i",
+           ("tests/test_bernoulli.py::test_bernoulli_mod_oracle_grid",
+            "tests/test_bernoulli.py::test_bernoulli_mod_r4_grid",
+            "tests/test_bernoulli.py::test_no_plan_sweeps_below_11")),
     Mutant("the moment window drops the class t = -6, so the half sweep drops t - 1 = -7",
            "harmonic.py",
            "MOMENT_WINDOW = {4: 5, 2: 3, -2: 5, -4: 5, -6: 3}",

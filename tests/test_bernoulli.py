@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from wolstenholme import bernoulli, errors
+from wolstenholme import bernoulli, errors, harmonic
 from wolstenholme.bernoulli import (
     bernoulli_exact,
     bernoulli_mod,
@@ -106,20 +106,31 @@ def test_bernoulli_mod_oracle_grid():
                 assert bernoulli_mod(n, p, r).value == embed_exact(n, p, r), (n, p, r)
 
 
+def order_of_2_divides() -> list:
+    """(n, p) for the primes 7 <= p < 200 where ord_p(2) < p - 1 and the
+    even regular n <= 400 with 2^n = 1 (mod p): the reads the half identity
+    cannot solve, which take the power-sum expansion off half sums."""
+    return [(n, p) for p in range(7, 200) if is_prime(p)
+            and min(d for d in range(1, p) if pow(2, d, p) == 1) < p - 1
+            for n in range(2, 401, 2)
+            if pow(2, n, p) == 1 and bernoulli.is_regular_position(n, p)]
+
+
 def test_bernoulli_mod_r4_grid():
     # r = 4 works the deepest correction terms, including inner indices at
-    # irregular positions (e.g. n = 14, p = 11 needs p*B_10 mod 11)
-    for p in (11, 13, 17, 19, 23, 29, 31, 97):
-        for n in served(p):
-            assert bernoulli_mod(n, p, 4).value == embed_exact(n, p, 4), (n, p)
+    # irregular positions (e.g. n = 14, p = 11 needs p*B_10 mod 11), and
+    # every index where 2^n = 1 (mod p) with n <= 400 at p < 200.
+    reads = [(n, p) for p in (11, 13, 17, 19, 23, 29, 31, 97) for n in served(p)]
+    for n, p in reads + order_of_2_divides():
+        assert bernoulli_mod(n, p, 4).value == embed_exact(n, p, 4), (n, p)
 
 
 def test_half_identity_against_exact_rationals(monkeypatch):
     # Every read the moment window serves: at 11 <= p <= 97, every class t
     # at c of MOMENT_WINDOW and every n = j(p-1) + t <= 400, a sweeping
     # plan's B_n mod p^r, r < c, comes off the half identity alone (a direct
-    # pass would raise) and equals the exact rational.
-    monkeypatch.setattr(EvaluationPlan, "power_sum", None)
+    # half pass would raise) and equals the exact rational.
+    monkeypatch.setattr(harmonic, "power_sum_raw", None)
     for p in PRIMES_11_97:
         plan = EvaluationPlan(p, SWEEP_REQUESTS)
         for t, c in MOMENT_WINDOW.items():
@@ -132,22 +143,21 @@ def test_half_identity_against_exact_rationals(monkeypatch):
 
 def test_sweeping_and_direct_plans_agree_at_helou_terjanian_indices():
     # The registry's reads of B_(p^n - p^(n-1) - s), far past the exact
-    # oracle, at every prime 11 <= p < 600: off the half identity, off
-    # direct passes, and off the short passes of a plan whose pairs are swept.
+    # oracle, at every prime 11 <= p < 600: off the half identity over the
+    # window, and over direct half passes.
     for p in (p for p in range(11, 600) if is_prime(p)):
-        sweeping, swept = EvaluationPlan(p, SWEEP_REQUESTS), EvaluationPlan(p)
-        swept.R
+        sweeping, direct = EvaluationPlan(p, SWEEP_REQUESTS), EvaluationPlan(p)
         for n, r in ((p ** 2 - p - 4, 2), (p ** 3 - p ** 2 - 2, 3),
                      (p ** 4 - p ** 3 - 2, 4), (p ** 4 - p ** 3 - 4, 4)):
             values = {bernoulli_mod(n, p, r, plan).value.value
-                      for plan in (sweeping, EvaluationPlan(p), swept)}
+                      for plan in (sweeping, direct)}
             assert len(values) == 1, (p, n, r)
-        assert "_moments" in vars(sweeping) and "_moments" not in vars(swept), p
+        assert "_moments" in vars(sweeping) and "_moments" not in vars(direct), p
 
 
 def test_no_plan_sweeps_below_11():
     # At p = 7, 2^n = 1 (mod p) in the window's class t = -6, so a plan told
-    # of SWEEP_REQUESTS reads still takes a direct pass per read, all exact.
+    # of SWEEP_REQUESTS reads still takes direct half passes, all exact.
     plan = EvaluationPlan(7, SWEEP_REQUESTS)
     for n in range(401):
         if n != 1 and bernoulli.is_regular_position(n, 7):

@@ -20,6 +20,9 @@ GOLDEN = {
     # the two checks of the exact-oracle era, to Zhao's cap 1666
     ("verify", "--checks", "sun_wan_p5,zhao_eq4_p5", "--primes", "2..1700"):
         "e7974156c59252afcdc6a5a43c70cea23894b837a4ce6d248d06bd1aebc8317d",
+    # two reads per prime, below the sweep's threshold: every B_n off direct passes
+    ("verify", "--checks", "glaisher_p4,lehmer_p3", "--primes", "2..3000"):
+        "45d84a7617ae8e8cac71fe091ca5a7f712fb8b4f5c781c20885dd19ab511de23",
     ("scan", "--criterion", "binomial", "--primes", "2..3000"):
         "f314fd537a83cb71a179c68b2a0f4aa9e06aa29f5ca9d67c7849702692f45cba",
     ("scan", "--criterion", "r1p3", "--primes", "2..3000"):

@@ -33,14 +33,9 @@ PRIMES_600 = [p for p in range(3, 600) if is_prime(p)]
 PRIMES_3000 = [p for p in range(3, 3000) if is_prime(p)]
 
 
-def reference_power_sum(p: int, n: int, m: int) -> int:
-    """P_n(p) mod m, one powmod per k: the oracle for the sieve kernel."""
-    return sum(pow(k, n, m) for k in range(1, p)) % m
-
-
 def reference_half_sum(p: int, n: int, m: int) -> int:
     """S_n = sum of k^n over 1..(p-1)/2, mod m, one powmod per k: the oracle
-    for the moment window."""
+    for the half-pass kernel and the moment window."""
     return sum(pow(k, n, m) for k in range(1, (p + 1) // 2)) % m
 
 
@@ -64,8 +59,8 @@ class FermatPowers(EvaluationPlan):
     """A plan whose half sums S_n mod p^c (c <= 5) come from k^n = k^t
     (k^(p-1))^j with k^(p-1) and its p-th, p^2-th and p^3-th powers exact
     mod p^5, and any other from a powmod per k: independent of the truncated
-    moment identity, so the oracle for the window.  It serves every read
-    whose 2^n != 1 (mod p) through the half identity, at every p."""
+    moment identity, so the oracle for the window.  It serves every half
+    sum, so every Bernoulli read, at every p, p = 7 included."""
 
     def __init__(self, p: int):
         super().__init__(p)
@@ -283,49 +278,65 @@ def test_elementary_symmetric_bounds():
 
 
 def test_power_sum_examples():
+    # power_sum_raw is the half sum S_n over 1..(p-1)/2.
     assert power_sum_raw(5, 2, 5 ** 2) == 5
-    assert power_sum_raw(7, 6, 7) == 6  # (p-1) | n forces -1 mod p
+    assert power_sum_raw(7, 6, 7) == 3  # (p-1) | n forces (p-1)/2 mod p
     assert power_sum_raw(7, 4, 7) == 0
-    assert power_sum_raw(11, 3, 11 ** 5) == sum(k ** 3 for k in range(1, 11)) % 11 ** 5
+    assert power_sum_raw(11, 3, 11 ** 5) == sum(k ** 3 for k in range(1, 6)) % 11 ** 5
 
 
 def test_power_sum_kernel_matches_powmod_loop():
     for p in PRIMES_600:
         for n in registry_indices(p):
-            expected = reference_power_sum(p, n, p ** 5)
+            expected = reference_half_sum(p, n, p ** 5)
             for c in range(1, 6):
                 assert power_sum_raw(p, n, p ** c) == expected % p ** c, (p, n, c)
 
 
 def test_c1_level_is_the_power_sum_mod_p():
     # p B_n mod p is von Staudt-Clausen's -[p-1 | n], read off no sum; it is
-    # the level-1 solution P_n mod p of the power-sum triangle (n >= 2).
+    # the level-1 solution P_n mod p of the power-sum triangle (n >= 2), and
+    # P_n = 2 S_n (mod p) for even n, pairing k with p - k.
     for p in (p for p in PRIMES_600 if p >= 7):
         plan = EvaluationPlan(p)
         for n in registry_indices(p):
             if n >= 2 and n % 2 == 0:
-                assert bernoulli._p_times_bernoulli(n, plan, 1) == power_sum_raw(p, n, p), (p, n)
+                assert bernoulli._p_times_bernoulli(n, plan, 1) == 2 * power_sum_raw(p, n, p) % p, \
+                    (p, n)
         assert not plan.pb
 
 
 def test_power_sum_kernel_at_16843():
     p = 16843
-    assert power_sum_raw(p, p - 5, p ** 5) == reference_power_sum(p, p - 5, p ** 5)
+    assert power_sum_raw(p, p - 5, p ** 5) == reference_half_sum(p, p - 5, p ** 5)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([p for p in PRIMES_600 if p < 400]),
        st.integers(0, 10 ** 12 - 1), st.integers(1, 5))
 def test_power_sum_kernel_property(p, n, c):
-    assert power_sum_raw(p, n, p ** c) == reference_power_sum(p, n, p ** c)
+    assert power_sum_raw(p, n, p ** c) == reference_half_sum(p, n, p ** c)
 
 
-def test_moment_path_matches_powmod_loop():
+def record_passes(monkeypatch) -> list:
+    """The (n, m) of every direct half pass made from here on."""
+    passes, direct = [], harmonic.power_sum_raw
+
+    def recording(p, n, m):
+        passes.append((n, m))
+        return direct(p, n, m)
+
+    monkeypatch.setattr(harmonic, "power_sum_raw", recording)
+    return passes
+
+
+def test_moment_path_matches_powmod_loop(monkeypatch):
     # Every half-window class t, at j = 0..5, p and p^3 (the j of p^4 - p^3 - 2),
-    # read off a sweeping plan's window at every c it holds, against a powmod
-    # per k.  c = MAX_EXPONENT, the first c above the class's (unless a class
-    # of small p holds it), any read of a plan below SWEEP_REQUESTS and any
-    # read at p < 11, where no plan sweeps, are served by nothing.
+    # read off a sweeping plan at every c it holds, against a powmod per k,
+    # with no direct pass.  c = MAX_EXPONENT, the first c above the class's
+    # (unless a class of small p holds it), a read of a plan below
+    # SWEEP_REQUESTS and any read at p < 11, where no plan sweeps, take one.
+    passes = record_passes(monkeypatch)
     for p in PRIMES_600:
         plan, lone = EvaluationPlan(p, SWEEP_REQUESTS), EvaluationPlan(p)
         for t, c_held in HALF_WINDOW.items():
@@ -333,16 +344,17 @@ def test_moment_path_matches_powmod_loop():
                 n = j * (p - 1) + t
                 if n < 1:
                     continue
-                expected = reference_half_sum(p, n, p ** (c_held + 1))
-                for c in range(1, c_held + 2):
-                    got = plan.half_sum(n, c)  # past c_held, another class may hold n
-                    if p < 11:
-                        assert got is None, (p, t, j, c)
-                    else:
-                        assert got == expected % p ** c or got is None and c > c_held, \
-                            (p, t, j, c)
-                    assert lone.half_sum(n, c) is None
-                assert plan.half_sum(n, MAX_EXPONENT) is None
+                expected = reference_half_sum(p, n, p ** MAX_EXPONENT)
+                for c in [*range(1, c_held + 2), MAX_EXPONENT]:
+                    passes.clear()
+                    assert plan.half_sum(n, c) == expected % p ** c, (p, t, j, c)
+                    if p < 11 or c == MAX_EXPONENT:
+                        assert passes == [(n, p ** c)], (p, t, j, c)
+                    elif c <= c_held:  # past c_held, another class may hold n
+                        assert passes == [], (p, t, j, c)
+                passes.clear()
+                assert lone.half_sum(n, c_held) == expected % p ** c_held, (p, t, j)
+                assert passes == [(n, p ** c_held)], (p, t, j)
         assert ("_moments" in vars(plan)) == (p >= 11) and "_moments" not in vars(lone), p
 
 
@@ -373,30 +385,32 @@ def test_packed_sweep_at_wide_primes():
 
 
 def test_helou_terjanian_reads_match_direct_passes(monkeypatch):
-    # Where p^(c-2) exactly divides j (c >= 3), a plan that does not sweep
-    # reads P_(j(p-1)+t), -6 <= t < 0, as (1-j) R_(-t) + j P_(t+p-1) (mod
-    # p^c), with one pass mod p^2; at c = 3 only once its pairs are swept.
-    passes = []
+    # Where p^(c-2) divides j (c >= 2), the half sum S_(n-1) mod p^(c-1)
+    # behind p B_n mod p^c, n = j(p-1) + t, -6 <= t < 0, is one direct pass
+    # whose exponent Euler's theorem cuts to t - 1 mod p - 1, below p in
+    # size, not (c-1) log p bits, and agrees with a powmod per k at the full
+    # exponent.
+    exponents, powers = [], harmonic._powers
 
-    def recording(p, n, m):
-        passes.append((n, m))
-        return power_sum_raw(p, n, m)
+    def recording(p, e, m):
+        exponents.append(e)
+        return powers(p, e, m)
 
-    monkeypatch.setattr(harmonic, "power_sum_raw", recording)
+    monkeypatch.setattr(harmonic, "_powers", recording)
     for p in (p for p in PRIMES_600 if p >= 11):
-        swept = EvaluationPlan(p)
-        swept.R
+        plan = EvaluationPlan(p)
         for n in (n for n in registry_indices(p) if n > 5 * (p - 1)):
             j, t = divmod(n + 6, p - 1)
             t -= 6
             for c in range(2, 6):
-                expected = power_sum_raw(p, n, p ** c)
-                short = t < 0 and c >= 3 and j % p ** (c - 2) == 0 and j % p ** (c - 1)
-                for plan in (EvaluationPlan(p), swept):
-                    passes.clear()
-                    assert plan.power_sum(n, c) == expected, (p, n, c)
-                    takes_short = short and (c > 3 or plan is swept)
-                    assert passes == [(t + p - 1, p * p) if takes_short else (n, p ** c)]
+                exponents.clear()
+                m = p ** (c - 1)
+                assert plan.half_sum(n - 1, c - 1) == reference_half_sum(p, n - 1, m), \
+                    (p, n, c)
+                assert len(exponents) == 1, (p, n, c)
+                if t < 0 and j % p ** (c - 2) == 0:
+                    e, = exponents
+                    assert (e - t + 1) % (p - 1) == 0 and abs(e) < p, (p, n, c, e)
 
 
 def test_power_sum_rejects_other_moduli():
@@ -450,22 +464,20 @@ def test_registry_bernoulli_calls_are_listed(monkeypatch):
 
 def test_registry_power_sums_fill_the_window(monkeypatch):
     # At 16843 the registry's half-sum requests, by class t and largest c,
-    # are the half window exactly: nothing outside it (every read is served,
-    # and no direct pass is made), nothing in it unused.
-    p, needed, served = 16843, {}, set()
+    # are the half window exactly: nothing outside it (every read is served
+    # off the window, and no direct pass is made), nothing in it unused.
+    p, needed = 16843, {}
     original = EvaluationPlan.half_sum
 
     def recording(plan, n, c):
         t = (n + 8) % (p - 1) - 8
         needed[t] = max(needed.get(t, 0), c)
-        got = original(plan, n, c)
-        served.add(got is not None)
-        return got
+        return original(plan, n, c)
 
     monkeypatch.setattr(EvaluationPlan, "half_sum", recording)
-    monkeypatch.setattr(EvaluationPlan, "power_sum", None)  # a pass errs the record
+    monkeypatch.setattr(harmonic, "power_sum_raw", None)  # a pass errs the record
     assert all(o.passed or o.skipped for o in checks.run_suite(checks.all_check_ids(), [p]))
-    assert needed == HALF_WINDOW and served == {True}
+    assert needed == HALF_WINDOW
 
 
 def bernoulli_values(plan: EvaluationPlan) -> dict:
@@ -525,15 +537,15 @@ def test_wolstenholme_quotient_rejects_p3():
 
 
 def euler_index_check(p: int, n: int, e: int) -> bool:
-    """Identity R_{phi(p^e)-n} = P_n in Z/p^e Z (Euler's theorem), with R_N
-    for the one large N summed as powmods of 1/k = (p-k) v and
-    1/(p-k) = k v over the pair inverses v = 1/(k(p-k)), each inverted on
+    """Identity sum(1/k^(phi(p^e)-n), k <= (p-1)/2) = S_n in Z/p^e Z
+    (Euler's theorem), with the one large power summed as powmods of
+    1/k = (p-k) v over the pair inverses v = 1/(k(p-k)), each inverted on
     its own."""
     phi, m = p ** (e - 1) * (p - 1), p ** e
     r = 0
     for k in range(1, (p + 1) // 2):
         v = pow(k * (p - k), -1, m)
-        r += pow((p - k) * v % m, phi - n, m) + pow(k * v % m, phi - n, m)
+        r += pow((p - k) * v % m, phi - n, m)
     return r % m == power_sum_raw(p, n, m)
 
 

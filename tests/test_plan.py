@@ -93,7 +93,7 @@ def test_wolstenholme_only_suite_gates_on_t1_alone(monkeypatch):
 
 
 def test_few_window_reads_take_direct_passes(monkeypatch):
-    # lehmer_p3 reads P_(p-3) and P_(p-5): two passes beat one sweep.  The
+    # lehmer_p3 reads S_(p-4) and S_(p-6): two passes beat one sweep.  The
     # reads of cor2_p7 count only where the gate lets it evaluate, so below
     # 200 the pair makes 2 < SWEEP_REQUESTS reads; at 16843 it makes 5, as
     # both checks read p B_(p-5) mod p^2 and the plan holds it: one sweep.
@@ -111,22 +111,16 @@ def test_few_window_reads_take_direct_passes(monkeypatch):
 
 
 def count_reads(monkeypatch) -> Counter:
-    """Count, by prime, the reads made from here on: half sums off the
-    window and P_n by direct pass."""
+    """Count, by prime, the half sums read from here on, off the window or
+    by direct pass."""
     made = Counter()
-    half_sum, power_sum = EvaluationPlan.half_sum, EvaluationPlan.power_sum
+    half_sum = EvaluationPlan.half_sum
 
     def half(plan, n, c):
-        got = half_sum(plan, n, c)
-        made[plan.p] += got is not None
-        return got
-
-    def direct(plan, n, c):
         made[plan.p] += 1
-        return power_sum(plan, n, c)
+        return half_sum(plan, n, c)
 
     monkeypatch.setattr(EvaluationPlan, "half_sum", half)
-    monkeypatch.setattr(EvaluationPlan, "power_sum", direct)
     return made
 
 
@@ -196,7 +190,7 @@ def test_suite_counts_of_bernoulli_pairs_and_triples(monkeypatch):
 
 def test_suite_counts_shared_reads_once(monkeypatch):
     # glaisher_p4 and lehmer_p3 both read p B_(p-3) mod p^4: each row reads
-    # two P_n, but the plan's memo leaves two distinct ones, so two passes
+    # two half sums, but the plan's memo leaves two distinct ones, so two passes
     # and no sweep.
     counts = count_kernels(monkeypatch)
     ids = ["glaisher_p4", "lehmer_p3"]
@@ -236,8 +230,8 @@ def test_b0_and_odd_index_reads_make_no_pass(monkeypatch):
 def test_bernoulli_memo_is_keyed_by_index(monkeypatch):
     # p B_n is held at the highest c computed: a later read at lower c
     # reduces it with no pass, and only a read at higher c makes another.
-    # B_(p-3) mod p^3 reads P_(p-3) mod p^4 and, one level down, P_(p-5);
-    # B_(p-3) mod p reads P_(p-3) mod p^2.
+    # B_(p-3) mod p^3 reads S_(p-4) mod p^3 and, one level down, S_(p-6)
+    # mod p; B_(p-3) mod p reads S_(p-4) mod p.
     counts = count_kernels(monkeypatch)
     for p in (11, 101, 16843):
         values = {}

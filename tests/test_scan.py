@@ -161,7 +161,7 @@ ONE_BIT_VALUATIONS = {Criterion.BINOMIAL_P4: 3, Criterion.HARMONIC_R1_P3: 2,
 
 
 def assert_one_bit_valuations(lo: int, hi: int) -> None:
-    # bp3's power-sum pass shares no code with the half walk, so its bit is
+    # bp3's half pass shares no code with the half walk, so its bit is
     # an oracle for every valuation the other three criteria report.
     found = {c: {r.p: r.observed_valuation
                  for r in wolstenholme_scan(SieveConfig(lo, hi), c)}
