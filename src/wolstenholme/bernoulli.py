@@ -4,36 +4,23 @@ The exact side follows the defining recurrence of x/(e^x - 1), capped at
 index 400; it exists as an oracle.  The residue side reads p B_n mod p^c
 off the half sums S_m = sum(k^m, k <= (p-1)/2), which the prime's plan
 serves (``plan``: off its moment window or by one direct pass over half
-the range).  Where 2^n != 1 (mod p) it evaluates the power-sum expansion
-at x = (p+1)/2: for even n, B_n((p+1)/2) - B_n = n S_(n-1), and
-B_r(1/2) = (2^(1-r) - 1) B_r, so
+the range).  It evaluates the power-sum expansion at x = (p+1)/2: for
+even n, B_n((p+1)/2) - B_n = n S_(n-1), and B_r(1/2) = (2^(1-r) - 1) B_r, so
 
     (2^(1-n) - 2) p B_n = n p S_(n-1)
         - sum(C(n, j) (2^(1-n+j) - 1) 2^(-j) p^j p B_(n-j),
-              j even, 2 <= j <= min(n, c-1))   (mod p^c),
+              j even, 2 <= j <= min(n, C-1))   (mod p^C),
 
-the half identity, exact at any c: every p B_r is p-integral (von
-Staudt-Clausen), so the omitted terms carry p^j, j >= c, and nothing is
+the half identity, exact at any C: every p B_r is p-integral (von
+Staudt-Clausen), so the omitted terms carry p^j, j >= C, and nothing is
 divided by j.  The odd j drop out (B_1(1/2) = 0), p B_0 = p, and S_(n-1)
-is needed mod p^(c-1) only.  Solving for p B_n needs 2^n != 1 (mod p),
-true in every class the checks read once p >= 11.  Where 2^n = 1 (mod p)
-(a public read at ord_p(2) | n, p-1 | n among them, or a plan at p = 7)
-it inverts the classical power-sum expansion of P_n = sum(k^n, k < p),
-
-    P_n(p) = sum over s of (1/s) C(n, s-1) p^s B_{n+1-s}   (mod p^c)
-
-truncated at s <= min(c, n+1), which is exact for p >= 7 and c <= 5: any
-omitted term with ord_p(s) = e >= 1 has valuation at least
-s - e - 1 >= p - 2 >= 5, and omitted p-integral terms at least s - 1 >= c.
-P_n comes off half sums too: pairing k with p - k, for even n
-
-    P_n = 2 S_n + sum(C(n, i) (-p)^i S_(n-i), 1 <= i <= min(n, c-1))   (mod p^c).
-
-Solving the triangle top-down yields p*B_n mod p^c for arbitrary n, even at
-positions with p-1 | n where only p*B_n (not B_n) is p-integral: the inner
-indices of such a position are all regular, so no precision is lost.
-Both read p B_(n-2) at c - 2 and p B_(n-4) at c - 4, so a read makes the
-same reads below it either way.
+is needed mod p^(C-1) only.  The coefficient of p B_n is
+-2^(1-n) (2^n - 1), which carries exactly p^d, d = v_p(2^n - 1); so the
+identity mod p^C, C = c + d, divided by p^d, gives p B_n mod p^c.  d = 0,
+and C = c, in every class the checks read once p >= 11; d >= 1 where
+2^n = 1 (mod p) (a public read at ord_p(2) | n, p-1 | n among them, or a
+plan at p = 7).  Every p B_r is read alike, at irregular positions too,
+and a read at C reads p B_(n-2) at C - 2 and p B_(n-4) at C - 4.
 
 Any index below p^6 is read directly; indices p^n - p^(n-1) - s also
 reduce to indices below n*p through the Kummer congruences:
@@ -60,13 +47,15 @@ from .errors import (
 )
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .harmonic import power_sum_raw  # noqa: F401
-from .modring import Residue, int_valuation, is_prime, make_modulus
+from .modring import Residue, capped_valuation, int_valuation, is_prime, make_modulus
 from .plan import EvaluationPlan
 
 #: Exact rationals stop here; everything larger goes through residues.
 EXACT_INDEX_CAP = 400
 
-#: Residue exponent cap: the truncated power-sum expansion is exact to p^5.
+#: Residue exponent cap.  The half identity is exact at any exponent; 4 fixes
+#: the evaluation exponent W of every Bernoulli row (``checks.Linear``), and
+#: so the bytes of its records.
 RESIDUE_EXPONENT_CAP = 4
 
 _exact: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
@@ -110,23 +99,17 @@ def is_regular_position(n: int, p: int) -> bool:
 
 
 def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
-    """p * B_n mod p^c for any n >= 0 (p >= 7, c <= 5), memoised in the plan.
+    """p * B_n mod p^c for every n >= 0 but 1, memoised in the plan.
 
-    Off the half identity (module doc) where 2^n != 1 (mod p), else off the
-    power-sum expansion of P_n, both read off the plan's half sums; either
-    way p B_(n-2) and p B_(n-4) are read at c - 2 and c - 4.  Works at
-    irregular positions too: the s = 1 term of the power-sum expansion is
-    p*B_n itself, and every inner index n+1-s with s >= 2 is either odd
-    (B = 0) or regular, so the recursion never needs an irregular value at
-    more precision than it has.  At c = 1 no sum is read: von
+    Off the half identity (module doc) mod p^C, C = c + v_p(2^n - 1), read
+    off the plan's half sums and divided by p^(C-c); a sum that is not
+    divisible raises DivisionNotExact.  At c = 1 no sum is read: von
     Staudt-Clausen gives p*B_n = -[p-1 | n] (mod p) for even n >= 2.
     """
     p = plan.p
     m = p ** c
     if n == 0:
         return p % m
-    if n == 1:
-        return -p * pow(2, -1, m) % m
     if n % 2:
         return 0
     if c == 1:
@@ -134,26 +117,27 @@ def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
     held = plan.pb.get(n)
     if held is not None and held[0] >= c:
         return held[1] % m
-    if pow(2, n % (p - 1), p) != 1:
-        # 2^(1-n) as (2^-1)^((n-1) mod phi(p^c)); p B_(n-j) is needed mod
-        # p^(c-j) only: its term carries p^j.
-        i2 = (m + 1) // 2
-        h = pow(i2, (n - 1) % (m // p * (p - 1)), m)
-        acc = n * p * plan.half_sum(n - 1, c - 1)
-        for j in range(2, min(n, c - 1) + 1, 2):
-            pb = _p_times_bernoulli(n - j, plan, c - j)
-            acc -= comb(n, j) * (h - pow(i2, j, m)) * p ** j * pb
-        acc *= pow(h - 2, -1, m)
-    else:
-        # P_n off half sums (module doc), S_(n-i) needed mod p^(c-i) only.
-        acc = 2 * plan.half_sum(n, c) + sum(
-            comb(n, i) * (-p) ** i * plan.half_sum(n - i, c - i)
-            for i in range(1, min(n, c - 1) + 1))
-        for s in range(2, min(c, n + 1) + 1):
-            # p B_(n+1-s) is needed mod p^(c-s+1) only: its term carries p^(s-1).
-            pb = _p_times_bernoulli(n + 1 - s, plan, c - s + 1)
-            acc -= comb(n, s - 1) * pow(s, -1, m) * p ** (s - 1) * pb
-    plan.pb[n] = c, acc % m
+    C = c
+    while True:
+        # 2^(1-n) as (2^-1)^((n-1) mod phi(p^C)); h - 2 = -2^(1-n) (2^n - 1)
+        # carries p^d, read capped at C, so exactly once C >= c + d.
+        M = p ** C
+        i2 = (M + 1) // 2
+        h = pow(i2, (n - 1) % (M // p * (p - 1)), M)
+        d = capped_valuation(h - 2, p, C)
+        if C >= c + d:
+            break
+        C = c + d
+    # p B_(n-j) is needed mod p^(C-j) only: its term carries p^j.
+    acc = n * p * plan.half_sum(n - 1, C - 1)
+    for j in range(2, min(n, C - 1) + 1, 2):
+        pb = _p_times_bernoulli(n - j, plan, C - j)
+        acc -= comb(n, j) * (h - pow(i2, j, M)) * p ** j * pb
+    q = p ** d
+    if acc % q:
+        raise DivisionNotExact(
+            f"p*B_{n}'s half identity mod {p}^{C} is not divisible by {p}^{d}")
+    plan.pb[n] = c, acc // q * pow((h - 2) // q, -1, m) % m
     return plan.pb[n][1]
 
 

@@ -406,9 +406,10 @@ def _skipped(check: CongruenceCheck, p: int, reason: str) -> CheckOutcome:
 _suite_plan: Optional[EvaluationPlan] = None
 
 
-#: The prime a suite replays its window reads at, the least one a plan sweeps
-#: at: the counts are the same at every prime from 11 on (``tests/test_plan.py``
-#: pins it below 3000), and below 11 no plan sweeps, so no count is read there.
+#: The prime a suite replays its window reads at: the counts are the same at
+#: every prime from 11 on (``tests/test_plan.py`` pins it below 3000).  A plan
+#: at 7 is told them too; a count only picks sweep or passes, and every read
+#: is exact either way.
 _REPLAY_PRIME = 11
 
 
@@ -416,8 +417,11 @@ def _window_reads(p: int, checks: Sequence[CongruenceCheck]) -> int:
     """The window reads ``checks`` make at p in order, up to SWEEP_REQUESTS:
     their B_n reads replayed on a stand-in plan whose half_sum records a read
     and returns 0, a value the recursion of ``_p_times_bernoulli`` never
-    branches on.  A suite replays once, at _REPLAY_PRIME; a lone
-    ``run_check`` at its own prime."""
+    branches on.  Nor does its division by p^d, d = v_p(2^n - 1), fail on
+    it: every term but n p S_(n-1) carries C(n, j) p^j, j >= 2, whose
+    valuation is at least d while v_p(2^(p-1) - 1) <= 2, as at every known
+    prime.  A suite replays once, at _REPLAY_PRIME; a lone ``run_check`` at
+    its own prime."""
     made = []
     stand_in = SimpleNamespace(p=p, pb={}, half_sum=lambda n, c: made.append((n, c)) or 0)
     for check in checks:

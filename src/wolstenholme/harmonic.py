@@ -6,8 +6,8 @@ Three families:
 * ``R_n(p) = sum(1/k^n for k in 1..p-1)`` — power sums of inverses,
 * ``H_n(p) = sum(1/(i_1*...*i_n))`` over n-subsets — elementary symmetric
   functions of the inverses,
-* ``P_n(p) = sum(k^n for k in 1..p-1)`` — ordinary power sums, read
-  through their halves S_n over 1..(p-1)/2.
+* ``S_n(p) = sum(k^n for k in 1..(p-1)/2)`` — half power sums, the
+  Bernoulli side's one power-sum read.
 
 R and H are linked by Newton's identity
 
@@ -47,9 +47,8 @@ are geometric series: sum r^3 = -2a/(a - 1) with a = g^3 != 1, and T_3 =
 the other's r, and on their own i = 0 (k = 1, r = p-1) and, for p = 1 (mod 4),
 the mirror's fixed point i = H/2 (k = r).
 
-P is read through its half sums S_n = sum(k^n for k in 1..(p-1)/2), by one
-direct pass over half the range (``power_sum_raw``) or off Fermat-quotient
-moments.  With the integer u_k = (k^(p-1) - 1)/p, k^(j(p-1)+t) =
+S_n is read by one direct pass over half the range (``power_sum_raw``)
+or off Fermat-quotient moments.  With the integer u_k = (k^(p-1) - 1)/p, k^(j(p-1)+t) =
 k^t (1 + p u_k)^j, so for every p, j >= 0 and t (k^t an inverse mod p^c
 when t < 0)
 
@@ -75,8 +74,8 @@ p^4 are already below p^3.  It returns each class's c sums, so a reader
 takes the window off them.  The sweep packs its classes into one integer
 per k, one product sum per i, and costs about three half passes (2.4 to
 5.3 ``power_sum_raw`` mod p^4 at an exponent below p, from p = 100003 down
-to 101), so an evaluation plan (``plan``) makes it only at p >= 11 and for
-checks that read ``plan.SWEEP_REQUESTS`` sums or more at the prime; a lone
+to 101), so an evaluation plan (``plan``) makes it only for checks that
+read ``plan.SWEEP_REQUESTS`` sums or more at the prime; a lone
 ``bernoulli_mod``, a Bernoulli scan or a suite of two Bernoulli reads
 takes a direct half pass per half sum.
 """

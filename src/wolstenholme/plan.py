@@ -25,17 +25,17 @@ testing p for primality again, and runs each sweep at most once, on first read:
   replayed on a stand-in plan with the memo below (``requests``, and
   ``wolstenholme_requests`` for those made only past the gate, which count
   only if p passes it); a suite replays once for all its primes, as the
-  count is the same at every prime from 11 on.  At p >= 11, from
-  SWEEP_REQUESTS on, the first read sweeps the Fermat-quotient moments of
-  the half window (the classes t - 1 at c - 1 of ``harmonic.MOMENT_WINDOW``,
-  over k <= (p-1)/2), and ``half_sum`` serves every S_n = sum(k^n,
+  count is the same at every prime from 11 on.  From SWEEP_REQUESTS on,
+  the first read sweeps the Fermat-quotient moments of the half window
+  (the classes t - 1 at c - 1 of ``harmonic.MOMENT_WINDOW``, over
+  k <= (p-1)/2), and ``half_sum`` serves every S_n = sum(k^n,
   k <= (p-1)/2) in it, a read finding its class by n mod (p-1), whose
   count of sums is the class's precision: ``bernoulli`` reads p B_n mod p^c
   off S_(n-1) mod p^(c-1).
-  Below 11 some class t of the window has 2^t = 1 (mod p) (p = 3, 5, 7),
-  where that read cannot serve, so no plan sweeps.  Every other read (a
-  lone ``bernoulli_mod``, a Bernoulli scan, a suite of two Bernoulli reads,
-  a plan at p = 7) makes one direct pass of S_n over k <= (p-1)/2.  At the
+  A read the window does not hold at the c asked (at p = 7 the class
+  t = -6, where 2^t = 1 (mod p)) and every read of a plan that does not
+  sweep (a lone ``bernoulli_mod``, a Bernoulli scan, a suite of two
+  Bernoulli reads) make one direct pass of S_n over k <= (p-1)/2.  At the
   Helou-Terjanian indices n = j(p-1) + t with p^(c-2) dividing j, Euler's
   theorem mod p^(c-1) cuts that pass's exponent n - 1 to t - 1.
 
@@ -107,12 +107,10 @@ class EvaluationPlan:
 
     @cached_property
     def sweeps(self) -> bool:
-        """Whether p >= 11 and the window reads at p reach SWEEP_REQUESTS,
-        asked at the first read (the gate runs only for gated reads, which
-        need it anyway)."""
+        """Whether the window reads at p reach SWEEP_REQUESTS, asked at the
+        first read (the gate runs only for gated reads, which need it anyway)."""
         w = self.wolstenholme_requests
-        return self.p >= 11 and (
-            self.requests + (w if w and self.wolstenholme else 0) >= SWEEP_REQUESTS)
+        return self.requests + (w if w and self.wolstenholme else 0) >= SWEEP_REQUESTS
 
     @cached_property
     def _moments(self) -> dict:
@@ -124,7 +122,7 @@ class EvaluationPlan:
         length), else by one direct pass."""
         p = self.p
         if self.sweeps:
-            j, e = divmod(n, p - 1)  # at p >= 11 each class's key e is in 1..p-2
+            j, e = divmod(n, p - 1)  # a key below 0 (p = 7) matches no read
             S = self._moments.get(e)
             if S is not None and len(S) >= c:
                 return sum(comb(j, i) * p ** i * S[i] for i in range(c)) % p ** c

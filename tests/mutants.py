@@ -71,11 +71,6 @@ MUTANTS = (
     Mutant("the power kernel's half loop stops at (p-3)/2", "harmonic.py",
            "min(lo + _CHUNK, mid + 1))", "min(lo + _CHUNK, mid))",
            ("tests/test_harmonic.py::test_power_sum_kernel_matches_powmod_loop",)),
-    Mutant("the power-sum expansion's half sums carry p^i for (-p)^i", "bernoulli.py",
-           "(-p) ** i", "p ** i",
-           ("tests/test_bernoulli.py::test_bernoulli_mod_oracle_grid",
-            "tests/test_bernoulli.py::test_bernoulli_mod_r4_grid",
-            "tests/test_bernoulli.py::test_no_plan_sweeps_below_11")),
     Mutant("the moment window drops the class t = -6, so the half sweep drops t - 1 = -7",
            "harmonic.py",
            "MOMENT_WINDOW = {4: 5, 2: 3, -2: 5, -4: 5, -6: 3}",
@@ -85,11 +80,14 @@ MUTANTS = (
            "t + p - 2", "t + p - 1",
            ("tests/test_harmonic.py::test_moment_path_matches_powmod_loop",)),
     Mutant("the half identity's terms carry 2^j for 2^-j", "bernoulli.py",
-           "(h - pow(i2, j, m))", "(h - pow(2, j, m))",
+           "(h - pow(i2, j, M))", "(h - pow(2, j, M))",
            ("tests/test_bernoulli.py::test_half_identity_against_exact_rationals",)),
-    Mutant("a plan sweeps at p = 7, where 2^n = 1 (mod p) in the window", "plan.py",
-           "self.p >= 11", "self.p >= 7",
-           ("tests/test_bernoulli.py::test_no_plan_sweeps_below_11",)),
+    Mutant("the lift assumes v_p(2^n - 1) <= 1", "bernoulli.py",
+           "d = capped_valuation(h - 2, p, C)", "d = min(1, capped_valuation(h - 2, p, C))",
+           ("tests/test_bernoulli.py::test_bernoulli_mod_r4_grid",)),
+    Mutant("the lift reads S_(n-1) at the unlifted precision", "bernoulli.py",
+           "plan.half_sum(n - 1, C - 1)", "plan.half_sum(n - 1, c - 1)",
+           ("tests/test_bernoulli.py::test_bernoulli_mod_r4_grid",)),
     Mutant("the moment sweep's slot width leaves u^i out of its bound, so slots carry",
            "harmonic.py", "(2 * top + 4) * p.bit_length()", "(top + 5) * p.bit_length()",
            ("tests/test_harmonic.py::test_packed_sweep_at_wide_primes",)),

@@ -108,8 +108,9 @@ def test_bernoulli_mod_oracle_grid():
 
 def order_of_2_divides() -> list:
     """(n, p) for the primes 7 <= p < 200 where ord_p(2) < p - 1 and the
-    even regular n <= 400 with 2^n = 1 (mod p): the reads the half identity
-    cannot solve, which take the power-sum expansion off half sums."""
+    even regular n <= 400 with 2^n = 1 (mod p): the reads whose half
+    identity is solved mod p^(c+d), d = v_p(2^n - 1) >= 1, and divided by
+    p^d."""
     return [(n, p) for p in range(7, 200) if is_prime(p)
             and min(d for d in range(1, p) if pow(2, d, p) == 1) < p - 1
             for n in range(2, 401, 2)
@@ -118,10 +119,12 @@ def order_of_2_divides() -> list:
 
 def test_bernoulli_mod_r4_grid():
     # r = 4 works the deepest correction terms, including inner indices at
-    # irregular positions (e.g. n = 14, p = 11 needs p*B_10 mod 11), and
-    # every index where 2^n = 1 (mod p) with n <= 400 at p < 200.
+    # irregular positions (e.g. n = 14, p = 11 needs p*B_10 mod 11), every
+    # index where 2^n = 1 (mod p) with n <= 400 at p < 200 (d = 2 at
+    # (310, 31), as 31 | 2^5 - 1 and 31 | 310), and the Wieferich prime 1093,
+    # where 1093^2 | 2^364 - 1, so d = 2 at (364, 1093).
     reads = [(n, p) for p in (11, 13, 17, 19, 23, 29, 31, 97) for n in served(p)]
-    for n, p in reads + order_of_2_divides():
+    for n, p in reads + order_of_2_divides() + [(364, 1093)]:
         assert bernoulli_mod(n, p, 4).value == embed_exact(n, p, 4), (n, p)
 
 
@@ -155,15 +158,16 @@ def test_sweeping_and_direct_plans_agree_at_helou_terjanian_indices():
         assert "_moments" in vars(sweeping) and "_moments" not in vars(direct), p
 
 
-def test_no_plan_sweeps_below_11():
-    # At p = 7, 2^n = 1 (mod p) in the window's class t = -6, so a plan told
-    # of SWEEP_REQUESTS reads still takes direct half passes, all exact.
+def test_plan_at_7_sweeps_and_lifts_where_2_to_the_n_is_1():
+    # At p = 7, 2^n = 1 (mod p) in the window's class t = -6: a plan told of
+    # SWEEP_REQUESTS reads sweeps, and those reads lift past the window to
+    # direct half passes, all exact.
     plan = EvaluationPlan(7, SWEEP_REQUESTS)
     for n in range(401):
         if n != 1 and bernoulli.is_regular_position(n, 7):
             for r in range(1, 5):
                 assert bernoulli_mod(n, 7, r, plan).value == embed_exact(n, 7, r), (n, r)
-    assert not plan.sweeps and "_moments" not in vars(plan)
+    assert plan.sweeps and "_moments" in vars(plan)
 
 
 def test_bernoulli_mod_odd_and_irregular():

@@ -103,7 +103,7 @@ def reference_inverse_power_sums(p: int, n_max: int, m: int) -> list[int]:
 
 
 def registry_indices(p: int) -> set[int]:
-    """Every index shape the check registry feeds to P_n."""
+    """Every index shape the check registry feeds to the power sums."""
     shapes = {0, 1, 2, p - 3, p - 1, p * (p - 1) + 4, p ** 2 - p - 4,
               p ** 3 - p ** 2 - 2, p ** 4 - p ** 3 - 2, p ** 4 - p ** 3 - 4}
     shapes |= {j * (p - 1) + t for j in range(5) for t in range(-8, 7)}
@@ -334,8 +334,9 @@ def test_moment_path_matches_powmod_loop(monkeypatch):
     # Every half-window class t, at j = 0..5, p and p^3 (the j of p^4 - p^3 - 2),
     # read off a sweeping plan at every c it holds, against a powmod per k,
     # with no direct pass.  c = MAX_EXPONENT, the first c above the class's
-    # (unless a class of small p holds it), a read of a plan below
-    # SWEEP_REQUESTS and any read at p < 11, where no plan sweeps, take one.
+    # (unless a class of small p holds it) and a read of a plan below
+    # SWEEP_REQUESTS take one; below 11, where a class may be keyed below 0
+    # and so hold no read, a read takes one unless its key holds c sums.
     passes = record_passes(monkeypatch)
     for p in PRIMES_600:
         plan, lone = EvaluationPlan(p, SWEEP_REQUESTS), EvaluationPlan(p)
@@ -348,14 +349,17 @@ def test_moment_path_matches_powmod_loop(monkeypatch):
                 for c in [*range(1, c_held + 2), MAX_EXPONENT]:
                     passes.clear()
                     assert plan.half_sum(n, c) == expected % p ** c, (p, t, j, c)
-                    if p < 11 or c == MAX_EXPONENT:
+                    if c == MAX_EXPONENT:
                         assert passes == [(n, p ** c)], (p, t, j, c)
+                    elif p < 11:
+                        held = len(plan._moments.get(n % (p - 1), ()))
+                        assert passes == ([] if c <= held else [(n, p ** c)]), (p, t, j, c)
                     elif c <= c_held:  # past c_held, another class may hold n
                         assert passes == [], (p, t, j, c)
                 passes.clear()
                 assert lone.half_sum(n, c_held) == expected % p ** c_held, (p, t, j)
                 assert passes == [(n, p ** c_held)], (p, t, j)
-        assert ("_moments" in vars(plan)) == (p >= 11) and "_moments" not in vars(lone), p
+        assert "_moments" in vars(plan) and "_moments" not in vars(lone), p
 
 
 def test_moment_window_keys_where_classes_meet():
@@ -496,13 +500,13 @@ def bernoulli_values(plan: EvaluationPlan) -> dict:
 
 
 def test_window_agrees_with_fermat_powers_below_700():
-    # From p = 7, where no plan sweeps and 2^n = 1 (mod 7) at t = -6, and 11,
-    # where the classes -7 and 3 meet.
+    # From p = 7, where 2^n = 1 (mod 7) at t = -6 and those reads lift past
+    # the window, and 11, where the classes -7 and 3 meet.
     for p in range(7, 700):
         if is_prime(p):
             plan = EvaluationPlan(p, SWEEP_REQUESTS)
             assert bernoulli_values(plan) == bernoulli_values(FermatPowers(p)), p
-            assert ("_moments" in vars(plan)) == (p >= 11), p
+            assert "_moments" in vars(plan), p
 
 
 @pytest.mark.slow

@@ -155,8 +155,8 @@ def test_replay_predicts_the_reads_made(monkeypatch):
 
 def assert_suite_counts_are_the_replay_at_every_prime(monkeypatch, suites):
     """What run_suite tells each prime's plan, replayed once per suite, is
-    what a replay at that prime gives, at every prime a plan sweeps at below
-    3000 (below 11 no plan reads it)."""
+    what a replay at that prime gives, at every prime from 11 below 3000 (a
+    plan at 7 is told the counts at 11)."""
     told = {}
     monkeypatch.setattr(checks, "EvaluationPlan",
                         lambda p, *counts: told.update({p: counts}))
@@ -198,10 +198,10 @@ def test_suite_counts_shared_reads_once(monkeypatch):
         counts.clear()
         assert all(o.passed for o in checks.run_suite(ids, [p]))
         assert counts["power_sum_raw"] == 2 and not counts["_moment_sums_raw"], p
-    # The registry reads enough to sweep at every prime from 11 on.
+    # The registry reads enough to sweep at every prime from 7 on.
     counts.clear()
     list(checks.run_suite(checks.all_check_ids(), range(4, 501)))
-    assert counts["_moment_sums_raw"] == len([p for p in range(11, 501) if is_prime(p)])
+    assert counts["_moment_sums_raw"] == len([p for p in range(7, 501) if is_prime(p)])
 
 
 def test_lone_bernoulli_requests_take_direct_passes(monkeypatch):
@@ -212,6 +212,11 @@ def test_lone_bernoulli_requests_take_direct_passes(monkeypatch):
                                           scan.Criterion.BERNOULLI_BP3))
     assert [r.p for r in records if r.flagged] == [16843]
     assert counts == {"power_sum_raw": 1 + len(records)}
+    # 31 | 2^10 - 1, so B_10 mod 31^4 comes off the half identity mod 31^6,
+    # divided by 31: one pass at each level, S_9, S_7 and S_5.
+    counts.clear()
+    assert bernoulli.bernoulli_mod(10, 31, 4).value.value == 601688
+    assert counts == {"power_sum_raw": 3}
 
 
 def test_b0_and_odd_index_reads_make_no_pass(monkeypatch):
