@@ -7,12 +7,9 @@ The central object is C(2p-1, p-1), computed through the product expansion
 
 evaluated with one modular inversion.  ``exact_binomial`` is the exact
 big-integer oracle for desk-scale arguments (``binom N R``, and the tests'
-check of the plan's products).  ``_zhao_sides`` evaluates Zhao's quotient law
-C(np, rp)/C(n, r) = 1 + w_p n r (n-r) p^3 (mod p^5) at (n, r) = (3, 1), his
-eq. 4 and the registry's ``zhao_eq4_p5``.  It and the Granville and Sun-Wan
-congruences of the check registry (``granville_p5``, ``sun_wan_p5``) read
-every binomial off the products E(s) = prod(1 + sp/k, k < p), s = 1, 2, 3,
-that an evaluation plan builds from its pair sums (``plan``);
+check of the plan's products).  The check registry reads every binomial
+off the products E(s) = prod(1 + sp/k, k < p), s = 1, 2, 3, that an
+evaluation plan builds from its pair sums (``plan``);
 ``_shifted_product_raw`` stays their independent check.
 """
 from __future__ import annotations
@@ -22,15 +19,9 @@ from typing import NamedTuple
 
 from .errors import NotPrime, RangeError
 from .modring import Residue, capped_valuation, eval_exponent, is_prime, make_modulus
-from .plan import EvaluationPlan
 
 #: Bound on exact binomial arguments; factorial-scale integers stay small.
 ORACLE_CAP = 5000
-
-#: The primes past which ``sun_wan_p5`` (this cap) and ``zhao_eq4_p5``
-#: (ORACLE_CAP // 3) skip, where their exact binomials once stopped; both now
-#: read the plan's products, and the caps stay until their records may change.
-SUN_WAN_PRIME_CAP = 400
 
 #: Largest k served by ``central_binomial_mod``.
 CENTRAL_EXPONENT_CAP = 9
@@ -90,11 +81,3 @@ def central_binomial_mod(p: int, k: int) -> BinomialResidue:
         wolstenholme_valuation=capped_valuation(wide - 1, p, eval_exp),
     )
 
-
-def _zhao_sides(plan: EvaluationPlan) -> tuple[Residue, Residue]:
-    """C(np, rp)/C(n, r) and 1 + w_p n r (n-r) p^3 at (n, r) = (3, 1), both
-    mod p^5: the left side is the plan's E(2) = C(3p, p)/3, and w_p = R_1/p^2
-    (mod p^2) is read off its R_1."""
-    p, M, n, r = plan.p, plan.modulus(5), 3, 1
-    w = plan.R[1] % p ** 4 // p ** 2
-    return M.residue(plan.products[1]), M.residue(1 + w * n * r * (n - r) * p ** 3)

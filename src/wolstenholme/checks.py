@@ -8,20 +8,21 @@ exponents above the stated one where the arithmetic allows, so an
 outcome reports how much slack a congruence has, not just pass/fail.
 
 Most checks are linear, sum(c p^a X) = const + sum(c p^a Y) (mod p^k) with
-each X and Y one of C(2p-1,p-1), R_n, H_n, B_n or B_n/n: Wolstenholme,
-Glaisher, Lehmer, Helou-Terjanian, Zhao's Lemmas 1-2, Lemmas 7, 12 and 13,
-eq. 19, Propositions 1-2, Corollaries 1-3, Remark 2, Kummer's eqs. 10-11 and
-eq. 26.  Each is one ``Linear`` row, whose evaluator derives every precision
-and the exponent it works at, which a Bernoulli term holds to p^4 above its
-power of p; only ``helou_terjanian_p6`` and ``eq26_n2_s4`` pin that exponent,
-at the stated one.
+each X and Y one of C(2p-1,p-1), C(3p,p)/3, R_n, H_n, B_n or B_n/n:
+Wolstenholme, Glaisher, Lehmer, Helou-Terjanian, Zhao's eq. 4 and Lemmas
+1-2, Lemmas 7, 12 and 13, eq. 19, Propositions 1-2, Corollaries 1-3,
+Remark 2, Kummer's eqs. 10-11 and eq. 26.  Each is one ``Linear`` row, whose
+evaluator derives every precision and the exponent it works at, which a
+Bernoulli term holds to p^4 above its power of p; ``helou_terjanian_p6``,
+``eq26_n2_s4`` and ``zhao_eq4_p5`` pin that exponent at the stated one.
 
 A check passes when v_p(lhs - rhs) reaches the stated exponent.  Skipped
 is not failed: gates (below minimum prime, not prime, not a Wolstenholme
 prime, beyond an exact-oracle bound) produce skipped outcomes so suites
-can sweep wide ranges without noise.  The last gate is the reach of the
-exact binomials ``sun_wan_p5`` and ``zhao_eq4_p5`` once took; both read
-the plan's products now, and keep the caps so their records keep their bytes.
+can sweep wide ranges without noise.  The last gate is a row's own
+``max_prime``: 400 for ``sun_wan_p5`` and 1666 for ``zhao_eq4_p5``, the
+reach of the exact binomials they once took.  Both read the plan's
+products now, and keep the bounds so their records keep their bytes.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from . import binomial
 from .bernoulli import RESIDUE_EXPONENT_CAP, _p_times_bernoulli, bernoulli_mod
 from .errors import UnknownCheck
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
@@ -40,7 +40,7 @@ from .bernoulli import bernoulli_ratio, high_index_bernoulli  # noqa: F401
 from .harmonic import _inverse_power_sums_raw  # noqa: F401
 from .modring import Residue, eval_exponent, is_prime, make_modulus  # noqa: F401
 from .parallel import ordered_map
-from .plan import SWEEP_REQUESTS, EvaluationPlan
+from .plan import EvaluationPlan
 
 Fr = Fraction
 
@@ -84,10 +84,11 @@ def _indicator_pair(plan, lhs_holds: bool, rhs_holds: bool):
 
 # --- linear congruences ---------------------------------------------------------
 
-#: Term values of a ``Linear`` row: C(2p-1,p-1), R[n] and H[n] are read off
-#: the plan as (attribute, index); B(j, s) is B_(j(p-1)-s) and Bp(n, s) is
-#: B_(p^n-p^(n-1)-s), both ("B", j, e, s) for the index j p^e (p-1) - s, and
-#: ratio(x) is B_n/n for the B_n of x, ("B/n", j, e, s).
+#: Term values of a ``Linear`` row: C(2p-1,p-1), R[n], H[n] and C(3p,p)/3,
+#: ("products", 1), are read off the plan as (attribute, index); B(j, s) is
+#: B_(j(p-1)-s) and Bp(n, s) is B_(p^n-p^(n-1)-s), both ("B", j, e, s) for
+#: the index j p^e (p-1) - s, and ratio(x) is B_n/n for the B_n of x,
+#: ("B/n", j, e, s).
 C = ("products", 0)
 R, H = ([(name, n) for n in range(7)] for name in ("R", "H"))
 
@@ -116,7 +117,7 @@ class Linear:
     with the cap held to a + RESIDUE_EXPONENT_CAP for the least power p^a
     of any B_n or B_n/n term, as a B_n is served mod p^4 at most: W follows
     from the row, whatever p, and is derived once, with each term's read
-    precision.  A ``cap`` below that pins W; two rows pin it at their stated
+    precision.  A ``cap`` below that pins W; three rows pin it at their stated
     exponent, as their records print residues mod p^W.  Each distinct B_n
     is read first, once, in row order (lhs first) and before any pair sum,
     mod p^(W - a) for the least a it carries (``reads``), so every term is
@@ -239,13 +240,13 @@ def _entries() -> list[CongruenceCheck]:
         CongruenceCheck(
             "sun_wan_p5",
             "C(4p-1,2p-1) = C(4p,p) - 1 (mod p^5)",
-            "Sun-Wan 2008", 7, A, 5, _ev_sun_wan,
-            max_prime=binomial.SUN_WAN_PRIME_CAP),
-        CongruenceCheck(
+            "Sun-Wan 2008", 7, A, 5, _ev_sun_wan, max_prime=400),
+        CongruenceCheck(  # 6 w_p p^3 = 6p R_1 (mod p^5), as p^2 | R_1
             "zhao_eq4_p5",
             "C(3p,p)/C(3,1) = 1 + 6 w_p p^3 (mod p^5)",
-            "Zhao 2007", 7, A, 5, binomial._zhao_sides,
-            max_prime=binomial.ORACLE_CAP // 3),
+            "Zhao 2007", 7, A, 5, Linear(
+                5, ((1, 0, ("products", 1)),), 1, ((6, 1, R[1]),), cap=5),
+            max_prime=1666),
         linear(
             "lemma1_p4",
             "2 R_1 = -p R_2 (mod p^4)",
@@ -406,47 +407,44 @@ def _skipped(check: CongruenceCheck, p: int, reason: str) -> CheckOutcome:
 _suite_plan: Optional[EvaluationPlan] = None
 
 
-#: The prime a suite replays its window reads at: the counts are the same at
-#: every prime from 11 on (``tests/test_plan.py`` pins it below 3000).  A plan
-#: at 7 is told them too; a count only picks sweep or passes, and every read
-#: is exact either way.
+#: The prime every plan's window reads are replayed at: the counts are the
+#: same at every prime from 11 on (``tests/test_plan.py`` pins it below 3000).
+#: A plan at 7 is told them too; a count only picks sweep or passes, and every
+#: read is exact either way.
 _REPLAY_PRIME = 11
 
 
 def _window_reads(p: int, checks: Sequence[CongruenceCheck]) -> int:
-    """The window reads ``checks`` make at p in order, up to SWEEP_REQUESTS:
-    their B_n reads replayed on a stand-in plan whose half_sum records a read
-    and returns 0, a value the recursion of ``_p_times_bernoulli`` never
-    branches on.  Nor does its division by p^d, d = v_p(2^n - 1), fail on
-    it: every term but n p S_(n-1) carries C(n, j) p^j, j >= 2, whose
-    valuation is at least d while v_p(2^(p-1) - 1) <= 2, as at every known
-    prime.  A suite replays once, at _REPLAY_PRIME; a lone ``run_check`` at
-    its own prime."""
+    """The window reads ``checks`` make at p in order: their B_n reads
+    replayed on a stand-in plan whose half_sum records a read and returns 0,
+    a value the recursion of ``_p_times_bernoulli`` never branches on.  Nor
+    does its division by p^d, d = v_p(2^n - 1), see it: no registry read at
+    c >= 2 has 2^n = 1 (mod p), so d = 0 (at p >= 11 such a read would need
+    p | 3*5*7; ``tests/test_plan.py`` checks every prime 7 <= p < 3000)."""
     made = []
     stand_in = SimpleNamespace(p=p, pb={}, half_sum=lambda n, c: made.append((n, c)) or 0)
     for check in checks:
-        if isinstance(check.evaluator, Linear) and len(made) < SWEEP_REQUESTS:
+        if isinstance(check.evaluator, Linear):
             for n, c in check.evaluator.reads(p)[1].items():
                 _p_times_bernoulli(n, stand_in, c)
-    return min(len(made), SWEEP_REQUESTS)
+    return len(made)
 
 
 def _counts(p: int, ids: Iterable[str]) -> tuple[int, int, bool]:
     """What a plan at p for the checks ``ids`` is told, its arguments after
     p: the window reads all but the Wolstenholme-only ones make, how many more
-    all make (while those stay below SWEEP_REQUESTS) and whether all are
-    Wolstenholme-only, so the plan gates on R_1 alone."""
+    all make, and whether all are Wolstenholme-only, so the plan gates on R_1
+    alone."""
     checks = [lookup(check_id) for check_id in ids]
     ungated = [c for c in checks if c.scope is not Scope.WOLSTENHOLME_ONLY]
     requests = _window_reads(p, ungated)
-    every = _window_reads(p, checks) if requests < SWEEP_REQUESTS else requests
-    return requests, every - requests, not ungated
+    return requests, _window_reads(p, checks) - requests, not ungated
 
 
 def _plan(p: int, ids: Iterable[str]) -> EvaluationPlan:
-    """p's plan for the checks ``ids``, its counts replayed at p: a lone
-    ``run_check``'s plan (``run_suite`` replays once for all its primes)."""
-    return EvaluationPlan(p, *_counts(p, ids))
+    """p's plan for the checks ``ids``, its counts replayed at _REPLAY_PRIME,
+    as ``run_suite``'s are: a lone ``run_check``'s plan."""
+    return EvaluationPlan(p, *_counts(_REPLAY_PRIME, ids))
 
 
 def run_check(check_id: str, p: int) -> CheckOutcome:

@@ -21,17 +21,16 @@ testing p for primality again, and runs each sweep at most once, on first read:
   a plan serves is Wolstenholme-only (``gate_alone``), nothing reads the
   pairs before that gate, so it reads R_1 mod p^3 off the half walk and
   a prime that fails it never pays the full sweep.
-* Moments: the plan's callers count the window reads its checks make, as
+* Moments: the plan's callers count the window reads its checks make,
   replayed on a stand-in plan with the memo below (``requests``, and
   ``wolstenholme_requests`` for those made only past the gate, which count
-  only if p passes it); a suite replays once for all its primes, as the
-  count is the same at every prime from 11 on.  From SWEEP_REQUESTS on,
-  the first read sweeps the Fermat-quotient moments of the half window
-  (the classes t - 1 at c - 1 of ``harmonic.MOMENT_WINDOW``, over
-  k <= (p-1)/2), and ``half_sum`` serves every S_n = sum(k^n,
-  k <= (p-1)/2) in it, a read finding its class by n mod (p-1), whose
-  count of sums is the class's precision: ``bernoulli`` reads p B_n mod p^c
-  off S_(n-1) mod p^(c-1).
+  only if p passes it), at p = 11 for every plan, as the counts are the
+  same at every prime from 11 on.  From SWEEP_REQUESTS on, the first read
+  sweeps the Fermat-quotient moments of the half window (the classes
+  t - 1 at c - 1 of ``harmonic.MOMENT_WINDOW``, over k <= (p-1)/2), and
+  ``half_sum`` serves every S_n = sum(k^n, k <= (p-1)/2) in it, a read
+  finding its class by n mod (p-1), whose count of sums is the class's
+  precision: ``bernoulli`` reads p B_n mod p^c off S_(n-1) mod p^(c-1).
   A read the window does not hold at the c asked (at p = 7 the class
   t = -6, where 2^t = 1 (mod p)) and every read of a plan that does not
   sweep (a lone ``bernoulli_mod``, a Bernoulli scan, a suite of two

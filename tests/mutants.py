@@ -49,8 +49,8 @@ MUTANTS = (
            "    for check in checks:\n        stand_in.pb = {}\n        if isinstance",
            ("tests/test_plan.py::test_suite_counts_shared_reads_once",)),
     Mutant("a suite's count replays its ungated rows only, so gated reads never sweep",
-           "checks.py", "every = _window_reads(p, checks)",
-           "every = _window_reads(p, ungated)",
+           "checks.py", "_window_reads(p, checks) - requests",
+           "_window_reads(p, ungated) - requests",
            ("tests/test_plan.py::test_few_window_reads_take_direct_passes",)),
     Mutant("E(3) with multiplier 13 for 3 + 3^2 = 12", "plan.py",
            "for a in (2, 6, 12))", "for a in (2, 6, 13))",
@@ -59,9 +59,10 @@ MUTANTS = (
     Mutant("the derived Bernoulli cap reads one exponent too far", "checks.py",
            "[a + RESIDUE_EXPONENT_CAP for", "[a + RESIDUE_EXPONENT_CAP + 1 for",
            ("tests/test_checks.py::test_bernoulli_rows_evaluate_at_their_w",)),
-    Mutant("Zhao's law with n + r for n - r", "binomial.py",
-           "(n - r)", "(n + r)",
-           ("tests/test_golden.py::test_jsonl_matches_golden_digest[verify --checks all]",)),
+    Mutant("Zhao's law with n + r for n - r: 3 * 1 * (3 + 1) = 12 for 6", "checks.py",
+           "((6, 1, R[1]),)", "((12, 1, R[1]),)",
+           ("tests/test_golden.py::test_jsonl_matches_golden_digest"
+            "[verify --checks sun_wan_p5,zhao_eq4_p5]",)),
     Mutant("the base sieve stops short of isqrt(hi - 1)", "scan.py",
            "range(2, root + 1)", "range(2, root)",
            ("tests/test_scan.py::test_scan_skips_tiny_primes",)),

@@ -155,5 +155,5 @@ def test_binomials_off_products_against_exact_oracle():
 @pytest.mark.slow
 def test_binomials_off_products_to_the_oracle_cap():
     # every prime where zhao_eq4_p5 evaluates; Sun-Wan's up to 1250, 4p <= 5000
-    assert_binomials_off_products(
-        [p for p in range(7, ORACLE_CAP // 3 + 1) if is_prime(p)])
+    cap = checks.lookup("zhao_eq4_p5").max_prime
+    assert_binomials_off_products([p for p in range(7, cap + 1) if is_prime(p)])
