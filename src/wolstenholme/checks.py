@@ -14,7 +14,10 @@ Wolstenholme, Glaisher, Lehmer, Helou-Terjanian, Zhao's eq. 4 and Lemmas
 Remark 2, Kummer's eqs. 10-11 and eq. 26.  Each is one ``Linear`` row, whose
 evaluator derives every precision and the exponent it works at, which a
 Bernoulli term holds to p^4 above its power of p; ``helou_terjanian_p6``,
-``eq26_n2_s4`` and ``zhao_eq4_p5`` pin that exponent at the stated one.
+``eq26_n2_s4`` and ``zhao_eq4_p5`` pin that exponent at the stated one.  A
+row reads each p B_n straight off the plan (``_p_times_bernoulli``) and
+divides it by p itself, exactly; the public ``bernoulli_mod`` would check
+its arguments again at every read.
 
 A check passes when v_p(lhs - rhs) reaches the stated exponent.  Skipped
 is not failed: gates (below minimum prime, not prime, not a Wolstenholme
@@ -33,10 +36,10 @@ from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .bernoulli import RESIDUE_EXPONENT_CAP, _p_times_bernoulli, bernoulli_mod
-from .errors import UnknownCheck
+from .bernoulli import RESIDUE_EXPONENT_CAP, _p_times_bernoulli
+from .errors import DivisionNotExact, UnknownCheck
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
-from .bernoulli import bernoulli_ratio, high_index_bernoulli  # noqa: F401
+from .bernoulli import bernoulli_mod, bernoulli_ratio, high_index_bernoulli  # noqa: F401
 from .harmonic import _inverse_power_sums_raw  # noqa: F401
 from .modring import Residue, eval_exponent, is_prime, make_modulus  # noqa: F401
 from .parallel import ordered_map
@@ -120,8 +123,10 @@ class Linear:
     precision.  A ``cap`` below that pins W; three rows pin it at their stated
     exponent, as their records print residues mod p^W.  Each distinct B_n
     is read first, once, in row order (lhs first) and before any pair sum,
-    mod p^(W - a) for the least a it carries (``reads``), so every term is
-    exact mod p^W; a B_n/n term is that read times n^-1 mod p^W.
+    as p B_n mod p^(W - a + 1) off the plan for the least a it carries
+    (``reads``), and divided by p, so every term is exact mod p^W; a read
+    that p does not divide raises DivisionNotExact.  A B_n/n term is B_n
+    times n^-1 mod p^W.
     """
 
     def __init__(self, stated: int, lhs: tuple, const: int, terms: tuple, cap: int = 10):
@@ -146,7 +151,12 @@ class Linear:
     def __call__(self, plan) -> tuple[Residue, Residue]:
         p, (W, reads) = plan.p, self.reads(plan.p)
         M = plan.modulus(W)
-        bs = {n: bernoulli_mod(n, p, c - 1, plan).value.value for n, c in reads.items()}
+        bs = {}
+        for n, c in reads.items():
+            pb = _p_times_bernoulli(n, plan, c)
+            if pb % p:
+                raise DivisionNotExact(f"p*B_{n} mod {p}^{c} is not divisible by {p}")
+            bs[n] = pb // p
 
         def term(c, a, x) -> int:
             n = _index(x, p)

@@ -46,8 +46,9 @@ _FIELDS = (
     "pass", "skipped", "reason", "elapsed_ns",
 )
 
-#: The one jsonl encoder (``json.dumps`` would build one per record).
-_JSONL = json.JSONEncoder(separators=(",", ":"))
+#: JSON's quoting of a string, the C function ``json.JSONEncoder`` calls when
+#: ``ensure_ascii`` is on; each jsonl line is one f-string around it.
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _prime_range(text: str, limit: bool = False) -> tuple[int, int]:
@@ -183,53 +184,73 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     return ns
 
 
+def _row(outcome, timings: bool = False) -> tuple:
+    """A record's ten values in _FIELDS order, elapsed_ns 0 unless ``timings``:
+    a CheckOutcome is such a tuple already, a ScanRecord is mapped."""
+    if isinstance(outcome, CheckOutcome):
+        return outcome if timings else (*outcome[:9], 0)
+    if isinstance(outcome, ScanRecord):
+        return (f"scan:{outcome.criterion.value}", outcome.p,
+                THRESHOLDS[outcome.criterion], None, None, outcome.observed_valuation,
+                outcome.flagged, outcome.skipped, outcome.reason,
+                outcome.elapsed_ns if timings else 0)
+    raise TypeError(f"cannot serialize {type(outcome).__name__}")
+
+
 def record_dict(outcome, timings: bool = False) -> dict:
     """Uniform record mapping, keys in _FIELDS order, for CheckOutcome and ScanRecord."""
-    if isinstance(outcome, CheckOutcome):
-        head = outcome[:7]  # check_id .. passed, a named tuple in _FIELDS order
-    elif isinstance(outcome, ScanRecord):
-        head = (f"scan:{outcome.criterion.value}", outcome.p,
-                THRESHOLDS[outcome.criterion], None, None,
-                outcome.observed_valuation, outcome.flagged)
-    else:
-        raise TypeError(f"cannot serialize {type(outcome).__name__}")
-    return dict(zip(_FIELDS, (*head, outcome.skipped, outcome.reason,
-                              outcome.elapsed_ns if timings else 0)))
+    return dict(zip(_FIELDS, _row(outcome, timings)))
 
 
-def _write_jsonl(records: Iterable[dict], sink: TextIO) -> None:
-    """One compact JSON object per line, all through the one ``_JSONL``."""
-    for i, rec in enumerate(records, 1):
-        sink.write(_JSONL.encode(rec) + "\n")
+def _jsonl_line(row: tuple) -> str:
+    """A row as one compact JSON line: the bytes that
+    ``json.JSONEncoder(separators=(",", ":"))`` writes for its record_dict.
+    Strings go through ``_quote``, ints through int.__repr__, and bools and
+    None are the literals true, false and null."""
+    check, p, k, lhs, rhs, v, passed, skipped, reason, ns = row
+    return (f'{{"check":{_quote(check)},"p":{p},"modulus_exponent":{k},'
+            f'"lhs":{"null" if lhs is None else _quote(lhs)},'
+            f'"rhs":{"null" if rhs is None else _quote(rhs)},'
+            f'"residual_valuation":{"null" if v is None else v},'
+            f'"pass":{"true" if passed else "false"},'
+            f'"skipped":{"true" if skipped else "false"},'
+            f'"reason":{"null" if reason is None else _quote(reason)},'
+            f'"elapsed_ns":{ns}}}\n')
+
+
+def _write_jsonl(rows: Iterable[tuple], sink: TextIO) -> None:
+    """One compact JSON object per line, each one ``_jsonl_line``."""
+    for i, row in enumerate(rows, 1):
+        sink.write(_jsonl_line(row))
         if i % FLUSH_EVERY == 0:
             sink.flush()
     sink.flush()
 
 
-def _write_csv(records: Iterable[dict], sink: TextIO) -> None:
+def _write_csv(rows: Iterable[tuple], sink: TextIO) -> None:
     import csv  # only csv output pays for the module
-    writer = csv.DictWriter(sink, fieldnames=_FIELDS)
-    writer.writeheader()
-    for rec in records:
-        writer.writerow(rec)
+    writer = csv.writer(sink)
+    writer.writerow(_FIELDS)
+    writer.writerows(rows)
     sink.flush()
 
 
-def _write_pretty(records: Iterable[dict], sink: TextIO) -> None:
+def _write_pretty(rows: Iterable[tuple], sink: TextIO) -> None:
     by_check: dict[str, dict] = {}
     flagged = []
-    for rec in records:
+    for rec in rows:
+        check, p, *_, passed, skipped, _, _ = rec
         row = by_check.setdefault(
-            rec["check"], {"pass": 0, "fail": 0, "skip": 0, "bad_primes": []})
-        if rec["skipped"]:
+            check, {"pass": 0, "fail": 0, "skip": 0, "bad_primes": []})
+        if skipped:
             row["skip"] += 1
         elif _bad(rec):
             row["fail"] += 1
-            row["bad_primes"].append(rec["p"])
+            row["bad_primes"].append(p)
         else:
             row["pass"] += 1
-            if rec["pass"] and rec["check"].startswith("scan:"):
-                flagged.append(rec["p"])
+            if passed and check.startswith("scan:"):
+                flagged.append(p)
     sink.write(f"{'check':24s} {'pass':>6s} {'fail':>6s} {'skip':>6s}\n")
     for check_id in sorted(by_check):
         row = by_check[check_id]
@@ -247,17 +268,24 @@ def _write_pretty(records: Iterable[dict], sink: TextIO) -> None:
 _WRITERS = {"jsonl": _write_jsonl, "csv": _write_csv, "pretty": _write_pretty}
 
 
-def _parse_record(line: bytes, path: str, lineno: int) -> dict:
-    """One jsonl line as a record of the documented schema."""
+_NULL = type(None)
+
+#: The types each value of a record may take, in _FIELDS order, matched
+#: exactly: a JSON true is no int, though ``isinstance(True, int)`` holds.
+_SCHEMA = ((str,), (int,), (int,), (str, _NULL), (str, _NULL), (int, _NULL),
+           (bool,), (bool,), (str, _NULL), (int,))
+
+
+def _parse_record(line: bytes, path: str, lineno: int) -> tuple:
+    """One jsonl line as the row of a record of the documented schema."""
     try:
         rec = json.loads(line)
     except ValueError:
         rec = None
     if not (isinstance(rec, dict) and rec.keys() == set(_FIELDS)
-            and isinstance(rec["check"], str) and isinstance(rec["p"], int)
-            and isinstance(rec["pass"], bool) and isinstance(rec["skipped"], bool)):
+            and all(type(rec[f]) in t for f, t in zip(_FIELDS, _SCHEMA))):
         raise MalformedRecord(f"{path}, line {lineno}: not a record")
-    return rec
+    return tuple(map(rec.get, _FIELDS))
 
 
 def _resume_floor(path: str, check: str) -> Optional[int]:
@@ -277,32 +305,33 @@ def _resume_floor(path: str, check: str) -> Optional[int]:
             kept += len(line)
             if line.strip():
                 last, last_lineno = line, lineno
-        rec = None if last is None else _parse_record(last, path, last_lineno)
-        if rec is not None and rec["check"] != check:
+        row = None if last is None else _parse_record(last, path, last_lineno)
+        if row is not None and row[0] != check:
             raise MalformedRecord(f"{path}, line {last_lineno}: not a {check} record")
         handle.truncate(kept)
-    return None if rec is None else rec["p"]
+    return None if row is None else row[1]
 
 
-def _bad(rec: dict) -> bool:
+def _bad(row: tuple) -> bool:
     """Whether a record makes the run exit 1: a failed check or an errored
     scan record.  A scan record that is not flagged is a clean result, and a
     skipped record is neither."""
-    if rec["skipped"]:
+    check, *_, passed, skipped, reason, _ = row
+    if skipped:
         return False
-    return bool(rec["reason"]) if rec["check"].startswith("scan:") else not rec["pass"]
+    return bool(reason) if check.startswith("scan:") else not passed
 
 
-def _emit(args: argparse.Namespace, records: Iterable[dict], mode: str = "w") -> int:
-    """Write the records in ``args.format`` to ``args.output``, else stdout;
-    the exit code is 1 if any of them is ``_bad``, else 0."""
+def _emit(args: argparse.Namespace, rows: Iterable[tuple], mode: str = "w") -> int:
+    """Write the records' rows in ``args.format`` to ``args.output``, else
+    stdout; the exit code is 1 if any of them is ``_bad``, else 0."""
     bad = False
 
     def watched():
         nonlocal bad
-        for rec in records:
-            bad = bad or _bad(rec)
-            yield rec
+        for row in rows:
+            bad = bad or _bad(row)
+            yield row
 
     writer = _WRITERS[args.format]
     if args.output:
@@ -335,7 +364,7 @@ def execute(args: argparse.Namespace) -> int:
             primes = ([args.at] if args.at is not None
                       else sieve_primes(SieveConfig(*args.prime_range)))
             outcomes = run_suite(ids, primes, args.parallelism)
-            return _emit(args, map(record_dict, outcomes, repeat(args.timings)))
+            return _emit(args, map(_row, outcomes, repeat(args.timings)))
         if args.command == "scan":
             lo, hi = args.prime_range
             mode = "w"
@@ -348,8 +377,7 @@ def execute(args: argparse.Namespace) -> int:
                         return 0
             records = wolstenholme_scan(SieveConfig(lo, hi), args.criterion,
                                         args.parallelism)
-            return _emit(args, map(record_dict, records, repeat(args.timings)),
-                         mode=mode)
+            return _emit(args, map(_row, records, repeat(args.timings)), mode=mode)
         if args.command in ("bernoulli", "binom"):
             try:
                 print(_query(args))
@@ -358,9 +386,9 @@ def execute(args: argparse.Namespace) -> int:
             return 0
         if args.command == "report":
             with open(args.input, "rb") as handle:
-                records = [_parse_record(line, args.input, lineno)
-                           for lineno, line in enumerate(handle, 1) if line.strip()]
-            return _emit(args, records)
+                rows = [_parse_record(line, args.input, lineno)
+                        for lineno, line in enumerate(handle, 1) if line.strip()]
+            return _emit(args, rows)
         raise AssertionError(f"unhandled command {args.command}")
     except MalformedRecord as exc:
         print(f"malformed input: {exc}", file=sys.stderr)

@@ -98,6 +98,12 @@ MUTANTS = (
     Mutant("eq19's sum stops one term short", "checks.py",
            "for i in range(1, 6)))", "for i in range(1, 5)))",
            ("tests/test_acceptance.py::test_criterion_3_harmonic_lemma_families",)),
+    Mutant("the row's exact division by p is dropped", "checks.py",
+           "if pb % p:", "if False:",
+           ("tests/test_checks.py::test_row_refuses_a_p_times_bernoulli_not_divisible_by_p",)),
+    Mutant("the writer quotes strings without escaping", "cli.py",
+           "_quote = json.encoder.encode_basestring_ascii", "_quote = '\"{}\"'.format",
+           ("tests/test_cli.py::test_jsonl_line_is_the_encoders_line",)),
     Mutant("PrimePowerModulus hashes on p alone", "modring.py",
            '        return f"PrimePowerModulus({self.p}^{self.k})"\n',
            '        return f"PrimePowerModulus({self.p}^{self.k})"\n\n'

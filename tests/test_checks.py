@@ -314,6 +314,21 @@ def test_bernoulli_rows_evaluate_at_their_w():
         assert (lhs - rhs).valuation() >= row.stated, check_id
 
 
+def test_row_refuses_a_p_times_bernoulli_not_divisible_by_p(monkeypatch):
+    # A row divides each p B_n it reads by p exactly; a read that p does not
+    # divide is an error record, not a floored quotient.  The read replay's
+    # stand-in plan is served as before.
+    read = checks._p_times_bernoulli
+
+    def off_by_one(n, plan, c):
+        return read(n, plan, c) + isinstance(plan, EvaluationPlan)
+
+    monkeypatch.setattr(checks, "_p_times_bernoulli", off_by_one)
+    outcome = run_check("glaisher_p4", 11)
+    assert not outcome.skipped and not outcome.passed and outcome.lhs is None
+    assert outcome.reason == "error: p*B_8 mod 11^4 is not divisible by 11"
+
+
 def test_bernoulli_rows_against_exact_rationals():
     # Each side of B_n and B_n/n terms with every index <= 400 against its
     # exact value: a B_n read at less than its derived precision p^(W - a),

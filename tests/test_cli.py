@@ -1,18 +1,22 @@
 """CLI parsing, record schema, determinism, and exit codes."""
 import json
 import os
+import re
 import site
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wolstenholme
-from wolstenholme import checks
-from wolstenholme.checks import run_check
+from wolstenholme import checks, cli
+from wolstenholme.checks import CheckOutcome, run_check
 from wolstenholme.cli import MAX_PARALLELISM, main, parse_args, record_dict
-from wolstenholme.scan import Criterion
+from wolstenholme.plan import EvaluationPlan
+from wolstenholme.scan import Criterion, ScanRecord
 
 SCHEMA_KEYS = ["check", "p", "modulus_exponent", "lhs", "rhs",
                "residual_valuation", "pass", "skipped", "reason", "elapsed_ns"]
@@ -114,13 +118,19 @@ def test_repeated_check_id_is_evaluated_once(tmp_path):
 
 def test_check_error_is_a_failed_record(capsys, monkeypatch):
     # An evaluator that raises: the run records the error instead of stopping.
-    def failing(n, p, r, plan=None):
-        raise ArithmeticError(f"B_{n} mod {p}^{r} refused")
+    # The rows read p B_n through checks._p_times_bernoulli, as does the read
+    # replay on its stand-in plan, which still counts.
+    read = checks._p_times_bernoulli
 
-    monkeypatch.setattr(checks, "bernoulli_mod", failing)
+    def failing(n, plan, c):
+        if not isinstance(plan, EvaluationPlan):
+            return read(n, plan, c)
+        raise ArithmeticError(f"p*B_{n} mod {plan.p}^{c} refused")
+
+    monkeypatch.setattr(checks, "_p_times_bernoulli", failing)
     outcome = run_check("glaisher_p4", 11)
     assert not outcome.skipped and not outcome.passed
-    assert outcome.reason == "error: B_8 mod 11^3 refused"
+    assert outcome.reason == "error: p*B_8 mod 11^4 refused"
     assert outcome.residual_valuation is None
     assert main(["verify", "--checks", "glaisher_p4", "--at", "11"]) == 1
     captured = capsys.readouterr()
@@ -220,6 +230,22 @@ def test_scan_resume_refuses_another_runs_file(first, tmp_path, capsys):
     assert f"line {len(before.splitlines())}:" in capsys.readouterr().err
 
 
+def test_scan_resume_refuses_a_bool_prime(tmp_path, capsys):
+    # A last record with "p": true would otherwise resume from p = 2.
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", "--primes", "7..100", "--criterion", "r1p3",
+                 "--output", str(out)]) == 0
+    with out.open("a") as handle:
+        handle.write(json.dumps(dict(zip(SCHEMA_KEYS, [
+            "scan:r1p3", True, 3, None, None, 2, False, False, None, 0]))) + "\n")
+    before = out.read_bytes()
+    assert main(["scan", "--primes", "7..200", "--criterion", "r1p3",
+                 "--output", str(out), "--resume"]) == 4
+    assert out.read_bytes() == before
+    err = capsys.readouterr().err
+    assert f"line {len(before.splitlines())}: not a record" in err
+
+
 def test_scan_resume_needs_jsonl():
     for fmt in ("csv", "pretty"):
         with pytest.raises(SystemExit) as exc:
@@ -283,6 +309,23 @@ def test_report_malformed_record_exit_code(tmp_path, capsys):
         assert main(["report", str(bad)]) == 4
         err = capsys.readouterr().err
         assert "line 7" in err and "Traceback" not in err  # six good records
+
+
+def test_report_refuses_a_json_bool_where_an_int_belongs(tmp_path, capsys):
+    # isinstance(True, int) holds: each value's type is matched exactly.
+    path = tmp_path / "records.jsonl"
+    good = dict(zip(SCHEMA_KEYS, ["wolstenholme_thm", 7, 3, "1", "1", 5, True, False,
+                                  None, 0]))
+    path.write_text(json.dumps(good) + "\n")
+    assert main(["report", str(path)]) == 0
+    for field, value in (("p", True), ("modulus_exponent", False), ("elapsed_ns", True),
+                         ("residual_valuation", True), ("residual_valuation", "5"),
+                         ("lhs", 1), ("rhs", False), ("reason", 0), ("pass", 1)):
+        capsys.readouterr()
+        path.write_text(json.dumps({**good, field: value}) + "\n")
+        assert main(["report", str(path)]) == 4, (field, value)
+        err = capsys.readouterr().err
+        assert "line 1: not a record" in err and "Traceback" not in err
 
 
 def test_report_exits_one_on_errored_scan_record(tmp_path, capsys):
@@ -362,6 +405,38 @@ def test_record_dict_matches_outcome():
     assert rec["p"] == 7
     assert rec["pass"] is True
     assert rec["elapsed_ns"] > 0
+
+
+#: Strings with every kind of character the writer must escape: non-ASCII,
+#: quote, backslash, control characters (and DEL, which JSON leaves as is).
+_TEXTS = st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2028\U0001f600az')
+                 | st.characters())
+_OPTIONAL_TEXTS = st.none() | _TEXTS
+_INTS = st.integers() | st.integers(-(10 ** 60), 10 ** 60)
+
+
+@settings(max_examples=300)
+@given(st.builds(CheckOutcome, _TEXTS, _INTS, _INTS, _OPTIONAL_TEXTS, _OPTIONAL_TEXTS,
+                 st.none() | _INTS, st.booleans(), st.booleans(), _OPTIONAL_TEXTS, _INTS)
+       | st.builds(ScanRecord, _INTS, st.sampled_from(Criterion), st.none() | _INTS,
+                   st.booleans(), _INTS, st.booleans(), _OPTIONAL_TEXTS),
+       st.booleans())
+@example(CheckOutcome('a"b\\c\u00e9\x01', -5, 16843 ** 10, None, "-1", None, True,
+                      False, "\n\x7f\U0001f600", 3), True)
+@example(ScanRecord(16843, Criterion.COR1_SECOND_P7, 16843 ** 10, True, -2, False,
+                    'say "\u00e9\\"'), False)
+def test_jsonl_line_is_the_encoders_line(outcome, timings):
+    assert cli._jsonl_line(cli._row(outcome, timings)) == json.JSONEncoder(
+        separators=(",", ":")).encode(record_dict(outcome, timings)) + "\n"
+
+
+def test_timings_change_only_elapsed_ns(tmp_path):
+    plain, timed = tmp_path / "plain.jsonl", tmp_path / "timed.jsonl"
+    args = ["verify", "--checks", "all", "--primes", "2..300", "--output"]
+    assert main([*args, str(plain)]) == 0
+    assert main([*args, str(timed), "--timings"]) == 0
+    zeroed = re.sub(rb'"elapsed_ns":\d+}\n', rb'"elapsed_ns":0}\n', timed.read_bytes())
+    assert zeroed == plain.read_bytes() != timed.read_bytes()
 
 
 def test_cold_start_imports_no_dataclass_or_csv_machinery(tmp_path):

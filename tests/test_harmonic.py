@@ -444,7 +444,16 @@ def registry_bernoulli_calls(p: int) -> set:
 
 
 def recorded_bernoulli_calls(p: int, monkeypatch) -> set:
+    """The suite's Bernoulli reads at p: a row's read of p B_n mod p^c as
+    (bernoulli_mod, n, c - 1), the B_n mod p^(c-1) it divides out, and every
+    bernoulli_ratio call."""
     calls = set()
+    read = checks._p_times_bernoulli
+
+    def reading(n, plan, c):
+        if isinstance(plan, EvaluationPlan):  # not the read replay's stand-in
+            calls.add((bernoulli_mod, n, c - 1))
+        return read(n, plan, c)
 
     def recording(fn):
         def wrapper(n, q, r, plan=None):
@@ -453,8 +462,8 @@ def recorded_bernoulli_calls(p: int, monkeypatch) -> set:
         return wrapper
 
     with monkeypatch.context() as patch:
-        for module, name in ((checks, "bernoulli_mod"), (checks, "bernoulli_ratio"),
-                             (bernoulli, "bernoulli_ratio")):
+        patch.setattr(checks, "_p_times_bernoulli", reading)
+        for module, name in ((checks, "bernoulli_ratio"), (bernoulli, "bernoulli_ratio")):
             patch.setattr(module, name, recording(getattr(module, name)))
         list(checks.run_suite(checks.all_check_ids(), [p]))
     return calls
