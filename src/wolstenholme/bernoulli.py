@@ -34,6 +34,20 @@ B_{m+k(p-1)}/(m+k(p-1)), k=0..r) = 0 (mod p^r), which combine into
         = sum((-1)^(k+1) C(n,k) B_{k(p-1)-s}/(k(p-1)-s), k=1..n) (mod p^n),
 
 which ``high_index_ratio`` evaluates and the registry's eq26 rows state.
+
+One helper holds the identity's arithmetic (``_half_identity``): the term
+n p S_(n-1), the sum over the children p B_(n-j), and the division by
+2^(1-n) - 2.  Two orders visit the tree.  The recursion
+(``_p_times_bernoulli``) serves ``bernoulli_mod`` and the read replay; it
+memoises each node in the plan and computes 2^(1-n) and d itself.  The
+registry's rows visit a node list compiled once per row
+(``_half_nodes``), children first, with every index n = j p^e (p-1) - s
+(``_p_times_bernoulli_reads``).  The list reads 2^(1-n) off the plan's
+table of 2, and it computes the leaves inline, p B_0 = p and
+-[p-1 | n] at C = 1.  A node whose 2^n = 1 (mod p) is lifted; the list
+hands it to the recursion, so both orders give the same p B_n at every
+prime.  As 2^n = 2^-s (mod p) and the registry's nodes have s in
+{-4, -2, 2, 4, 6}, that happens only where p divides 3*5*7.
 """
 from __future__ import annotations
 
@@ -98,6 +112,29 @@ def is_regular_position(n: int, p: int) -> bool:
     return n % 2 == 1 or n % (p - 1) != 0 or n == 0
 
 
+def _half_identity(n: int, p: int, c: int, C: int, h: int, S: int, kids) -> int:
+    """p B_n mod p^c off the half identity mod p^C (module doc), C = c + d:
+    ``h`` is 2^(1-n) mod p^C, ``S`` is S_(n-1) mod p^(C-1), and ``kids`` are
+    p B_(n-j) mod p^(C-j) for j = 2, 4, .. up to min(n, C-1).  The sum is
+    divided by p^d exactly; one that is not divisible raises DivisionNotExact."""
+    M = p ** C
+    i2 = (M + 1) // 2
+    i4, t, pj = i2 * i2 % M, 1, 1
+    # p B_(n-j) is needed mod p^(C-j) only: its term carries p^j.
+    acc = n * p * S
+    for j, pb in zip(range(2, C, 2), kids):
+        t, pj = t * i4 % M, pj * p * p  # 2^-j, p^j
+        acc -= comb(n, j) * (h - t) * pj * pb
+    if C == c:  # d = 0: nothing to divide out
+        return acc * pow(h - 2, -1, M) % M
+    q = p ** (C - c)
+    if acc % q:
+        raise DivisionNotExact(
+            f"p*B_{n}'s half identity mod {p}^{C} is not divisible by {p}^{C - c}")
+    m = p ** c
+    return acc // q * pow((h - 2) // q, -1, m) % m
+
+
 def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
     """p * B_n mod p^c for every n >= 0 but 1, memoised in the plan.
 
@@ -122,23 +159,70 @@ def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
         # 2^(1-n) as (2^-1)^((n-1) mod phi(p^C)); h - 2 = -2^(1-n) (2^n - 1)
         # carries p^d, read capped at C, so exactly once C >= c + d.
         M = p ** C
-        i2 = (M + 1) // 2
-        h = pow(i2, (n - 1) % (M // p * (p - 1)), M)
+        h = pow((M + 1) // 2, (n - 1) % (M // p * (p - 1)), M)
         d = capped_valuation(h - 2, p, C)
         if C >= c + d:
             break
         C = c + d
-    # p B_(n-j) is needed mod p^(C-j) only: its term carries p^j.
-    acc = n * p * plan.half_sum(n - 1, C - 1)
-    for j in range(2, min(n, C - 1) + 1, 2):
-        pb = _p_times_bernoulli(n - j, plan, C - j)
-        acc -= comb(n, j) * (h - pow(i2, j, M)) * p ** j * pb
-    q = p ** d
-    if acc % q:
-        raise DivisionNotExact(
-            f"p*B_{n}'s half identity mod {p}^{C} is not divisible by {p}^{d}")
-    plan.pb[n] = c, acc // q * pow((h - 2) // q, -1, m) % m
+    S = plan.half_sum(n - 1, C - 1)
+    kids = [_p_times_bernoulli(n - j, plan, C - j) for j in range(2, min(n, C - 1) + 1, 2)]
+    plan.pb[n] = c, _half_identity(n, p, c, C, h, S, kids)
     return plan.pb[n][1]
+
+
+def _half_nodes(reads) -> tuple:
+    """The half-identity tree of the reads (j, e, s, c) of p B_n mod p^c,
+    n = j p^e (p-1) - s, as the nodes (j, e, s, C) that ``_p_times_bernoulli``
+    would compute, children first: a node's children are (j, e, s + i, C - i)
+    for even i, 2 <= i <= C - 1.  The leaves, C - i = 1 or n = i, and the odd
+    n are no nodes; a node held at >= C is visited once."""
+    nodes, held = [], {}
+
+    def visit(j, e, s, C):
+        if C < 2 or s % 2 or held.get((j, e, s), 0) >= C:
+            return
+        for i in range(2, C, 2):
+            visit(j, e, s + i, C - i)
+        held[j, e, s] = C
+        nodes.append((j, e, s, C))
+
+    for read in reads:
+        visit(*read)
+    return tuple(nodes)
+
+
+def _p_times_bernoulli_reads(reads, nodes, plan: EvaluationPlan) -> list:
+    """(n, c, p B_n mod p^c) for each read (j, e, s, c), n = j p^e (p-1) - s:
+    the nodes of ``_half_nodes(reads)`` evaluated in order into ``plan.pb``,
+    the values ``_p_times_bernoulli`` gives, with no call per child or leaf.
+
+    A node held at >= C is skipped, and so is one the tree does not reach at
+    p (n < 2: at p = 5, below every Bernoulli row's minimum prime).  2^(1-n)
+    is 2^(1+s) (2^(-(p-1) p^e))^j, off the plan's table of 2.  Where
+    p | 2^n - 1 the node is lifted, and ``_p_times_bernoulli`` computes it."""
+    p, pb, two = plan.p, plan.pb, plan.two
+    for j, e, s, C in nodes:
+        step, t = two[e]
+        n = j * step - s
+        if n < 2 or (held := pb.get(n)) is not None and held[0] >= C:
+            continue
+        M = p ** C
+        h = pow(2, 1 + s, M) * pow(t, j, M) % M
+        if (h - 2) % p == 0:
+            _p_times_bernoulli(n, plan, C)
+            continue
+        kids = []  # the leaves inline: p B_0 = p, and -[p-1 | k] at C - i = 1
+        for i in range(2, min(n, C - 1) + 1, 2):
+            k = n - i
+            kids.append(p if k == 0 else pb[k][1] if C - i > 1 else -(k % (p - 1) == 0) % p)
+        pb[n] = C, _half_identity(n, p, C, C, h, plan.half_sum(n - 1, C - 1), kids)
+    got = []
+    for j, e, s, c in reads:
+        n = j * two[e][0] - s
+        held = pb.get(n)
+        got.append((n, c, held[1] % p ** c if held is not None and held[0] >= c
+                     else _p_times_bernoulli(n, plan, c)))
+    return got
 
 
 def _residue_plan(n: int, p: int, r: int, plan) -> EvaluationPlan:

@@ -15,9 +15,13 @@ Remark 2, Kummer's eqs. 10-11 and eq. 26.  Each is one ``Linear`` row, whose
 evaluator derives every precision and the exponent it works at, which a
 Bernoulli term holds to p^4 above its power of p; ``helou_terjanian_p6``,
 ``eq26_n2_s4`` and ``zhao_eq4_p5`` pin that exponent at the stated one.  A
-row reads each p B_n straight off the plan (``_p_times_bernoulli``) and
-divides it by p itself, exactly; the public ``bernoulli_mod`` would check
-its arguments again at every read.
+row is compiled once, on its first call, for all primes: its coefficients
+become integers over their common denominator D, each term's source is
+resolved, and its B_n reads become one straight list of half-identity nodes
+(``bernoulli._half_nodes``).  At each prime the row evaluates that list
+into the plan's p B_n memo (``_p_times_bernoulli_reads``), divides each read
+by p itself, exactly, and makes one inverse of D; the public
+``bernoulli_mod`` would check its arguments again at every read.
 
 A check passes when v_p(lhs - rhs) reaches the stated exponent.  Skipped
 is not failed: gates (below minimum prime, not prime, not a Wolstenholme
@@ -32,11 +36,14 @@ from __future__ import annotations
 import time
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from math import lcm
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .bernoulli import RESIDUE_EXPONENT_CAP, _p_times_bernoulli
+from .bernoulli import (
+    RESIDUE_EXPONENT_CAP, _half_nodes, _p_times_bernoulli, _p_times_bernoulli_reads,
+)
 from .errors import DivisionNotExact, UnknownCheck
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .bernoulli import bernoulli_mod, bernoulli_ratio, high_index_bernoulli  # noqa: F401
@@ -108,10 +115,6 @@ def ratio(x: tuple) -> tuple:
     return ("B/n", *x[1:])
 
 
-def _index(x: tuple, p: int) -> Optional[int]:  # n of a B_n or B_n/n term, else None
-    return x[1] * p ** x[2] * (p - 1) - x[3] if x[0] in ("B", "B/n") else None
-
-
 class Linear:
     """sum(lhs) = const + sum(terms) (mod p^stated), each term (c, a, x)
     standing for c p^a x; called on a plan, the pair (lhs, rhs).
@@ -127,6 +130,15 @@ class Linear:
     (``reads``), and divided by p, so every term is exact mod p^W; a read
     that p does not divide raises DivisionNotExact.  A B_n/n term is B_n
     times n^-1 mod p^W.
+
+    The first call compiles the row (``_compiled``), as nothing in it but n
+    depends on p: the coefficients times D, their least common denominator;
+    the reads (j, e, s, c), n = j p^e (p-1) - s; and the node list, the
+    half-identity tree of those reads in the order ``_p_times_bernoulli``
+    completes it, each node (j, e, s, C) with its children (j, e, s + i,
+    C - i), even i in 2..C-1, before it.  A call then evaluates the node
+    list into the plan's memo, sums each side over D and multiplies it by
+    D^-1 mod p^W once.
     """
 
     def __init__(self, stated: int, lhs: tuple, const: int, terms: tuple, cap: int = 10):
@@ -137,40 +149,61 @@ class Linear:
                 least[x[1:]] = min(a, least.get(x[1:], a))
         self.W = eval_exponent(
             stated, min([cap] + [a + RESIDUE_EXPONENT_CAP for a in least.values()]))
-        self._reads = [(("B", *key), self.W - a + 1) for key, a in least.items()]
+        #: (j, e, s, c) of each distinct B_n, in row order
+        self._reads = tuple((*key, self.W - a + 1) for key, a in least.items())
 
     def reads(self, p: int) -> tuple[int, dict]:
         """W, and {n: c} at p for the reads of p B_n mod p^c, c = W - a + 1
         (terms whose indices meet at p read once, at the larger c)."""
         reads = {}
-        for x, c in self._reads:
-            n = _index(x, p)
+        for j, e, s, c in self._reads:
+            n = j * p ** e * (p - 1) - s
             reads[n] = max(c, reads.get(n, c))
         return self.W, reads
 
+    @cached_property
+    def _compiled(self) -> tuple:
+        """The row at any p, built on its first call: D, the least common
+        denominator of its coefficients; its reads (j, e, s, c), one per
+        distinct B_n in row order; their half-identity nodes; the value slots
+        (read, is B_n/n); and the terms, lhs then rhs, as (side, c D, a,
+        attribute, index), attribute None for the value slot at index."""
+        D = lcm(*(Fraction(c).denominator for c, _, _ in self.lhs + self.terms))
+        keys, slots = [read[:3] for read in self._reads], []
+
+        def source(x) -> tuple:
+            if x[0] not in ("B", "B/n"):
+                return x
+            slot = (keys.index(x[1:]), x[0] == "B/n")
+            if slot not in slots:
+                slots.append(slot)
+            return None, slots.index(slot)
+
+        terms = tuple((side, int(c * D), a, *source(x))
+                      for side, row_side in enumerate((self.lhs, self.terms))
+                      for c, a, x in row_side)
+        return D, self._reads, _half_nodes(self._reads), tuple(slots), terms
+
     def __call__(self, plan) -> tuple[Residue, Residue]:
-        p, (W, reads) = plan.p, self.reads(plan.p)
-        M = plan.modulus(W)
-        bs = {}
-        for n, c in reads.items():
-            pb = _p_times_bernoulli(n, plan, c)
-            if pb % p:
-                raise DivisionNotExact(f"p*B_{n} mod {p}^{c} is not divisible by {p}")
-            bs[n] = pb // p
-
-        def term(c, a, x) -> int:
-            n = _index(x, p)
-            v = getattr(plan, x[0])[x[1]] if n is None else bs[n]
-            if x[0] == "B/n":
-                v *= pow(n, -1, M.m)
-            if a:
-                v *= p ** a
-            if c != 1:
-                v *= c if type(c) is int else c.numerator * pow(c.denominator, -1, M.m)
-            return v
-
-        lhs = sum(term(*t) for t in self.lhs)
-        return M.residue(lhs), M.residue(self.const + sum(term(*t) for t in self.terms))
+        p, (D, reads, nodes, slots, terms) = plan.p, self._compiled
+        M = plan.modulus(self.W)
+        m, vals = M.m, ()
+        if reads:
+            got = _p_times_bernoulli_reads(reads, nodes, plan)
+            for n, c, pb in got:
+                if pb % p:
+                    raise DivisionNotExact(f"p*B_{n} mod {p}^{c} is not divisible by {p}")
+            vals = [got[r][2] // p * (pow(got[r][0], -1, m) if by_n else 1)
+                    for r, by_n in slots]
+        sides = [0, self.const * D]
+        for side, c, a, attribute, i in terms:
+            sides[side] += c * p ** a * (vals[i] if attribute is None
+                                         else getattr(plan, attribute)[i])
+        lhs, rhs = sides
+        if D != 1:
+            inverse = pow(D, -1, m)
+            lhs, rhs = lhs * inverse, rhs * inverse
+        return M.residue(lhs), M.residue(rhs)
 
 
 _ev_cor1_first = Linear(7, ((1, 0, C),), 1, ((-2, 1, R[1]), (-2, 2, R[2])))

@@ -23,7 +23,6 @@ import json
 import os
 import sys
 from functools import partial
-from itertools import repeat
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import __version__
@@ -184,29 +183,33 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     return ns
 
 
-def _row(outcome, timings: bool = False) -> tuple:
-    """A record's ten values in _FIELDS order, elapsed_ns 0 unless ``timings``:
-    a CheckOutcome is such a tuple already, a ScanRecord is mapped."""
+def _row(outcome) -> tuple:
+    """A record's ten values in _FIELDS order: a CheckOutcome is such a tuple
+    already, and is passed through as is; a ScanRecord is mapped."""
     if isinstance(outcome, CheckOutcome):
-        return outcome if timings else (*outcome[:9], 0)
+        return outcome
     if isinstance(outcome, ScanRecord):
         return (f"scan:{outcome.criterion.value}", outcome.p,
                 THRESHOLDS[outcome.criterion], None, None, outcome.observed_valuation,
-                outcome.flagged, outcome.skipped, outcome.reason,
-                outcome.elapsed_ns if timings else 0)
+                outcome.flagged, outcome.skipped, outcome.reason, outcome.elapsed_ns)
     raise TypeError(f"cannot serialize {type(outcome).__name__}")
 
 
 def record_dict(outcome, timings: bool = False) -> dict:
-    """Uniform record mapping, keys in _FIELDS order, for CheckOutcome and ScanRecord."""
-    return dict(zip(_FIELDS, _row(outcome, timings)))
+    """Uniform record mapping, keys in _FIELDS order, for CheckOutcome and
+    ScanRecord; elapsed_ns is 0 unless ``timings``."""
+    rec = dict(zip(_FIELDS, _row(outcome)))
+    if not timings:
+        rec["elapsed_ns"] = 0
+    return rec
 
 
-def _jsonl_line(row: tuple) -> str:
+def _jsonl_line(row: tuple, timings: bool) -> str:
     """A row as one compact JSON line: the bytes that
     ``json.JSONEncoder(separators=(",", ":"))`` writes for its record_dict.
     Strings go through ``_quote``, ints through int.__repr__, and bools and
-    None are the literals true, false and null."""
+    None are the literals true, false and null; elapsed_ns is 0 unless
+    ``timings``."""
     check, p, k, lhs, rhs, v, passed, skipped, reason, ns = row
     return (f'{{"check":{_quote(check)},"p":{p},"modulus_exponent":{k},'
             f'"lhs":{"null" if lhs is None else _quote(lhs)},'
@@ -215,27 +218,28 @@ def _jsonl_line(row: tuple) -> str:
             f'"pass":{"true" if passed else "false"},'
             f'"skipped":{"true" if skipped else "false"},'
             f'"reason":{"null" if reason is None else _quote(reason)},'
-            f'"elapsed_ns":{ns}}}\n')
+            f'"elapsed_ns":{ns if timings else 0}}}\n')
 
 
-def _write_jsonl(rows: Iterable[tuple], sink: TextIO) -> None:
+def _write_jsonl(rows: Iterable[tuple], sink: TextIO, timings: bool) -> None:
     """One compact JSON object per line, each one ``_jsonl_line``."""
     for i, row in enumerate(rows, 1):
-        sink.write(_jsonl_line(row))
+        sink.write(_jsonl_line(row, timings))
         if i % FLUSH_EVERY == 0:
             sink.flush()
     sink.flush()
 
 
-def _write_csv(rows: Iterable[tuple], sink: TextIO) -> None:
+def _write_csv(rows: Iterable[tuple], sink: TextIO, timings: bool) -> None:
     import csv  # only csv output pays for the module
     writer = csv.writer(sink)
     writer.writerow(_FIELDS)
-    writer.writerows(rows)
+    writer.writerows(rows if timings else ((*row[:9], 0) for row in rows))
     sink.flush()
 
 
-def _write_pretty(rows: Iterable[tuple], sink: TextIO) -> None:
+def _write_pretty(rows: Iterable[tuple], sink: TextIO, timings: bool) -> None:
+    """Counts per check; elapsed_ns, and so ``timings``, is not shown."""
     by_check: dict[str, dict] = {}
     flagged = []
     for rec in rows:
@@ -322,9 +326,11 @@ def _bad(row: tuple) -> bool:
     return bool(reason) if check.startswith("scan:") else not passed
 
 
-def _emit(args: argparse.Namespace, rows: Iterable[tuple], mode: str = "w") -> int:
+def _emit(args: argparse.Namespace, rows: Iterable[tuple], timings: bool,
+          mode: str = "w") -> int:
     """Write the records' rows in ``args.format`` to ``args.output``, else
-    stdout; the exit code is 1 if any of them is ``_bad``, else 0."""
+    stdout, elapsed_ns 0 unless ``timings``; the exit code is 1 if any of
+    them is ``_bad``, else 0."""
     bad = False
 
     def watched():
@@ -336,9 +342,9 @@ def _emit(args: argparse.Namespace, rows: Iterable[tuple], mode: str = "w") -> i
     writer = _WRITERS[args.format]
     if args.output:
         with open(args.output, mode, encoding="utf-8") as sink:
-            writer(watched(), sink)
+            writer(watched(), sink, timings)
     else:
-        writer(watched(), sys.stdout)
+        writer(watched(), sys.stdout, timings)
     return 1 if bad else 0
 
 
@@ -364,7 +370,7 @@ def execute(args: argparse.Namespace) -> int:
             primes = ([args.at] if args.at is not None
                       else sieve_primes(SieveConfig(*args.prime_range)))
             outcomes = run_suite(ids, primes, args.parallelism)
-            return _emit(args, map(_row, outcomes, repeat(args.timings)))
+            return _emit(args, outcomes, args.timings)
         if args.command == "scan":
             lo, hi = args.prime_range
             mode = "w"
@@ -377,7 +383,7 @@ def execute(args: argparse.Namespace) -> int:
                         return 0
             records = wolstenholme_scan(SieveConfig(lo, hi), args.criterion,
                                         args.parallelism)
-            return _emit(args, map(_row, records, repeat(args.timings)), mode=mode)
+            return _emit(args, map(_row, records), args.timings, mode)
         if args.command in ("bernoulli", "binom"):
             try:
                 print(_query(args))
@@ -388,7 +394,7 @@ def execute(args: argparse.Namespace) -> int:
             with open(args.input, "rb") as handle:
                 rows = [_parse_record(line, args.input, lineno)
                         for lineno, line in enumerate(handle, 1) if line.strip()]
-            return _emit(args, rows)
+            return _emit(args, rows, timings=True)  # elapsed_ns as the file holds it
         raise AssertionError(f"unhandled command {args.command}")
     except MalformedRecord as exc:
         print(f"malformed input: {exc}", file=sys.stderr)

@@ -40,6 +40,8 @@ testing p for primality again, and runs each sweep at most once, on first read:
 
 ``bernoulli`` memoises p B_n in ``plan.pb``, keyed by n: it holds p B_n
 mod p^c at the highest c computed so far, and a read at lower c reduces it.
+Its row reads take 2^(1-n) off the plan's table of 2 (``two``), the powers
+2^(-(p-1) p^e) mod p^10 for e <= 3, computed on first read.
 """
 from __future__ import annotations
 
@@ -110,6 +112,14 @@ class EvaluationPlan:
         first read (the gate runs only for gated reads, which need it anyway)."""
         w = self.wolstenholme_requests
         return self.requests + (w if w and self.wolstenholme else 0) >= SWEEP_REQUESTS
+
+    @cached_property
+    def two(self) -> list:
+        """The table of 2: (p^e (p-1), 2^(-(p-1) p^e) mod p^10) for e <= 3, from
+        which ``bernoulli`` takes the index n = j p^e (p-1) - s of a row's read
+        and 2^(1-n) = 2^(1+s) (2^(-(p-1) p^e))^j, with one small power."""
+        p, m = self.p, self.m
+        return [(k, pow((m + 1) // 2, k, m)) for k in (p ** e * (p - 1) for e in range(4))]
 
     @cached_property
     def _moments(self) -> dict:

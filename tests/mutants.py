@@ -81,13 +81,13 @@ MUTANTS = (
            "t + p - 2", "t + p - 1",
            ("tests/test_harmonic.py::test_moment_path_matches_powmod_loop",)),
     Mutant("the half identity's terms carry 2^j for 2^-j", "bernoulli.py",
-           "(h - pow(i2, j, M))", "(h - pow(2, j, M))",
+           "t * i4 % M", "t * 4 % M",
            ("tests/test_bernoulli.py::test_half_identity_against_exact_rationals",)),
     Mutant("the lift assumes v_p(2^n - 1) <= 1", "bernoulli.py",
            "d = capped_valuation(h - 2, p, C)", "d = min(1, capped_valuation(h - 2, p, C))",
            ("tests/test_bernoulli.py::test_bernoulli_mod_r4_grid",)),
     Mutant("the lift reads S_(n-1) at the unlifted precision", "bernoulli.py",
-           "plan.half_sum(n - 1, C - 1)", "plan.half_sum(n - 1, c - 1)",
+           "S = plan.half_sum(n - 1, C - 1)", "S = plan.half_sum(n - 1, c - 1)",
            ("tests/test_bernoulli.py::test_bernoulli_mod_r4_grid",)),
     Mutant("the moment sweep's slot width leaves u^i out of its bound, so slots carry",
            "harmonic.py", "(2 * top + 4) * p.bit_length()", "(top + 5) * p.bit_length()",
@@ -101,6 +101,15 @@ MUTANTS = (
     Mutant("the row's exact division by p is dropped", "checks.py",
            "if pb % p:", "if False:",
            ("tests/test_checks.py::test_row_refuses_a_p_times_bernoulli_not_divisible_by_p",)),
+    Mutant("the plan's table of 2 takes one p-th power too many", "plan.py",
+           "pow((m + 1) // 2, k, m)", "pow((m + 1) // 2, k * p, m)",
+           ("tests/test_checks.py::test_node_lists_read_what_the_recursion_reads",)),
+    Mutant("a row drops the inverse of its common denominator", "checks.py",
+           "inverse = pow(D, -1, m)", "inverse = 1",
+           ("tests/test_checks.py::test_compiled_rows_against_fraction_terms",)),
+    Mutant("the lift fallback is skipped, as if d were 0", "bernoulli.py",
+           "if (h - 2) % p == 0:", "if False:",
+           ("tests/test_checks.py::test_a_lifted_node_falls_back_to_the_recursion",)),
     Mutant("the writer quotes strings without escaping", "cli.py",
            "_quote = json.encoder.encode_basestring_ascii", "_quote = '\"{}\"'.format",
            ("tests/test_cli.py::test_jsonl_line_is_the_encoders_line",)),

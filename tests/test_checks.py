@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wolstenholme import checks, errors
+from wolstenholme import bernoulli, checks, errors
 from wolstenholme.checks import (
     Scope,
     all_check_ids,
@@ -316,14 +316,13 @@ def test_bernoulli_rows_evaluate_at_their_w():
 
 def test_row_refuses_a_p_times_bernoulli_not_divisible_by_p(monkeypatch):
     # A row divides each p B_n it reads by p exactly; a read that p does not
-    # divide is an error record, not a floored quotient.  The read replay's
-    # stand-in plan is served as before.
-    read = checks._p_times_bernoulli
+    # divide is an error record, not a floored quotient.
+    read = checks._p_times_bernoulli_reads
 
-    def off_by_one(n, plan, c):
-        return read(n, plan, c) + isinstance(plan, EvaluationPlan)
+    def off_by_one(reads, nodes, plan):
+        return [(n, c, pb + 1) for n, c, pb in read(reads, nodes, plan)]
 
-    monkeypatch.setattr(checks, "_p_times_bernoulli", off_by_one)
+    monkeypatch.setattr(checks, "_p_times_bernoulli_reads", off_by_one)
     outcome = run_check("glaisher_p4", 11)
     assert not outcome.skipped and not outcome.passed and outcome.lhs is None
     assert outcome.reason == "error: p*B_8 mod 11^4 is not divisible by 11"
@@ -359,3 +358,97 @@ def test_bernoulli_rows_against_exact_rationals():
     want |= {(check_id, "lhs", p) for check_id in ("kummer_eq10", "eq26_n2_s4")
              for p in small}
     assert checked == want
+
+
+# --- compiled rows ----------------------------------------------------------------
+
+def _linear_rows():
+    return [(c, c.evaluator) for c in registry() if isinstance(c.evaluator, checks.Linear)]
+
+
+def _node_lists_match_the_recursion(primes, below_minimum=False):
+    """Every row's reads off its node list, all rows on one suite plan per
+    prime (so nodes are shared and skipped as in a run), against
+    ``_p_times_bernoulli`` on a fresh plan, which sweeps nothing; rows
+    below their minimum prime only if ``below_minimum``."""
+    rows = [(c, row) for c, row in _linear_rows() if row._reads]
+    compared = 0
+    for p in primes:
+        plan = checks._plan(p, all_check_ids())
+        fresh = EvaluationPlan(p)
+        for check, row in rows:
+            if p < check.min_prime and not below_minimum:
+                continue
+            _, reads, nodes = row._compiled[:3]
+            got = checks._p_times_bernoulli_reads(reads, nodes, plan)
+            assert [(n, c) for n, c, _ in got] == [
+                (j * p ** e * (p - 1) - s, c) for j, e, s, c in reads], (check.id, p)
+            for n, c, pb in got:
+                assert pb == bernoulli._p_times_bernoulli(n, fresh, c), (check.id, p, n, c)
+                compared += 1
+    return compared
+
+
+def test_node_lists_read_what_the_recursion_reads():
+    assert _node_lists_match_the_recursion([p for p in range(7, 600) if is_prime(p)]) > 2000
+
+
+def test_node_lists_below_the_minimum_primes():
+    # At 5 the trees of B_(p-3) and B_(p-5) reach index 0 and below, which
+    # the lists skip; at 7 a lemma12 read lifts.
+    assert _node_lists_match_the_recursion([5, 7], below_minimum=True) == 66
+
+
+@pytest.mark.slow
+def test_node_lists_read_what_the_recursion_reads_below_3000():
+    assert _node_lists_match_the_recursion([p for p in range(7, 3000) if is_prime(p)]) > 10000
+
+
+def test_a_lifted_node_falls_back_to_the_recursion(monkeypatch):
+    # At 7, below lemma12_ii_p4's minimum prime, its read of p B_2054 mod 7^5
+    # has the node 2052 = 7^3 * 6 - 6 at C = 3, and 2^2052 = 1 (mod 7): the
+    # node list hands that node to the recursion, which lifts it.
+    row = lookup("lemma12_ii_p4").evaluator
+    assert (1, 3, 6, 3) in row._compiled[2]
+    assert pow(2, 2052, 7) == 1
+    calls = []
+    recursion = bernoulli._p_times_bernoulli
+
+    def spy(n, plan, c):
+        calls.append((n, c))
+        return recursion(n, plan, c)
+
+    plan, fresh = EvaluationPlan(7), EvaluationPlan(7)
+    with monkeypatch.context() as patch:
+        patch.setattr(bernoulli, "_p_times_bernoulli", spy)
+        got = checks._p_times_bernoulli_reads(*row._compiled[1:3], plan)
+    assert calls[0] == (2052, 3)
+    assert got == [(2054, 5, bernoulli._p_times_bernoulli(2054, fresh, 5))]
+    assert row(EvaluationPlan(7)) == _reference_row(row, EvaluationPlan(7))
+
+
+def _reference_row(row, plan):
+    """A row's (lhs, rhs) term by term in Fraction coefficients, each B_n read
+    through ``_p_times_bernoulli`` and divided by p: the arithmetic the rows
+    had before they were compiled."""
+    p, (W, reads) = plan.p, row.reads(plan.p)
+    M = plan.modulus(W)
+    bs = {n: bernoulli._p_times_bernoulli(n, plan, c) // p for n, c in reads.items()}
+
+    def term(c, a, x):
+        if x[0] in ("B", "B/n"):
+            n = x[1] * p ** x[2] * (p - 1) - x[3]
+            v = Fraction(bs[n], n if x[0] == "B/n" else 1)
+        else:
+            v = getattr(plan, x[0])[x[1]]
+        return Fraction(c) * p ** a * v
+
+    return (M.embed(sum((term(*t) for t in row.lhs), Fraction(0))),
+            M.embed(row.const + sum((term(*t) for t in row.terms), Fraction(0))))
+
+
+def test_compiled_rows_against_fraction_terms():
+    for p in (11, 101, 16843):
+        plan = checks._plan(p, all_check_ids())
+        for check, row in _linear_rows():
+            assert row(plan) == _reference_row(row, EvaluationPlan(p)), (check.id, p)

@@ -15,7 +15,6 @@ import wolstenholme
 from wolstenholme import checks, cli
 from wolstenholme.checks import CheckOutcome, run_check
 from wolstenholme.cli import MAX_PARALLELISM, main, parse_args, record_dict
-from wolstenholme.plan import EvaluationPlan
 from wolstenholme.scan import Criterion, ScanRecord
 
 SCHEMA_KEYS = ["check", "p", "modulus_exponent", "lhs", "rhs",
@@ -118,16 +117,14 @@ def test_repeated_check_id_is_evaluated_once(tmp_path):
 
 def test_check_error_is_a_failed_record(capsys, monkeypatch):
     # An evaluator that raises: the run records the error instead of stopping.
-    # The rows read p B_n through checks._p_times_bernoulli, as does the read
-    # replay on its stand-in plan, which still counts.
-    read = checks._p_times_bernoulli
+    # The rows read p B_n through checks._p_times_bernoulli_reads.
+    read = checks._p_times_bernoulli_reads
 
-    def failing(n, plan, c):
-        if not isinstance(plan, EvaluationPlan):
-            return read(n, plan, c)
+    def failing(reads, nodes, plan):
+        n, c, _ = read(reads, nodes, plan)[0]
         raise ArithmeticError(f"p*B_{n} mod {plan.p}^{c} refused")
 
-    monkeypatch.setattr(checks, "_p_times_bernoulli", failing)
+    monkeypatch.setattr(checks, "_p_times_bernoulli_reads", failing)
     outcome = run_check("glaisher_p4", 11)
     assert not outcome.skipped and not outcome.passed
     assert outcome.reason == "error: p*B_8 mod 11^4 refused"
@@ -426,7 +423,7 @@ _INTS = st.integers() | st.integers(-(10 ** 60), 10 ** 60)
 @example(ScanRecord(16843, Criterion.COR1_SECOND_P7, 16843 ** 10, True, -2, False,
                     'say "\u00e9\\"'), False)
 def test_jsonl_line_is_the_encoders_line(outcome, timings):
-    assert cli._jsonl_line(cli._row(outcome, timings)) == json.JSONEncoder(
+    assert cli._jsonl_line(cli._row(outcome), timings) == json.JSONEncoder(
         separators=(",", ":")).encode(record_dict(outcome, timings)) + "\n"
 
 

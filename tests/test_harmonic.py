@@ -448,12 +448,12 @@ def recorded_bernoulli_calls(p: int, monkeypatch) -> set:
     (bernoulli_mod, n, c - 1), the B_n mod p^(c-1) it divides out, and every
     bernoulli_ratio call."""
     calls = set()
-    read = checks._p_times_bernoulli
+    read = checks._p_times_bernoulli_reads
 
-    def reading(n, plan, c):
-        if isinstance(plan, EvaluationPlan):  # not the read replay's stand-in
-            calls.add((bernoulli_mod, n, c - 1))
-        return read(n, plan, c)
+    def reading(reads, nodes, plan):
+        got = read(reads, nodes, plan)
+        calls.update((bernoulli_mod, n, c - 1) for n, c, _ in got)
+        return got
 
     def recording(fn):
         def wrapper(n, q, r, plan=None):
@@ -462,7 +462,7 @@ def recorded_bernoulli_calls(p: int, monkeypatch) -> set:
         return wrapper
 
     with monkeypatch.context() as patch:
-        patch.setattr(checks, "_p_times_bernoulli", reading)
+        patch.setattr(checks, "_p_times_bernoulli_reads", reading)
         for module, name in ((checks, "bernoulli_ratio"), (bernoulli, "bernoulli_ratio")):
             patch.setattr(module, name, recording(getattr(module, name)))
         list(checks.run_suite(checks.all_check_ids(), [p]))
