@@ -38,16 +38,15 @@ which ``high_index_ratio`` evaluates and the registry's eq26 rows state.
 One helper holds the identity's arithmetic (``_half_identity``): the term
 n p S_(n-1), the sum over the children p B_(n-j), and the division by
 2^(1-n) - 2.  Two orders visit the tree.  The recursion
-(``_p_times_bernoulli``) serves ``bernoulli_mod`` and the read replay; it
-memoises each node in the plan and computes 2^(1-n) and d itself.  The
-registry's rows visit a node list compiled once per row
-(``_half_nodes``), children first, with every index n = j p^e (p-1) - s
-(``_p_times_bernoulli_reads``).  The list reads 2^(1-n) off the plan's
-table of 2, and it computes the leaves inline, p B_0 = p and
--[p-1 | n] at C = 1.  A node whose 2^n = 1 (mod p) is lifted; the list
-hands it to the recursion, so both orders give the same p B_n at every
-prime.  As 2^n = 2^-s (mod p) and the registry's nodes have s in
-{-4, -2, 2, 4, 6}, that happens only where p divides 3*5*7.
+(``_p_times_bernoulli``) serves ``bernoulli_mod`` and lifted nodes; it
+memoises each node in the plan and computes 2^(1-n) and d itself.  A check
+suite's reads are compiled once per suite into node lists (``_half_nodes``),
+children first, each run once per prime (``_evaluate_lists``) with 2^(1-n)
+off the plan's table of 2 and the leaves inline, p B_0 = p and -[p-1 | n]
+at C = 1.  A node whose 2^n = 1 (mod p) is lifted; the list hands it to the
+recursion, so both orders give the same p B_n at every prime.  As
+2^n = 2^-s (mod p) and the registry's nodes have s in {-4, -2, 2, 4, 6},
+that happens only where p divides 3*5*7.
 """
 from __future__ import annotations
 
@@ -170,56 +169,65 @@ def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
     return plan.pb[n][1]
 
 
-def _half_nodes(reads) -> tuple:
-    """The half-identity tree of the reads (j, e, s, c) of p B_n mod p^c,
-    n = j p^e (p-1) - s, as the nodes (j, e, s, C) that ``_p_times_bernoulli``
-    would compute, children first: a node's children are (j, e, s + i, C - i)
-    for even i, 2 <= i <= C - 1.  The leaves, C - i = 1 or n = i, and the odd
-    n are no nodes; a node held at >= C is visited once."""
-    nodes, held = [], {}
-
-    def visit(j, e, s, C):
-        if C < 2 or s % 2 or held.get((j, e, s), 0) >= C:
-            return
-        for i in range(2, C, 2):
-            visit(j, e, s + i, C - i)
-        held[j, e, s] = C
-        nodes.append((j, e, s, C))
-
-    for read in reads:
-        visit(*read)
+def _half_nodes(reads, held: dict) -> tuple:
+    """The nodes (j, e, s, C) ``_p_times_bernoulli`` computes for the reads
+    (j, e, s, c) of p B_n mod p^c, n = j p^e (p-1) - s, children first.  A
+    read's tree is (j, e, s + i, c - i) for even i >= 0 down to C = 2, as a
+    node's children are (j, e, s + i, C - i), even i in 2..C-1; so each
+    (j, e, s) is one node, at the largest C a read asks of it.  Leaves
+    (C = 1 or n = i), odd n and nodes ``held`` at >= C, here or in another
+    list, are left out."""
+    need = {}
+    for j, e, s, c in reads:
+        for i in range(0, c - 1, 2) if s % 2 == 0 else ():
+            need[j, e, s + i] = max(c - i, need.get((j, e, s + i), 0))
+    nodes = []
+    for j, e, s in sorted(need, key=lambda key: (key[0], key[1], -key[2])):
+        if held.get((j, e, s), 0) < (C := need[j, e, s]):
+            held[j, e, s] = C
+            nodes.append((j, e, s, C))
     return tuple(nodes)
 
 
-def _p_times_bernoulli_reads(reads, nodes, plan: EvaluationPlan) -> list:
-    """(n, c, p B_n mod p^c) for each read (j, e, s, c), n = j p^e (p-1) - s:
-    the nodes of ``_half_nodes(reads)`` evaluated in order into ``plan.pb``,
-    the values ``_p_times_bernoulli`` gives, with no call per child or leaf.
+def _evaluate_lists(lists, plan: EvaluationPlan, gated: bool) -> None:
+    """Evaluate a suite's node lists (``checks._Suite``) into ``plan.pb`` as
+    ``_p_times_bernoulli`` would: the first, and for a Wolstenholme-only row
+    (``gated``) the second, each once per prime (``plan.listed`` counts those
+    run).  2^(1-n) is 2^(1+s) (2^(-(p-1) p^e))^j, off the plan's table of 2.
+    A node held at >= C or below n = 2 (p = 5) is skipped; one with
+    p | 2^n - 1 goes to the recursion.  A node that raises ends both lists at
+    p: the reads they miss go to the recursion, so only a row whose reads
+    reach that node fails, with its own error."""
+    p, pb, two, half_sum = plan.p, plan.pb, plan.two, plan.half_sum
+    try:
+        for listed in range(plan.listed, 2 if gated else 1):
+            for j, e, s, C in lists[listed]:
+                step, t = two[e]
+                n = j * step - s
+                if n < 2 or (held := pb.get(n)) is not None and held[0] >= C:
+                    continue
+                M = p ** C
+                h = pow(2, 1 + s, M) * pow(t, j, M) % M
+                if (h - 2) % p == 0:
+                    _p_times_bernoulli(n, plan, C)
+                    continue
+                kids = []  # the leaves inline: p B_0 = p, and -[p-1 | k] at C - i = 1
+                for i in range(2, min(n, C - 1) + 1, 2):
+                    k = n - i
+                    kids.append(p if k == 0 else pb[k][1] if C - i > 1 else -(k % (p - 1) == 0) % p)
+                pb[n] = C, _half_identity(n, p, C, C, h, half_sum(n - 1, C - 1), kids)
+            plan.listed = listed + 1
+    except Exception:  # the reading rows' recursion raises it again
+        plan.listed = len(lists)
 
-    A node held at >= C is skipped, and so is one the tree does not reach at
-    p (n < 2: at p = 5, below every Bernoulli row's minimum prime).  2^(1-n)
-    is 2^(1+s) (2^(-(p-1) p^e))^j, off the plan's table of 2.  Where
-    p | 2^n - 1 the node is lifted, and ``_p_times_bernoulli`` computes it."""
+
+def _p_times_bernoulli_reads(reads, plan: EvaluationPlan) -> list:
+    """(n, c, p B_n mod p^c) for each read (j, e, s, c), n = j p^e (p-1) - s:
+    off ``plan.pb`` where the suite's lists hold it, else by the recursion."""
     p, pb, two = plan.p, plan.pb, plan.two
-    for j, e, s, C in nodes:
-        step, t = two[e]
-        n = j * step - s
-        if n < 2 or (held := pb.get(n)) is not None and held[0] >= C:
-            continue
-        M = p ** C
-        h = pow(2, 1 + s, M) * pow(t, j, M) % M
-        if (h - 2) % p == 0:
-            _p_times_bernoulli(n, plan, C)
-            continue
-        kids = []  # the leaves inline: p B_0 = p, and -[p-1 | k] at C - i = 1
-        for i in range(2, min(n, C - 1) + 1, 2):
-            k = n - i
-            kids.append(p if k == 0 else pb[k][1] if C - i > 1 else -(k % (p - 1) == 0) % p)
-        pb[n] = C, _half_identity(n, p, C, C, h, plan.half_sum(n - 1, C - 1), kids)
     got = []
     for j, e, s, c in reads:
-        n = j * two[e][0] - s
-        held = pb.get(n)
+        held = pb.get(n := j * two[e][0] - s)
         got.append((n, c, held[1] % p ** c if held is not None and held[0] >= c
                      else _p_times_bernoulli(n, plan, c)))
     return got

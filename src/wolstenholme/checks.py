@@ -15,13 +15,13 @@ Remark 2, Kummer's eqs. 10-11 and eq. 26.  Each is one ``Linear`` row, whose
 evaluator derives every precision and the exponent it works at, which a
 Bernoulli term holds to p^4 above its power of p; ``helou_terjanian_p6``,
 ``eq26_n2_s4`` and ``zhao_eq4_p5`` pin that exponent at the stated one.  A
-row is compiled once, on its first call, for all primes: its coefficients
-become integers over their common denominator D, each term's source is
-resolved, and its B_n reads become one straight list of half-identity nodes
-(``bernoulli._half_nodes``).  At each prime the row evaluates that list
-into the plan's p B_n memo (``_p_times_bernoulli_reads``), divides each read
-by p itself, exactly, and makes one inverse of D; the public
-``bernoulli_mod`` would check its arguments again at every read.
+row is compiled once, on its first call: its coefficients become integers
+over their common denominator D.  ``run_suite`` compiles the suite's B_n
+reads once into two straight node lists (``_compile``), the second for
+what only Wolstenholme-only rows add.  At each prime the first row that
+reads evaluates the first list into the plan's p B_n memo
+(``bernoulli._evaluate_lists``), the first Wolstenholme-only row past the
+gate the second, and each row divides p B_n by p itself.
 
 A check passes when v_p(lhs - rhs) reaches the stated exponent.  Skipped
 is not failed: gates (below minimum prime, not prime, not a Wolstenholme
@@ -38,12 +38,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
-from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .bernoulli import (
-    RESIDUE_EXPONENT_CAP, _half_nodes, _p_times_bernoulli, _p_times_bernoulli_reads,
-)
+from .bernoulli import RESIDUE_EXPONENT_CAP, _evaluate_lists, _half_nodes, _p_times_bernoulli_reads
 from .errors import DivisionNotExact, UnknownCheck
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .bernoulli import bernoulli_mod, bernoulli_ratio, high_index_bernoulli  # noqa: F401
@@ -131,14 +128,10 @@ class Linear:
     that p does not divide raises DivisionNotExact.  A B_n/n term is B_n
     times n^-1 mod p^W.
 
-    The first call compiles the row (``_compiled``), as nothing in it but n
-    depends on p: the coefficients times D, their least common denominator;
-    the reads (j, e, s, c), n = j p^e (p-1) - s; and the node list, the
-    half-identity tree of those reads in the order ``_p_times_bernoulli``
-    completes it, each node (j, e, s, C) with its children (j, e, s + i,
-    C - i), even i in 2..C-1, before it.  A call then evaluates the node
-    list into the plan's memo, sums each side over D and multiplies it by
-    D^-1 mod p^W once.
+    The first call compiles the row (``_compiled``), the same at every p: the
+    coefficients times D, their least common denominator, and the term
+    sources.  A call reads each p B_n off the plan's memo, sums each side
+    over D and multiplies it by D^-1 mod p^W once.
     """
 
     def __init__(self, stated: int, lhs: tuple, const: int, terms: tuple, cap: int = 10):
@@ -165,9 +158,9 @@ class Linear:
     def _compiled(self) -> tuple:
         """The row at any p, built on its first call: D, the least common
         denominator of its coefficients; its reads (j, e, s, c), one per
-        distinct B_n in row order; their half-identity nodes; the value slots
-        (read, is B_n/n); and the terms, lhs then rhs, as (side, c D, a,
-        attribute, index), attribute None for the value slot at index."""
+        distinct B_n in row order; the value slots (read, is B_n/n); and the
+        terms, lhs then rhs, as (side, c D, a, attribute, index), attribute
+        None for the value slot at index."""
         D = lcm(*(Fraction(c).denominator for c, _, _ in self.lhs + self.terms))
         keys, slots = [read[:3] for read in self._reads], []
 
@@ -182,14 +175,14 @@ class Linear:
         terms = tuple((side, int(c * D), a, *source(x))
                       for side, row_side in enumerate((self.lhs, self.terms))
                       for c, a, x in row_side)
-        return D, self._reads, _half_nodes(self._reads), tuple(slots), terms
+        return D, self._reads, tuple(slots), terms
 
     def __call__(self, plan) -> tuple[Residue, Residue]:
-        p, (D, reads, nodes, slots, terms) = plan.p, self._compiled
+        p, (D, reads, slots, terms) = plan.p, self._compiled
         M = plan.modulus(self.W)
         m, vals = M.m, ()
         if reads:
-            got = _p_times_bernoulli_reads(reads, nodes, plan)
+            got = _p_times_bernoulli_reads(reads, plan)
             for n, c, pb in got:
                 if pb % p:
                     raise DivisionNotExact(f"p*B_{n} mod {p}^{c} is not divisible by {p}")
@@ -445,49 +438,33 @@ def _skipped(check: CongruenceCheck, p: int, reason: str) -> CheckOutcome:
     return CheckOutcome(check.id, p, check.modulus_exponent, skipped=True, reason=reason)
 
 
-#: The plan of the prime ``_suite_worker`` is on, None between primes:
-#: ``run_check`` keeps its (check_id, p) signature and finds the plan here.
-_suite_plan: Optional[EvaluationPlan] = None
+class _Suite(NamedTuple):
+    """A compiled suite: its node lists (ungated, Wolstenholme-only), and
+    whether all its checks are Wolstenholme-only."""
+
+    lists: tuple
+    gate_alone: bool
+
+    def plan(self, p: int) -> EvaluationPlan:
+        """p's plan, told the lists' lengths as its window reads."""
+        return EvaluationPlan(p, *map(len, self.lists), self.gate_alone)
 
 
-#: The prime every plan's window reads are replayed at: the counts are the
-#: same at every prime from 11 on (``tests/test_plan.py`` pins it below 3000).
-#: A plan at 7 is told them too; a count only picks sweep or passes, and every
-#: read is exact either way.
-_REPLAY_PRIME = 11
-
-
-def _window_reads(p: int, checks: Sequence[CongruenceCheck]) -> int:
-    """The window reads ``checks`` make at p in order: their B_n reads
-    replayed on a stand-in plan whose half_sum records a read and returns 0,
-    a value the recursion of ``_p_times_bernoulli`` never branches on.  Nor
-    does its division by p^d, d = v_p(2^n - 1), see it: no registry read at
-    c >= 2 has 2^n = 1 (mod p), so d = 0 (at p >= 11 such a read would need
-    p | 3*5*7; ``tests/test_plan.py`` checks every prime 7 <= p < 3000)."""
-    made = []
-    stand_in = SimpleNamespace(p=p, pb={}, half_sum=lambda n, c: made.append((n, c)) or 0)
-    for check in checks:
-        if isinstance(check.evaluator, Linear):
-            for n, c in check.evaluator.reads(p)[1].items():
-                _p_times_bernoulli(n, stand_in, c)
-    return len(made)
-
-
-def _counts(p: int, ids: Iterable[str]) -> tuple[int, int, bool]:
-    """What a plan at p for the checks ``ids`` is told, its arguments after
-    p: the window reads all but the Wolstenholme-only ones make, how many more
-    all make, and whether all are Wolstenholme-only, so the plan gates on R_1
-    alone."""
+def _compile(ids: Iterable[str]) -> _Suite:
+    """The suite of the checks ``ids``: its rows' reads (j, e, s, c) through
+    ``_half_nodes``, the ungated rows' first, then what the others add."""
     checks = [lookup(check_id) for check_id in ids]
-    ungated = [c for c in checks if c.scope is not Scope.WOLSTENHOLME_ONLY]
-    requests = _window_reads(p, ungated)
-    return requests, _window_reads(p, checks) - requests, not ungated
+    rows = [(c.scope is Scope.WOLSTENHOLME_ONLY, c.evaluator) for c in checks
+            if isinstance(c.evaluator, Linear)]
+    held = {}
+    lists = tuple(_half_nodes([read for g, row in rows if g is gated for read in row._reads], held)
+                  for gated in (False, True))
+    return _Suite(lists, all(c.scope is Scope.WOLSTENHOLME_ONLY for c in checks))
 
 
-def _plan(p: int, ids: Iterable[str]) -> EvaluationPlan:
-    """p's plan for the checks ``ids``, its counts replayed at _REPLAY_PRIME,
-    as ``run_suite``'s are: a lone ``run_check``'s plan."""
-    return EvaluationPlan(p, *_counts(_REPLAY_PRIME, ids))
+#: (plan, suite) of the prime ``_suite_worker`` is on, None between primes:
+#: ``run_check`` keeps its (check_id, p) signature and finds them here.
+_suite_plan: Optional[tuple[EvaluationPlan, _Suite]] = None
 
 
 def run_check(check_id: str, p: int) -> CheckOutcome:
@@ -498,18 +475,21 @@ def run_check(check_id: str, p: int) -> CheckOutcome:
     sum with other calls: ``run_suite(ids, [p])`` shares one plan.
     """
     check = lookup(check_id)
-    plan = _suite_plan if _suite_plan is not None and _suite_plan.p == p else None
+    plan, suite = _suite_plan if _suite_plan and _suite_plan[0].p == p else (None, None)
     if plan is None and not is_prime(p):
         return _skipped(check, p, "not prime")
     if p < check.min_prime:
         return _skipped(check, p, f"below minimum prime {check.min_prime}")
     if check.max_prime is not None and p > check.max_prime:
         return _skipped(check, p, f"beyond exact-oracle bound {check.max_prime}")
-    plan = plan or _plan(p, [check_id])
-    if check.scope is Scope.WOLSTENHOLME_ONLY and not plan.wolstenholme:
+    suite = suite or _compile([check_id])
+    plan = plan or suite.plan(p)
+    if (gated := check.scope is Scope.WOLSTENHOLME_ONLY) and not plan.wolstenholme:
         return _skipped(check, p, "not a Wolstenholme prime")
     start = time.perf_counter_ns()
     try:
+        if isinstance(check.evaluator, Linear) and check.evaluator._reads:
+            _evaluate_lists(suite.lists, plan, gated)
         lhs, rhs = check.evaluator(plan)
     except Exception as exc:  # failures are data, not suite aborts
         return CheckOutcome(check.id, p, check.modulus_exponent, reason=f"error: {exc}",
@@ -521,9 +501,9 @@ def run_check(check_id: str, p: int) -> CheckOutcome:
         elapsed_ns=time.perf_counter_ns() - start)
 
 
-def _suite_worker(p: int, ids: tuple[str, ...], counts: tuple) -> list[CheckOutcome]:
+def _suite_worker(p: int, ids: tuple[str, ...], suite: _Suite) -> list[CheckOutcome]:
     global _suite_plan
-    _suite_plan = EvaluationPlan(p, *counts) if is_prime(p) else None
+    _suite_plan = (suite.plan(p), suite) if is_prime(p) else None
     try:
         return [run_check(check_id, p) for check_id in ids]
     finally:
@@ -543,8 +523,8 @@ def run_suite(
     when they are done, so no sweep runs twice at a prime.
     """
     ids = tuple(sorted(set(ids)))
-    counts = _counts(_REPLAY_PRIME, ids)  # looks every id up
-    for outcomes in ordered_map(partial(_suite_worker, ids=ids, counts=counts), primes,
+    suite = _compile(ids)  # looks every id up
+    for outcomes in ordered_map(partial(_suite_worker, ids=ids, suite=suite), primes,
                                 parallelism, chunk=4):
         yield from outcomes
 

@@ -21,12 +21,11 @@ testing p for primality again, and runs each sweep at most once, on first read:
   a plan serves is Wolstenholme-only (``gate_alone``), nothing reads the
   pairs before that gate, so it reads R_1 mod p^3 off the half walk and
   a prime that fails it never pays the full sweep.
-* Moments: the plan's callers count the window reads its checks make,
-  replayed on a stand-in plan with the memo below (``requests``, and
-  ``wolstenholme_requests`` for those made only past the gate, which count
-  only if p passes it), at p = 11 for every plan, as the counts are the
-  same at every prime from 11 on.  From SWEEP_REQUESTS on, the first read
-  sweeps the Fermat-quotient moments of the half window (the classes
+* Moments: the plan's callers tell it the window reads its checks make,
+  the lengths of their suite's node lists (``checks``): ``requests``, and
+  ``wolstenholme_requests`` for the nodes only Wolstenholme-only checks
+  add, which count only if p passes the gate.  From SWEEP_REQUESTS on, the
+  first read sweeps the Fermat-quotient moments of the half window (classes
   t - 1 at c - 1 of ``harmonic.MOMENT_WINDOW``, over k <= (p-1)/2), and
   ``half_sum`` serves every S_n = sum(k^n, k <= (p-1)/2) in it, a read
   finding its class by n mod (p-1), whose count of sums is the class's
@@ -40,8 +39,8 @@ testing p for primality again, and runs each sweep at most once, on first read:
 
 ``bernoulli`` memoises p B_n in ``plan.pb``, keyed by n: it holds p B_n
 mod p^c at the highest c computed so far, and a read at lower c reduces it.
-Its row reads take 2^(1-n) off the plan's table of 2 (``two``), the powers
-2^(-(p-1) p^e) mod p^10 for e <= 3, computed on first read.
+A suite's node lists read 2^(1-n) off the table of 2 (``two``), the powers
+2^(-(p-1) p^e) mod p^10 for e <= 3, and ``listed`` counts the lists run at p.
 """
 from __future__ import annotations
 
@@ -63,7 +62,7 @@ class EvaluationPlan:
 
     def __init__(self, p: int, requests: int = 0, wolstenholme_requests: int = 0,
                  gate_alone: bool = False):
-        self.p, self.pb = p, {}
+        self.p, self.pb, self.listed = p, {}, 0
         self.requests, self.wolstenholme_requests = requests, wolstenholme_requests
         self.gate_alone = gate_alone
         self.moduli = [None] + [PrimePowerModulus(p, k, p ** k)
@@ -115,11 +114,13 @@ class EvaluationPlan:
 
     @cached_property
     def two(self) -> list:
-        """The table of 2: (p^e (p-1), 2^(-(p-1) p^e) mod p^10) for e <= 3, from
-        which ``bernoulli`` takes the index n = j p^e (p-1) - s of a row's read
-        and 2^(1-n) = 2^(1+s) (2^(-(p-1) p^e))^j, with one small power."""
+        """(p^e (p-1), t_e = 2^(-(p-1) p^e) mod p^10) for e <= 3, t_(e+1) = t_e^p:
+        a node's n = j p^e (p-1) - s, and 2^(1-n) = 2^(1+s) t_e^j."""
         p, m = self.p, self.m
-        return [(k, pow((m + 1) // 2, k, m)) for k in (p ** e * (p - 1) for e in range(4))]
+        t = [pow((m + 1) // 2, p - 1, m)]
+        for _ in range(3):
+            t.append(pow(t[-1], p, m))
+        return [(p ** e * (p - 1), x) for e, x in enumerate(t)]
 
     @cached_property
     def _moments(self) -> dict:
@@ -134,5 +135,8 @@ class EvaluationPlan:
             j, e = divmod(n, p - 1)  # a key below 0 (p = 7) matches no read
             S = self._moments.get(e)
             if S is not None and len(S) >= c:
-                return sum(comb(j, i) * p ** i * S[i] for i in range(c)) % p ** c
+                acc, q = 0, 1
+                for i in range(c):
+                    acc, q = acc + comb(j, i) * q * S[i], q * p
+                return acc % q
         return harmonic.power_sum_raw(p, n, p ** c)

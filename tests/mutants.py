@@ -44,14 +44,26 @@ MUTANTS = (
     Mutant("a window read at its class's top precision misses the window",
            "plan.py", "len(S) >= c", "len(S) > c",
            ("tests/test_plan.py::test_suite_sweeps_once_per_prime",)),
-    Mutant("the read replay drops the memo between rows, so shared reads count twice",
-           "checks.py", "    for check in checks:\n        if isinstance",
-           "    for check in checks:\n        stand_in.pb = {}\n        if isinstance",
-           ("tests/test_plan.py::test_suite_counts_shared_reads_once",)),
-    Mutant("a suite's count replays its ungated rows only, so gated reads never sweep",
-           "checks.py", "_window_reads(p, checks) - requests",
-           "_window_reads(p, ungated) - requests",
+    Mutant("the gated list forgets what the ungated list holds, so shared nodes count twice",
+           "checks.py", "for read in row._reads], held)",
+           "for read in row._reads], {})",
+           ("tests/test_plan.py::test_suite_list_lengths",)),
+    Mutant("a suite compiles its ungated rows twice, so gated reads never sweep",
+           "checks.py", "for g, row in rows if g is gated for",
+           "for g, row in rows if not g for",
            ("tests/test_plan.py::test_few_window_reads_take_direct_passes",)),
+    Mutant("the suite's merge keeps the smaller C of a node", "bernoulli.py",
+           "max(c - i, need.get((j, e, s + i), 0))", "min(c - i, need.get((j, e, s + i), c - i))",
+           ("tests/test_plan.py::test_suite_list_lengths",)),
+    Mutant("the suite's lists run parents before their children", "bernoulli.py",
+           "(key[0], key[1], -key[2])", "(key[0], key[1], key[2])",
+           ("tests/test_checks.py::test_node_lists_read_what_the_recursion_reads",)),
+    Mutant("a failing node is raised from the lists, so every reading row errs",
+           "bernoulli.py", "plan.listed = len(lists)", "raise",
+           ("tests/test_plan.py::test_a_failing_node_errs_the_reading_rows_only",)),
+    Mutant("the table of 2's chain takes one p-th power too many", "plan.py",
+           "t.append(pow(t[-1], p, m))", "t.append(pow(t[-1], p * p, m))",
+           ("tests/test_plan.py::test_table_of_2_is_the_direct_powers",)),
     Mutant("E(3) with multiplier 13 for 3 + 3^2 = 12", "plan.py",
            "for a in (2, 6, 12))", "for a in (2, 6, 13))",
            ("tests/test_plan.py::test_pair_products_match_shifted_products",
@@ -101,8 +113,8 @@ MUTANTS = (
     Mutant("the row's exact division by p is dropped", "checks.py",
            "if pb % p:", "if False:",
            ("tests/test_checks.py::test_row_refuses_a_p_times_bernoulli_not_divisible_by_p",)),
-    Mutant("the plan's table of 2 takes one p-th power too many", "plan.py",
-           "pow((m + 1) // 2, k, m)", "pow((m + 1) // 2, k * p, m)",
+    Mutant("the plan's table of 2 starts one p-th power high", "plan.py",
+           "pow((m + 1) // 2, p - 1, m)", "pow((m + 1) // 2, (p - 1) * p, m)",
            ("tests/test_checks.py::test_node_lists_read_what_the_recursion_reads",)),
     Mutant("a row drops the inverse of its common denominator", "checks.py",
            "inverse = pow(D, -1, m)", "inverse = 1",

@@ -319,8 +319,8 @@ def test_row_refuses_a_p_times_bernoulli_not_divisible_by_p(monkeypatch):
     # divide is an error record, not a floored quotient.
     read = checks._p_times_bernoulli_reads
 
-    def off_by_one(reads, nodes, plan):
-        return [(n, c, pb + 1) for n, c, pb in read(reads, nodes, plan)]
+    def off_by_one(reads, plan):
+        return [(n, c, pb + 1) for n, c, pb in read(reads, plan)]
 
     monkeypatch.setattr(checks, "_p_times_bernoulli_reads", off_by_one)
     outcome = run_check("glaisher_p4", 11)
@@ -367,20 +367,25 @@ def _linear_rows():
 
 
 def _node_lists_match_the_recursion(primes, below_minimum=False):
-    """Every row's reads off its node list, all rows on one suite plan per
-    prime (so nodes are shared and skipped as in a run), against
-    ``_p_times_bernoulli`` on a fresh plan, which sweeps nothing; rows
-    below their minimum prime only if ``below_minimum``."""
+    """Every row's reads off the registry's suite lists, both evaluated on one
+    suite plan per prime (so nodes are shared and skipped as in a run),
+    against ``_p_times_bernoulli`` on a fresh plan, which sweeps nothing;
+    rows below their minimum prime only if ``below_minimum``.  From 11 on
+    the lists hold every read, so no row falls back to the recursion."""
     rows = [(c, row) for c, row in _linear_rows() if row._reads]
+    suite = checks._compile(all_check_ids())
     compared = 0
     for p in primes:
-        plan = checks._plan(p, all_check_ids())
-        fresh = EvaluationPlan(p)
+        plan, fresh = suite.plan(p), EvaluationPlan(p)
+        bernoulli._evaluate_lists(suite.lists, plan, True)
         for check, row in rows:
             if p < check.min_prime and not below_minimum:
                 continue
-            _, reads, nodes = row._compiled[:3]
-            got = checks._p_times_bernoulli_reads(reads, nodes, plan)
+            reads = row._reads
+            if p >= 11:
+                assert all(plan.pb[j * p ** e * (p - 1) - s][0] >= c
+                           for j, e, s, c in reads), (check.id, p)
+            got = checks._p_times_bernoulli_reads(reads, plan)
             assert [(n, c) for n, c, _ in got] == [
                 (j * p ** e * (p - 1) - s, c) for j, e, s, c in reads], (check.id, p)
             for n, c, pb in got:
@@ -408,8 +413,8 @@ def test_a_lifted_node_falls_back_to_the_recursion(monkeypatch):
     # At 7, below lemma12_ii_p4's minimum prime, its read of p B_2054 mod 7^5
     # has the node 2052 = 7^3 * 6 - 6 at C = 3, and 2^2052 = 1 (mod 7): the
     # node list hands that node to the recursion, which lifts it.
-    row = lookup("lemma12_ii_p4").evaluator
-    assert (1, 3, 6, 3) in row._compiled[2]
+    row, suite = lookup("lemma12_ii_p4").evaluator, checks._compile(["lemma12_ii_p4"])
+    assert (1, 3, 6, 3) in suite.lists[0]
     assert pow(2, 2052, 7) == 1
     calls = []
     recursion = bernoulli._p_times_bernoulli
@@ -418,13 +423,14 @@ def test_a_lifted_node_falls_back_to_the_recursion(monkeypatch):
         calls.append((n, c))
         return recursion(n, plan, c)
 
-    plan, fresh = EvaluationPlan(7), EvaluationPlan(7)
+    plan, fresh = suite.plan(7), EvaluationPlan(7)
     with monkeypatch.context() as patch:
         patch.setattr(bernoulli, "_p_times_bernoulli", spy)
-        got = checks._p_times_bernoulli_reads(*row._compiled[1:3], plan)
-    assert calls[0] == (2052, 3)
+        bernoulli._evaluate_lists(suite.lists, plan, False)
+    assert calls[0] == (2052, 3) and plan.pb[2054][0] == 5
+    got = checks._p_times_bernoulli_reads(row._reads, plan)
     assert got == [(2054, 5, bernoulli._p_times_bernoulli(2054, fresh, 5))]
-    assert row(EvaluationPlan(7)) == _reference_row(row, EvaluationPlan(7))
+    assert row(plan) == _reference_row(row, EvaluationPlan(7))
 
 
 def _reference_row(row, plan):
@@ -448,7 +454,10 @@ def _reference_row(row, plan):
 
 
 def test_compiled_rows_against_fraction_terms():
+    # Off the registry's lists, gated rows too.
+    suite = checks._compile(all_check_ids())
     for p in (11, 101, 16843):
-        plan = checks._plan(p, all_check_ids())
+        plan = suite.plan(p)
+        bernoulli._evaluate_lists(suite.lists, plan, True)
         for check, row in _linear_rows():
             assert row(plan) == _reference_row(row, EvaluationPlan(p)), (check.id, p)

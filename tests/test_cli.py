@@ -120,8 +120,8 @@ def test_check_error_is_a_failed_record(capsys, monkeypatch):
     # The rows read p B_n through checks._p_times_bernoulli_reads.
     read = checks._p_times_bernoulli_reads
 
-    def failing(reads, nodes, plan):
-        n, c, _ = read(reads, nodes, plan)[0]
+    def failing(reads, plan):
+        n, c, _ = read(reads, plan)[0]
         raise ArithmeticError(f"p*B_{n} mod {plan.p}^{c} refused")
 
     monkeypatch.setattr(checks, "_p_times_bernoulli_reads", failing)

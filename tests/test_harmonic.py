@@ -450,8 +450,8 @@ def recorded_bernoulli_calls(p: int, monkeypatch) -> set:
     calls = set()
     read = checks._p_times_bernoulli_reads
 
-    def reading(reads, nodes, plan):
-        got = read(reads, nodes, plan)
+    def reading(reads, plan):
+        got = read(reads, plan)
         calls.update((bernoulli_mod, n, c - 1) for n, c, _ in got)
         return got
 

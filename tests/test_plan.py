@@ -124,38 +124,56 @@ def count_reads(monkeypatch) -> Counter:
     return made
 
 
-def test_replay_predicts_the_reads_made(monkeypatch):
-    # The reads a plan is told of, replayed from the rows, are the reads
+def lists_and_reads(suite, plan) -> tuple:
+    """The half sums ``suite``'s two lists read on ``plan``, each list in turn,
+    off stand-in sums of 0, on which the lists never branch; a lifted node
+    would read more (its recursion divides by p^d) or raise."""
+    made = []
+    plan.half_sum = lambda n, c: made.append((n, c)) or 0
+    bernoulli._evaluate_lists(suite.lists, plan, False)
+    ungated = len(made)
+    bernoulli._evaluate_lists(suite.lists, plan, True)
+    return ungated, len(made) - ungated
+
+
+def test_suite_lists_predict_the_reads_made(monkeypatch):
+    # The reads a plan is told of, its suite's list lengths, are the reads
     # (passes or window reads) its checks make, exactly: for each row on a
-    # plan of its own, and for the whole registry.
+    # plan of its own, past the gate or not, and for the whole registry.
     made = count_reads(monkeypatch)
     for p in (11, 101, 1009):
         for check in checks.registry():
             if check.max_prime is None or p <= check.max_prime:
+                suite = checks._compile([check.id])
+                plan = suite.plan(p)
                 made.clear()
-                check.evaluator(EvaluationPlan(p))
-                assert checks._window_reads(p, [check]) == made[p], (check.id, p)
+                bernoulli._evaluate_lists(suite.lists, plan, True)
+                check.evaluator(plan)
+                assert plan.requests + plan.wolstenholme_requests == made[p], (check.id, p)
     for p in (11, 101, 1009, 16843):
         made.clear()
         assert all(o.passed or o.skipped
                    for o in checks.run_suite(checks.all_check_ids(), [p]))
-        plan = checks._plan(p, checks.all_check_ids())
+        plan = checks._compile(checks.all_check_ids()).plan(p)
         told = plan.requests + (plan.wolstenholme_requests if plan.wolstenholme else 0)
         assert told == made[p] >= SWEEP_REQUESTS, p
-    # Off the window the same rows make as many reads, at every prime.
+    # Off the window the same lists make as many reads, at every prime.
+    suite = checks._compile(["cor3_p7"])
     for p in (101, 16843):
         counts = {}
         for requests in (0, SWEEP_REQUESTS):
             made.clear()
-            checks.lookup("cor3_p7").evaluator(EvaluationPlan(p, requests))
+            plan = EvaluationPlan(p, requests)
+            bernoulli._evaluate_lists(suite.lists, plan, True)
+            checks.lookup("cor3_p7").evaluator(plan)
             counts[requests] = made[p]
         assert counts[0] == counts[SWEEP_REQUESTS] > SWEEP_REQUESTS, p
 
 
-def assert_suite_counts_are_the_replay_at_every_prime(monkeypatch, suites):
-    """What run_suite tells each prime's plan, replayed once per suite, is
-    what a replay at that prime gives, at every prime from 11 below 3000 (a
-    plan at 7 is told the counts at 11)."""
+def assert_suite_counts_are_the_reads_at_every_prime(monkeypatch, suites):
+    """What run_suite tells each prime's plan, compiled once per suite, is
+    what its lists read at that prime, ungated and past the gate, at every
+    prime from 11 below 3000."""
     told = {}
     monkeypatch.setattr(checks, "EvaluationPlan",
                         lambda p, *counts: told.update({p: counts}))
@@ -164,19 +182,21 @@ def assert_suite_counts_are_the_replay_at_every_prime(monkeypatch, suites):
         told.clear()
         list(checks.run_suite(ids, PRIMES_11_3000))
         assert len(told) == len(PRIMES_11_3000)
+        suite = checks._compile(sorted(ids))
         for p in PRIMES_11_3000:
-            assert told[p] == checks._counts(p, sorted(ids)), (ids, p)
+            reads = lists_and_reads(suite, EvaluationPlan(p))
+            assert told[p] == (*reads, suite.gate_alone), (ids, p)
 
 
-def test_suite_counts_are_the_replay_at_every_prime(monkeypatch):
+def test_suite_counts_are_the_reads_at_every_prime(monkeypatch):
     # The registry, its Wolstenholme-only checks, and each Bernoulli row alone.
     assert len(BERNOULLI_ROWS) == 12
     gated = [c.id for c in checks.registry() if c.scope is checks.Scope.WOLSTENHOLME_ONLY]
-    requests, _, alone = checks._counts(checks._REPLAY_PRIME, checks.all_check_ids())
-    assert requests >= SWEEP_REQUESTS and not alone
-    requests, more, alone = checks._counts(checks._REPLAY_PRIME, gated)
-    assert requests == 0 and more >= SWEEP_REQUESTS and alone
-    assert_suite_counts_are_the_replay_at_every_prime(
+    suite = checks._compile(checks.all_check_ids())
+    assert len(suite.lists[0]) >= SWEEP_REQUESTS and not suite.gate_alone
+    suite = checks._compile(gated)
+    assert not suite.lists[0] and len(suite.lists[1]) >= SWEEP_REQUESTS and suite.gate_alone
+    assert_suite_counts_are_the_reads_at_every_prime(
         monkeypatch, [checks.all_check_ids(), gated] + [[i] for i in BERNOULLI_ROWS])
 
 
@@ -184,28 +204,100 @@ def test_suite_counts_are_the_replay_at_every_prime(monkeypatch):
 def test_suite_counts_of_bernoulli_pairs_and_triples(monkeypatch):
     # Pairs and triples of the Bernoulli rows, on both sides of
     # SWEEP_REQUESTS = 3.
-    assert_suite_counts_are_the_replay_at_every_prime(
+    assert_suite_counts_are_the_reads_at_every_prime(
         monkeypatch, [ids for r in (2, 3) for ids in combinations(BERNOULLI_ROWS, r)])
 
 
+#: (ungated, Wolstenholme-only) list lengths, the window reads each suite's
+#: plans are told.  The registry's Wolstenholme-only rows add no node: the
+#: ungated rows' list holds all they read, cor2_p7's p B_(p-5) included.
+#: Each (j, e, s) is one node, at the largest C a read asks of it: with
+#: glaisher_p4, whose read of p B_(p-3) mod p^4 has the child p B_(p-5) at
+#: C = 2, eq26_n2_s4's read of p B_(p-5) mod p^3 lists that node once, at 3.
+SUITE_LISTS = {
+    tuple(checks.all_check_ids()): (22, 0),
+    ("eq26_n2_s4", "glaisher_p4"): (4, 0),
+    ("glaisher_p4", "lehmer_p3"): (2, 0),
+    ("eq26_n2_s4",): (3, 0),
+    ("cor2_p7",): (0, 4),
+    ("helou_terjanian_p6",): (4, 0),
+    ("lemma12_i_p6",): (5, 0),
+    ("kummer_eq10", "kummer_eq11"): (8, 0),
+}
+
+
+def test_suite_list_lengths():
+    for ids, lengths in SUITE_LISTS.items():
+        assert tuple(map(len, checks._compile(ids).lists)) == lengths, ids
+    # No suite of one to three Bernoulli rows lists a node twice in a list,
+    # and the second lists one of the first only at a higher C.
+    for ids in (ids for r in (1, 2, 3) for ids in combinations(BERNOULLI_ROWS, r)):
+        ungated, gated = ({node[:3]: node[3] for node in nodes}
+                          for nodes in checks._compile(ids).lists)
+        assert sum(map(len, checks._compile(ids).lists)) == len(ungated) + len(gated), ids
+        assert all(C > ungated.get(key, 0) for key, C in gated.items()), ids
+
+
+def test_registry_list_is_the_moment_window():
+    # {-s: largest C} over the registry's nodes is the window the moment
+    # sweep serves, the literal harmonic.MOMENT_WINDOW.
+    window = {}
+    for nodes in checks._compile(checks.all_check_ids()).lists:
+        for _, _, s, C in nodes:
+            window[-s] = max(C, window.get(-s, 0))
+    assert window == harmonic.MOMENT_WINDOW == {4: 5, 2: 3, -2: 5, -4: 5, -6: 3}
+
+
+def test_table_of_2_is_the_direct_powers():
+    # Each entry the p-th power of the one before, against one pow each.
+    for p in (p for p in PRIMES_5_3000 if p >= 7):
+        m = p ** MAX_EXPONENT
+        assert EvaluationPlan(p).two == [
+            (k, pow((m + 1) // 2, k, m)) for k in (p ** e * (p - 1) for e in range(4))], p
+
+
+def test_a_failing_node_errs_the_reading_rows_only(monkeypatch):
+    # A node that raises in the lists' evaluation is an error record of each
+    # row whose reads reach it, through the recursion, never an aborted
+    # prime: the other rows at 101, those that read other nodes included,
+    # and both neighbouring primes pass or skip as ever.
+    half_identity = bernoulli._half_identity
+
+    def failing(n, p, *args):
+        if p == 101 and n == p - 3:
+            raise ArithmeticError(f"p*B_{n} refused")
+        return half_identity(n, p, *args)
+
+    monkeypatch.setattr(bernoulli, "_half_identity", failing)
+    outcomes = list(checks.run_suite(checks.all_check_ids(), [97, 101, 103]))
+    reading = {i for i in BERNOULLI_ROWS if checks.lookup(i).scope is checks.Scope.ALL_PRIMES}
+    reach = {i for i in reading if any(
+        j * 101 ** e * 100 - s == 98
+        for j, e, s, _ in bernoulli._half_nodes(checks.lookup(i).evaluator._reads, {}))}
+    assert len(reading) == 10 and 0 < len(reach) < len(reading)
+    for o in outcomes:
+        if o.p == 101 and o.check_id in reach:
+            assert o.reason == "error: p*B_98 refused", o
+        else:
+            assert o.passed or o.skipped, o
+
+
 def test_no_registry_read_lifts(monkeypatch):
-    # The replay's stand-in half sums are 0, which the half identity's
-    # division by p^d, d = v_p(2^n - 1), would see: no read of a registry
-    # row at a prime it applies to and at c >= 2, its recursion's included,
-    # has 2^n = 1 (mod p), so every d the replay takes is 0.
-    ds = []
-    capped = bernoulli.capped_valuation
-    monkeypatch.setattr(bernoulli, "capped_valuation",
-                        lambda *args: ds.append(capped(*args)) or ds[-1])
-    reads = 0
+    # No node of a registry row's own list at a prime it applies to has
+    # 2^n = 1 (mod p): none goes to the recursion, so every d the lists
+    # take, and the counts' stand-in sums, are safe.
+    lifted = []
+    monkeypatch.setattr(bernoulli, "_p_times_bernoulli",
+                        lambda n, plan, c: lifted.append((n, plan.p, c)))
+    nodes = 0
     for p in [7] + PRIMES_11_3000:
         for check in checks.registry():
-            if p >= check.min_prime:
-                ds.clear()
-                checks._window_reads(p, [check])
-                assert not any(ds), (check.id, p)
-                reads += len(ds)
-    assert reads > 20000
+            if p >= check.min_prime and check.id in BERNOULLI_ROWS:
+                suite = checks._compile([check.id])
+                assert sum(lists_and_reads(suite, suite.plan(p))) == sum(
+                    map(len, suite.lists)), (check.id, p)
+                nodes += sum(map(len, suite.lists))
+    assert not lifted and nodes > 20000
 
 
 def test_suite_counts_shared_reads_once(monkeypatch):
