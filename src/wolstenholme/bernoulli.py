@@ -37,16 +37,16 @@ which ``high_index_ratio`` evaluates and the registry's eq26 rows state.
 
 One helper holds the identity's arithmetic (``_half_identity``): the term
 n p S_(n-1), the sum over the children p B_(n-j), and the division by
-2^(1-n) - 2.  Two orders visit the tree.  The recursion
-(``_p_times_bernoulli``) serves ``bernoulli_mod`` and lifted nodes; it
-memoises each node in the plan and computes 2^(1-n) and d itself.  A check
-suite's reads are compiled once per suite into node lists (``_half_nodes``),
-children first, each run once per prime (``_evaluate_lists``) with 2^(1-n)
-off the plan's table of 2 and the leaves inline, p B_0 = p and -[p-1 | n]
-at C = 1.  A node whose 2^n = 1 (mod p) is lifted; the list hands it to the
-recursion, so both orders give the same p B_n at every prime.  As
-2^n = 2^-s (mod p) and the registry's nodes have s in {-4, -2, 2, 4, 6},
-that happens only where p divides 3*5*7.
+2^(1-n) - 2.  One loop (``_evaluate``) visits the tree, over nodes
+(j, e, s, c), children first, memoising each p B_n in the plan, with the
+leaves inline, p B_0 = p and -[p-1 | n] at C = 1.  A check suite's reads
+are compiled once per suite into node lists (``_half_nodes``), each run
+once per prime (``_evaluate_lists``); a read the memo does not hold, a
+lone ``bernoulli_mod`` among them, is one node, j = ceil(n/(p-1)) at e = 0,
+whose chain the loop evaluates first.  A node whose 2^n = 1 (mod p) is
+lifted in place, its chain first too, as its children are read at C - i.
+As 2^n = 2^-s (mod p) and the registry's nodes have s in {-4, -2, 2, 4, 6},
+a registry node lifts only where p divides 3*5*7.
 """
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ from .errors import (
 )
 # Bound, uncalled, for the benchmark's layer tracer (perfbench/tracer.py).
 from .harmonic import power_sum_raw  # noqa: F401
-from .modring import Residue, capped_valuation, int_valuation, is_prime, make_modulus
+from .modring import MAX_EXPONENT, Residue, capped_valuation, int_valuation, is_prime, make_modulus
 from .plan import EvaluationPlan
 
 #: Exact rationals stop here; everything larger goes through residues.
@@ -134,44 +134,9 @@ def _half_identity(n: int, p: int, c: int, C: int, h: int, S: int, kids) -> int:
     return acc // q * pow((h - 2) // q, -1, m) % m
 
 
-def _p_times_bernoulli(n: int, plan: EvaluationPlan, c: int) -> int:
-    """p * B_n mod p^c for every n >= 0 but 1, memoised in the plan.
-
-    Off the half identity (module doc) mod p^C, C = c + v_p(2^n - 1), read
-    off the plan's half sums and divided by p^(C-c); a sum that is not
-    divisible raises DivisionNotExact.  At c = 1 no sum is read: von
-    Staudt-Clausen gives p*B_n = -[p-1 | n] (mod p) for even n >= 2.
-    """
-    p = plan.p
-    m = p ** c
-    if n == 0:
-        return p % m
-    if n % 2:
-        return 0
-    if c == 1:
-        return -(n % (p - 1) == 0) % p
-    held = plan.pb.get(n)
-    if held is not None and held[0] >= c:
-        return held[1] % m
-    C = c
-    while True:
-        # 2^(1-n) as (2^-1)^((n-1) mod phi(p^C)); h - 2 = -2^(1-n) (2^n - 1)
-        # carries p^d, read capped at C, so exactly once C >= c + d.
-        M = p ** C
-        h = pow((M + 1) // 2, (n - 1) % (M // p * (p - 1)), M)
-        d = capped_valuation(h - 2, p, C)
-        if C >= c + d:
-            break
-        C = c + d
-    S = plan.half_sum(n - 1, C - 1)
-    kids = [_p_times_bernoulli(n - j, plan, C - j) for j in range(2, min(n, C - 1) + 1, 2)]
-    plan.pb[n] = c, _half_identity(n, p, c, C, h, S, kids)
-    return plan.pb[n][1]
-
-
 def _half_nodes(reads, held: dict) -> tuple:
-    """The nodes (j, e, s, C) ``_p_times_bernoulli`` computes for the reads
-    (j, e, s, c) of p B_n mod p^c, n = j p^e (p-1) - s, children first.  A
+    """The nodes (j, e, s, C) for ``_evaluate`` that the reads (j, e, s, c)
+    of p B_n mod p^c, n = j p^e (p-1) - s, need, children first.  A
     read's tree is (j, e, s + i, c - i) for even i >= 0 down to C = 2, as a
     node's children are (j, e, s + i, C - i), even i in 2..C-1; so each
     (j, e, s) is one node, at the largest C a read asks of it.  Leaves
@@ -189,47 +154,66 @@ def _half_nodes(reads, held: dict) -> tuple:
     return tuple(nodes)
 
 
+def _evaluate(nodes, plan: EvaluationPlan) -> None:
+    """Evaluate the nodes (j, e, s, c) in order into ``plan.pb``: p B_n mod p^c,
+    n = j p^e (p-1) - s, off the half identity mod p^C, C = c + v_p(2^n - 1),
+    divided by p^(C-c) (DivisionNotExact where it does not divide).  Nodes held
+    at >= c, odd or below n = 2 (p = 5) are skipped.  The children p B_(n-i)
+    are read off the plan at C - i, the leaves inline: p B_0 = p, and
+    -[p-1 | k] at C - i = 1.  A node whose first child is not held at >= C - 2
+    (a lone read, a lifted node) evaluates that child's node first, and so its
+    chain.  2^(1-n) is 2^(1+s) t_e^j off the plan's table of 2 (C <= 10) where
+    the plan was told of node reads, else one direct power: a lone read builds
+    no table."""
+    p, pb, half_sum = plan.p, plan.pb, plan.half_sum
+    two = plan.two if plan.requests or plan.wolstenholme_requests else ()
+    for j, e, s, c in nodes:
+        n = j * p ** e * (p - 1) - s
+        if n < 2 or n % 2 or (held := pb.get(n)) is not None and held[0] >= c:
+            continue
+        C = d = 0
+        while C < c + d:
+            # h - 2 = -2^(1-n) (2^n - 1) carries p^d, read capped at C, so
+            # exactly once C >= c + d.
+            C = c + d
+            M = p ** C
+            h = (pow(2, 1 + s, M) * pow(two[e], j, M) % M if two and C <= MAX_EXPONENT
+                 else pow((M + 1) // 2, (n - 1) % (M // p * (p - 1)), M))
+            d = capped_valuation(h - 2, p, C) if (h - 2) % p == 0 else 0
+        if C > 3 and n > 2 and pb.get(n - 2, (0,))[0] < C - 2:
+            _evaluate(((j, e, s + 2, C - 2),), plan)
+        kids = []
+        for i in range(2, min(n, C - 1) + 1, 2):
+            k = n - i
+            kids.append(p if k == 0 else pb[k][1] if C - i > 1 else -(k % (p - 1) == 0) % p)
+        pb[n] = c, _half_identity(n, p, c, C, h, half_sum(n - 1, C - 1), kids)
+
+
 def _evaluate_lists(lists, plan: EvaluationPlan, gated: bool) -> None:
-    """Evaluate a suite's node lists (``checks._Suite``) into ``plan.pb`` as
-    ``_p_times_bernoulli`` would: the first, and for a Wolstenholme-only row
-    (``gated``) the second, each once per prime (``plan.listed`` counts those
-    run).  2^(1-n) is 2^(1+s) (2^(-(p-1) p^e))^j, off the plan's table of 2.
-    A node held at >= C or below n = 2 (p = 5) is skipped; one with
-    p | 2^n - 1 goes to the recursion.  A node that raises ends both lists at
-    p: the reads they miss go to the recursion, so only a row whose reads
-    reach that node fails, with its own error."""
-    p, pb, two, half_sum = plan.p, plan.pb, plan.two, plan.half_sum
+    """Run a suite's node lists (``checks._Suite``) at p: the first, and for a
+    Wolstenholme-only row (``gated``) the second, each once (``plan.listed``
+    counts those run).  A node that raises ends both lists; the reads they
+    miss are then evaluated one by one, so only the rows reaching it fail."""
     try:
         for listed in range(plan.listed, 2 if gated else 1):
-            for j, e, s, C in lists[listed]:
-                step, t = two[e]
-                n = j * step - s
-                if n < 2 or (held := pb.get(n)) is not None and held[0] >= C:
-                    continue
-                M = p ** C
-                h = pow(2, 1 + s, M) * pow(t, j, M) % M
-                if (h - 2) % p == 0:
-                    _p_times_bernoulli(n, plan, C)
-                    continue
-                kids = []  # the leaves inline: p B_0 = p, and -[p-1 | k] at C - i = 1
-                for i in range(2, min(n, C - 1) + 1, 2):
-                    k = n - i
-                    kids.append(p if k == 0 else pb[k][1] if C - i > 1 else -(k % (p - 1) == 0) % p)
-                pb[n] = C, _half_identity(n, p, C, C, h, half_sum(n - 1, C - 1), kids)
+            _evaluate(lists[listed], plan)
             plan.listed = listed + 1
-    except Exception:  # the reading rows' recursion raises it again
+    except Exception:  # the reading rows' own reads raise it again
         plan.listed = len(lists)
 
 
 def _p_times_bernoulli_reads(reads, plan: EvaluationPlan) -> list:
     """(n, c, p B_n mod p^c) for each read (j, e, s, c), n = j p^e (p-1) - s:
-    off ``plan.pb`` where the suite's lists hold it, else by the recursion."""
-    p, pb, two = plan.p, plan.pb, plan.two
+    off ``plan.pb`` where it holds it, else evaluated as a node first; the
+    leaves p B_0 = p and p B_n = 0 at odd n are held nowhere."""
+    p, pb = plan.p, plan.pb
     got = []
     for j, e, s, c in reads:
-        held = pb.get(n := j * two[e][0] - s)
-        got.append((n, c, held[1] % p ** c if held is not None and held[0] >= c
-                     else _p_times_bernoulli(n, plan, c)))
+        held = pb.get(n := j * p ** e * (p - 1) - s)
+        if held is None or held[0] < c:
+            _evaluate(((j, e, s, c),), plan)
+            held = pb.get(n) or (c, 0 if n % 2 else p)
+        got.append((n, c, held[1] % p ** c))
     return got
 
 
@@ -260,7 +244,8 @@ def bernoulli_mod(n: int, p: int, r: int, plan=None) -> BernoulliResidue:
         raise RangeError("B_1 is not served by the residue path; use the oracle")
     if not is_regular_position(n, p):
         raise IrregularPosition(f"p-1 = {p - 1} divides index {n}")
-    lifted = _p_times_bernoulli(n, plan, r + 1)
+    j = -(-n // (p - 1))
+    (_, _, lifted), = _p_times_bernoulli_reads(((j, 0, j * (p - 1) - n, r + 1),), plan)
     if lifted % p:
         raise DivisionNotExact(
             f"p*B_{n} mod {p}^{r + 1} is not divisible by {p}"

@@ -60,7 +60,7 @@ needed only mod p^(c-i), and k^(p-1) only mod p^c.  The Bernoulli side
 reads p B_n mod p^c, c <= 5, off S_(n-1) mod p^(c-1) by the half identity
 (``bernoulli``), at the indices j(p-1) - s, s in {2, 4} (the low
 k(p-1) - s and the Helou-Terjanian p^n - p^(n-1) - s alike), and at
-4 + j(p-1) (t = -2, -4, 4 at c = 5); its recursion descends from even n
+4 + j(p-1) (t = -2, -4, 4 at c = 5); its tree descends from even n
 to n - 2 at c - 2 and n - 4 at c - 4, and ends at c = 3, as at c = 1 von
 Staudt-Clausen gives p B_n with no sum.  Closing that with the largest c
 per t gives MOMENT_WINDOW, {4: 5, 2: 3, -2: 5, -4: 5, -6: 3}, whose half

@@ -39,8 +39,8 @@ testing p for primality again, and runs each sweep at most once, on first read:
 
 ``bernoulli`` memoises p B_n in ``plan.pb``, keyed by n: it holds p B_n
 mod p^c at the highest c computed so far, and a read at lower c reduces it.
-A suite's node lists read 2^(1-n) off the table of 2 (``two``), the powers
-2^(-(p-1) p^e) mod p^10 for e <= 3, and ``listed`` counts the lists run at p.
+A plan told of node reads has them read 2^(1-n) off its table of 2 (``two``),
+which a lone read never builds, and ``listed`` counts the lists run at p.
 """
 from __future__ import annotations
 
@@ -114,13 +114,13 @@ class EvaluationPlan:
 
     @cached_property
     def two(self) -> list:
-        """(p^e (p-1), t_e = 2^(-(p-1) p^e) mod p^10) for e <= 3, t_(e+1) = t_e^p:
-        a node's n = j p^e (p-1) - s, and 2^(1-n) = 2^(1+s) t_e^j."""
+        """t_e = 2^(-(p-1) p^e) mod p^10 for e <= 3, t_(e+1) = t_e^p: a node
+        n = j p^e (p-1) - s has 2^(1-n) = 2^(1+s) t_e^j (module doc)."""
         p, m = self.p, self.m
         t = [pow((m + 1) // 2, p - 1, m)]
         for _ in range(3):
             t.append(pow(t[-1], p, m))
-        return [(p ** e * (p - 1), x) for e, x in enumerate(t)]
+        return t
 
     @cached_property
     def _moments(self) -> dict:

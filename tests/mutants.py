@@ -39,7 +39,7 @@ MUTANTS = (
            ("tests/test_modring.py::test_residue_arithmetic_with_ints_and_fractions",
             "tests/test_modring.py::test_embed_is_ring_homomorphism")),
     Mutant("B_0 reads as 2", "bernoulli.py",
-           "        return p % m\n", "        return 2 * p % m\n",
+           "p if k == 0 else", "2 * p if k == 0 else",
            ("tests/test_bernoulli.py::test_bernoulli_mod_oracle_grid",)),
     Mutant("a window read at its class's top precision misses the window",
            "plan.py", "len(S) >= c", "len(S) > c",
@@ -57,7 +57,7 @@ MUTANTS = (
            ("tests/test_plan.py::test_suite_list_lengths",)),
     Mutant("the suite's lists run parents before their children", "bernoulli.py",
            "(key[0], key[1], -key[2])", "(key[0], key[1], key[2])",
-           ("tests/test_checks.py::test_node_lists_read_what_the_recursion_reads",)),
+           ("tests/test_plan.py::test_suite_lists_predict_the_reads_made",)),
     Mutant("a failing node is raised from the lists, so every reading row errs",
            "bernoulli.py", "plan.listed = len(lists)", "raise",
            ("tests/test_plan.py::test_a_failing_node_errs_the_reading_rows_only",)),
@@ -99,7 +99,7 @@ MUTANTS = (
            "d = capped_valuation(h - 2, p, C)", "d = min(1, capped_valuation(h - 2, p, C))",
            ("tests/test_bernoulli.py::test_bernoulli_mod_r4_grid",)),
     Mutant("the lift reads S_(n-1) at the unlifted precision", "bernoulli.py",
-           "S = plan.half_sum(n - 1, C - 1)", "S = plan.half_sum(n - 1, c - 1)",
+           "half_sum(n - 1, C - 1)", "half_sum(n - 1, c - 1)",
            ("tests/test_bernoulli.py::test_bernoulli_mod_r4_grid",)),
     Mutant("the moment sweep's slot width leaves u^i out of its bound, so slots carry",
            "harmonic.py", "(2 * top + 4) * p.bit_length()", "(top + 5) * p.bit_length()",
@@ -119,9 +119,12 @@ MUTANTS = (
     Mutant("a row drops the inverse of its common denominator", "checks.py",
            "inverse = pow(D, -1, m)", "inverse = 1",
            ("tests/test_checks.py::test_compiled_rows_against_fraction_terms",)),
-    Mutant("the lift fallback is skipped, as if d were 0", "bernoulli.py",
-           "if (h - 2) % p == 0:", "if False:",
-           ("tests/test_checks.py::test_a_lifted_node_falls_back_to_the_recursion",)),
+    Mutant("the lift is skipped, as if d were 0", "bernoulli.py",
+           "while C < c + d:", "while C < c:",
+           ("tests/test_checks.py::test_a_lifted_node_lifts_in_the_list",)),
+    Mutant("a lifted node skips its chain-first step", "bernoulli.py",
+           "if C > 3 and n > 2 and", "if C == c > 3 and n > 2 and",
+           ("tests/test_bernoulli.py::test_bernoulli_mod_r4_grid",)),
     Mutant("the writer quotes strings without escaping", "cli.py",
            "_quote = json.encoder.encode_basestring_ascii", "_quote = '\"{}\"'.format",
            ("tests/test_cli.py::test_jsonl_line_is_the_encoders_line",)),

@@ -18,8 +18,12 @@ from wolstenholme.bernoulli import (
     reduce_high_index,
 )
 from wolstenholme.harmonic import MOMENT_WINDOW
-from wolstenholme.modring import embed_rational, is_prime, make_modulus, valuation
+from wolstenholme.modring import (
+    embed_rational, int_valuation, is_prime, make_modulus, valuation,
+)
 from wolstenholme.plan import SWEEP_REQUESTS, EvaluationPlan
+
+from bernoulli_recursion import p_times_bernoulli
 
 PRIMES_11_97 = [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
                 71, 73, 79, 83, 89, 97]
@@ -126,6 +130,30 @@ def test_bernoulli_mod_r4_grid():
     reads = [(n, p) for p in (11, 13, 17, 19, 23, 29, 31, 97) for n in served(p)]
     for n, p in reads + order_of_2_divides() + [(364, 1093)]:
         assert bernoulli_mod(n, p, 4).value == embed_exact(n, p, 4), (n, p)
+
+
+def test_lifts_past_the_table_of_2():
+    # At the Wieferich prime 1093, d = v_p(2^n - 1) = 2 + k at n = 364 p^k,
+    # so B_n mod p^4 comes off the half identity mod p^(7+k), past the table
+    # of 2's p^10 from k = 4 on, and each lifted node's chain is evaluated
+    # first.  p^k | n and B_n/n is p-integral at a regular n, so B_n mod p^4
+    # carries p^min(k, 4).
+    p = 1093
+    for k in range(6):
+        n = 364 * p ** k
+        assert int_valuation(pow(2, n, p ** 8) - 1, p) == 2 + k
+        got = bernoulli_mod(n, p, 4).value
+        assert got.value == p_times_bernoulli(n, EvaluationPlan(p), 5, {}) // p, k
+        assert got.valuation() >= min(k, 4), k
+
+
+def test_lone_read_builds_no_table_of_2():
+    # The bp3 criterion's read, p B_(p-3) mod p^2, takes 2^(1-n) by one direct
+    # power, not off the table's four powers mod p^10.
+    for p in (11, 16843):
+        plan = EvaluationPlan(p)
+        bernoulli_mod(p - 3, p, 1, plan)
+        assert p - 3 in plan.pb and "two" not in vars(plan), p
 
 
 def test_half_identity_against_exact_rationals(monkeypatch):

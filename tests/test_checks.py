@@ -21,6 +21,8 @@ from wolstenholme.harmonic import _inverse_power_sums_raw, _newton_h_raw
 from wolstenholme.modring import is_prime, valuation
 from wolstenholme.plan import SWEEP_REQUESTS, EvaluationPlan
 
+from bernoulli_recursion import p_times_bernoulli
+
 PRIMES_300 = [p for p in range(2, 300) if is_prime(p)]
 
 
@@ -369,14 +371,15 @@ def _linear_rows():
 def _node_lists_match_the_recursion(primes, below_minimum=False):
     """Every row's reads off the registry's suite lists, both evaluated on one
     suite plan per prime (so nodes are shared and skipped as in a run),
-    against ``_p_times_bernoulli`` on a fresh plan, which sweeps nothing;
-    rows below their minimum prime only if ``below_minimum``.  From 11 on
-    the lists hold every read, so no row falls back to the recursion."""
+    against the reference recursion on a fresh plan, which sweeps nothing,
+    with a memo of its own; rows below their minimum prime only if
+    ``below_minimum``.  From 11 on the lists hold every read, so no row
+    evaluates a node of its own."""
     rows = [(c, row) for c, row in _linear_rows() if row._reads]
     suite = checks._compile(all_check_ids())
     compared = 0
     for p in primes:
-        plan, fresh = suite.plan(p), EvaluationPlan(p)
+        plan, fresh, memo = suite.plan(p), EvaluationPlan(p), {}
         bernoulli._evaluate_lists(suite.lists, plan, True)
         for check, row in rows:
             if p < check.min_prime and not below_minimum:
@@ -389,7 +392,7 @@ def _node_lists_match_the_recursion(primes, below_minimum=False):
             assert [(n, c) for n, c, _ in got] == [
                 (j * p ** e * (p - 1) - s, c) for j, e, s, c in reads], (check.id, p)
             for n, c, pb in got:
-                assert pb == bernoulli._p_times_bernoulli(n, fresh, c), (check.id, p, n, c)
+                assert pb == p_times_bernoulli(n, fresh, c, memo), (check.id, p, n, c)
                 compared += 1
     return compared
 
@@ -409,37 +412,39 @@ def test_node_lists_read_what_the_recursion_reads_below_3000():
     assert _node_lists_match_the_recursion([p for p in range(7, 3000) if is_prime(p)]) > 10000
 
 
-def test_a_lifted_node_falls_back_to_the_recursion(monkeypatch):
+def test_a_lifted_node_lifts_in_the_list(monkeypatch):
     # At 7, below lemma12_ii_p4's minimum prime, its read of p B_2054 mod 7^5
     # has the node 2052 = 7^3 * 6 - 6 at C = 3, and 2^2052 = 1 (mod 7): the
-    # node list hands that node to the recursion, which lifts it.
+    # list lifts it in place, off the identity mod 7^4 divided by 7, after
+    # its first child p B_2050 mod 7^2, which the list does not hold.
     row, suite = lookup("lemma12_ii_p4").evaluator, checks._compile(["lemma12_ii_p4"])
-    assert (1, 3, 6, 3) in suite.lists[0]
+    assert suite.lists[0] == ((1, 3, 6, 3), (1, 3, 4, 5))
     assert pow(2, 2052, 7) == 1
     calls = []
-    recursion = bernoulli._p_times_bernoulli
+    half_identity = bernoulli._half_identity
 
-    def spy(n, plan, c):
-        calls.append((n, c))
-        return recursion(n, plan, c)
+    def spy(n, p, c, C, *args):
+        calls.append((n, c, C))
+        return half_identity(n, p, c, C, *args)
 
-    plan, fresh = suite.plan(7), EvaluationPlan(7)
+    plan = suite.plan(7)
     with monkeypatch.context() as patch:
-        patch.setattr(bernoulli, "_p_times_bernoulli", spy)
+        patch.setattr(bernoulli, "_half_identity", spy)
         bernoulli._evaluate_lists(suite.lists, plan, False)
-    assert calls[0] == (2052, 3) and plan.pb[2054][0] == 5
+    assert calls == [(2050, 2, 2), (2052, 3, 4), (2054, 5, 5)] and plan.listed == 1
+    assert plan.pb[2052][0] == 3 and plan.pb[2054][0] == 5
     got = checks._p_times_bernoulli_reads(row._reads, plan)
-    assert got == [(2054, 5, bernoulli._p_times_bernoulli(2054, fresh, 5))]
+    assert got == [(2054, 5, p_times_bernoulli(2054, EvaluationPlan(7), 5, {}))]
     assert row(plan) == _reference_row(row, EvaluationPlan(7))
 
 
 def _reference_row(row, plan):
     """A row's (lhs, rhs) term by term in Fraction coefficients, each B_n read
-    through ``_p_times_bernoulli`` and divided by p: the arithmetic the rows
-    had before they were compiled."""
-    p, (W, reads) = plan.p, row.reads(plan.p)
+    through the reference recursion, with a memo of its own, and divided by
+    p: the arithmetic the rows had before they were compiled."""
+    p, (W, reads), memo = plan.p, row.reads(plan.p), {}
     M = plan.modulus(W)
-    bs = {n: bernoulli._p_times_bernoulli(n, plan, c) // p for n, c in reads.items()}
+    bs = {n: p_times_bernoulli(n, plan, c, memo) // p for n, c in reads.items()}
 
     def term(c, a, x):
         if x[0] in ("B", "B/n"):

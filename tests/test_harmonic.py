@@ -25,6 +25,8 @@ from wolstenholme.modring import (
 )
 from wolstenholme.plan import SWEEP_REQUESTS, EvaluationPlan
 
+from bernoulli_recursion import p_times_bernoulli
+
 PRIMES_100 = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
               71, 73, 79, 83, 89, 97]
 
@@ -296,14 +298,15 @@ def test_power_sum_kernel_matches_powmod_loop():
 def test_c1_level_is_the_power_sum_mod_p():
     # p B_n mod p is von Staudt-Clausen's -[p-1 | n], read off no sum; it is
     # the level-1 solution P_n mod p of the power-sum triangle (n >= 2), and
-    # P_n = 2 S_n (mod p) for even n, pairing k with p - k.
+    # P_n = 2 S_n (mod p) for even n, pairing k with p - k.  The reference
+    # recursion's leaf, which the node loop inlines.
     for p in (p for p in PRIMES_600 if p >= 7):
-        plan = EvaluationPlan(p)
+        plan, memo = EvaluationPlan(p), {}
         for n in registry_indices(p):
             if n >= 2 and n % 2 == 0:
-                assert bernoulli._p_times_bernoulli(n, plan, 1) == 2 * power_sum_raw(p, n, p) % p, \
+                assert p_times_bernoulli(n, plan, 1, memo) == 2 * power_sum_raw(p, n, p) % p, \
                     (p, n)
-        assert not plan.pb
+        assert not memo and not plan.pb
 
 
 def test_power_sum_kernel_at_16843():

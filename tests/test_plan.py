@@ -127,7 +127,7 @@ def count_reads(monkeypatch) -> Counter:
 def lists_and_reads(suite, plan) -> tuple:
     """The half sums ``suite``'s two lists read on ``plan``, each list in turn,
     off stand-in sums of 0, on which the lists never branch; a lifted node
-    would read more (its recursion divides by p^d) or raise."""
+    would read more (its chain first) or raise (its division by p^d)."""
     made = []
     plan.half_sum = lambda n, c: made.append((n, c)) or 0
     bernoulli._evaluate_lists(suite.lists, plan, False)
@@ -252,13 +252,13 @@ def test_table_of_2_is_the_direct_powers():
     # Each entry the p-th power of the one before, against one pow each.
     for p in (p for p in PRIMES_5_3000 if p >= 7):
         m = p ** MAX_EXPONENT
-        assert EvaluationPlan(p).two == [
-            (k, pow((m + 1) // 2, k, m)) for k in (p ** e * (p - 1) for e in range(4))], p
+        assert EvaluationPlan(p).two == [pow((m + 1) // 2, p ** e * (p - 1), m)
+                                         for e in range(4)], p
 
 
 def test_a_failing_node_errs_the_reading_rows_only(monkeypatch):
     # A node that raises in the lists' evaluation is an error record of each
-    # row whose reads reach it, through the recursion, never an aborted
+    # row whose reads reach it, through its own reads, never an aborted
     # prime: the other rows at 101, those that read other nodes included,
     # and both neighbouring primes pass or skip as ever.
     half_identity = bernoulli._half_identity
@@ -284,11 +284,22 @@ def test_a_failing_node_errs_the_reading_rows_only(monkeypatch):
 
 def test_no_registry_read_lifts(monkeypatch):
     # No node of a registry row's own list at a prime it applies to has
-    # 2^n = 1 (mod p): none goes to the recursion, so every d the lists
-    # take, and the counts' stand-in sums, are safe.
+    # 2^n = 1 (mod p): none lifts, so the counts' stand-in sums are safe.
+    # The spy first sees the lift it looks for: lemma12_ii_p4's node 2052 at
+    # 7, below its minimum prime, where 2^2052 = 1 (mod 7).
     lifted = []
-    monkeypatch.setattr(bernoulli, "_p_times_bernoulli",
-                        lambda n, plan, c: lifted.append((n, plan.p, c)))
+    half_identity = bernoulli._half_identity
+
+    def spy(n, p, c, C, *args):
+        if C > c:
+            lifted.append((n, p, c, C))
+        return half_identity(n, p, c, C, *args)
+
+    monkeypatch.setattr(bernoulli, "_half_identity", spy)
+    suite = checks._compile(["lemma12_ii_p4"])
+    lists_and_reads(suite, suite.plan(7))
+    assert lifted == [(2052, 7, 3, 4)]
+    lifted.clear()
     nodes = 0
     for p in [7] + PRIMES_11_3000:
         for check in checks.registry():
