@@ -44,8 +44,9 @@ Over i < H, r runs through g^j, 1 <= j <= H, so the terms needed only mod p
 are geometric series: sum r^3 = -2a/(a - 1) with a = g^3 != 1, and T_3 =
 -sum r^6 = -H if g^6 = 1 (p = 3, 7) else 0.  The half walk sums the rest,
 -3r^2 - 2kr^3: the i < H/2 in blocks of 2^10 with their mirrors H - i, each
-the other's r, and on their own i = 0 (k = 1, r = p-1) and, for p = 1 (mod 4),
-the mirror's fixed point i = H/2 (k = r).
+the other's r, so K = g^i and R = g^(H-i) add -(K^2 + R^2)(3 + 2KR), one term
+per i in a block's one pass; on their own, i = 0 (k = 1, r = p-1) and, for
+p = 1 (mod 4), the mirror's fixed point i = H/2 (k = r).
 
 S_n is read by one direct pass over half the range (``power_sum_raw``)
 or off Fermat-quotient moments.  With the integer u_k = (k^(p-1) - 1)/p, k^(j(p-1)+t) =
@@ -149,29 +150,26 @@ def _primitive_root(p: int) -> int:
 
 
 def _walk_pair_sums_raw(p: int) -> tuple[int, int]:
-    """(T_1 mod p^2, T_3 mod p) by the half walk (module doc), p an odd prime.
-    With S = K^2 + R^2, an entry's two pairs add -3S - 2KR S (mod p^2) to T_1
-    beside their p r^3, so a block sums only S and KR S."""
+    """(T_1 mod p^2, T_3 mod p) by the half walk (module doc), p an odd prime:
+    a block sums its entries' (K^2 + R^2)(3 + 2KR) unreduced, in one pass."""
     g, half = _primitive_root(p), (p - 1) // 2
     end = (half + 1) // 2  # walk 1 <= i < end, with the mirrors H - i > H - end
     n = min(_CHUNK, end - 1)  # g^b for b < n, baby steps times giant steps
     baby = [pow(g, b, p) for b in range(32)]
     table = [x * y % p for x in (pow(g, 32 * a, p) for a in range(-(-n // 32)))
              for y in baby][:n]
-    sq = cross = 0
+    acc = 0
     for lo in range(1, end, _CHUNK):
         gb = table[:end - lo]
         gk, gr = pow(g, lo, p), pow(g, half - lo - len(gb) + 1, p)
-        K = [gk * x % p for x in gb]  # g^(lo + b)
-        R = [gr * x % p for x in reversed(gb)]  # g^(H - lo - b)
-        S = list(map(add, map(mul, K, K), map(mul, R, R)))
-        sq += sum(S)
-        cross += sum(map(mul, map(mul, K, R), S))
+        # K = g^(lo + b) and R = g^(H - lo - b)
+        acc += sum([((K := gk * x % p) * K + (R := gr * y % p) * R) * (3 + 2 * K * R)
+                    for x, y in zip(gb, reversed(gb))])
     fixed = [(1, p - 1)]  # i = 0
     if half % 2 == 0:  # i = H/2, where k = r and k^2 = -1
         fixed.append((pow(g, half // 2, p),) * 2)
     a = pow(g, 3, p)
-    t1 = (-2 * a * pow(a - 1, -1, p) * p - 3 * sq - 2 * cross
+    t1 = (-2 * a * pow(a - 1, -1, p) * p - acc
           - sum(3 * r * r + 2 * k * r ** 3 for k, r in fixed))
     return t1 % (p * p), (-half if pow(g, 6, p) == 1 else 0) % p
 

@@ -1,8 +1,8 @@
 """Per-prime evaluation plan: the sums the checks read at one prime, each
 computed once and dropped with the plan.
 
-A plan for p holds Z/p^k Z for k = 1..10 (``MAX_EXPONENT``), built without
-testing p for primality again, and runs each sweep at most once, on first read:
+A plan for p builds each Z/p^k Z (k <= ``MAX_EXPONENT``) on first use and
+without a new primality test, and runs each sweep at most once, on first read:
 
 * Pairs: T_1..T_6 mod p^10, T_i = sum v^i over v = 1/(k(p-k)) (see
   ``harmonic``).  R_1..R_6 are exact combinations of them, and Newton's
@@ -65,13 +65,15 @@ class EvaluationPlan:
         self.p, self.pb, self.listed = p, {}, 0
         self.requests, self.wolstenholme_requests = requests, wolstenholme_requests
         self.gate_alone = gate_alone
-        self.moduli = [None] + [PrimePowerModulus(p, k, p ** k)
-                                for k in range(1, MAX_EXPONENT + 1)]
-        self.m = self.moduli[-1].m  # the sweeps' modulus, p^10
+        self.moduli, self.m = {}, p ** MAX_EXPONENT  # the sweeps' modulus, p^10
 
     def modulus(self, k: int) -> PrimePowerModulus:
-        """Z/p^k Z (outside 1..10, make_modulus refuses as ever)."""
-        return self.moduli[k] if 1 <= k <= MAX_EXPONENT else make_modulus(self.p, k)
+        """Z/p^k Z, built on first use (outside 1..10, make_modulus refuses)."""
+        M = self.moduli.get(k)
+        if M is None:
+            M = self.moduli[k] = (PrimePowerModulus(self.p, k, self.p ** k)
+                                  if 1 <= k <= MAX_EXPONENT else make_modulus(self.p, k))
+        return M
 
     @cached_property
     def _T(self) -> list:

@@ -81,6 +81,9 @@ MUTANTS = (
     Mutant("the half walk's geometric sum of r^3 with its sign flipped",
            "harmonic.py", "t1 = (-2 * a *", "t1 = (2 * a *",
            ("tests/test_plan.py::test_t1_gate_is_the_defining_congruence",)),
+    Mutant("the half walk's fused summand drops the 2 of 2KR", "harmonic.py",
+           "(3 + 2 * K * R)", "(3 + K * R)",
+           ("tests/test_harmonic.py::test_half_walk_matches_per_k_oracles",)),
     Mutant("the power kernel's half loop stops at (p-3)/2", "harmonic.py",
            "min(lo + _CHUNK, mid + 1))", "min(lo + _CHUNK, mid))",
            ("tests/test_harmonic.py::test_power_sum_kernel_matches_powmod_loop",)),

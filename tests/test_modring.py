@@ -60,6 +60,20 @@ def test_make_modulus_has_no_width_limit():
     assert EvaluationPlan(33554467).modulus(10).m == 33554467 ** 10
 
 
+def test_plan_builds_each_modulus_on_first_use():
+    # A plan builds Z/p^k Z when it is first asked for and serves the same
+    # one after; outside 1..10 it refuses through make_modulus, every time.
+    plan = EvaluationPlan(101)
+    assert plan.moduli == {} and plan.m == 101 ** 10
+    M = plan.modulus(3)
+    assert M == make_modulus(101, 3) and plan.modulus(3) is M
+    assert list(plan.moduli) == [3]
+    for k in (0, 11, 0):
+        with pytest.raises(errors.ExponentOutOfRange):
+            plan.modulus(k)
+    assert list(plan.moduli) == [3]
+
+
 def test_is_prime_deterministic_witnesses():
     assert [n for n in range(2, 60) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]

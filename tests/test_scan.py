@@ -90,6 +90,22 @@ def test_two_sum_sweep_across_the_digit_boundary(monkeypatch):
         assert moduli == [], p
 
 
+@pytest.mark.slow
+def test_walk_past_2_to_the_20():
+    # Past 2^20, where a block's summand (K^2 + R^2)(3 + 2KR) is a three-digit
+    # int: the walk against the full-width sweep, and both walk-based scans
+    # flag the Wolstenholme prime 2124679 and neither flags its neighbours.
+    for p in (1000003, 2124679):
+        _, t1, _, t3 = _pair_power_sums_raw(p, 3, p ** 3)
+        assert _walk_pair_sums_raw(p) == (t1 % p ** 2, t3 % p), p
+    cfg = SieveConfig(2124659, 2124758)
+    assert list(sieve_primes(cfg)) == [2124659, 2124667, 2124679, 2124757]
+    for criterion in (Criterion.COR1_SECOND_P7, Criterion.HARMONIC_R1_P3):
+        records = list(wolstenholme_scan(cfg, criterion))
+        assert not any(r.reason for r in records), criterion
+        assert [r.p for r in records if r.flagged] == [2124679], criterion
+
+
 def test_two_sum_residual_checks_wolstenholme(monkeypatch):
     # The residual drops the T_1^3 and T_1 T_2 terms because p divides T_1;
     # a T_1 that p does not divide is an error, not a residual.
