@@ -30,8 +30,9 @@ Writing s_n = sum_j c_{n,j} p^(n-2j) q^j and T_i = sum_k v_k^i,
 
 an identity of integers mod any m, so one sweep over half the range,
 one modular inversion per block of pairs, gives every R_n.  That full-width
-sweep serves the plan's T_1..T_6 mod p^10, hence its R_1..R_6 (Zhao's w_p
-among them: R_1 mod p^4).
+sweep serves the plan's T_1..T_4 mod p^9, hence, with T_5 mod p in closed
+form (``plan``), its R_n mod p^(11-n), n <= 6 (Zhao's w_p among them: R_1
+mod p^4).
 
 T_1 mod p^2 and T_3 mod p, all the scans and the lone Wolstenholme gate
 read, need no inversion.  With g a primitive root, H = (p-1)/2 and g^H = -1,
@@ -95,9 +96,9 @@ from .modring import make_modulus  # noqa: F401
 #: Entries per block of every loop here: pairs of the full-width sweep (one
 #: modular inversion each), k's of a half pass or the moment sweep, and
 #: i's of the half walk.  A block keeps a few lists of this many residues
-#: alive, the widest the unreduced v^i of a T_1..T_6 sweep mod p^10: a
-#: traced peak of 0.34 MB at 16843 and 0.44 MB at 2124679, whatever the
-#: number of pairs.
+#: alive: in the plan's T_1..T_4 sweep mod p^9 the unreduced v^i, a traced
+#: peak of 0.26 MB at 16843 and 0.31 MB at 2124679, whatever the number of
+#: pairs.
 _CHUNK = 1 << 10
 
 #: t -> c: the classes n = t (mod p-1) and precisions p^c of every p B_n the

@@ -4,18 +4,25 @@ computed once and dropped with the plan.
 A plan for p builds each Z/p^k Z (k <= ``MAX_EXPONENT``) on first use and
 without a new primality test, and runs each sweep at most once, on first read:
 
-* Pairs: T_1..T_6 mod p^10, T_i = sum v^i over v = 1/(k(p-k)) (see
-  ``harmonic``).  R_1..R_6 are exact combinations of them, and Newton's
-  identities give H_1..H_6 and the e_j of the v's, hence the products
+* Pairs: T_i = sum v^i over v = 1/(k(p-k)) (see ``harmonic``), each only
+  as far as a read reaches, mod p^(11-2i): T_1..T_4 from one sweep mod
+  p^9, and T_5 mod p by a closed form, as v = -1/k^2 (mod p) makes T_5 =
+  -(1/2) sum(k^-10, k < p), which is 1/2 where (p-1) | 10 (p = 3, 11) and
+  0 elsewhere; T_6 would enter R_6 as p^6 T_6 only, so it is left at 0.
+  R_n = sum_j c_{n,j} p^(n-2j) T_{n-j} is then exact mod p^(11-n), and so
+  is H_n by Newton's identities: no registry row reads R_n or H_n past
+  p^(11-n), and eq. 19's p^(n-1) R_n mod p^10 reads exactly that far.
+  The e_j of the v's give the products
   E(s) = prod(1 + sp/k, k < p), as (1 + sp/k)(1 + sp/(p-k)) = 1 + (s + s^2) p^2 v:
-  mod p^10 (terms j >= 5 carry p^10; the e_j divide by 2, 3 and 4, so p >= 5)
+  mod p^10 (terms j >= 5 carry p^10; the e_j divide by 2, 3 and 4, so p >= 5;
+  e_j is read mod p^(10-2j), off T_i, i <= j, so the products are exact)
 
       E(s) = sum(((s + s^2) p^2)^j e_j, j <= 4),  s = 1, 2, 3.
 
   E(1) = C(2p-1, p-1), E(2) = C(3p, 2p)/3 = C(3p, p)/3, E(3) = C(4p, p)/4,
   and C(4p-1, 2p-1) = 3 E(2) E(3)/E(1) (split C(4p, 2p) = 2 C(4p-1, 2p-1)
   at i = p and 2p).  The plan serves them as ints mod p^10 (``R``, ``H``,
-  ``products``).
+  ``products``), unreduced to their precisions.
   As C - 1 = 2p^2 T_1 (mod p^4), p is a Wolstenholme prime exactly when
   T_1 = 0 (mod p^2), that is R_1 = p T_1 = 0 (mod p^3).  When every check
   a plan serves is Wolstenholme-only (``gate_alone``), nothing reads the
@@ -77,22 +84,26 @@ class EvaluationPlan:
 
     @cached_property
     def _T(self) -> list:
-        return harmonic._pair_power_sums_raw(self.p, 6, self.m)
+        """[_, T_1, .., T_6], T_i exact mod p^(11-2i) (module doc)."""
+        p = self.p
+        t5 = (p + 1) // 2 if 10 % (p - 1) == 0 else 0  # 1/2 mod p
+        return harmonic._pair_power_sums_raw(p, 4, p ** 9) + [t5, 0]
 
     @cached_property
     def R(self) -> list:
-        """[_, R_1, .., R_6] mod p^10."""
+        """[_, R_1, .., R_6] as ints mod p^10, R_n exact mod p^(11-n)."""
         return harmonic._inverse_from_pair_sums(self.p, self._T, self.m)
 
     @cached_property
     def H(self) -> list:
-        """[_, H_1, .., H_n] mod p^10, n = min(6, p - 2)."""
+        """[_, H_1, .., H_n] as ints mod p^10, n = min(6, p - 2), H_n exact
+        mod p^(11-n)."""
         return harmonic._newton_h_raw(self.R, min(6, self.p - 2), self.m)
 
     @cached_property
     def products(self) -> tuple:
-        """(E(1), E(2), E(3)) mod p^10 (p >= 5): C(2p-1, p-1), C(3p, 2p)/3 and
-        C(4p, p)/4 (module doc)."""
+        """(E(1), E(2), E(3)), exact mod p^10 (p >= 5): C(2p-1, p-1),
+        C(3p, 2p)/3 and C(4p, p)/4 (module doc)."""
         e = [1] + harmonic._newton_h_raw(self._T, 4, self.m)[1:]
         return tuple(sum((a * self.p ** 2) ** j * x for j, x in enumerate(e)) % self.m
                      for a in (2, 6, 12))

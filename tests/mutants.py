@@ -113,6 +113,12 @@ MUTANTS = (
     Mutant("eq19's sum stops one term short", "checks.py",
            "for i in range(1, 6)))", "for i in range(1, 5)))",
            ("tests/test_acceptance.py::test_criterion_3_harmonic_lemma_families",)),
+    Mutant("the plan sweeps T_1..T_4 mod p^8, one digit short of R_1 mod p^10",
+           "plan.py", "_pair_power_sums_raw(p, 4, p ** 9)", "_pair_power_sums_raw(p, 4, p ** 8)",
+           ("tests/test_plan.py::test_registry_outcomes_as_off_the_wide_sweep",)),
+    Mutant("T_5's closed form loses its (p - 1) | 10 case", "plan.py",
+           "(p + 1) // 2 if 10 % (p - 1) == 0 else 0", "0",
+           ("tests/test_plan.py::test_t5_closed_form_is_the_swept_t5",)),
     Mutant("the row's exact division by p is dropped", "checks.py",
            "if pb % p:", "if False:",
            ("tests/test_checks.py::test_row_refuses_a_p_times_bernoulli_not_divisible_by_p",)),

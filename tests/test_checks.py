@@ -168,14 +168,17 @@ def test_check_ids_cover_picked_names():
 
 
 def test_h_values_match_elementary_symmetric():
-    # The plan's R and H, reduced from one wide sweep, against the raw
-    # kernels run at each modulus.
+    # The plan's R_n and H_n, exact mod p^(11-n), against the raw kernels
+    # run at each modulus p^K, compared mod p^min(K, 11-n).
     for p, K in ((7, 3), (11, 5), (101, 8), (397, 10)):
         n_max, m = min(6, p - 2), p ** K
         R = _inverse_power_sums_raw(p, n_max, m)
+        H = _newton_h_raw(R, n_max, m)
         plan = EvaluationPlan(p)
-        assert [x % m for x in plan.R[1:n_max + 1]] == R[1:]
-        assert [x % m for x in plan.H[1:]] == _newton_h_raw(R, n_max, m)[1:], (p, K)
+        for n in range(1, n_max + 1):
+            q = p ** min(K, 11 - n)
+            assert (plan.R[n] - R[n]) % q == 0, (p, K, n)
+            assert (plan.H[n] - H[n]) % q == 0, (p, K, n)
 
 
 def _exact_sums(p):

@@ -4,6 +4,7 @@ import gc
 import importlib
 import pkgutil
 from collections import Counter
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -11,9 +12,10 @@ import pytest
 import wolstenholme
 from wolstenholme import bernoulli, binomial, checks, harmonic, scan
 from wolstenholme.binomial import _shifted_product_raw
-from wolstenholme.modring import MAX_EXPONENT, is_prime
+from wolstenholme.modring import MAX_EXPONENT, eval_exponent, is_prime
 from wolstenholme.plan import SWEEP_REQUESTS, EvaluationPlan
 
+PRIMES_3_600 = [p for p in range(3, 600) if is_prime(p)]
 PRIMES_5_3000 = [p for p in range(5, 3000) if is_prime(p)]
 PRIMES_11_3000 = [p for p in PRIMES_5_3000 if p >= 11]
 BERNOULLI_ROWS = [c.id for c in checks.registry()
@@ -52,6 +54,88 @@ def test_t1_gate_is_the_defining_congruence():
         assert EvaluationPlan(p).wolstenholme == wolstenholme, p
         assert EvaluationPlan(p, gate_alone=True).wolstenholme == wolstenholme, p
     assert not EvaluationPlan(3).wolstenholme
+
+
+def registry_reads() -> dict:
+    """{(attribute, index): the largest c at which a registry check reads
+    that plan sum mod p^c}: a ``Linear`` row reads each of its terms c p^a x
+    at W - a, off its compiled terms, and the other evaluators as listed."""
+    need = {}
+
+    def read(key, c):
+        need[key] = max(c, need.get(key, 0))
+
+    others = {
+        # C(3p, 2p)/3 over C(2p-1, p-1)^3, and 3 E(2) E(3)/E(1) against 4 E(3) - 1
+        "granville_p5": [(("products", i), eval_exponent(5)) for i in range(3)],
+        "sun_wan_p5": [(("products", i), eval_exponent(5)) for i in range(3)],
+        # v_p(R_n), v_p(H_n) >= 1 + n mod 2, n <= 6
+        "lemma4_valuations": [(("R", n), 1 + n % 2) for n in range(1, 7)],
+        "lemma6_valuations": [(("H", n), 1 + n % 2) for n in range(1, 7)],
+        # the gate's R_1 mod p^3, and the mod-p^7 two-sum row
+        "cor4_iff": [(("R", 1), 3)],
+    }
+    rows = [(check.id, check.evaluator) for check in checks.registry()]
+    rows.append(("cor4_iff", checks._ev_cor1_first))
+    for check_id, row in rows:
+        if isinstance(row, checks.Linear):
+            for _, _, a, attribute, i in row._compiled[3]:
+                if attribute is not None:
+                    read((attribute, i), row.W - a)
+        else:
+            for key, c in others.pop(check_id):
+                read(key, c)
+    assert not others
+    return need
+
+
+def test_registry_reads_fit_the_plan_precisions():
+    # The plan serves R_n and H_n exact mod p^(11-n) and the products mod
+    # p^10 (module doc of ``plan``); no registry read reaches past that, and
+    # R_n is read at exactly p^(11-n), so the pair sweep is no wider than
+    # the reads.  A row that reads further fails here.
+    need = registry_reads()
+    served = {key: MAX_EXPONENT if key[0] == "products" else 11 - key[1] for key in need}
+    assert {key for key, c in need.items() if c > served[key]} == set()
+    assert {n: need["R", n] for n in range(1, 7)} == {n: 11 - n for n in range(1, 7)}
+    assert need["products", 0] == MAX_EXPONENT
+
+
+def test_t5_closed_form_is_the_swept_t5():
+    # T_5 mod p is 1/2 where (p - 1) | 10, at p = 3 and 11, else 0; T_6 is
+    # never swept.
+    for p in PRIMES_3_600:
+        T = EvaluationPlan(p)._T
+        assert T[5] == harmonic._pair_power_sums_raw(p, 5, p)[5], p
+        assert len(T) == 7 and T[6] == 0
+    assert [p for p in PRIMES_3_600 if EvaluationPlan(p)._T[5]] == [3, 11]
+
+
+def assert_outcomes_as_off_the_wide_sweep(monkeypatch, primes):
+    """The registry's outcomes at ``primes`` are those of plans that sweep
+    T_1..T_6 mod p^10, as wide as the sums go."""
+    ids = checks.all_check_ids()
+
+    def outcomes():
+        return [o._replace(elapsed_ns=0) for o in checks.run_suite(ids, primes)]
+
+    narrow = outcomes()
+    wide = cached_property(lambda plan: harmonic._pair_power_sums_raw(plan.p, 6, plan.m))
+    wide.__set_name__(EvaluationPlan, "_T")
+    monkeypatch.setattr(EvaluationPlan, "_T", wide)
+    assert outcomes() == narrow
+
+
+def test_registry_outcomes_as_off_the_wide_sweep(monkeypatch):
+    # Every record of the registry, at every prime below 600 and at 16843,
+    # is the one that T_1..T_6 mod p^10 gives.
+    assert_outcomes_as_off_the_wide_sweep(monkeypatch, PRIMES_3_600 + [16843])
+
+
+@pytest.mark.slow
+def test_registry_outcomes_as_off_the_wide_sweep_below_1e4(monkeypatch):
+    assert_outcomes_as_off_the_wide_sweep(
+        monkeypatch, [p for p in range(3, 10 ** 4) if is_prime(p)])
 
 
 def count_kernels(monkeypatch) -> Counter:
